@@ -7,15 +7,10 @@ anywhere (e.g. in a worker process) without sharing state.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# stream ids keep (seed, field, chain) style keys from colliding
-STREAM_FIELD = 1
-STREAM_CHAIN = 2
+# stream id of the solver multistarts; keeps their keys apart from other streams
 STREAM_SOLVER = 3
-STREAM_SAMPLER = 4
 
 
 def stream(seed: int, stream_id: int = 0, substream: int = 0) -> np.random.Generator:
@@ -23,13 +18,3 @@ def stream(seed: int, stream_id: int = 0, substream: int = 0) -> np.random.Gener
     key = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
            np.uint64(((stream_id & 0xFFFFFFFF) << 32) | (substream & 0xFFFFFFFF)))
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
-def thread_count() -> int:
-    """Parallelism cap from SPINGLASS_THREADS (default 1)."""
-    raw = os.environ.get("SPINGLASS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -263,6 +263,13 @@ def _pair(spec: str, what: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _param(params: dict, key: str, default):
+    """The value given for key, or default when none was given; an explicit
+    0 is a value, not a request for the default."""
+    value = params.get(key)
+    return default if value is None else value
+
+
 def _solver_config(params: dict) -> SolverConfig:
     kw = {}
     if params.get("k_max") is not None:
@@ -284,7 +291,7 @@ def _body_parisi(cfg: RunConfig) -> int:
     p = cfg.params
     solver = _solver_config(p)
     if p.get("zero_temp"):
-        res = zt_minimize(m, k_max=solver.k_max if p.get("k_max") else 2, config=solver)
+        res = zt_minimize(m, k_max=int(_param(p, "k_max", 2)), config=solver)
         report = {
             "mode": "zero_temp",
             "order": {"steps": _jsonable(res.order.steps), "c": res.order.c},
@@ -352,7 +359,7 @@ def _body_landscape(cfg: RunConfig) -> int:
 
     # grid modes emit CSV tables regardless of --format json default
     if mode == "theta":
-        grid = int(p.get("grid") or 41)
+        grid = int(_param(p, "grid", 41))
         if grid < 2:
             raise BadInputError("--grid must be at least 2")
         e_lo, e_hi = _pair(p.get("e_range") or "-2:2", "--e-range")
@@ -371,7 +378,7 @@ def _body_landscape(cfg: RunConfig) -> int:
 
     qgrid = _grid(p.get("qgrid") or "0.1:1:0.1", "--qgrid")
     solver = _solver_config(p)
-    k_max = int(p["k_max"]) if p.get("k_max") is not None else 2
+    k_max = int(_param(p, "k_max", 2))
     lines = ["q,E_star,R_star"]
     try:
         for q in qgrid:
@@ -400,9 +407,9 @@ def _body_fp(cfg: RunConfig) -> int:
     beta = float(p["beta"])
     beta_prime = float(p["beta_prime"])
     r_values = _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid")
-    k_max = int(p.get("k_max") or 3)
-    scan_points = int(p.get("scan_points") or 32)
-    solver = SolverConfig(starts=2, seed=int(p["solver_seed"])) if p.get("solver_seed") else None
+    k_max = int(_param(p, "k_max", 3))
+    scan_points = int(_param(p, "scan_points", 32))
+    solver = SolverConfig(starts=2, seed=int(p["solver_seed"])) if p.get("solver_seed") is not None else None
     both = bool(p.get("both_regimes"))
     failures = 0
 
@@ -429,7 +436,7 @@ def _body_fp(cfg: RunConfig) -> int:
             continue
         try:
             if regime == "high":
-                res = fp_high(m, beta, beta_prime, r)
+                res = fp_high(m, beta, beta_prime, r, config=solver)
                 rho = float("nan")
             else:
                 res = fp_low(m, beta, beta_prime, r, k_max=k_max, config=solver, scan_points=scan_points)
@@ -574,8 +581,8 @@ def _body_mc_complexity(cfg: RunConfig) -> int:
         np.linspace(r_lo, r_hi, r_count),
         n_fields=n_fields,
         seed=cfg.seed,
-        restarts=int(p.get("restarts") or 32),
-        bootstrap=int(p.get("bootstrap") or 200),
+        restarts=int(_param(p, "restarts", 32)),
+        bootstrap=int(_param(p, "bootstrap", 200)),
     )
     ei, ri = est.argmax_bin()
     click.echo(
@@ -609,13 +616,13 @@ def _body_mc_gibbs(cfg: RunConfig) -> int:
         raise BadInputError("mc gibbs requires --beta X")
     beta = float(p["beta"])
     mc = MCConfig(
-        steps=int(p.get("steps") or 4000),
-        burn_in=int(p.get("burn_in") or 1000),
-        thin=int(p.get("thin") or 10),
-        step_size=float(p.get("step_size") or 0.3),
-        chain_index=int(p.get("chain_index") or 0),
+        steps=int(_param(p, "steps", 4000)),
+        burn_in=int(_param(p, "burn_in", 1000)),
+        thin=int(_param(p, "thin", 10)),
+        step_size=float(_param(p, "step_size", 0.3)),
+        chain_index=int(_param(p, "chain_index", 0)),
     )
-    f = sample_field(m, n, seed=cfg.seed, field_index=int(p.get("field_index") or 0))
+    f = sample_field(m, n, seed=cfg.seed, field_index=int(_param(p, "field_index", 0)))
     run = gibbs_mcmc(f, beta, mc)
     norm_dev = float(np.max(np.abs(np.sum(run.samples**2, axis=1) - n)))
     report = {

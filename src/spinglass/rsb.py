@@ -1,32 +1,43 @@
-"""Variational free-energy and ground-state problems over atomic order parameters.
+"""Variational free-energy and ground-state problems over step order parameters.
 
-The finite-temperature functional, for a step overlap CDF x with top support
-point q_hat < 1, is
+Both temperatures are one variational problem over a step function with
+breakpoints 0 < q_1 < ... < q_k < 1, one level per segment, and a tail
+constant. At finite temperature the step function is the overlap CDF x,
+its top level is pinned at 1, the tail is 0, and for top support point
+q_hat < 1 the functional is
 
     value(x) = (1/2) [ beta^2 Int_0^1 x(t) xi'(t) dt
                        + Int_0^{q_hat} dt / Int_t^1 x(s) ds
-                       + log(1 - q_hat) ]
+                       + log(1 - q_hat) ].
 
-and the zero-temperature analogue, over nondecreasing step alpha >= 0 and
-c > 0, after integrating the middle term by parts, is
+At zero temperature (its beta -> infinity limit, the Chen-Sen formula) the
+step function is a nondecreasing alpha >= 0 with every level free, the tail
+is c > 0, and after integrating the middle term by parts
 
     value(alpha, c) = (1/2) [ xi'(1) c + Int_0^1 alpha(t) xi'(t) dt
                               + Int_0^1 dt / (Int_t^1 alpha(s) ds + c) ].
 
-Both are evaluated in closed form (piecewise log/ratio algebra) together
-with analytic gradients in the atom positions and levels. Optimality is
-certified by first-order conditions of obstacle type: the support of the
-order parameter must sit inside the argmax of an explicitly integrable
-profile function. Solvers run an unconstrained multistart quasi-Newton pass
-in a cumulative-softmax parameterization, canonicalize the resulting atoms,
-and polish interior solutions by Newton root-finding on the gradient.
+The two differ only in the tail term and in the pinned top level, so one
+engine serves both. One closed-form kernel (piecewise log/ratio algebra)
+gives the value with analytic gradients in breakpoints, levels and tail.
+One solver runs a seeded multistart quasi-Newton pass in unconstrained raw
+coordinates, canonicalizes the resulting atoms, polishes interior solutions
+by Newton root-finding on the gradient, and raises the atom count k until
+the answer certifies. cs_minimize and zt_minimize are its two instances:
+each only describes its temperature (raw-coordinate map, random-start
+stream and scale, pinned top level, certificate and result type).
+
+Optimality is certified by first-order conditions of obstacle type: the
+support of the order parameter must sit inside the argmax of an explicitly
+integrable profile function. A solve returns a certified answer or raises
+SolverFailedError carrying the best candidate's residuals.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar, root
@@ -44,6 +55,20 @@ Q_CAP = 1.0 - 1e-4  # atoms never placed above this; keeps log(1 - q_hat) finite
 
 
 # ====================================================================== types
+
+
+def _step_tail_integral(qext, levels, t):
+    """Int_t^1 of the step function equal to levels[j] on [qext[j], qext[j+1]);
+    piecewise linear, vectorized."""
+    qext = np.asarray(qext)
+    levels = np.asarray(levels)
+    d_break = np.zeros(len(qext))
+    for j in range(len(qext) - 2, -1, -1):
+        d_break[j] = d_break[j + 1] + levels[j] * (qext[j + 1] - qext[j])
+    t_arr = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(qext, t_arr, side="right") - 1, 0, len(levels) - 1)
+    out = d_break[idx] - levels[idx] * (t_arr - qext[idx])
+    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -113,15 +138,7 @@ class OrderParameter:
 
     def tail_integral(self, t):
         """D(t) = Int_t^1 x(s) ds; piecewise linear, vectorized."""
-        qext = np.asarray((0.0, *self.qs, 1.0))
-        lev_ext = np.asarray((*self.levels, 1.0))
-        d_break = np.zeros(len(qext))
-        for j in range(len(qext) - 2, -1, -1):
-            d_break[j] = d_break[j + 1] + lev_ext[j] * (qext[j + 1] - qext[j])
-        t_arr = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(qext, t_arr, side="right") - 1, 0, len(lev_ext) - 1)
-        out = d_break[idx] - lev_ext[idx] * (t_arr - qext[idx])
-        return float(out) if np.ndim(t) == 0 else out
+        return _step_tail_integral((0.0, *self.qs, 1.0), (*self.levels, 1.0), t)
 
 
 @dataclass(frozen=True)
@@ -191,15 +208,7 @@ class ZeroTempOrder:
 
     def tail_integral(self, t):
         """B(t) = Int_t^1 alpha(s) ds; piecewise linear, vectorized."""
-        qext = np.asarray((*self.breakpoints, 1.0))
-        vals = np.asarray(self.values)
-        b_break = np.zeros(len(qext))
-        for j in range(len(qext) - 2, -1, -1):
-            b_break[j] = b_break[j + 1] + vals[j] * (qext[j + 1] - qext[j])
-        t_arr = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(qext, t_arr, side="right") - 1, 0, len(vals) - 1)
-        out = b_break[idx] - vals[idx] * (t_arr - qext[idx])
-        return float(out) if np.ndim(t) == 0 else out
+        return _step_tail_integral((*self.breakpoints, 1.0), self.values, t)
 
 
 @dataclass(frozen=True)
@@ -249,21 +258,10 @@ class SolverConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise BadInputError(f"solver config parse error: {e}") from e
-        known = {f: obj[f] for f in ("k_max", "starts", "atom_tol", "cert_tol", "seed", "mesh") if f in obj}
-        return cls(**known)
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k_max": self.k_max,
-                "starts": self.starts,
-                "atom_tol": self.atom_tol,
-                "cert_tol": self.cert_tol,
-                "seed": self.seed,
-                "mesh": self.mesh,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class CsResult(NamedTuple):
@@ -299,48 +297,67 @@ def _seg_inverse_integral(a: float, ep: float, d: float):
     return val, dval_da, -d / (el * ep), 1.0 / el
 
 
-def _cs_value_grad(m: Mixture, beta: float, qs: Sequence[float], xs: Sequence[float]):
-    """Closed-form functional value with gradient in (q_1..q_k, x_0..x_{k-1})."""
+def _step_value_grad(
+    m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
+):
+    """Closed-form value of either functional with its gradient in
+    (q_1..q_k, levels, tail).
+
+    levels holds one value per segment of [0, 1] cut at qs. With beta None
+    this is the zero-temperature functional with c = tail, differentiated in
+    all k + 1 levels. With beta set, levels[-1] is the pinned top level 1 and
+    tail is 0; the top segment's divergent inverse integral is replaced by
+    log(1 - q_hat), and only the k free levels are differentiated.
+    """
     k = len(qs)
     qext = (0.0, *qs, 1.0)
-    lev = (*xs, 1.0)
     xi = [m.eval(t) for t in qext]
     xip = [m.eval(t, 1) for t in qext]
 
-    a_term = sum(lev[l] * (xi[l + 1] - xi[l]) for l in range(k + 1))
-    ga_q = [(lev[i - 1] - lev[i]) * xip[i] for i in range(1, k + 1)]
-    ga_x = [xi[l + 1] - xi[l] for l in range(k)]
+    a_term = sum(levels[l] * (xi[l + 1] - xi[l]) for l in range(k + 1))
+    ga_q = [(levels[i - 1] - levels[i]) * xip[i] for i in range(1, k + 1)]
+    ga_lev = [xi[l + 1] - xi[l] for l in range(k + 1)]
 
-    d_break = [0.0] * (k + 1)
-    d_break[k] = 1.0 - qext[k]
-    for j in range(k - 1, -1, -1):
-        d_break[j] = d_break[j + 1] + xs[j] * (qext[j + 1] - qext[j])
+    # p_break[j] = tail + Int_{q_j}^1 of the step function
+    p_break = [0.0] * (k + 2)
+    p_break[k + 1] = tail
+    for j in range(k, -1, -1):
+        p_break[j] = p_break[j + 1] + levels[j] * (qext[j + 1] - qext[j])
 
-    b_term = 0.0
-    gb_q = [0.0] * k
-    gb_x = [0.0] * k
-    for l in range(k):
+    t_term = 0.0
+    gt_q = [0.0] * k
+    gt_lev = [0.0] * (k + 1)
+    gt_tail = 0.0
+    for l in range(k + 1 if beta is None else k):
         d = qext[l + 1] - qext[l]
-        val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(xs[l], d_break[l + 1], d)
-        b_term += val
-        gb_x[l] += dval_da
-        for mi in range(l + 1, k):
-            gb_x[mi] += dval_dep * (qext[mi + 1] - qext[mi])
+        val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(levels[l], p_break[l + 1], d)
+        t_term += val
+        gt_lev[l] += dval_da
+        for mi in range(l + 1, k + 1):
+            gt_lev[mi] += dval_dep * (qext[mi + 1] - qext[mi])
+        gt_tail += dval_dep
         for i in range(1, k + 1):
-            dd = (xs[i - 1] if l + 1 <= i - 1 else 0.0) - (lev[i] if l + 1 <= i else 0.0)
+            dd = (levels[i - 1] if l + 1 <= i - 1 else 0.0) - (levels[i] if l + 1 <= i else 0.0)
             if dd:
-                gb_q[i - 1] += dval_dep * dd
-        gb_q[l] += dval_dd
+                gt_q[i - 1] += dval_dep * dd
+        if l + 1 <= k:
+            gt_q[l] += dval_dd
         if l >= 1:
-            gb_q[l - 1] -= dval_dd
+            gt_q[l - 1] -= dval_dd
 
-    c_term = math.log1p(-qext[k]) if k else 0.0
-    value = 0.5 * (beta * beta * a_term + b_term + c_term)
-    grad_q = np.array([0.5 * (beta * beta * ga_q[i] + gb_q[i]) for i in range(k)])
+    if beta is None:
+        xi1p = m.eval(1.0, 1)
+        value = 0.5 * (xi1p * tail + a_term + t_term)
+        grad_q = np.array([0.5 * (ga_q[i] + gt_q[i]) for i in range(k)])
+        grad_lev = np.array([0.5 * (ga_lev[l] + gt_lev[l]) for l in range(k + 1)])
+        return value, grad_q, grad_lev, 0.5 * (xi1p + gt_tail)
+    b2 = beta * beta
+    value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
+    grad_q = np.array([0.5 * (b2 * ga_q[i] + gt_q[i]) for i in range(k)])
     if k:
         grad_q[k - 1] -= 0.5 / (1.0 - qext[k])
-    grad_x = np.array([0.5 * (beta * beta * ga_x[l] + gb_x[l]) for l in range(k)])
-    return value, grad_q, grad_x
+    grad_lev = np.array([0.5 * (b2 * ga_lev[l] + gt_lev[l]) for l in range(k)])
+    return value, grad_q, grad_lev, 0.0
 
 
 def _check_field(m: Mixture, allow_field: bool) -> None:
@@ -353,11 +370,7 @@ def _check_field(m: Mixture, allow_field: bool) -> None:
 
 def cs_value(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False) -> float:
     """Finite-temperature functional value at a step order parameter."""
-    if beta <= 0.0:
-        raise BadInputError(f"beta must be positive, got {beta}")
-    _check_field(m, allow_field)
-    value, _, _ = _cs_value_grad(m, beta, x.qs, x.levels)
-    return value
+    return cs_value_with_grad(m, beta, x, allow_field)[0]
 
 
 def cs_value_with_grad(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False):
@@ -365,64 +378,18 @@ def cs_value_with_grad(m: Mixture, beta: float, x: OrderParameter, allow_field: 
     if beta <= 0.0:
         raise BadInputError(f"beta must be positive, got {beta}")
     _check_field(m, allow_field)
-    return _cs_value_grad(m, beta, x.qs, x.levels)
-
-
-def _zt_value_grad(m: Mixture, qs: Sequence[float], avals: Sequence[float], c: float):
-    """Zero-temperature value with gradient in (q_1..q_k, a_0..a_k, c)."""
-    k = len(qs)
-    qext = (0.0, *qs, 1.0)
-    xi = [m.eval(t) for t in qext]
-    xip = [m.eval(t, 1) for t in qext]
-
-    a_term = sum(avals[l] * (xi[l + 1] - xi[l]) for l in range(k + 1))
-    ga_q = [(avals[i - 1] - avals[i]) * xip[i] for i in range(1, k + 1)]
-    ga_a = [xi[l + 1] - xi[l] for l in range(k + 1)]
-
-    e_break = [0.0] * (k + 2)
-    e_break[k + 1] = c
-    for j in range(k, -1, -1):
-        e_break[j] = e_break[j + 1] + avals[j] * (qext[j + 1] - qext[j])
-
-    t_term = 0.0
-    gt_q = [0.0] * k
-    gt_a = [0.0] * (k + 1)
-    gt_c = 0.0
-    for l in range(k + 1):
-        d = qext[l + 1] - qext[l]
-        val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(avals[l], e_break[l + 1], d)
-        t_term += val
-        gt_a[l] += dval_da
-        for mi in range(l + 1, k + 1):
-            gt_a[mi] += dval_dep * (qext[mi + 1] - qext[mi])
-        gt_c += dval_dep
-        for i in range(1, k + 1):
-            dd = (avals[i - 1] if l + 1 <= i - 1 else 0.0) - (avals[i] if l + 1 <= i else 0.0)
-            if dd:
-                gt_q[i - 1] += dval_dep * dd
-        if l + 1 <= k:
-            gt_q[l] += dval_dd
-        if l >= 1:
-            gt_q[l - 1] -= dval_dd
-
-    xi1p = m.eval(1.0, 1)
-    value = 0.5 * (xi1p * c + a_term + t_term)
-    grad_q = np.array([0.5 * (ga_q[i] + gt_q[i]) for i in range(k)])
-    grad_a = np.array([0.5 * (ga_a[l] + gt_a[l]) for l in range(k + 1)])
-    grad_c = 0.5 * (xi1p + gt_c)
-    return value, grad_q, grad_a, grad_c
+    value, grad_q, grad_x, _ = _step_value_grad(m, beta, x.qs, (*x.levels, 1.0), 0.0)
+    return value, grad_q, grad_x
 
 
 def zt_value(m: Mixture, order: ZeroTempOrder, allow_field: bool = False) -> float:
     """Zero-temperature functional value at a step order parameter."""
-    _check_field(m, allow_field)
-    value, _, _, _ = _zt_value_grad(m, order.breakpoints[1:], order.values, order.c)
-    return value
+    return zt_value_with_grad(m, order, allow_field)[0]
 
 
 def zt_value_with_grad(m: Mixture, order: ZeroTempOrder, allow_field: bool = False):
     _check_field(m, allow_field)
-    return _zt_value_grad(m, order.breakpoints[1:], order.values, order.c)
+    return _step_value_grad(m, None, order.breakpoints[1:], order.values, order.c)
 
 
 def rs_value(m: Mixture, beta: float) -> float:
@@ -486,11 +453,6 @@ class _InverseSquareProfile:
     def _locate(self, t):
         idx = np.searchsorted(self.qext, t, side="right") - 1
         return np.clip(idx, 0, len(self.levels) - 1)
-
-    def p(self, t):
-        t = np.asarray(t, dtype=float)
-        j = self._locate(t)
-        return self.p_break[j] - self.levels[j] * (t - self.qext[j])
 
     def g(self, t):
         t = np.asarray(t, dtype=float)
@@ -648,7 +610,7 @@ def zero_temp_certificate(
     return cert
 
 
-# ============================================================== solver internals
+# ================================================================ solver engine
 
 
 def _cum_softmax(raw: np.ndarray):
@@ -667,188 +629,279 @@ def _cum_softmax_vjp(p: np.ndarray, partial: np.ndarray, g: np.ndarray) -> np.nd
     return p * (suffix - float(g @ partial))
 
 
-def _cs_raw_objective(raw: np.ndarray, m: Mixture, beta: float, k: int):
-    w, v = raw[: k + 1], raw[k + 1 :]
-    pq, sq = _cum_softmax(w)
-    px, sx = _cum_softmax(v)
-    qs = Q_CAP * sq
-    value, gq, gx = _cs_value_grad(m, beta, tuple(qs), tuple(sx))
-    grad = np.concatenate(
-        [Q_CAP * _cum_softmax_vjp(pq, sq, gq), _cum_softmax_vjp(px, sx, gx)]
-    )
-    return value, grad
+def _bounded_exp(z):
+    # keeps rogue line-search steps from overflowing
+    return np.exp(np.clip(z, -60.0, 60.0))
 
 
-def _raw_from_atoms(qs, xs, k):
-    """Raw coordinates whose cumulative softmax reproduces (qs, xs)."""
-    gq = np.diff(np.concatenate([[0.0], np.asarray(qs) / Q_CAP, [1.0]]))
-    gx = np.diff(np.concatenate([[0.0], np.asarray(xs), [1.0]]))
-    gq = np.clip(gq, 1e-10, None)
-    gx = np.clip(gx, 1e-10, None)
-    return np.concatenate([np.log(gq), np.log(gx)])
+def _cs_levels(raw: np.ndarray):
+    """Finite temperature: a cumulative softmax gives the k free levels in
+    (0, 1) under the pinned top level 1; the tail is 0."""
+    p, partial = _cum_softmax(raw)
+    return (*partial, 1.0), 0.0, lambda g_lev, g_tail: _cum_softmax_vjp(p, partial, g_lev)
 
 
-def _minimize_raw(objective, raw0, args):
-    return minimize(
-        objective,
-        raw0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
-    )
+def _cs_levels_raw(levels, tail) -> np.ndarray:
+    x = np.maximum.accumulate(np.clip(levels[:-1], 1e-6, 1.0 - 1e-6))
+    return np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), 1e-10, None))
 
 
-def _canonical_atoms(qs, xs, merge_tol: float = 1e-7, mass_tol: float = 1e-6):
-    """Merge coincident atoms, drop massless ones, snap boundary levels."""
+def _zt_levels(raw: np.ndarray):
+    """Zero temperature: exponentiated increments give the nondecreasing
+    levels and the last coordinate is log c."""
+    incr = _bounded_exp(raw[:-1])
+    c = float(_bounded_exp(raw[-1]))
+
+    def pullback(g_lev, g_tail):
+        return np.concatenate([incr * np.cumsum(g_lev[::-1])[::-1], [g_tail * c]])
+
+    return tuple(np.cumsum(incr)), c, pullback
+
+
+def _zt_levels_raw(levels, tail) -> np.ndarray:
+    incr = np.clip(np.diff(np.concatenate([[0.0], levels])), 1e-8, None)
+    return np.concatenate([np.log(incr), [math.log(max(tail, 1e-8))]])
+
+
+@dataclass(frozen=True)
+class _Temperature:
+    """What the shared solver needs to know about one of the two functionals.
+
+    beta is None at zero temperature. With beta set the top level is pinned
+    at 1, the tail is fixed at 0 and breakpoints stay below Q_CAP; at zero
+    temperature every level and the tail c are free. The raw-coordinate map
+    for the levels and tail is levels_from_raw, returning (levels, tail,
+    pullback of their gradient), with levels_to_raw as its inverse.
+    """
+
+    beta: float | None
+    substream: int
+    start_scale: float
+    levels_from_raw: Callable
+    levels_to_raw: Callable
+    order: Callable  # (qs, levels, tail) -> OrderParameter | ZeroTempOrder
+    certify: Callable  # order -> OptimalityCertificate
+    result: type  # CsResult | ZtResult, both laid out (order, value, certificate)
+
+    @property
+    def pinned(self) -> bool:
+        return self.beta is not None
+
+
+def _decode(raw: np.ndarray, k: int, temp: _Temperature):
+    """Raw coordinates -> (qs, levels, tail) and the pullback of a gradient
+    in those to a gradient in raw."""
+    n_q = k + 1 if k else 0
+    levels, tail, pull_levels = temp.levels_from_raw(raw[n_q:])
+    if not k:
+        return (), levels, tail, lambda gq, g_lev, g_tail: pull_levels(g_lev, g_tail)
+    p, partial = _cum_softmax(raw[:n_q])
+
+    def pullback(gq, g_lev, g_tail):
+        return np.concatenate(
+            [Q_CAP * _cum_softmax_vjp(p, partial, gq), pull_levels(g_lev, g_tail)]
+        )
+
+    return tuple(Q_CAP * partial), levels, tail, pullback
+
+
+def _raw_objective(raw: np.ndarray, m: Mixture, k: int, temp: _Temperature):
+    qs, levels, tail, pullback = _decode(raw, k, temp)
+    value, gq, g_lev, g_tail = _step_value_grad(m, temp.beta, qs, levels, tail)
+    return value, pullback(gq, g_lev, g_tail)
+
+
+def _split_widest_gap(qs, levels, tail, temp: _Temperature) -> np.ndarray:
+    """Raw warm start one level up: halve the widest gap between breakpoints
+    and give the new left segment a lowered copy of the split segment's level."""
+    edges = (0.0, *qs, Q_CAP if temp.pinned else 1.0)
+    j = int(np.argmax(np.diff(edges)))
+    if temp.pinned and j == len(qs):
+        # the pinned top keeps the right half; the left half takes the level
+        # below it (one half when there is none)
+        new_level = levels[j - 1] if j else 0.5
+    else:
+        new_level = max(levels[j] - 0.05, 0.5 * levels[j])
+    q_new = np.insert(qs, j, (edges[j] + edges[j + 1]) / 2.0)
+    gq = np.clip(np.diff(np.concatenate([[0.0], q_new / Q_CAP, [1.0]])), 1e-10, None)
+    return np.concatenate([np.log(gq), temp.levels_to_raw(np.insert(levels, j, new_level), tail)])
+
+
+def _level_candidate(m: Mixture, temp: _Temperature, k: int, cfg: SolverConfig, warm):
+    """Best candidate with k atoms from the seeded multistart plus a
+    warm start split from the previous level's answer."""
+    if temp.pinned and not k:
+        return (), (1.0,), 0.0  # the replica-symmetric point has no free coordinate
+    # the breakpoint softmax takes k + 1 coordinates (none when k = 0)
+    size = (k + 1 if k else 0) + k + 1 + (0 if temp.pinned else 1)
+    raws = [
+        stream(cfg.seed, STREAM_SOLVER, temp.substream | (k << 10) | s).normal(0.0, temp.start_scale, size)
+        for s in range(cfg.starts)
+    ]
+    if warm is not None and len(warm[0]) == k - 1:
+        raws.append(_split_widest_gap(*warm, temp))
+    best = None
+    for raw0 in raws:
+        res = minimize(
+            _raw_objective,
+            raw0,
+            args=(m, k, temp),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
+        )
+        qs, levels, tail, _ = _decode(res.x, k, temp)
+        key = (round(float(res.fun), 12), qs, levels, tail)
+        if best is None or key < best:
+            best = key
+    return best[1:]
+
+
+def _canonical(qs, levels, pinned: bool, merge_tol: float = 1e-7, mass_tol: float = 1e-6):
+    """Merge coincident atoms, drop massless ones, snap a tiny bottom level
+    to 0. levels has one entry per segment; when pinned, the top entry is the
+    level 1 and survives every merge."""
     qs = list(map(float, qs))
-    xs = list(map(float, xs))
+    lev = list(map(float, levels))
     changed = True
-    while changed and qs:
+    while changed:
         changed = False
-        # atom hugging 0: its mass moves to the origin
-        if qs[0] < merge_tol:
-            qs.pop(0)
-            xs.pop(0)
-            changed = True
-            continue
-        # coincident atoms: drop the middle level, pool the mass
-        for j in range(len(qs) - 1):
-            if qs[j + 1] - qs[j] < merge_tol:
-                lev_ext = xs + [1.0]
-                m_left = lev_ext[j + 1] - lev_ext[j]
-                m_right = lev_ext[j + 2] - lev_ext[j + 1]
-                pos = (
-                    (qs[j] * m_left + qs[j + 1] * m_right) / (m_left + m_right)
-                    if m_left + m_right > 0
-                    else 0.5 * (qs[j] + qs[j + 1])
-                )
-                qs[j] = pos
-                qs.pop(j + 1)
-                xs.pop(j + 1)
+        # a breakpoint within merge_tol of its left neighbour (or of 0) goes
+        # with the narrow segment; the two jumps pool at their mass average
+        for j in range(len(qs)):
+            left = qs[j - 1] if j else 0.0
+            if qs[j] - left < merge_tol:
+                if j:
+                    m_left, m_right = lev[j] - lev[j - 1], lev[j + 1] - lev[j]
+                    qs[j - 1] = (
+                        (left * m_left + qs[j] * m_right) / (m_left + m_right)
+                        if m_left + m_right > 0
+                        else 0.5 * (left + qs[j])
+                    )
+                qs.pop(j)
+                lev.pop(j)
                 changed = True
                 break
         if changed:
             continue
         # massless atoms: remove the breakpoint, width-average the level
-        lev_ext = xs + [1.0]
         for j in range(len(qs)):
-            jump = lev_ext[j + 1] - lev_ext[j]
-            if jump < mass_tol:
-                left_w = qs[j] - (qs[j - 1] if j >= 1 else 0.0)
-                right_edge = qs[j + 1] if j + 1 < len(qs) else 1.0
-                right_w = right_edge - qs[j]
-                merged = (lev_ext[j] * left_w + lev_ext[j + 1] * right_w) / (left_w + right_w)
-                if j + 1 == len(lev_ext) - 1:
-                    # top atom lost its mass: previous breakpoint becomes the cap
+            if lev[j + 1] - lev[j] < mass_tol:
+                if pinned and j + 1 == len(qs):
+                    # the pinned top level extends down over the merged segment
                     qs.pop(j)
-                    xs.pop(j)
+                    lev.pop(j)
                 else:
+                    left_w = qs[j] - (qs[j - 1] if j else 0.0)
+                    right_w = (qs[j + 1] if j + 1 < len(qs) else 1.0) - qs[j]
+                    lev[j] = (lev[j] * left_w + lev[j + 1] * right_w) / (left_w + right_w)
                     qs.pop(j)
-                    xs.pop(j + 1)
-                    xs[j] = merged
+                    lev.pop(j + 1)
                 changed = True
                 break
-        if changed:
-            continue
-        if xs and 0.0 < xs[0] < mass_tol:
-            xs[0] = 0.0
-            changed = True
-    if not qs:
-        return (), ()
-    return tuple(qs), tuple(xs)
+    if 0.0 < lev[0] < mass_tol:
+        lev[0] = 0.0
+    return tuple(qs), tuple(lev)
 
 
-def _feasible_atoms(qs, xs) -> bool:
+def _feasible(qs, levels, tail, pinned: bool) -> bool:
+    """Breakpoints strictly increasing below the cap, levels nondecreasing
+    from >= 0, and a top atom with mass under the pinned level 1 (finite
+    temperature) or a positive c (zero temperature)."""
+    cap = Q_CAP + 1e-12 if pinned else 1.0
     prev = 0.0
     for q in qs:
-        if not prev + 1e-12 < q < Q_CAP + 1e-12:
+        if not prev + 1e-12 < q < cap:
             return False
         prev = q
     prev = 0.0
-    for x in xs:
-        if x < prev - 1e-14 or x < 0.0:
+    for a in levels:
+        if a < prev - 1e-14 or a < 0.0:
             return False
-        prev = x
-    return not xs or xs[-1] < 1.0
+        prev = a
+    if pinned:
+        return len(levels) == 1 or levels[-2] < 1.0
+    return tail > 0.0
 
 
-def _polish_cs(m: Mixture, beta: float, qs, xs, value: float):
-    """Newton polish of the stationarity system over free coordinates.
+def _polish(m: Mixture, temp: _Temperature, qs, levels, tail, value: float):
+    """Newton polish of the stationarity system over the free coordinates.
 
-    Levels pinned at 0 stay pinned. Keeps the result only if it remains
-    feasible, stays close, and does not increase the value.
+    A level pinned at 0 stays pinned, as does the top level 1 at finite
+    temperature; c is free at zero temperature. Keeps the result only if it
+    stays feasible, moves by at most 1e-2 and does not increase the value.
     """
     k = len(qs)
-    if k == 0:
-        return qs, xs, value
-    pin0 = xs[0] == 0.0
-    free_x = list(range(1 if pin0 else 0, k))
+    free = list(range(1 if levels[0] == 0.0 else 0, k if temp.pinned else k + 1))
+    free_tail = not temp.pinned
+    start = (qs, levels, tail), value
 
     def assemble(vec):
-        q_new = tuple(vec[:k])
-        x_new = list(xs)
-        for idx, pos in enumerate(free_x):
-            x_new[pos] = vec[k + idx]
-        return q_new, tuple(x_new)
+        lev = list(levels)
+        for idx, pos in enumerate(free):
+            lev[pos] = vec[k + idx]
+        return tuple(vec[:k]), tuple(lev), float(vec[-1]) if free_tail else tail
 
     def fun(vec):
-        q_new, x_new = assemble(vec)
-        if not _feasible_atoms(q_new, x_new):
+        state = assemble(vec)
+        if not _feasible(*state, temp.pinned):
             return np.full(len(vec), 1e6)
-        _, gq, gx = _cs_value_grad(m, beta, q_new, x_new)
-        return np.concatenate([gq, gx[free_x]]) if free_x else gq
+        _, gq, g_lev, g_tail = _step_value_grad(m, temp.beta, *state)
+        return np.concatenate([gq, g_lev[free], [g_tail] if free_tail else []])
 
-    v0 = np.concatenate([np.asarray(qs), np.asarray(xs)[free_x]])
+    v0 = np.concatenate([np.asarray(qs), np.asarray(levels)[free], [tail] if free_tail else []])
+    if not len(v0):
+        return start
     sol = root(fun, v0, method="hybr", tol=1e-13)
     if not sol.success:
-        return qs, xs, value
-    q_new, x_new = assemble(sol.x)
-    if not _feasible_atoms(q_new, x_new):
-        return qs, xs, value
-    if np.max(np.abs(sol.x - v0)) > 1e-2:
-        return qs, xs, value
-    new_value, _, _ = _cs_value_grad(m, beta, q_new, x_new)
+        return start
+    state = assemble(sol.x)
+    if not _feasible(*state, temp.pinned) or np.max(np.abs(sol.x - v0)) > 1e-2:
+        return start
+    new_value = _step_value_grad(m, temp.beta, *state)[0]
     if new_value > value + 1e-10:
-        return qs, xs, value
-    return q_new, x_new, new_value
+        return start
+    return state, new_value
 
 
-def _solve_cs_level(m: Mixture, beta: float, k: int, cfg: SolverConfig, warm):
-    """Best k-atom candidate from multistart plus warm starts."""
-    if k == 0:
-        return (), (), rs_value(m, beta)
-    raws = []
-    for s in range(cfg.starts):
-        rng = stream(cfg.seed, STREAM_SOLVER, (k << 10) | s)
-        raws.append(rng.normal(0.0, 1.5, 2 * (k + 1)))
-    if warm is not None:
-        wq, wx = warm
-        if len(wq) == k - 1 and k >= 2:
-            # split the widest gap; duplicate the adjacent level with a nudge
-            gaps = np.diff(np.concatenate([[0.0], wq, [Q_CAP]]))
-            j = int(np.argmax(gaps))
-            q_new = np.insert(wq, j, (([0.0] + list(wq))[j] + ([*wq, Q_CAP])[j]) / 2.0)
-            lev_ext = list(wx) + [1.0]
-            x_new = np.insert(wx, j, max(lev_ext[j] - 0.05, lev_ext[j] * 0.5) if j < len(wx) else wx[-1])
-            x_new = np.maximum.accumulate(np.clip(x_new, 1e-6, 1.0 - 1e-6))
-            raws.append(_raw_from_atoms(q_new, x_new, k))
-        elif len(wq) == k:
-            raws.append(_raw_from_atoms(np.asarray(wq), np.clip(wx, 1e-8, None), k))
-    if k == 1:
-        raws.append(_raw_from_atoms([0.5 * Q_CAP], [0.5], 1))
-    best = None
-    for raw0 in raws:
-        res = _minimize_raw(_cs_raw_objective, raw0, (m, beta, k))
-        _, sq = _cum_softmax(res.x[: k + 1])
-        _, sx = _cum_softmax(res.x[k + 1 :])
-        qs, xs = tuple(Q_CAP * sq), tuple(sx)
-        value = float(res.fun)
-        key = (round(value, 12), qs, xs)
-        if best is None or key < best[0]:
-            best = (key, qs, xs, value)
-    _, qs, xs, value = best
-    return qs, xs, value
+def _solve(m: Mixture, temp: _Temperature, k_max: int, cfg: SolverConfig):
+    """Refine the atom count k = 0, 1, ... until the certificate
+    passes and a further level gains less than atom_tol. Returns the
+    certified answer with the smallest k among those within atom_tol of the
+    best certified value; raises SolverFailedError when none certifies."""
+    mass_tol = max(cfg.atom_tol * 10, 1e-6)
+    history = []
+    warm = None
+    for k in range(k_max + 1):
+        state = _level_candidate(m, temp, k, cfg, warm)
+        # cleanup and polish interleave until the structure is stable
+        for _ in range(3):
+            qs, levels, tail = state
+            qs, levels = _canonical(qs, levels, temp.pinned, mass_tol=mass_tol)
+            value = _step_value_grad(m, temp.beta, qs, levels, tail)[0]
+            polished, value = _polish(m, temp, qs, levels, tail, value)
+            stable = polished == state
+            state = polished
+            if stable:
+                break
+        order = temp.order(*state)
+        cert = temp.certify(order)
+        history.append(temp.result(order, float(value), cert))
+        warm = state
+        if cert.passes and len(history) >= 2 and history[-2][1] - value < cfg.atom_tol:
+            break
+    passing = [h for h in history if h[2].passes]
+    if passing:
+        best_val = min(h[1] for h in passing)
+        near = [h for h in passing if h[1] <= best_val + cfg.atom_tol]
+        return min(near, key=lambda h: (h[0].k, h[1]))
+    _, value, cert = min(history, key=lambda h: h[1])
+    edge = "" if cert.edge_residual is None else f", edge residual {cert.edge_residual:.3g}"
+    raise SolverFailedError(
+        f"no atom count up to k_max={k_max} produced a passing {cert.kind} "
+        f"certificate; best value {value:.9g} with residuals {cert.residuals_at_support}, "
+        f"off-support violation {cert.max_offsupport_violation:.3g}{edge}"
+    )
 
 
 def cs_minimize(
@@ -868,142 +921,19 @@ def cs_minimize(
         raise BadInputError(f"beta must be positive, got {beta}")
     _check_field(m, allow_field)
     cfg = config or SolverConfig()
-    if k_max is None:
-        k_max = cfg.k_max
-    history = []
-    warm = None
-    for k in range(k_max + 1):
-        qs, xs, value = _solve_cs_level(m, beta, k, cfg, warm)
-        mass_tol = max(cfg.atom_tol * 10, 1e-6)
-        # cleanup and polish interleave until the structure is stable
-        for _ in range(3):
-            qs_c, xs_c = _canonical_atoms(qs, xs, mass_tol=mass_tol)
-            value_c = _cs_value_grad(m, beta, qs_c, xs_c)[0]
-            qs_c, xs_c, value_c = _polish_cs(m, beta, qs_c, xs_c, value_c)
-            stable = qs_c == qs and xs_c == xs
-            qs, xs, value = qs_c, xs_c, value_c
-            if stable:
-                break
-        x_cand = OrderParameter(qs, xs)
-        cert = talagrand_certificate(
-            m, beta, x_cand, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
-        )
-        history.append(CsResult(x_cand, float(value), cert))
-        warm = (np.asarray(qs), np.asarray(xs))
-        if cert.passes and len(history) >= 2 and history[-2].value - value < cfg.atom_tol:
-            break
-    passing = [h for h in history if h.certificate.passes]
-    if passing:
-        best_val = min(h.value for h in passing)
-        near = [h for h in passing if h.value <= best_val + cfg.atom_tol]
-        return min(near, key=lambda h: (h.x_star.k, h.value))
-    best = min(history, key=lambda h: h.value)
-    raise SolverFailedError(
-        "no atom count up to k_max={} produced a passing certificate; best value "
-        "{:.9g} with residuals {}".format(k_max, best.value, best.certificate.residuals_at_support)
+    temp = _Temperature(
+        beta=beta,
+        substream=0,
+        start_scale=1.5,
+        levels_from_raw=_cs_levels,
+        levels_to_raw=_cs_levels_raw,
+        order=lambda qs, levels, tail: OrderParameter(qs, levels[:-1]),
+        certify=lambda x: talagrand_certificate(
+            m, beta, x, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
+        ),
+        result=CsResult,
     )
-
-
-# -------------------------------------------------------- zero temperature
-
-
-def _bounded_exp(z):
-    # keeps rogue line-search steps from overflowing
-    return np.exp(np.clip(z, -60.0, 60.0))
-
-
-def _zt_raw_objective(raw: np.ndarray, m: Mixture, k: int):
-    if k == 0:
-        a0, c = float(_bounded_exp(raw[0])), float(_bounded_exp(raw[1]))
-        value, _, ga, gc = _zt_value_grad(m, (), (a0,), c)
-        return value, np.array([ga[0] * a0, gc * c])
-    w = raw[: k + 1]
-    s = raw[k + 1 : 2 * k + 2]
-    c = float(_bounded_exp(raw[-1]))
-    pq, sq = _cum_softmax(w)
-    qs = Q_CAP * sq
-    incr = _bounded_exp(s)
-    avals = np.cumsum(incr)
-    value, gq, ga, gc = _zt_value_grad(m, tuple(qs), tuple(avals), c)
-    grad_w = Q_CAP * _cum_softmax_vjp(pq, sq, gq)
-    grad_s = incr * np.cumsum(ga[::-1])[::-1]
-    return value, np.concatenate([grad_w, grad_s, [gc * c]])
-
-
-def _canonical_zt(qs, avals, c, merge_tol: float = 1e-7, jump_tol: float = 1e-6):
-    qs = list(map(float, qs))
-    avals = list(map(float, avals))
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(qs)):
-            if (qs[j] - (qs[j - 1] if j >= 1 else 0.0)) < merge_tol:
-                qs.pop(j)
-                avals.pop(j)
-                changed = True
-                break
-        if changed:
-            continue
-        for j in range(len(qs)):
-            if avals[j + 1] - avals[j] < jump_tol:
-                left_edge = qs[j - 1] if j >= 1 else 0.0
-                left_w = qs[j] - left_edge
-                right_edge = qs[j + 1] if j + 1 < len(qs) else 1.0
-                right_w = right_edge - qs[j]
-                merged = (avals[j] * left_w + avals[j + 1] * right_w) / (left_w + right_w)
-                qs.pop(j)
-                avals.pop(j + 1)
-                avals[j] = merged
-                changed = True
-                break
-    if avals and 0.0 < avals[0] < jump_tol:
-        avals[0] = 0.0
-    return tuple(qs), tuple(avals), c
-
-
-def _polish_zt(m: Mixture, qs, avals, c, value):
-    k = len(qs)
-    pin0 = avals[0] == 0.0
-    free_a = list(range(1 if pin0 else 0, k + 1))
-
-    def assemble(vec):
-        q_new = tuple(vec[:k])
-        a_new = list(avals)
-        for idx, pos in enumerate(free_a):
-            a_new[pos] = vec[k + idx]
-        return q_new, tuple(a_new), float(vec[-1])
-
-    def feasible(q_new, a_new, c_new):
-        prev = 0.0
-        for q in q_new:
-            if not prev + 1e-12 < q < 1.0:
-                return False
-            prev = q
-        prev = 0.0
-        for a in a_new:
-            if a < prev - 1e-14 or a < 0.0:
-                return False
-            prev = a
-        return c_new > 0.0
-
-    def fun(vec):
-        q_new, a_new, c_new = assemble(vec)
-        if not feasible(q_new, a_new, c_new):
-            return np.full(len(vec), 1e6)
-        _, gq, ga, gc = _zt_value_grad(m, q_new, a_new, c_new)
-        return np.concatenate([gq, ga[free_a], [gc]])
-
-    v0 = np.concatenate([np.asarray(qs), np.asarray(avals)[free_a], [c]])
-    sol = root(fun, v0, method="hybr", tol=1e-13)
-    if not sol.success:
-        return qs, avals, c, value
-    q_new, a_new, c_new = assemble(sol.x)
-    if not feasible(q_new, a_new, c_new) or np.max(np.abs(sol.x - v0)) > 1e-2:
-        return qs, avals, c, value
-    new_value, _, _, _ = _zt_value_grad(m, q_new, a_new, c_new)
-    if new_value > value + 1e-10:
-        return qs, avals, c, value
-    return q_new, a_new, c_new, new_value
+    return _solve(m, temp, cfg.k_max if k_max is None else k_max, cfg)
 
 
 def zt_minimize(
@@ -1016,69 +946,24 @@ def zt_minimize(
 
     Returns the order parameter, the limiting normalized maximum of the
     field (the ground-state energy density), and the optimality certificate
-    with the strict two-level flag filled in.
+    with the strict two-level flag filled in. Raises SolverFailedError when
+    no k up to the cap certifies.
     """
     _check_field(m, allow_field)
     cfg = config or SolverConfig()
-    history = []
-    warm = None
-    for k in range(k_max + 1):
-        raws = []
-        for s in range(cfg.starts):
-            rng = stream(cfg.seed, STREAM_SOLVER, (1 << 20) | (k << 10) | s)
-            dim = 2 if k == 0 else 2 * k + 3
-            raws.append(rng.normal(0.0, 1.0, dim))
-        if warm is not None and k >= 1:
-            wq, wa, wc = warm
-            if len(wq) == k - 1:
-                gaps = np.diff(np.concatenate([[0.0], wq, [1.0]]))
-                j = int(np.argmax(gaps))
-                q_new = np.insert(wq, j, ([0.0, *wq][j] + [*wq, 1.0][j]) / 2.0)
-                a_new = np.insert(wa, j, wa[j])
-                a_new[j] = max(a_new[j] * 0.9, a_new[j] - 0.05)
-                incr = np.clip(np.diff(np.concatenate([[0.0], a_new])), 1e-8, None)
-                gq = np.clip(np.diff(np.concatenate([[0.0], q_new / Q_CAP, [1.0]])), 1e-10, None)
-                raws.append(np.concatenate([np.log(gq), np.log(incr), [math.log(max(wc, 1e-8))]]))
-        best = None
-        for raw0 in raws:
-            res = _minimize_raw(_zt_raw_objective, raw0, (m, k))
-            if k == 0:
-                qs, avals = (), (float(_bounded_exp(res.x[0])),)
-                c = float(_bounded_exp(res.x[1]))
-            else:
-                _, sq = _cum_softmax(res.x[: k + 1])
-                qs = tuple(Q_CAP * sq)
-                avals = tuple(np.cumsum(_bounded_exp(res.x[k + 1 : 2 * k + 2])))
-                c = float(_bounded_exp(res.x[-1]))
-            value = float(res.fun)
-            key = (round(value, 12), qs, avals, c)
-            if best is None or key < best[0]:
-                best = (key, qs, avals, c, value)
-        _, qs, avals, c, value = best
-        for _ in range(3):
-            qs_c, avals_c, c_c = _canonical_zt(qs, avals, c)
-            value_c = _zt_value_grad(m, qs_c, avals_c, c_c)[0]
-            qs_c, avals_c, c_c, value_c = _polish_zt(m, qs_c, avals_c, c_c, value_c)
-            stable = qs_c == qs and avals_c == avals and c_c == c
-            qs, avals, c, value = qs_c, avals_c, c_c, value_c
-            if stable:
-                break
-        order = ZeroTempOrder(tuple(zip((0.0, *qs), avals)), c)
-        cert = zero_temp_certificate(m, order, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field)
-        history.append(ZtResult(order, float(value), cert))
-        warm = (np.asarray(qs), np.asarray(avals), c)
-        if cert.passes and len(history) >= 2 and history[-2].gs_energy - value < cfg.atom_tol:
-            break
-    passing = [h for h in history if h.certificate.passes]
-    if passing:
-        best_val = min(h.gs_energy for h in passing)
-        near = [h for h in passing if h.gs_energy <= best_val + cfg.atom_tol]
-        return min(near, key=lambda h: (h.order.k, h.gs_energy))
-    best = min(history, key=lambda h: h.gs_energy)
-    raise SolverFailedError(
-        "zero-temperature solver found no passing certificate up to k_max={}; "
-        "best value {:.9g}".format(k_max, best.gs_energy)
+    temp = _Temperature(
+        beta=None,
+        substream=1 << 20,
+        start_scale=1.0,
+        levels_from_raw=_zt_levels,
+        levels_to_raw=_zt_levels_raw,
+        order=lambda qs, levels, tail: ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail),
+        certify=lambda order: zero_temp_certificate(
+            m, order, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
+        ),
+        result=ZtResult,
     )
+    return _solve(m, temp, k_max, cfg)
 
 
 # ================================================================ criticality

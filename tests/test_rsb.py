@@ -390,6 +390,17 @@ def test_minimize_raises_when_no_level_certifies():
         cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, k_max=1)
 
 
+def test_zero_temp_failure_reports_residuals():
+    # {2:.8,4:.2} has no certified constant-alpha solution; the error must
+    # say which optimality condition failed, not only the best value.
+    with pytest.raises(SolverFailedError) as info:
+        zt_minimize(Mixture({2: 0.8, 4: 0.2}), k_max=0)
+    msg = str(info.value)
+    assert "zero_temp" in msg
+    assert "residuals (" in msg
+    assert "off-support violation" in msg and "edge residual" in msg
+
+
 def test_minimize_monotone_in_allowed_steps():
     vals = [cs_minimize(pure(3), T3_BETA, k_max=k).value for k in (1, 2, 3)]
     for lo, hi in zip(vals[1:], vals[:-1]):
