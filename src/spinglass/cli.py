@@ -576,7 +576,7 @@ def _body_mc_complexity(cfg: RunConfig) -> int:
     est = empirical_complexity(
         m,
         n,
-        float(p.get("q") or 1.0),
+        float(_param(p, "q", 1.0)),
         np.linspace(e_lo, e_hi, e_count),
         np.linspace(r_lo, r_hi, r_count),
         n_fields=n_fields,

@@ -532,6 +532,8 @@ def empirical_complexity(
         raise BadInputError("bin edges must be 1-d arrays with at least two entries")
     if n_fields < 1:
         raise BadInputError("need at least one field")
+    if not 0.0 < q <= 1.0:
+        raise BadInputError(f"radius parameter must be in (0,1], got {q}")
 
     def one_field(index: int) -> np.ndarray:
         fld = sample_field(m, n, seed, field_index=index)

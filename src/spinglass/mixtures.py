@@ -133,7 +133,8 @@ class Mixture:
         Maximum representable degree (coefficient arrays are dense).
     """
 
-    __slots__ = ("_c", "generic_truncation", "degree_cap")
+    # _tables caches the Horner tables of eval, one per derivative order
+    __slots__ = ("_c", "generic_truncation", "degree_cap", "_tables")
 
     def __init__(
         self,
@@ -147,6 +148,7 @@ class Mixture:
         object.__setattr__(self, "_c", _normalize_coeffs(coeffs, max(const_term, 0.0), degree_cap))
         object.__setattr__(self, "generic_truncation", bool(generic_truncation))
         object.__setattr__(self, "degree_cap", int(degree_cap))
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Mixture is immutable")
@@ -206,11 +208,15 @@ class Mixture:
 
     # ------------------------------------------------------------ evaluation
 
-    def eval(self, t, order: int = 0):
-        """Evaluate the order-th derivative of xi at t (Horner scheme).
+    def _horner_table(self, order: int) -> tuple[float, ...]:
+        """Build and cache the order-th derivative's coefficients, highest
+        degree first.
 
-        The constant term contributes only at order 0. Accepts scalars or
-        numpy arrays. Orders beyond the polynomial degree return 0.
+        Trimmed to max_degree: the dropped coefficients are zeros, and a
+        Horner step over a zero coefficient maps 0 to 0 for finite t. Orders
+        past max_degree keep one zero, so a non-finite t still yields NaN,
+        and orders past degree_cap are empty. Threads that miss together
+        build the same table, so a plain dict keyed by order is safe.
         """
         if order < 0:
             raise MixtureError(f"derivative order must be >= 0, got {order}")
@@ -222,13 +228,31 @@ class Mixture:
             for j in range(order):
                 fac *= np.clip(p - j, 0.0, None)
             c = (c * fac)[order:]
-        if len(c) == 0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        table = tuple(c[: max(self.max_degree - order + 1, 1)][::-1].tolist())
+        self._tables[order] = table
+        return table
+
+    def eval(self, t, order: int = 0):
+        """Evaluate the order-th derivative of xi at t (Horner scheme).
+
+        The constant term contributes only at order 0. Accepts scalars
+        (returns a float) or numpy arrays. Orders beyond the polynomial
+        degree return 0.
+        """
+        table = self._tables.get(order)
+        if table is None:
+            table = self._horner_table(order)
+        if type(t) is float or np.ndim(t) == 0:
+            t = float(t)
+            out = 0.0
+            for coef in table:
+                out = out * t + coef
+            return out
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
-        for coef in c[::-1]:
+        for coef in table:
             out = out * t_arr + coef
-        return float(out) if np.ndim(t) == 0 else out
+        return out
 
     def __call__(self, t, order: int = 0):
         return self.eval(t, order)

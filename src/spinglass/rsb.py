@@ -258,7 +258,15 @@ class SolverConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise BadInputError(f"solver config parse error: {e}") from e
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        if not isinstance(obj, dict):
+            raise BadInputError("solver config must be a JSON object")
+        kw = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        for f in fields(cls):
+            # float fields also take JSON integers; no field takes a bool
+            kinds = (int, float) if isinstance(f.default, float) else int
+            if f.name in kw and (isinstance(kw[f.name], bool) or not isinstance(kw[f.name], kinds)):
+                raise BadInputError(f"solver config field {f.name!r} must be {f.type}, got {kw[f.name]!r}")
+        return cls(**kw)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

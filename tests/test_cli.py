@@ -67,3 +67,27 @@ def test_fp_high_rows_receive_the_solver_config(pure3, tmp_path, monkeypatch, so
     assert result.exit_code == 0, result.output
     assert len(seen) == 3
     assert all(cfg is not None and cfg.seed == solver_seed for cfg in seen)
+
+
+def test_mc_complexity_rejects_q_zero(pure3):
+    result = CliRunner().invoke(
+        cli.main,
+        ["mc", "complexity", "--mixture", pure3, "--N", "3", "--fields", "1", "--q", "0",
+         "--restarts", "2", "--bootstrap", "2"],
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+
+
+def test_run_config_replays_parisi_zero_temp_byte_for_byte(tmp_path):
+    mixture = tmp_path / "mix.json"
+    mixture.write_text(json.dumps({"coeffs": {"2": 0.3, "3": 0.7}}))
+    result, artifact = _run(["parisi", "--mixture", str(mixture), "--zero-temp"], tmp_path)
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "artifact.json"
+    first = out.read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(artifact["config"]))
+    replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert replay.exit_code == 0, replay.output
+    assert replay.output == result.output
+    assert out.read_bytes() == first

@@ -3,6 +3,8 @@ polynomial evaluation (the independent route) on dense meshes."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +49,81 @@ def test_eval_const_only_at_order_zero():
 def test_eval_rejects_negative_order():
     with pytest.raises(MixtureError):
         Mixture({2: 1.0}).eval(0.5, -1)
+
+
+def dense_eval(xi: Mixture, t, order: int = 0):
+    """Reference: Horner over all degree_cap + 1 dense coefficients,
+    rescaled by falling factorials on every call."""
+    c = np.asarray(xi._c)
+    if order > 0:
+        p = np.arange(len(c), dtype=float)
+        fac = np.ones_like(p)
+        for j in range(order):
+            fac *= np.clip(p - j, 0.0, None)
+        c = (c * fac)[order:]
+    if len(c) == 0:
+        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+    t_arr = np.asarray(t, dtype=float)
+    out = np.zeros_like(t_arr)
+    for coef in c[::-1]:
+        out = out * t_arr + coef
+    return float(out) if np.ndim(t) == 0 else out
+
+
+EXACT_MIXTURES = [
+    Mixture({2: 0.5, 4: 0.5}),
+    Mixture({3: 0.5, 30: 0.5}),
+    Mixture({2: 1.0, 5: 0.3}, const_term=0.7),
+    Mixture({1: 0.2, 3: 0.8}),
+    Mixture(),
+]
+SCALAR_TS = [0.0, 0.37, 1.0, -0.6, -1.0, 1.8, np.float64(0.37), np.float32(-0.25), np.array(0.81), np.array(-1.0)]
+ARRAY_TS = [np.linspace(-1.0, 1.0, 17), np.array([1.0]), np.linspace(0.0, 1.0, 6).reshape(2, 3)]
+
+
+def exact_orders(xi: Mixture) -> list[int]:
+    return [*range(xi.max_degree + 3), 33]
+
+
+@pytest.mark.parametrize("xi", EXACT_MIXTURES, ids=repr)
+def test_eval_bit_identical_to_dense_horner(xi):
+    for order in exact_orders(xi):
+        for t in SCALAR_TS:
+            got = xi.eval(t, order)
+            assert type(got) is float
+            assert got == dense_eval(xi, t, order), (order, t)
+        for t in ARRAY_TS:
+            got = xi.eval(t, order)
+            want = dense_eval(xi, t, order)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (order, t)
+
+
+def test_eval_cache_is_thread_safe():
+    # eight threads on a fresh mixture miss the per-order cache together
+    xi = Mixture({2: 0.3, 3: 0.5, 7: 0.2})
+    orders = exact_orders(xi)
+    barrier = threading.Barrier(8, timeout=30)
+    results = [None] * 8
+
+    def work(i):
+        barrier.wait()
+        results[i] = [xi.eval(0.37, orders[(i + k) % len(orders)]) for k in range(len(orders))]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i, row in enumerate(results):
+        want = [dense_eval(xi, 0.37, orders[(i + k) % len(orders)]) for k in range(len(orders))]
+        assert row == want
 
 
 @given(

@@ -597,6 +597,18 @@ def test_solver_config_json_round_trip():
         SolverConfig.from_json("{not json")
 
 
+@pytest.mark.parametrize("text", ["3", '["k_max"]', '{"k_max": "x"}', '{"atom_tol": true}'])
+def test_solver_config_from_json_rejects_bad_input(text):
+    with pytest.raises(BadInputError):
+        SolverConfig.from_json(text)
+
+
+def test_solver_config_to_json_is_unchanged():
+    assert SolverConfig().to_json() == (
+        '{"atom_tol": 1e-07, "cert_tol": 1e-06, "k_max": 3, "mesh": 2000, "seed": 42, "starts": 8}'
+    )
+
+
 def test_field_component_requires_opt_in():
     m = Mixture({1: 0.5, 2: 1.0})
     with pytest.raises(RegimeMismatchError):
