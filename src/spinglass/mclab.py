@@ -30,6 +30,7 @@ from .conditioning import (
 )
 from .errors import BadInputError, CapacityExceededError
 from .mixtures import Mixture
+from .rsb import _config_from_json
 
 __all__ = [
     "ComplexityEstimate",
@@ -52,7 +53,6 @@ __all__ = [
 
 _MAGIC = b"SGMC"
 _HEADER = struct.Struct("<4sIII")  # magic, version, dimension, row count
-_LETTERS = "abcdefgh"
 
 
 def _thread_count() -> int:
@@ -108,10 +108,11 @@ class FieldSample:
         for p, tensor in self.tensors.items():
             if p == 0:
                 out[p] = float(tensor)
-            else:
-                sub = _LETTERS[:p]
-                spec = sub + "," + ",".join(sub) + "->"
-                out[p] = float(np.einsum(spec, tensor, *([x] * p)))
+                continue
+            t = tensor
+            for _ in range(p - 1):
+                t = t.reshape(-1, self.n) @ x
+            out[p] = float(t @ x)
         return out
 
     def energy_many(self, points) -> np.ndarray:
@@ -119,62 +120,80 @@ class FieldSample:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise BadInputError(f"points must be rows of length {self.n}")
-        total = np.zeros(pts.shape[0])
+        n, rows = self.n, pts.shape[0]
+        cols = pts[:, :, None]
+        total = np.zeros(rows)
         for p, tensor in self.tensors.items():
             if p == 0:
                 total += float(tensor)
                 continue
-            sub = _LETTERS[:p]
-            args = ",".join(f"z{c}" for c in sub)
-            total += np.einsum(
-                f"{sub},{args}->z", tensor, *([pts] * p), optimize=True
-            )
+            # the last slot for all rows in one product, then the rest row by row
+            t = pts @ tensor.reshape(-1, n).T
+            for k in range(p - 2, -1, -1):
+                t = (t.reshape(rows, n**k, n) @ cols)[:, :, 0]
+            total += t[:, 0]
         return total
 
     def gradient(self, x) -> np.ndarray:
         """Ambient gradient of the field at a point."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
-        grad = np.zeros(self.n)
+        n = self.n
+        powers = _kron_powers(x, max(self.tensors) - 1)
+        grad = np.zeros(n)
         for p, tensor in self.tensors.items():
             if p == 0:
                 continue
-            if p == 1:
-                grad += tensor
-                continue
-            sub = _LETTERS[:p]
-            for slot in range(p):
-                others = [x] * (p - 1)
-                spec = ",".join(c for i, c in enumerate(sub) if i != slot)
-                grad += np.einsum(f"{sub},{spec}->{sub[slot]}", tensor, *others)
+            # the last slot free, then recurse on the others with it contracted
+            t = tensor
+            for k in range(p - 1, 0, -1):
+                flat = t.reshape(-1, n)
+                grad += powers[k] @ flat
+                t = flat @ x
+            grad += t
         return grad
 
     def hessian(self, x) -> np.ndarray:
         """Ambient Hessian of the field at a point."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
-        hess = np.zeros((self.n, self.n))
+        n = self.n
+        powers = _kron_powers(x, max(self.tensors) - 2)
+        hess = np.zeros((n, n))
         for p, tensor in self.tensors.items():
-            if p <= 1:
-                continue
-            if p == 2:
-                hess += tensor + tensor.T
-                continue
-            sub = _LETTERS[:p]
-            for a in range(p):
-                for b in range(p):
-                    if a == b:
-                        continue
-                    others = [x] * (p - 2)
-                    spec = ",".join(c for i, c in enumerate(sub) if i not in (a, b))
-                    hess += np.einsum(
-                        f"{sub},{spec}->{sub[a]}{sub[b]}", tensor, *others
-                    )
+            # the pairs with the last slot, then recurse on the others with it
+            # contracted; adding w + w.T keeps the sum exactly symmetric
+            t = tensor
+            for k in range(p, 1, -1):
+                w = _last_slot_pairs(t, x, k, powers)
+                hess += w + w.T
+                t = t.reshape(-1, n) @ x
         return hess
 
     def _check_point(self, x: np.ndarray) -> None:
         if x.shape != (self.n,):
             raise BadInputError(f"point must be a vector of length {self.n}")
+
+
+def _kron_powers(x: np.ndarray, top: int) -> list[np.ndarray]:
+    """powers[k] is the k-fold Kronecker power of x, flat (powers[0] is [1])."""
+    powers = [np.ones(1)]
+    for _ in range(top):
+        powers.append(np.outer(powers[-1], x).ravel())
+    return powers
+
+
+def _last_slot_pairs(t: np.ndarray, x: np.ndarray, p: int, powers) -> np.ndarray:
+    """Sum over the first p-1 slots a of the degree-p tensor t contracted with
+    x on every slot but a and the last: rows index slot a, columns the last
+    slot. The gradient recursion with the last slot kept as a batch axis."""
+    n = x.size
+    w = np.zeros((n, n))
+    for k in range(p - 1, 1, -1):
+        lead = n ** (k - 1)
+        w += (powers[k - 1] @ t.reshape(lead, n * n)).reshape(n, n)
+        t = x @ t.reshape(lead, n, n)
+    return w + t.reshape(n, n)
 
 
 def _capacity_check(degrees, n: int) -> None:
@@ -233,13 +252,15 @@ class MCConfig:
             raise BadInputError("step size must be positive")
         if not 0.0 < self.target_accept < 1.0:
             raise BadInputError("target acceptance must be in (0,1)")
+        if self.adapt_every < 1:
+            raise BadInputError("adaptation window must be at least one step")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MCConfig":
-        return cls(**json.loads(text))
+        return _config_from_json(cls, text, "chain config", strict=True)
 
 
 @dataclass(eq=False)

@@ -153,6 +153,13 @@ class Mixture:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Mixture is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, with an empty eval cache
+        return (
+            Mixture,
+            (self.coeffs, self.const_term, self.generic_truncation, self.degree_cap),
+        )
+
     # ---------------------------------------------------------------- basics
 
     @property

@@ -243,6 +243,30 @@ class OptimalityCertificate:
         return True
 
 
+def _config_from_json(cls, text: str, what: str, strict: bool = False):
+    """Build the int/float-field config dataclass cls from a JSON object.
+
+    Raises BadInputError on unparsable text, a non-object, or a field of the
+    wrong type; unknown keys are ignored unless strict.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise BadInputError(f"{what} parse error: {e}") from e
+    if not isinstance(obj, dict):
+        raise BadInputError(f"{what} must be a JSON object")
+    kw = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+    if strict and len(kw) < len(obj):
+        raise BadInputError(f"{what} has unknown fields {sorted(set(obj) - set(kw))}")
+    for f in fields(cls):
+        # float fields also take JSON integers; no field takes a bool
+        kinds = (int, float) if isinstance(f.default, float) else int
+        if f.name in kw and (isinstance(kw[f.name], bool) or not isinstance(kw[f.name], kinds)):
+            kind = type(f.default).__name__
+            raise BadInputError(f"{what} field {f.name!r} must be {kind}, got {kw[f.name]!r}")
+    return cls(**kw)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     k_max: int = 3
@@ -254,19 +278,7 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise BadInputError(f"solver config parse error: {e}") from e
-        if not isinstance(obj, dict):
-            raise BadInputError("solver config must be a JSON object")
-        kw = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-        for f in fields(cls):
-            # float fields also take JSON integers; no field takes a bool
-            kinds = (int, float) if isinstance(f.default, float) else int
-            if f.name in kw and (isinstance(kw[f.name], bool) or not isinstance(kw[f.name], kinds)):
-                raise BadInputError(f"solver config field {f.name!r} must be {f.type}, got {kw[f.name]!r}")
-        return cls(**kw)
+        return _config_from_json(cls, text, "solver config")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -91,3 +91,20 @@ def test_run_config_replays_parisi_zero_temp_byte_for_byte(tmp_path):
     assert replay.exit_code == 0, replay.output
     assert replay.output == result.output
     assert out.read_bytes() == first
+
+
+def test_run_config_replays_mc_gibbs_byte_for_byte(pure3, tmp_path):
+    result, artifact = _run(
+        ["mc", "gibbs", "--mixture", pure3, "--N", "8", "--beta", "1", "--steps", "40",
+         "--burn-in", "10"],
+        tmp_path,
+    )
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "artifact.json"
+    first = out.read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(artifact["config"]))
+    replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert replay.exit_code == 0, replay.output
+    assert replay.output == result.output
+    assert out.read_bytes() == first

@@ -42,6 +42,38 @@ def sphere_point(rng, n, radius=None):
     return x * ((radius if radius is not None else math.sqrt(n)) / np.linalg.norm(x))
 
 
+def contract_tail(t, x, keep):
+    """t contracted with x on every axis past the first keep."""
+    while t.ndim > keep:
+        t = np.tensordot(t, x, axes=([t.ndim - 1], [0]))
+    return t
+
+
+def reference_terms(field, x):
+    """Per-degree (energy, gradient, Hessian) by plain tensordot contractions
+    over every slot and ordered pair of slots, independent of the library."""
+    out = {}
+    for p, tensor in field.tensors.items():
+        if p == 0:
+            out[p] = (float(tensor), 0.0, 0.0)
+            continue
+        energy = float(contract_tail(tensor, x, 0))
+        grad = sum(contract_tail(np.moveaxis(tensor, slot, 0), x, 1) for slot in range(p))
+        pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
+        hess = sum(
+            (contract_tail(np.moveaxis(tensor, ab, (0, 1)), x, 2) for ab in pairs),
+            np.zeros((field.n, field.n)),
+        )
+        out[p] = (energy, grad, hess)
+    return out
+
+
+def relative_gap(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
 # ---------------------------------------------------------------------------
 # RNG streams
 # ---------------------------------------------------------------------------
@@ -145,6 +177,47 @@ class TestFieldSample:
                 t = float(pts[a] @ pts[b]) / n
                 assert abs(emp - m(t)) <= 3.0 * se
 
+    @pytest.mark.parametrize(
+        "coeffs, const, n",
+        [
+            ({1: 0.3, 2: 0.5, 3: 0.7, 4: 0.4}, 0.2, 6),
+            ({1: 0.3, 2: 0.5, 3: 0.7, 4: 0.4}, 0.2, 12),
+            ({2: 1.0}, 0.0, 12),
+            ({3: 1.0}, 0.0, 12),
+            ({4: 1.0}, 0.0, 12),
+        ],
+    )
+    def test_kernels_match_tensordot_reference(self, coeffs, const, n):
+        f = sample_field(Mixture(coeffs, const_term=const), n, seed=21)
+        rng = np.random.default_rng(n)
+        pts = np.array([sphere_point(rng, n) for _ in range(4)])
+        for x in pts:
+            terms = reference_terms(f, x)
+            got = f.energy_terms(x)
+            assert sorted(got) == sorted(terms)
+            for p, (e, _, _) in terms.items():
+                assert relative_gap(got[p], e) <= 1e-12
+            energy = sum(e for e, _, _ in terms.values())
+            assert relative_gap(f.energy(x), energy) <= 1e-12
+            assert relative_gap(f.gradient(x), sum(g for _, g, _ in terms.values())) <= 1e-12
+            hess = f.hessian(x)
+            assert relative_gap(hess, sum(h for _, _, h in terms.values())) <= 1e-12
+            assert np.array_equal(hess, hess.T)
+        many = f.energy_many(pts)
+        want = [sum(e for e, _, _ in reference_terms(f, x).values()) for x in pts]
+        assert many.shape == (4,)
+        assert relative_gap(many, want) <= 1e-12
+
+    def test_kernels_reject_wrong_shapes(self):
+        f = sample_field(Mixture({2: 0.5, 3: 0.5}), 6, seed=1)
+        for bad in (np.ones(5), np.ones(7), np.ones((6, 1)), np.ones((1, 6))):
+            for kernel in (f.energy, f.energy_terms, f.gradient, f.hessian):
+                with pytest.raises(BadInputError):
+                    kernel(bad)
+        for bad in (np.ones(6), np.ones((3, 5)), np.ones((2, 6, 1))):
+            with pytest.raises(BadInputError):
+                f.energy_many(bad)
+
     def test_constant_term_sampled(self):
         m = Mixture({2: 1.0}, const_term=0.5)
         f = sample_field(m, 20, seed=10)
@@ -166,12 +239,24 @@ class TestGibbs:
     def test_config_round_trip_and_validation(self):
         cfg = MCConfig(steps=100, burn_in=10, thin=2, step_size=0.5, chain_index=3)
         assert MCConfig.from_json(cfg.to_json()) == cfg
+        assert MCConfig.from_json('{"step_size": 1}') == MCConfig(step_size=1.0)
         with pytest.raises(BadInputError):
             MCConfig(steps=0)
         with pytest.raises(BadInputError):
             MCConfig(step_size=0.0)
         with pytest.raises(BadInputError):
             MCConfig(target_accept=1.0)
+        for window in (0, -5):
+            with pytest.raises(BadInputError):
+                MCConfig(adapt_every=window)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3", "[1]", '{"bogus": 1}', '{"steps": "x"}', '{"steps": 2.0}', '{"thin": true}', "{"],
+    )
+    def test_config_from_json_rejects_bad_input(self, text):
+        with pytest.raises(BadInputError):
+            MCConfig.from_json(text)
 
     def test_infinite_temperature_chain_is_uniform(self):
         m = Mixture(MIX_23)

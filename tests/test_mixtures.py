@@ -2,7 +2,9 @@
 polynomial evaluation (the independent route) on dense meshes."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -170,6 +172,21 @@ def test_immutability():
     xi = Mixture({2: 1.0})
     with pytest.raises(AttributeError):
         xi.degree_cap = 5
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+def test_copy_and_pickle_rebuild_an_equal_mixture(copier):
+    xi = Mixture({1: 0.25, 2: 0.5, 7: 1.5}, const_term=0.3, generic_truncation=True, degree_cap=12)
+    xi.eval(0.4, 1)  # warm the original's cache
+    twin = copier(xi)
+    assert twin is not xi
+    assert twin == xi and hash(twin) == hash(xi)
+    assert (twin.generic_truncation, twin.degree_cap) == (True, 12)
+    assert twin._tables == {}
+    t = np.linspace(-1.0, 1.0, 9)
+    for order in range(3):
+        assert twin.eval(0.37, order) == xi.eval(0.37, order)
+        assert twin.eval(t, order).tobytes() == xi.eval(t, order).tobytes()
 
 
 # ------------------------------------------------------------- transforms
