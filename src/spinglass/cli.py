@@ -3,10 +3,14 @@
 One binary with subcommands.  Every run resolves to a ``RunConfig`` (command
 name, inline mixture, parameters, seed, output path, format); the same config
 can be replayed with ``spinglass run --config file.json`` and yields
-byte-identical artifacts.  Flags override config-file values.
+byte-identical artifacts.  A command's ``--config file.json`` supplies the
+defaults of its options, so explicit flags override config-file values.
 
-Exit codes: 0 success, 1 bad input, 2 solver failure (or failed validation /
-failed sweep rows), 3 capacity exceeded.
+Exit codes: 0 success, 1 bad input (including click usage errors: unknown
+options or commands, mistyped flag or config values), 2 solver failure (or
+failed validation / failed sweep rows), 3 capacity exceeded.  When a
+``landscape`` grid point fails and ``--out FILE`` was given, the rows solved
+before the failure are written to ``FILE.partial``.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 import click
 import numpy as np
 
-from .conditioning import BandGeometry, ConditioningEvent, band_kernel, hessian_decomposition
 from .errors import (
     BadInputError,
     CapacityExceededError,
@@ -37,20 +40,19 @@ from .landscape import (
     fprime_identity,
     ground_state_point,
     identity_esrs,
-    theta,
+    theta_surface_csv,
 )
 from .mclab import (
     MCConfig,
-    chain_constraint_set,
     dump_samples,
     empirical_complexity,
-    exact_conditional_sampler,
     gibbs_mcmc,
     overlap_statistics,
     sample_field,
+    validate_kernels,
 )
 from .mixtures import Mixture
-from .rsb import SolverConfig, beta_c, cs_minimize, zt_minimize
+from .rsb import SolverConfig, cs_minimize, zt_minimize
 
 _EXIT_BAD_INPUT = 1
 _EXIT_SOLVER_FAILED = 2
@@ -70,6 +72,11 @@ _SOLVER_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
+# the JSON types each RunConfig field takes; a bool is never one of them
+_FIELD_TYPES = {"command": str, "mixture": (dict, type(None)), "params": dict,
+                "seed": int, "out": (str, type(None)), "format": str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Self-contained, replayable description of one CLI run."""
@@ -86,15 +93,7 @@ class RunConfig:
             raise BadInputError(f"format must be json or csv, got {self.format!r}")
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "mixture": self.mixture,
-            "params": self.params,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -104,14 +103,11 @@ class RunConfig:
             raise BadInputError(f"run config parse error: {e}") from e
         if not isinstance(obj, dict) or "command" not in obj:
             raise BadInputError("run config must be an object with a 'command' field")
-        return cls(
-            command=str(obj["command"]),
-            mixture=obj.get("mixture"),
-            params=dict(obj.get("params", {})),
-            seed=int(obj.get("seed", 0)),
-            out=obj.get("out"),
-            format=str(obj.get("format", "json")),
-        )
+        kw = {name: obj[name] for name in _FIELD_TYPES if name in obj}
+        for name, value in kw.items():
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name]):
+                raise BadInputError(f"run config field {name!r} has the wrong type: {value!r}")
+        return cls(**kw)
 
     def mixture_obj(self) -> Mixture:
         if self.mixture is None:
@@ -119,15 +115,18 @@ class RunConfig:
         return Mixture.from_json(json.dumps(self.mixture))
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise BadInputError(f"cannot read {what} file: {e}") from e
+
+
 def _mixture_dict(path: str | None) -> dict | None:
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            m = Mixture.from_json(fh.read())
-    except OSError as e:
-        raise BadInputError(f"cannot read mixture file: {e}") from e
-    return json.loads(m.to_json())
+    return json.loads(Mixture.from_json(_read(path, "mixture")).to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -201,39 +200,6 @@ def _guarded(body, *args):
         _fail(str(e), _EXIT_BAD_INPUT)
 
 
-def _merge(ctx, config_path, flags):
-    """File-first parameter resolution: explicit flags beat config values."""
-    base = RunConfig.from_json(_read(config_path)) if config_path else None
-    merged = {}
-    file_params = dict(base.params) if base else {}
-    for name, value in flags.items():
-        src = ctx.get_parameter_source(name)
-        if src is not None and src.name == "COMMANDLINE":
-            merged[name] = value
-        elif name in file_params:
-            merged[name] = file_params[name]
-        else:
-            merged[name] = value
-    return base, merged
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise BadInputError(f"cannot read config file: {e}") from e
-
-
-def _carried(ctx, base: RunConfig | None, param: str, attr: str, value):
-    if base is None:
-        return value
-    src = ctx.get_parameter_source(param)
-    if src is not None and src.name == "COMMANDLINE":
-        return value
-    return getattr(base, attr)
-
-
 def _grid(spec: str, what: str) -> list[float]:
     """Parse an inclusive lo:hi:step grid spec."""
     parts = str(spec).split(":")
@@ -271,13 +237,8 @@ def _param(params: dict, key: str, default):
 
 
 def _solver_config(params: dict) -> SolverConfig:
-    kw = {}
-    if params.get("k_max") is not None:
-        kw["k_max"] = int(params["k_max"])
-    if params.get("starts") is not None:
-        kw["starts"] = int(params["starts"])
-    if params.get("solver_seed") is not None:
-        kw["seed"] = int(params["solver_seed"])
+    names = {"k_max": "k_max", "starts": "starts", "solver_seed": "seed"}  # param: field
+    kw = {name: int(params[key]) for key, name in names.items() if params.get(key) is not None}
     return SolverConfig(**kw)
 
 
@@ -366,14 +327,13 @@ def _body_landscape(cfg: RunConfig) -> int:
         r_lo, r_hi = _pair(p.get("r_range") or "-4:4", "--r-range")
         e_grid = [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
         r_grid = [r_lo + (r_hi - r_lo) * i / (grid - 1) for i in range(grid)]
-        lines = ["E,R,theta"]
         try:
-            for e in e_grid:
-                for r in r_grid:
-                    lines.append(f"{e:.12g},{r:.12g},{theta(m, e, r).theta:.12g}")
+            table = theta_surface_csv(m, e_grid, r_grid)
         except _SOLVER_ERRORS as e:
-            return _partial(lines, cfg.out, str(e))
-        _emit("\n".join(lines) + "\n", cfg.out)
+            # theta fails only on a singular sigma, a property of the
+            # mixture alone: the first point fails or none does
+            return _partial(["E,R,theta"], cfg.out, str(e))
+        _emit(table, cfg.out)
         return 0
 
     qgrid = _grid(p.get("qgrid") or "0.1:1:0.1", "--qgrid")
@@ -407,8 +367,11 @@ def _body_fp(cfg: RunConfig) -> int:
     beta = float(p["beta"])
     beta_prime = float(p["beta_prime"])
     r_values = _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid")
+    rows = [r for r in r_values if abs(r) < 1.0]
     k_max = int(_param(p, "k_max", 3))
     scan_points = int(_param(p, "scan_points", 32))
+    if k_max < 0 or scan_points < 3:
+        raise BadInputError("fp needs --k-max >= 0 and --scan-points >= 3")
     solver = SolverConfig(starts=2, seed=int(p["solver_seed"])) if p.get("solver_seed") is not None else None
     both = bool(p.get("both_regimes"))
     failures = 0
@@ -419,9 +382,7 @@ def _body_fp(cfg: RunConfig) -> int:
         lines = ["r,regime,value,rho_star,mean,free_energy,volume"]
 
     regime = FPQuery.detect(m, beta, beta_prime, 0.0).regime
-    for r in r_values:
-        if abs(r) >= 1.0:
-            continue
+    for r in rows:
         if both:
             hi = fp_high(m, beta, beta_prime, r, config=solver, check_regime=False)
             try:
@@ -452,7 +413,7 @@ def _body_fp(cfg: RunConfig) -> int:
             lines.append(f"{r:.12g},{regime},nan,nan,nan,nan,nan")
     _emit("\n".join(lines) + "\n", cfg.out)
     if failures:
-        _fail(f"{failures} of {len(r_values)} sweep rows failed", _EXIT_SOLVER_FAILED)
+        _fail(f"{failures} of {len(rows)} sweep rows failed", _EXIT_SOLVER_FAILED)
     return 0
 
 
@@ -460,99 +421,12 @@ def _body_fp(cfg: RunConfig) -> int:
 
 
 def _body_mc_validate(cfg: RunConfig) -> int:
-    seed = cfg.seed
-    tests = []
-
-    def record(name, statistic, gate, ok):
-        tests.append(
-            {"name": name, "statistic": statistic, "gate": gate, "pass": bool(ok)}
+    tests = validate_kernels(cfg.seed)
+    for t in tests:
+        click.echo(
+            f"{'PASS' if t['pass'] else 'FAIL'}  {t['name']}: "
+            f"{t['statistic']:.6g} (gate {t['gate']:g})"
         )
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {statistic:.6g} (gate {gate:g})")
-
-    # exact contraction identity <x, grad H> = sum_p p H_p
-    m = Mixture({2: 0.7, 3: 1.0})
-    f = sample_field(m, 24, seed=seed)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(24)
-    x *= math.sqrt(24) / np.linalg.norm(x)
-    euler = abs(
-        float(x @ f.gradient(x)) - sum(p * h for p, h in f.energy_terms(x).items())
-    )
-    record("euler-identity", euler, 1e-9, euler <= 1e-9)
-
-    # empirical field covariance against the mixture
-    n, fields = 32, 1500
-    m2 = Mixture({2: 0.5, 3: 0.5})
-    pts = np.array(
-        [v * math.sqrt(n) / np.linalg.norm(v) for v in rng.standard_normal((6, n))]
-    )
-    vals = np.empty((fields, 6))
-    for i in range(fields):
-        vals[i] = sample_field(m2, n, seed=seed, field_index=i).energy_many(pts)
-    worst = 0.0
-    for a in range(6):
-        for b in range(a, 6):
-            prod = vals[:, a] * vals[:, b]
-            se = prod.std(ddof=1) / math.sqrt(fields) / n
-            z = abs(prod.mean() / n - m2(float(pts[a] @ pts[b]) / n)) / se
-            worst = max(worst, z)
-    record("field-covariance", worst, 3.0, worst <= 3.0)
-
-    # conditional band kernel vs direct Gaussian draws
-    geo = BandGeometry(n=30, ladder=(0.35, 0.6))
-    ev = ConditioningEvent(e_vec=(0.5, 0.9), r_vec=(0.8, 0.3), geometry=geo)
-    qa, _ = np.linalg.qr(np.array(geo.anchors).T)
-    gen = np.random.default_rng(seed + 1)
-    u1 = gen.standard_normal(30)
-    u1 -= qa @ (qa.T @ u1)
-    u1 /= np.linalg.norm(u1)
-    y1 = geo.anchors[-1] + math.sqrt(30 * (1 - geo.q_top)) * u1
-    funcs, _, vals_c = chain_constraint_set(geo, ev)
-    draws = exact_conditional_sampler(
-        m2, np.vstack([geo.anchors, y1]), funcs, vals_c, [("value", 2)], 30_000, seed=seed
-    )
-    mean_ref, var_ref = band_kernel(m2, geo, y1, y1, ev)
-    z_mean = abs(draws[:, 0].mean() / 30 - mean_ref) / (
-        draws[:, 0].std(ddof=1) / math.sqrt(30_000) / 30
-    )
-    record("band-kernel-mean", z_mean, 3.0, z_mean <= 3.0)
-    emp_var = draws[:, 0].var(ddof=1) / 30
-    z_var = abs(emp_var - var_ref) / (emp_var * math.sqrt(2.0 / 30_000))
-    record("band-kernel-variance", z_var, 3.0, z_var <= 3.0)
-
-    # conditioned tangential Hessian entries: GOE variances, no gradient leak
-    n_h = 102
-    dec = hessian_decomposition(m, 1, n_h)
-    x1 = np.zeros(n_h)
-    x1[0] = math.sqrt(n_h)
-    eye = np.eye(n_h)
-    draws_h = exact_conditional_sampler(
-        m,
-        x1[None, :],
-        [("value", 0), ("deriv", 0, x1.copy())],
-        [n_h * 0.4, n_h * 0.9],
-        [("deriv", 0, eye[1]), ("deriv2", 0, eye[1], eye[2])],
-        20_000,
-        seed=seed,
-    )
-    scale = n_h / ((n_h - 1) * dec.goe_scale)
-    var = draws_h[:, 1].var(ddof=1) * scale
-    target = 1.0 / dec.goe_dim
-    z_goe = abs(var - target) / (target * math.sqrt(2.0 / 20_000))
-    record("hessian-goe-variance", z_goe, 3.0, z_goe <= 3.0)
-    corr = abs(float(np.corrcoef(draws_h[:, 0], draws_h[:, 1])[0, 1]))
-    gate = 3.0 / math.sqrt(20_000)
-    record("gradient-hessian-independence", corr, gate, corr <= gate)
-
-    # infinite-temperature chain stays uniform on the sphere
-    run = gibbs_mcmc(
-        sample_field(m2, 32, seed=seed), 0.0, MCConfig(steps=400, burn_in=100, thin=4)
-    )
-    norm_dev = float(np.max(np.abs(np.sum(run.samples**2, axis=1) - 32)))
-    record("gibbs-uniform-norms", norm_dev, 1e-10, norm_dev <= 1e-10)
-    acc_dev = abs(run.acceptance_rate - 1.0)
-    record("gibbs-uniform-acceptance", acc_dev, 0.0, acc_dev == 0.0)
-
     report = {
         "tests": tests,
         "all_pass": all(t["pass"] for t in tests),
@@ -662,31 +536,57 @@ _BODIES = {
 # ---------------------------------------------------------------------------
 
 
+def _load_config(ctx, param, path):
+    """Eager --config callback: the file's values become the command's option
+    defaults, so explicit flags beat them. Returns the config, for its mixture."""
+    if path is None:
+        return None
+    base = _guarded(lambda: RunConfig.from_json(_read(path, "config")))
+    ctx.default_map = {**base.params, "seed": base.seed, "out": base.out, "fmt": base.format}
+    return base
+
+
 def _common(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None, help="RunConfig JSON file; flags override its values.")(fn)
+    fn = click.option("--config", "config", type=click.Path(), default=None, is_eager=True, callback=_load_config, help="RunConfig JSON file; flags override its values.")(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="Artifact path (stdout if omitted).")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)(fn)
     return fn
 
 
-def _build_config(ctx, command, config_path, mixture_path, seed, out, fmt, params):
-    base, merged = _merge(ctx, config_path, params)
-    mixture = _mixture_dict(mixture_path)
-    if mixture is None and base is not None:
-        mixture = base.mixture
-    cfg = RunConfig(
-        command=command,
-        mixture=mixture,
-        params=merged,
-        seed=int(_carried(ctx, base, "seed", "seed", seed)),
-        out=_carried(ctx, base, "out", "out", out),
-        format=_carried(ctx, base, "fmt", "format", fmt),
-    )
-    return cfg
+def _run(command, config, seed, out, fmt, mixture_path=None, **params):
+    """Build the RunConfig of one flag invocation and run its command body.
+    An inline --mixture file beats the config file's mixture."""
+
+    def body():
+        mixture = _mixture_dict(mixture_path)
+        if mixture is None and config is not None:
+            mixture = config.mixture
+        cfg = RunConfig(command, mixture, params, seed, out, fmt)
+        return _BODIES[command](cfg)
+
+    sys.exit(_guarded(body))
 
 
-@click.group()
+def _as_bad_input(fn, *args):
+    try:
+        return fn(*args)
+    except click.UsageError as e:
+        e.exit_code = _EXIT_BAD_INPUT
+        raise
+
+
+class _Group(click.Group):
+    """Usage errors exit with the bad-input code; click's 2 is a solver failure here."""
+
+    def parse_args(self, ctx, args):
+        return _as_bad_input(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _as_bad_input(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Analytics and Monte Carlo laboratory for spherical mixed p-spin models."""
 
@@ -699,18 +599,9 @@ def main():
 @click.option("--starts", type=int, default=None)
 @click.option("--solver-seed", "solver_seed", type=int, default=None)
 @_common
-@click.pass_context
-def cmd_parisi(ctx, mixture_path, beta, zero_temp, k_max, starts, solver_seed, config_path, seed, out, fmt):
+def cmd_parisi(**kw):
     """Minimize the free-energy functional; print atoms, value, certificate."""
-    params = {
-        "beta": beta,
-        "zero_temp": zero_temp,
-        "k_max": k_max,
-        "starts": starts,
-        "solver_seed": solver_seed,
-    }
-    cfg = _guarded(_build_config, ctx, "parisi", config_path, mixture_path, seed, out, fmt, params)
-    sys.exit(_guarded(_body_parisi, cfg))
+    _run("parisi", **kw)
 
 
 @main.command("landscape")
@@ -725,22 +616,9 @@ def cmd_parisi(ctx, mixture_path, beta, zero_temp, k_max, starts, solver_seed, c
 @click.option("--qgrid", type=str, default=None, help="lo:hi:step for radius-squared values.")
 @click.option("--k-max", "k_max", type=int, default=None)
 @_common
-@click.pass_context
-def cmd_landscape(ctx, mixture_path, theta, identities, gs, beta, grid, e_range, r_range, qgrid, k_max, config_path, seed, out, fmt):
+def cmd_landscape(**kw):
     """Complexity surface, ground-state curve, and ladder identity reports."""
-    params = {
-        "theta": theta,
-        "identities": identities,
-        "gs": gs,
-        "beta": beta,
-        "grid": grid,
-        "e_range": e_range,
-        "r_range": r_range,
-        "qgrid": qgrid,
-        "k_max": k_max,
-    }
-    cfg = _guarded(_build_config, ctx, "landscape", config_path, mixture_path, seed, out, fmt, params)
-    sys.exit(_guarded(_body_landscape, cfg))
+    _run("landscape", **kw)
 
 
 @main.command("fp")
@@ -753,20 +631,9 @@ def cmd_landscape(ctx, mixture_path, theta, identities, gs, beta, grid, e_range,
 @click.option("--scan-points", "scan_points", type=int, default=None)
 @click.option("--solver-seed", "solver_seed", type=int, default=None)
 @_common
-@click.pass_context
-def cmd_fp(ctx, mixture_path, beta, beta_prime, r_grid, both_regimes, k_max, scan_points, solver_seed, config_path, seed, out, fmt):
+def cmd_fp(**kw):
     """Sweep the constrained-overlap potential over r; auto-selects the regime."""
-    params = {
-        "beta": beta,
-        "beta_prime": beta_prime,
-        "r_grid": r_grid,
-        "both_regimes": both_regimes,
-        "k_max": k_max,
-        "scan_points": scan_points,
-        "solver_seed": solver_seed,
-    }
-    cfg = _guarded(_build_config, ctx, "fp", config_path, mixture_path, seed, out, fmt, params)
-    sys.exit(_guarded(_body_fp, cfg))
+    _run("fp", **kw)
 
 
 @main.group("mc")
@@ -776,11 +643,9 @@ def cmd_mc():
 
 @cmd_mc.command("validate-conditioning")
 @_common
-@click.pass_context
-def cmd_mc_validate(ctx, config_path, seed, out, fmt):
+def cmd_mc_validate(**kw):
     """Run the sampled-kernel validation battery; pass/fail per test."""
-    cfg = _guarded(_build_config, ctx, "mc.validate-conditioning", config_path, None, seed, out, fmt, {})
-    sys.exit(_guarded(_body_mc_validate, cfg))
+    _run("mc.validate-conditioning", **kw)
 
 
 @cmd_mc.command("complexity")
@@ -793,20 +658,9 @@ def cmd_mc_validate(ctx, config_path, seed, out, fmt):
 @click.option("--e-grid", "e_grid", type=str, default=None, help="lo:hi:count bin edges.")
 @click.option("--r-grid", "r_grid", type=str, default=None, help="lo:hi:count bin edges.")
 @_common
-@click.pass_context
-def cmd_mc_complexity(ctx, mixture_path, n, fields, q, restarts, bootstrap, e_grid, r_grid, config_path, seed, out, fmt):
+def cmd_mc_complexity(**kw):
     """Exploratory critical-point census over (energy, radial-derivative) bins."""
-    params = {
-        "n": n,
-        "fields": fields,
-        "q": q,
-        "restarts": restarts,
-        "bootstrap": bootstrap,
-        "e_grid": e_grid,
-        "r_grid": r_grid,
-    }
-    cfg = _guarded(_build_config, ctx, "mc.complexity", config_path, mixture_path, seed, out, fmt, params)
-    sys.exit(_guarded(_body_mc_complexity, cfg))
+    _run("mc.complexity", **kw)
 
 
 @cmd_mc.command("gibbs")
@@ -821,31 +675,17 @@ def cmd_mc_complexity(ctx, mixture_path, n, fields, q, restarts, bootstrap, e_gr
 @click.option("--field-index", "field_index", type=int, default=None)
 @click.option("--dump", type=click.Path(), default=None, help="Write samples to a binary dump.")
 @_common
-@click.pass_context
-def cmd_mc_gibbs(ctx, mixture_path, n, beta, steps, burn_in, thin, step_size, chain_index, field_index, dump, config_path, seed, out, fmt):
+def cmd_mc_gibbs(**kw):
     """Run one Metropolis chain and report chain diagnostics."""
-    params = {
-        "n": n,
-        "beta": beta,
-        "steps": steps,
-        "burn_in": burn_in,
-        "thin": thin,
-        "step_size": step_size,
-        "chain_index": chain_index,
-        "field_index": field_index,
-        "dump": dump,
-    }
-    cfg = _guarded(_build_config, ctx, "mc.gibbs", config_path, mixture_path, seed, out, fmt, params)
-    sys.exit(_guarded(_body_mc_gibbs, cfg))
+    _run("mc.gibbs", **kw)
 
 
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(), required=True)
-@click.pass_context
-def cmd_run(ctx, config_path):
+def cmd_run(config_path):
     """Replay a RunConfig file; artifacts are byte-identical to the flag run."""
     def body():
-        cfg = RunConfig.from_json(_read(config_path))
+        cfg = RunConfig.from_json(_read(config_path, "config"))
         if cfg.command not in _BODIES:
             raise BadInputError(
                 f"unknown command {cfg.command!r}; expected one of {sorted(_BODIES)}"

@@ -24,8 +24,10 @@ from .conditioning import (
     BandGeometry,
     ConditioningEvent,
     _chain_functionals,
+    band_kernel,
     chain_constraint_values,
     derivative_covariances,
+    hessian_decomposition,
     schur_condition,
 )
 from .errors import BadInputError, CapacityExceededError
@@ -49,6 +51,7 @@ __all__ = [
     "overlap_statistics",
     "sample_field",
     "stream_rng",
+    "validate_kernels",
 ]
 
 _MAGIC = b"SGMC"
@@ -67,7 +70,13 @@ def stream_rng(seed: int, field_index: int = 0, chain_index: int = 0) -> np.rand
 
     Units drawn from distinct keys are independent, and a unit's stream
     does not depend on how many other units run or in what order.
+    Raises BadInputError for a negative key.
     """
+    if min(seed, field_index, chain_index) < 0:
+        raise BadInputError(
+            f"seed, field index and chain index must be non-negative, got "
+            f"{seed}, {field_index}, {chain_index}"
+        )
     ss = np.random.SeedSequence(
         entropy=int(seed), spawn_key=(int(field_index), int(chain_index))
     )
@@ -254,6 +263,8 @@ class MCConfig:
             raise BadInputError("target acceptance must be in (0,1)")
         if self.adapt_every < 1:
             raise BadInputError("adaptation window must be at least one step")
+        if self.chain_index < 0:
+            raise BadInputError("chain index must be non-negative")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
@@ -751,3 +762,105 @@ def load_samples(path) -> np.ndarray:
     if data.size != n * count:
         raise BadInputError("sample dump payload does not match its header")
     return data.reshape(count, n).copy()
+
+
+# ====================================================== validation battery
+
+
+def validate_kernels(seed: int) -> list[dict]:
+    """Check the sampled field and the analytic conditioning kernels against
+    each other at one seed.
+
+    Returns one record per test, in a fixed order, each holding the test's
+    name, its statistic, the gate the statistic must not exceed, and whether
+    it passed. The statistical gates sit at three standard errors.
+    """
+    tests = []
+
+    def record(name, statistic, gate, ok):
+        tests.append({"name": name, "statistic": statistic, "gate": gate, "pass": bool(ok)})
+
+    # exact contraction identity <x, grad H> = sum_p p H_p
+    m = Mixture({2: 0.7, 3: 1.0})
+    f = sample_field(m, 24, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(24)
+    x *= math.sqrt(24) / np.linalg.norm(x)
+    euler = abs(
+        float(x @ f.gradient(x)) - sum(p * h for p, h in f.energy_terms(x).items())
+    )
+    record("euler-identity", euler, 1e-9, euler <= 1e-9)
+
+    # empirical field covariance against the mixture
+    n, fields = 32, 1500
+    m2 = Mixture({2: 0.5, 3: 0.5})
+    pts = np.array(
+        [v * math.sqrt(n) / np.linalg.norm(v) for v in rng.standard_normal((6, n))]
+    )
+    vals = np.empty((fields, 6))
+    for i in range(fields):
+        vals[i] = sample_field(m2, n, seed=seed, field_index=i).energy_many(pts)
+    worst = 0.0
+    for a in range(6):
+        for b in range(a, 6):
+            prod = vals[:, a] * vals[:, b]
+            se = prod.std(ddof=1) / math.sqrt(fields) / n
+            z = abs(prod.mean() / n - m2(float(pts[a] @ pts[b]) / n)) / se
+            worst = max(worst, z)
+    record("field-covariance", worst, 3.0, worst <= 3.0)
+
+    # conditional band kernel vs direct Gaussian draws
+    geo = BandGeometry(n=30, ladder=(0.35, 0.6))
+    ev = ConditioningEvent(e_vec=(0.5, 0.9), r_vec=(0.8, 0.3), geometry=geo)
+    qa, _ = np.linalg.qr(np.array(geo.anchors).T)
+    gen = np.random.default_rng(seed + 1)
+    u1 = gen.standard_normal(30)
+    u1 -= qa @ (qa.T @ u1)
+    u1 /= np.linalg.norm(u1)
+    y1 = geo.anchors[-1] + math.sqrt(30 * (1 - geo.q_top)) * u1
+    funcs, _, vals_c = chain_constraint_set(geo, ev)
+    draws = exact_conditional_sampler(
+        m2, np.vstack([geo.anchors, y1]), funcs, vals_c, [("value", 2)], 30_000, seed=seed
+    )
+    mean_ref, var_ref = band_kernel(m2, geo, y1, y1, ev)
+    z_mean = abs(draws[:, 0].mean() / 30 - mean_ref) / (
+        draws[:, 0].std(ddof=1) / math.sqrt(30_000) / 30
+    )
+    record("band-kernel-mean", z_mean, 3.0, z_mean <= 3.0)
+    emp_var = draws[:, 0].var(ddof=1) / 30
+    z_var = abs(emp_var - var_ref) / (emp_var * math.sqrt(2.0 / 30_000))
+    record("band-kernel-variance", z_var, 3.0, z_var <= 3.0)
+
+    # conditioned tangential Hessian entries: GOE variances, no gradient leak
+    n_h = 102
+    dec = hessian_decomposition(m, 1, n_h)
+    x1 = np.zeros(n_h)
+    x1[0] = math.sqrt(n_h)
+    eye = np.eye(n_h)
+    draws_h = exact_conditional_sampler(
+        m,
+        x1[None, :],
+        [("value", 0), ("deriv", 0, x1.copy())],
+        [n_h * 0.4, n_h * 0.9],
+        [("deriv", 0, eye[1]), ("deriv2", 0, eye[1], eye[2])],
+        20_000,
+        seed=seed,
+    )
+    scale = n_h / ((n_h - 1) * dec.goe_scale)
+    var = draws_h[:, 1].var(ddof=1) * scale
+    target = 1.0 / dec.goe_dim
+    z_goe = abs(var - target) / (target * math.sqrt(2.0 / 20_000))
+    record("hessian-goe-variance", z_goe, 3.0, z_goe <= 3.0)
+    corr = abs(float(np.corrcoef(draws_h[:, 0], draws_h[:, 1])[0, 1]))
+    gate = 3.0 / math.sqrt(20_000)
+    record("gradient-hessian-independence", corr, gate, corr <= gate)
+
+    # infinite-temperature chain stays uniform on the sphere
+    run = gibbs_mcmc(
+        sample_field(m2, 32, seed=seed), 0.0, MCConfig(steps=400, burn_in=100, thin=4)
+    )
+    norm_dev = float(np.max(np.abs(np.sum(run.samples**2, axis=1) - 32)))
+    record("gibbs-uniform-norms", norm_dev, 1e-10, norm_dev <= 1e-10)
+    acc_dev = abs(run.acceptance_rate - 1.0)
+    record("gibbs-uniform-acceptance", acc_dev, 0.0, acc_dev == 0.0)
+    return tests

@@ -267,6 +267,11 @@ def _config_from_json(cls, text: str, what: str, strict: bool = False):
     return cls(**kw)
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise BadInputError(f"k_max must be non-negative, got {k_max}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     k_max: int = 3
@@ -275,6 +280,13 @@ class SolverConfig:
     cert_tol: float = 1e-6
     seed: int = 42
     mesh: int = 2000
+
+    def __post_init__(self) -> None:
+        _check_k_max(self.k_max)
+        if self.starts < 1:
+            raise BadInputError(f"starts must be at least 1, got {self.starts}")
+        if not (self.atom_tol > 0.0 and self.cert_tol > 0.0):
+            raise BadInputError("atom_tol and cert_tol must be positive")
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
@@ -953,7 +965,9 @@ def cs_minimize(
         ),
         result=CsResult,
     )
-    return _solve(m, temp, cfg.k_max if k_max is None else k_max, cfg)
+    k_max = cfg.k_max if k_max is None else k_max
+    _check_k_max(k_max)
+    return _solve(m, temp, k_max, cfg)
 
 
 def zt_minimize(
@@ -970,6 +984,7 @@ def zt_minimize(
     no k up to the cap certifies.
     """
     _check_field(m, allow_field)
+    _check_k_max(k_max)
     cfg = config or SolverConfig()
     temp = _Temperature(
         beta=None,

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import spinglass.cli as cli
+from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
 
 
@@ -108,3 +109,158 @@ def test_run_config_replays_mc_gibbs_byte_for_byte(pure3, tmp_path):
     assert replay.exit_code == 0, replay.output
     assert replay.output == result.output
     assert out.read_bytes() == first
+
+
+def _mixture(tmp_path, coeffs):
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    return str(path)
+
+
+def test_landscape_theta_on_a_pure_mixture_writes_a_header_only_partial(pure3, tmp_path):
+    out = tmp_path / "theta.csv"
+    result = CliRunner().invoke(
+        cli.main, ["landscape", "--mixture", pure3, "--theta", "--grid", "3", "--out", str(out)]
+    )
+    assert result.exit_code == cli._EXIT_SOLVER_FAILED, result.output
+    assert not out.exists()
+    assert (tmp_path / "theta.csv.partial").read_text() == "E,R,theta\n"
+
+
+def test_landscape_gs_failure_keeps_the_rows_solved_before_it(tmp_path):
+    out = tmp_path / "gs.csv"
+    result = CliRunner().invoke(
+        cli.main, ["landscape", "--mixture", _mixture(tmp_path, {"2": 0.5, "4": 0.5}), "--gs",
+                   "--out", str(out)]
+    )
+    assert result.exit_code == cli._EXIT_SOLVER_FAILED, result.output
+    assert not out.exists()
+    rows = (tmp_path / "gs.csv.partial").read_text().splitlines()
+    assert rows[0] == "q,E_star,R_star"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.1", "0.2"]
+
+
+def test_mc_gibbs_over_the_tensor_capacity_exits_3(tmp_path):
+    result = CliRunner().invoke(
+        cli.main, ["mc", "gibbs", "--mixture", _mixture(tmp_path, {"4": 1.0}), "--N", "100",
+                   "--beta", "1"]
+    )
+    assert result.exit_code == cli._EXIT_CAPACITY, result.output
+
+
+def test_config_file_values_yield_to_explicit_flags(pure3, tmp_path):
+    out = tmp_path / "artifact.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "command": "parisi", "mixture": {"coeffs": {"3": 1.0}},
+        "params": {"beta": 1.2, "starts": 2, "solver_seed": 5},
+        "seed": 7, "out": str(out), "format": "csv",
+    }))
+    result = CliRunner().invoke(cli.main, ["parisi", "--config", str(config), "--beta", "1.5"])
+    assert result.exit_code == 0, result.output
+    recorded = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+    assert recorded["beta"] == "1.5"
+    assert recorded["config.params.beta"] == "1.5"
+    assert recorded["config.params.starts"] == "2"
+    assert recorded["config.params.solver_seed"] == "5"
+    assert recorded["config.seed"] == "7"
+    assert recorded["config.format"] == "csv"
+    assert recorded["config.out"] == str(out)
+
+
+@pytest.mark.parametrize(
+    "args", [["parisi", "--beta", "x"], ["parisi", "--bogus"], ["nosuch"], ["mc", "nosuch"]]
+)
+def test_usage_errors_exit_with_the_bad_input_code(args):
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+
+
+def test_a_mistyped_config_value_is_a_usage_error(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "parisi", "mixture": {"coeffs": {"3": 1.0}},
+                                  "params": {"beta": "x"}}))
+    result = CliRunner().invoke(cli.main, ["parisi", "--config", str(config)])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert "--beta" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"params": 3},
+        {"params": None},
+        {"seed": "x"},
+        {"seed": True},
+        {"seed": 1.5},
+        {"mixture": 3},
+        {"mixture": [1.0]},
+        {"out": 3},
+        {"command": 3},
+        {"format": 3},
+    ],
+)
+def test_run_config_from_json_rejects_mistyped_fields(fields, tmp_path):
+    text = json.dumps({"command": "parisi", **fields})
+    with pytest.raises(BadInputError):
+        cli.RunConfig.from_json(text)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+
+
+@pytest.mark.parametrize("flags", [["--k-max", "-1"], ["--starts", "0"]])
+def test_parisi_zero_temp_rejects_unrunnable_solver_settings(pure3, flags):
+    result = CliRunner().invoke(cli.main, ["parisi", "--mixture", pure3, "--zero-temp", *flags])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gibbs", "--N", "8", "--beta", "1", "--steps", "40", "--seed", "-1"],
+        ["gibbs", "--N", "8", "--beta", "1", "--steps", "40", "--field-index", "-2"],
+        ["gibbs", "--N", "8", "--beta", "1", "--steps", "40", "--chain-index", "-1"],
+        ["complexity", "--N", "4", "--fields", "1", "--restarts", "2", "--bootstrap", "2",
+         "--seed", "-3"],
+    ],
+)
+def test_negative_rng_keys_exit_with_the_bad_input_code(pure3, args):
+    result = CliRunner().invoke(cli.main, ["mc", args[0], "--mixture", pure3, *args[1:]])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--scan-points", "2"], ["--k-max", "-1"]])
+def test_fp_rejects_unrunnable_settings_before_any_solve(pure3, monkeypatch, flags):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a row")
+
+    monkeypatch.setattr(cli, "fp_high", unreachable)
+    monkeypatch.setattr(cli, "fp_low", unreachable)
+    result = CliRunner().invoke(
+        cli.main, ["fp", "--mixture", pure3, "--beta", "0.5", "--beta-prime", "1.0", *flags]
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ")
+
+
+def test_fp_failure_count_covers_only_the_table_rows(pure3, monkeypatch):
+    def fake_fp_high(m, beta, beta_prime, r, config=None, check_regime=True):
+        terms = FPTerms(mean=0.0, free_energy=0.0, volume=0.0)
+        return FPResult(value=0.0, rho_star=None, terms=terms, field_mode=False)
+
+    def failing_fp_low(*args, **kwargs):
+        raise SolverFailedError("no certificate")
+
+    monkeypatch.setattr(cli, "fp_high", fake_fp_high)
+    monkeypatch.setattr(cli, "fp_low", failing_fp_low)
+    result = CliRunner().invoke(
+        cli.main, ["fp", "--mixture", pure3, "--beta", "0.5", "--beta-prime", "1.0",
+                   "--r-grid", "-0.2:1.2:0.4", "--both-regimes"]
+    )
+    assert result.exit_code == cli._EXIT_SOLVER_FAILED, result.output
+    assert len(result.stdout.splitlines()) == 1 + 3
+    assert "3 of 3 sweep rows failed" in result.stderr

@@ -31,6 +31,7 @@ from spinglass.mclab import (
     overlap_statistics,
     sample_field,
     stream_rng,
+    validate_kernels,
 )
 from spinglass.mixtures import Mixture
 
@@ -89,6 +90,11 @@ class TestStreams:
         base = stream_rng(7, 0, 0).standard_normal(8)
         for key in [(8, 0, 0), (7, 1, 0), (7, 0, 1)]:
             assert not np.array_equal(base, stream_rng(*key).standard_normal(8))
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (7, -2, 0), (7, 0, -1)])
+    def test_negative_keys_are_bad_input(self, key):
+        with pytest.raises(BadInputError):
+            stream_rng(*key)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +255,10 @@ class TestGibbs:
         for window in (0, -5):
             with pytest.raises(BadInputError):
                 MCConfig(adapt_every=window)
+
+    def test_chain_index_must_be_non_negative(self):
+        with pytest.raises(BadInputError):
+            MCConfig(chain_index=-1)
 
     @pytest.mark.parametrize(
         "text",
@@ -624,3 +634,25 @@ class TestOverlapAndDumps:
         trunc.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(BadInputError):
             load_samples(trunc)
+
+
+# ---------------------------------------------------------------------------
+# validation battery
+# ---------------------------------------------------------------------------
+
+
+def test_validate_kernels_records_every_test_in_order():
+    tests = validate_kernels(0)
+    assert [t["name"] for t in tests] == [
+        "euler-identity",
+        "field-covariance",
+        "band-kernel-mean",
+        "band-kernel-variance",
+        "hessian-goe-variance",
+        "gradient-hessian-independence",
+        "gibbs-uniform-norms",
+        "gibbs-uniform-acceptance",
+    ]
+    for t in tests:
+        assert set(t) == {"name", "statistic", "gate", "pass"}
+        assert t["pass"] is True and t["statistic"] <= t["gate"], t

@@ -1,5 +1,7 @@
 """Variational layer: quadrature oracles, gradients, solver regressions."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -601,6 +603,23 @@ def test_solver_config_json_round_trip():
 def test_solver_config_from_json_rejects_bad_input(text):
     with pytest.raises(BadInputError):
         SolverConfig.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "kw", [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}]
+)
+def test_solver_config_rejects_values_the_engine_cannot_run(kw):
+    with pytest.raises(BadInputError):
+        SolverConfig(**kw)
+    with pytest.raises(BadInputError):
+        SolverConfig.from_json(json.dumps(kw))
+
+
+def test_minimizers_reject_a_negative_k_max():
+    with pytest.raises(BadInputError):
+        cs_minimize(pure(3), 1.0, k_max=-1)
+    with pytest.raises(BadInputError):
+        zt_minimize(pure(3), k_max=-1)
 
 
 def test_solver_config_to_json_is_unchanged():
