@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .landscape import ground_state_point
-from .mixtures import Mixture
+from .mixtures import Mixture, section_half_width, sigma_inverse, tau_mix
 from .rsb import SolverConfig
 
 _OVERLAP_TOL = 1e-8
@@ -454,22 +454,21 @@ def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecompositio
         raise BadInputError(f"need n > depth + 1, got n={n}, depth={depth}")
     d = n - depth
     sig = m.sigma_xi()
+    try:
+        sigma_inverse(sig)
+        singular = False
+    except SingularMatrixError:
+        singular = True
     return HessianDecomposition(
-        sigma_u=sig.as_array() / d,
+        sigma_u=sig / d,
         grad_var=float(m.eval(1.0, 1)),
         goe_scale=float((1.0 - 1.0 / d) * m.eval(1.0, 2)),
         goe_dim=d - 1,
-        sigma_singular=bool(sig.is_singular),
+        sigma_singular=singular,
     )
 
 
 # ==================================== overlap-constrained mean and kernel
-
-
-def tau_mix(q1: float, r: float, rho: float) -> float:
-    """Squared relative radius of the section with mutual overlap r to the
-    reference point and rho to the anchor."""
-    return rho * rho / q1 + (r - rho) ** 2 / (1.0 - q1)
 
 
 @dataclass(frozen=True)
@@ -510,6 +509,12 @@ def conditioning_matrix(m: Mixture, q1: float) -> np.ndarray:
     )
 
 
+def pinned_rows(reduced: bool) -> list[int]:
+    """Rows of the pinned vector that enter the solve: all four, or all but
+    the anchor's radial derivative when reduced."""
+    return [0, 1, 3] if reduced else [0, 1, 2, 3]
+
+
 def section_vector(m: Mixture, q1: float, r: float, rho: float) -> np.ndarray:
     """Covariance of the field at a section point with the pinned vector."""
     rhop = m.eval(rho, 1)
@@ -545,8 +550,7 @@ def fp_conditioning(
         raise BadInputError(f"reference overlap must be in (-1,1), got {r}")
     if not 0.0 < q1 < 1.0:
         raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
-    slack = math.sqrt(max(q1 - q1 * q1, 0.0)) * math.sqrt(max(1.0 - r * r, 0.0))
-    if abs(rho - r * q1) > slack + 1e-12:
+    if abs(rho - r * q1) > section_half_width(q1, r) + 1e-12:
         raise RegimeMismatchError(
             f"section overlap {rho} outside the admissible interval around {r * q1}"
         )
@@ -556,7 +560,7 @@ def fp_conditioning(
     bar_top = m.eval(1.0) - m.eval(q1) - m.eval(q1, 1) * (1.0 - q1)
     f_prime = e1 + beta * bar_top
     rhs_full = np.array([f_prime, e1, r1, 0.0])
-    keep = [0, 1, 3] if pure_reduced else [0, 1, 2, 3]
+    keep = pinned_rows(pure_reduced)
     if m.is_pure and not pure_reduced:
         raise SingularMatrixError(
             "the pinned covariance of a single-degree mixture is singular; "

@@ -18,14 +18,14 @@ from typing import NamedTuple
 
 from scipy.optimize import minimize_scalar
 
-from .conditioning import fp_conditioning, section_vector, tau_mix
+from .conditioning import fp_conditioning, pinned_rows, section_vector
 from .errors import (
     BadInputError,
     KMismatchError,
     RegimeMismatchError,
     SolverFailedError,
 )
-from .mixtures import Mixture
+from .mixtures import Mixture, section_half_width, tau_mix
 from .rsb import SolverConfig, beta_c, cs_minimize
 
 __all__ = [
@@ -56,7 +56,7 @@ def j_interval(q1: float, r: float) -> tuple[float, float]:
         raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
     if not -1.0 <= r <= 1.0:
         raise BadInputError(f"sample overlap must be in [-1,1], got {r}")
-    half = math.sqrt(q1 - q1 * q1) * math.sqrt(1.0 - r * r)
+    half = section_half_width(q1, r)
     return r * q1 - half, r * q1 + half
 
 
@@ -84,12 +84,7 @@ class FPQuery:
     regime: str
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise BadInputError(f"sampling inverse temperature must be positive, got {self.beta}")
-        if not self.beta_prime > 0.0:
-            raise BadInputError(f"probe inverse temperature must be positive, got {self.beta_prime}")
-        if not abs(self.r) < 1.0:
-            raise BadInputError(f"overlap must satisfy |r|<1, got {self.r}")
+        _validate_inputs(self.beta, self.beta_prime, self.r)
         if self.regime not in ("high", "low"):
             raise BadInputError(f"regime must be 'high' or 'low', got {self.regime!r}")
 
@@ -170,7 +165,7 @@ class _LowContext:
     beta_prime: float
     q1: float
     u: "object"
-    keep: tuple[int, ...]
+    keep: list[int]
     config: SolverConfig
 
 
@@ -198,13 +193,14 @@ def _low_context(
     fpc = fp_conditioning(
         m, beta, q1, r=0.0, rho=0.0, pure_reduced=m.is_pure, k_max=k_max, config=cfg
     )
-    keep = (0, 1, 3) if m.is_pure else (0, 1, 2, 3)
-    return _LowContext(m=m, beta_prime=beta_prime, q1=q1, u=fpc.u, keep=keep, config=cfg)
+    return _LowContext(
+        m=m, beta_prime=beta_prime, q1=q1, u=fpc.u, keep=pinned_rows(fpc.reduced), config=cfg
+    )
 
 
 def _low_terms(ctx: _LowContext, r: float, rho: float, config: SolverConfig) -> FPTerms:
     m, q1 = ctx.m, ctx.q1
-    v = section_vector(m, q1, r, rho)[list(ctx.keep)]
+    v = section_vector(m, q1, r, rho)[ctx.keep]
     mean = ctx.beta_prime * float(v @ ctx.u)
     _, section, _ = m.fp_mixtures(r, q1, rho)
     res = cs_minimize(section, ctx.beta_prime, config=config, allow_field=True)

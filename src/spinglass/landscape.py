@@ -14,14 +14,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
-from .errors import BadInputError, RegimeMismatchError, SingularMatrixError
-from .mixtures import Mixture
+from .errors import BadInputError, RegimeMismatchError
+from .mixtures import Mixture, sigma_inverse
 from .rsb import (
     CsResult,
     SolverConfig,
     ZeroTempOrder,
+    _refined_max,
     cs_minimize,
     zt_minimize,
 )
@@ -72,16 +73,11 @@ def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
     """Exponential growth rate of the expected number of critical points
     with energy per coordinate E and radial derivative R.
     """
-    sig = m.sigma_xi()
-    if sig.is_singular:
-        raise SingularMatrixError(
-            "the joint energy/radial-derivative covariance of a single-degree "
-            "mixture is rank one; use theta_pure for the restricted rate"
-        )
+    sig_inv = sigma_inverse(m.sigma_xi())
     xi2 = m.eval(1.0, 2)
     xi1 = m.eval(1.0, 1)
     const = 0.5 + 0.5 * math.log(xi2 / xi1)
-    val = _theta_raw(sig.inverse(), const, xi2, float(E), float(R))
+    val = _theta_raw(sig_inv, const, xi2, float(E), float(R))
     u = R / math.sqrt(xi2)
     if abs(abs(u) - 2.0) < 1e-8:
         # both closed forms of the log potential must agree at the edge
@@ -325,7 +321,7 @@ def identity_esrs(
 
 
 def _sup_theta_rect(mx: Mixture, e_lo, e_hi, r_lo, r_hi) -> float:
-    sig_inv = mx.sigma_xi().inverse()
+    sig_inv = sigma_inverse(mx.sigma_xi())
     xi2 = mx.eval(1.0, 2)
     const = 0.5 + 0.5 * math.log(xi2 / mx.eval(1.0, 1))
     es = np.linspace(e_lo, e_hi, 101)
@@ -351,14 +347,7 @@ def _sup_theta_rect(mx: Mixture, e_lo, e_hi, r_lo, r_hi) -> float:
 def _sup_theta_pure_interval(mx: Mixture, e_lo, e_hi) -> float:
     es = np.linspace(e_lo, e_hi, 513)
     vals = np.array([theta_pure(mx, e) for e in es])
-    i = int(np.argmax(vals))
-    lo = es[max(i - 1, 0)]
-    hi = es[min(i + 1, len(es) - 1)]
-    polish = minimize_scalar(
-        lambda e: -theta_pure(mx, e), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return max(float(vals[i]), -float(polish.fun))
+    return _refined_max(lambda e: theta_pure(mx, e), es, vals)[1]
 
 
 def chain_bound(

@@ -65,6 +65,15 @@ def _thread_count() -> int:
         return 1
 
 
+# Spawn keys: (field, 0) for coefficients, (field, _FINDER_LANE) for finder
+# restarts, (0, _FINDER_LANE + 1) for the bootstrap, and (field, chain, lane)
+# for chains and the sampler. SeedSequence reads a key's parts as 32-bit words
+# in order, so distinct last parts keep these apart for every seed and index.
+_FINDER_LANE = 1 << 16
+_CHAIN_LANE = 1 << 17
+_SAMPLER_LANE = _CHAIN_LANE + 1
+
+
 def stream_rng(seed: int, field_index: int = 0, chain_index: int = 0) -> np.random.Generator:
     """Counter-based generator for the (seed, field, chain) work unit.
 
@@ -72,13 +81,17 @@ def stream_rng(seed: int, field_index: int = 0, chain_index: int = 0) -> np.rand
     does not depend on how many other units run or in what order.
     Raises BadInputError for a negative key.
     """
+    return _stream(seed, field_index, chain_index)
+
+
+def _stream(seed: int, field_index: int, chain_index: int, *lane: int) -> np.random.Generator:
     if min(seed, field_index, chain_index) < 0:
         raise BadInputError(
             f"seed, field index and chain index must be non-negative, got "
             f"{seed}, {field_index}, {chain_index}"
         )
     ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(field_index), int(chain_index))
+        entropy=int(seed), spawn_key=(int(field_index), int(chain_index), *lane)
     )
     return np.random.Generator(np.random.Philox(ss))
 
@@ -330,7 +343,7 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
     cfg = config if config is not None else MCConfig()
     n = field.n
     radius = math.sqrt(n)
-    rng = stream_rng(field.seed, field.field_index, cfg.chain_index)
+    rng = _stream(field.seed, field.field_index, cfg.chain_index, _CHAIN_LANE)
     x = rng.standard_normal(n)
     x *= radius / np.linalg.norm(x)
     energy = field.energy(x)
@@ -385,9 +398,6 @@ class CriticalPointRecord:
     radial_derivative: float
     tangential_residual: float
     hessian_eigs: np.ndarray | None = None
-
-
-_FINDER_LANE = 1 << 16  # chain-index lane reserved for finder restarts
 
 
 def find_critical_points(
@@ -662,7 +672,7 @@ def exact_conditional_sampler(
         pseudo_inverse=pseudo_inverse,
     )
     root = _psd_root(cov)
-    rng = stream_rng(seed, 0, 0)
+    rng = _stream(seed, 0, 0, _SAMPLER_LANE)
     z = rng.standard_normal((int(n_draws), len(targets)))
     return mean[None, :] + z @ root.T
 

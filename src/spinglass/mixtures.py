@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MixtureError
+from .errors import MixtureError, SingularMatrixError
 
 DEFAULT_DEGREE_CAP = 32
 
@@ -59,61 +58,32 @@ def _normalize_coeffs(
     return tuple(arr.tolist())
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
-    """The 2x2 covariance of (energy density, radial derivative) used by the
-    critical-point growth rate: [[xi(1), xi'(1)], [xi'(1), xi''(1)+xi'(1)]].
+def sigma_inverse(sigma: np.ndarray) -> np.ndarray:
+    """Inverse of a sigma_xi matrix.
+
+    Raises SingularMatrixError when |det| is below 1e-10 times the squared
+    largest entry; unit-normalized pure mixtures sit at ~1e-16.
     """
-
-    entries: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        a = self.as_array()
-        if abs(a[0, 1] - a[1, 0]) > 1e-12:
-            raise MixtureError("sigma matrix must be symmetric")
-        if self.det < -1e-12:
-            raise MixtureError("sigma matrix must be positive semidefinite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-    @property
-    def det(self) -> float:
-        a = self.as_array()
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-    @property
-    def is_singular(self) -> bool:
-        # scale-aware zero test; unit-normalized pure mixtures sit at ~1e-16
-        scale = max(abs(x) for row in self.entries for x in row) or 1.0
-        return abs(self.det) < 1e-10 * scale * scale
-
-    def inverse(self) -> np.ndarray:
-        if self.is_singular:
-            from .errors import SingularMatrixError
-
-            raise SingularMatrixError("sigma matrix is singular (pure mixture)")
-        a = self.as_array()
-        d = self.det
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / d
+    det = float(sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0])
+    scale = float(np.max(np.abs(sigma))) or 1.0
+    if abs(det) < 1e-10 * scale * scale:
+        raise SingularMatrixError(
+            "the joint energy/radial-derivative covariance of a single-degree "
+            "mixture is rank one; use theta_pure for the restricted rate"
+        )
+    return np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    """Outcome of the genericity declaration check.
+def tau_mix(q1: float, r: float, rho: float) -> float:
+    """Squared relative radius of the Franz-Parisi section with mutual
+    overlap r to the reference point and rho to the anchor at overlap q1."""
+    return rho * rho / q1 + (r - rho) ** 2 / (1.0 - q1)
 
-    A finite coefficient list can never satisfy the defining divergent-sum
-    property, so this is a label echo plus a structural summary of which
-    degree parities carry weight.
-    """
 
-    declared: bool
-    even_support: tuple[int, ...]
-    odd_support: tuple[int, ...]
-    note: str
-
-    def __bool__(self) -> bool:
-        return self.declared
+def section_half_width(q1: float, r: float) -> float:
+    """Half-width of the admissible anchor overlaps rho of that section,
+    centred at r * q1: the section is nonempty (tau <= 1) exactly there."""
+    return math.sqrt(q1 - q1 * q1) * math.sqrt(1.0 - r * r)
 
 
 class Mixture:
@@ -181,11 +151,6 @@ class Mixture:
         return ds[-1] if ds else 0
 
     @property
-    def min_degree(self) -> int:
-        ds = self.degrees
-        return ds[0] if ds else 0
-
-    @property
     def is_pure(self) -> bool:
         """Exactly one active degree and no constant offset."""
         return len(self.degrees) == 1 and self.const_term == 0.0
@@ -205,13 +170,6 @@ class Mixture:
         if self.const_term:
             parts.insert(0, f"{self.const_term:g}")
         return f"Mixture({' + '.join(parts) or '0'})"
-
-    def close_to(self, other: "Mixture", tol: float = 1e-12) -> bool:
-        a, b = np.asarray(self._c), np.asarray(other._c)
-        n = max(len(a), len(b))
-        a = np.pad(a, (0, n - len(a)))
-        b = np.pad(b, (0, n - len(b)))
-        return bool(np.max(np.abs(a - b)) <= tol)
 
     # ------------------------------------------------------------ evaluation
 
@@ -388,12 +346,11 @@ class Mixture:
             raise MixtureError(f"sample overlap must satisfy |r|<1, got {r}")
         if not 0.0 < q1 < 1.0:
             raise MixtureError(f"cluster overlap must be in (0,1), got {q1}")
-        half_width = math.sqrt(q1 - q1 * q1) * math.sqrt(1.0 - r * r)
-        if abs(rho - r * q1) > half_width + 1e-12:
+        if abs(rho - r * q1) > section_half_width(q1, r) + 1e-12:
             raise MixtureError(
                 f"rho={rho} outside the admissible interval around r*q1={r * q1}"
             )
-        tau = r * r + (rho - r * q1) ** 2 / (q1 - q1 * q1)
+        tau = tau_mix(q1, r, rho)
         xi_tilde = self.band_section(r * r)
         section = self.band_section(tau)
         deficit = (1.0 - tau) * self.eval(rho, 1) ** 2 / self.eval(q1, 1)
@@ -407,31 +364,16 @@ class Mixture:
 
     # -------------------------------------------------------------- reports
 
-    def sigma_xi(self) -> SigmaMatrix:
+    def sigma_xi(self) -> np.ndarray:
         """2x2 covariance [[xi(1), xi'(1)], [xi'(1), xi''(1)+xi'(1)]] of the
-        (energy density, radial derivative) pair at a critical point."""
+        (energy density, radial derivative) pair at a critical point; its
+        det = sum c * sum p^2 c - (sum p c)^2 >= 0 by Cauchy-Schwarz."""
         if self.max_degree < 2:
             raise MixtureError("sigma matrix requires mixture degree >= 2")
         v0 = self.eval(1.0) - self.const_term  # offset is not part of the field variance
         v1 = self.eval(1.0, 1)
         v2 = self.eval(1.0, 2)
-        return SigmaMatrix(((v0, v1), (v1, v2 + v1)))
-
-    def is_generic(self) -> GenericityReport:
-        """Echo the caller's genericity declaration with a parity summary.
-
-        Genericity is a property of an infinite series; a finite truncation
-        can only be labeled as such, never verified.
-        """
-        even = tuple(p for p in self.degrees if p % 2 == 0)
-        odd = tuple(p for p in self.degrees if p % 2 == 1)
-        if self.generic_truncation:
-            note = "declared truncation of a generic series"
-        elif len(self.degrees) == 1:
-            note = f"single {'odd' if self.degrees[0] % 2 else 'even'} degree"
-        else:
-            note = "no genericity declaration"
-        return GenericityReport(self.generic_truncation, even, odd, note)
+        return np.array([[v0, v1], [v1, v2 + v1]])
 
     # -------------------------------------------------------- serialization
 
@@ -464,11 +406,6 @@ class Mixture:
             generic_truncation=bool(obj.get("generic_truncation", False)),
             degree_cap=degree_cap,
         )
-
-    @classmethod
-    def from_file(cls, path) -> "Mixture":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 def pure(p: int, weight: float = 1.0) -> Mixture:

@@ -20,6 +20,9 @@ is c > 0, and after integrating the middle term by parts
 The two differ only in the tail term and in the pinned top level, so one
 engine serves both. One closed-form kernel (piecewise log/ratio algebra)
 gives the value with analytic gradients in breakpoints, levels and tail.
+The tail values P_j = tail + Int_{q_j}^1 of the step function come from one
+recurrence, which the kernel shares with the one step table behind the
+certificate profiles and both order types' tail integrals.
 One solver runs a seeded multistart quasi-Newton pass in unconstrained raw
 coordinates, canonicalizes the resulting atoms, polishes interior solutions
 by Newton root-finding on the gradient, and raises the atom count k until
@@ -55,20 +58,6 @@ Q_CAP = 1.0 - 1e-4  # atoms never placed above this; keeps log(1 - q_hat) finite
 
 
 # ====================================================================== types
-
-
-def _step_tail_integral(qext, levels, t):
-    """Int_t^1 of the step function equal to levels[j] on [qext[j], qext[j+1]);
-    piecewise linear, vectorized."""
-    qext = np.asarray(qext)
-    levels = np.asarray(levels)
-    d_break = np.zeros(len(qext))
-    for j in range(len(qext) - 2, -1, -1):
-        d_break[j] = d_break[j + 1] + levels[j] * (qext[j + 1] - qext[j])
-    t_arr = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(qext, t_arr, side="right") - 1, 0, len(levels) - 1)
-    out = d_break[idx] - levels[idx] * (t_arr - qext[idx])
-    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -136,9 +125,14 @@ class OrderParameter:
         out = lev_ext[idx]
         return float(out) if np.ndim(t) == 0 else out
 
+    @property
+    def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """Engine layout: interior breakpoints, per-segment levels (top 1), tail 0."""
+        return self.qs, (*self.levels, 1.0), 0.0
+
     def tail_integral(self, t):
         """D(t) = Int_t^1 x(s) ds; piecewise linear, vectorized."""
-        return _step_tail_integral((0.0, *self.qs, 1.0), (*self.levels, 1.0), t)
+        return _StepTable(*self.segments).p(t)
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,15 @@ class ZeroTempOrder:
         out = vals[idx]
         return float(out) if np.ndim(t) == 0 else out
 
+    @property
+    def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """Engine layout: interior breakpoints, per-segment levels, tail c."""
+        return self.breakpoints[1:], self.values, self.c
+
     def tail_integral(self, t):
         """B(t) = Int_t^1 alpha(s) ds; piecewise linear, vectorized."""
-        return _step_tail_integral((*self.breakpoints, 1.0), self.values, t)
+        qs, levels, _ = self.segments
+        return _StepTable(qs, levels, 0.0).p(t)
 
 
 @dataclass(frozen=True)
@@ -329,6 +329,17 @@ def _seg_inverse_integral(a: float, ep: float, d: float):
     return val, dval_da, -d / (el * ep), 1.0 / el
 
 
+def _tail_breaks(qext: Sequence[float], levels: Sequence[float], tail: float) -> list[float]:
+    """P_j = tail + Int_{q_j}^1 of the step function equal to levels[j] on
+    [qext[j], qext[j+1]), for j = 0..len(levels); scalar arithmetic."""
+    n = len(levels)
+    p = [0.0] * (n + 1)
+    p[n] = tail
+    for j in range(n - 1, -1, -1):
+        p[j] = p[j + 1] + levels[j] * (qext[j + 1] - qext[j])
+    return p
+
+
 def _step_value_grad(
     m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
 ):
@@ -350,39 +361,36 @@ def _step_value_grad(
     ga_q = [(levels[i - 1] - levels[i]) * xip[i] for i in range(1, k + 1)]
     ga_lev = [xi[l + 1] - xi[l] for l in range(k + 1)]
 
-    # p_break[j] = tail + Int_{q_j}^1 of the step function
-    p_break = [0.0] * (k + 2)
-    p_break[k + 1] = tail
-    for j in range(k, -1, -1):
-        p_break[j] = p_break[j + 1] + levels[j] * (qext[j + 1] - qext[j])
+    p_break = _tail_breaks(qext, levels, tail)
 
+    # segment j reads P_{j+1}, which contains lev_l d_l for every l > j. adj,
+    # the sum of d t_term / d P_{j+1} over j < l, thus gives lev_l adj * d_l
+    # and q_{l+1}, which widens d_l and narrows d_{l+1}, (lev_l - lev_{l+1}) * adj
     t_term = 0.0
     gt_q = [0.0] * k
     gt_lev = [0.0] * (k + 1)
-    gt_tail = 0.0
-    for l in range(k + 1 if beta is None else k):
+    adj = 0.0
+    for l in range(k + 1):
         d = qext[l + 1] - qext[l]
-        val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(levels[l], p_break[l + 1], d)
-        t_term += val
-        gt_lev[l] += dval_da
-        for mi in range(l + 1, k + 1):
-            gt_lev[mi] += dval_dep * (qext[mi + 1] - qext[mi])
-        gt_tail += dval_dep
-        for i in range(1, k + 1):
-            dd = (levels[i - 1] if l + 1 <= i - 1 else 0.0) - (levels[i] if l + 1 <= i else 0.0)
-            if dd:
-                gt_q[i - 1] += dval_dep * dd
-        if l + 1 <= k:
-            gt_q[l] += dval_dd
-        if l >= 1:
-            gt_q[l - 1] -= dval_dd
+        gt_lev[l] = adj * d
+        if l < k:
+            gt_q[l] = (levels[l] - levels[l + 1]) * adj
+        if beta is None or l < k:
+            val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(levels[l], p_break[l + 1], d)
+            t_term += val
+            gt_lev[l] += dval_da
+            if l < k:
+                gt_q[l] += dval_dd - levels[l + 1] * dval_dep
+            if l:
+                gt_q[l - 1] -= dval_dd
+            adj += dval_dep
 
     if beta is None:
         xi1p = m.eval(1.0, 1)
         value = 0.5 * (xi1p * tail + a_term + t_term)
         grad_q = np.array([0.5 * (ga_q[i] + gt_q[i]) for i in range(k)])
         grad_lev = np.array([0.5 * (ga_lev[l] + gt_lev[l]) for l in range(k + 1)])
-        return value, grad_q, grad_lev, 0.5 * (xi1p + gt_tail)
+        return value, grad_q, grad_lev, 0.5 * (xi1p + adj)
     b2 = beta * beta
     value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
     grad_q = np.array([0.5 * (b2 * ga_q[i] + gt_q[i]) for i in range(k)])
@@ -410,7 +418,7 @@ def cs_value_with_grad(m: Mixture, beta: float, x: OrderParameter, allow_field: 
     if beta <= 0.0:
         raise BadInputError(f"beta must be positive, got {beta}")
     _check_field(m, allow_field)
-    value, grad_q, grad_x, _ = _step_value_grad(m, beta, x.qs, (*x.levels, 1.0), 0.0)
+    value, grad_q, grad_x, _ = _step_value_grad(m, beta, *x.segments)
     return value, grad_q, grad_x
 
 
@@ -421,7 +429,7 @@ def zt_value(m: Mixture, order: ZeroTempOrder, allow_field: bool = False) -> flo
 
 def zt_value_with_grad(m: Mixture, order: ZeroTempOrder, allow_field: bool = False):
     _check_field(m, allow_field)
-    return _step_value_grad(m, None, order.breakpoints[1:], order.values, order.c)
+    return _step_value_grad(m, None, *order.segments)
 
 
 def rs_value(m: Mixture, beta: float) -> float:
@@ -432,24 +440,23 @@ def rs_value(m: Mixture, beta: float) -> float:
 # ======================================================== certificate profiles
 
 
-class _InverseSquareProfile:
-    """Running integrals of 1/P(s)^2 for a piecewise-linear decreasing P.
+class _StepTable:
+    """Breakpoint table of P(t) = tail + Int_t^1 lev(s) ds for a step
+    function lev on [0, 1] cut at qs, with lev constant on each segment.
 
-    P(t) = tail + Int_t^1 lev(s) ds with lev constant on each segment.
-    Provides G(t) = Int_0^t ds/P(s)^2 and H(t) = Int_0^t G, both exact per
-    segment; with tail = 0 they diverge at t -> 1 and must only be queried
-    strictly inside [0, 1).
+    P is piecewise linear and decreasing; its breakpoint values come from
+    _tail_breaks. Provides P(t), G(t) = Int_0^t ds/P(s)^2 and H(t) =
+    Int_0^t G, all exact per segment; with tail = 0, G and H diverge at
+    t -> 1 and must only be queried strictly inside [0, 1).
     """
 
-    def __init__(self, qext: Sequence[float], levels: Sequence[float], tail: float):
+    def __init__(self, qs: Sequence[float], levels: Sequence[float], tail: float):
+        qext = (0.0, *qs, 1.0)
         self.qext = np.asarray(qext, dtype=float)
         self.levels = np.asarray(levels, dtype=float)
+        p = _tail_breaks(qext, levels, tail)
+        self.p_break = np.asarray(p)
         n = len(levels)
-        p = np.zeros(n + 1)
-        p[n] = tail
-        for j in range(n - 1, -1, -1):
-            p[j] = p[j + 1] + levels[j] * (qext[j + 1] - qext[j])
-        self.p_break = p
         g = np.zeros(n + 1)
         h = np.zeros(n + 1)
         for j in range(n):
@@ -486,6 +493,13 @@ class _InverseSquareProfile:
         idx = np.searchsorted(self.qext, t, side="right") - 1
         return np.clip(idx, 0, len(self.levels) - 1)
 
+    def p(self, t):
+        """P(t), a float for scalar t."""
+        t_arr = np.asarray(t, dtype=float)
+        j = self._locate(t_arr)
+        out = self.p_break[j] - self.levels[j] * (t_arr - self.qext[j])
+        return float(out) if np.ndim(t) == 0 else out
+
     def g(self, t):
         t = np.asarray(t, dtype=float)
         j = self._locate(t)
@@ -502,9 +516,7 @@ class _InverseSquareProfile:
 
 
 def _phi_function(m: Mixture, beta: float, x: OrderParameter):
-    prof = _InverseSquareProfile(
-        (0.0, *x.qs, 1.0), (*x.levels, 1.0), 0.0
-    )
+    prof = _StepTable(*x.segments)
     xi0 = m.eval(0.0)
 
     def phi(t):
@@ -514,9 +526,7 @@ def _phi_function(m: Mixture, beta: float, x: OrderParameter):
 
 
 def _psi_function(m: Mixture, order: ZeroTempOrder):
-    prof = _InverseSquareProfile(
-        (*order.breakpoints, 1.0), order.values, order.c
-    )
+    prof = _StepTable(*order.segments)
     xi1 = m.eval(1.0)
     h1 = float(prof.h(np.asarray(1.0)))
 
@@ -583,7 +593,6 @@ def talagrand_certificate(
     vals = phi(ts)
     _, sup_phi = _refined_max(phi, ts, vals)
     sup_phi = max(sup_phi, 0.0 if not support else -np.inf)
-    sup_phi = max(sup_phi, float(np.max(vals)))
     phi_supp = [float(phi(np.asarray(q))) for q in support]
     residuals = tuple(sup_phi - v for v in phi_supp)
     violation = sup_phi - max(phi_supp) if phi_supp else sup_phi
@@ -610,15 +619,12 @@ def zero_temp_certificate(
     the endpoint identity Psi(1) = 0. Reported through the shared certificate
     type with phi := -psi, so sup_phi = -min psi.
     """
-    if mesh < 100:
-        raise BadInputError(f"certificate mesh must be >= 100, got {mesh}")
     _check_field(m, allow_field)
     psi, edge = _psi_function(m, order)
     support = order.support()
     ts = _certificate_mesh(mesh, support, 1.0)
     vals = -psi(ts)
     _, sup_phi = _refined_max(lambda t: -psi(t), ts, vals)
-    sup_phi = max(sup_phi, float(np.max(vals)))
     psi_supp = [float(psi(np.asarray(q))) for q in support]
     residuals = tuple(abs(v) for v in psi_supp)
     violation = max(0.0, sup_phi)
@@ -1018,8 +1024,7 @@ def _rs_profile_sup(m: Mixture, beta: float) -> float:
         )
     )
     vals = f(ts)
-    _, sup = _refined_max(f, ts, vals)
-    return max(sup, float(np.max(vals)))
+    return _refined_max(f, ts, vals)[1]
 
 
 def beta_c(m: Mixture, tol: float = 1e-8, beta_max: float = 64.0) -> float:

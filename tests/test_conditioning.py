@@ -440,7 +440,7 @@ def test_reduction_round_trip_and_prefactor():
 def test_hessian_decomposition_parameters():
     lev = MIX3.shift_restrict(0.55)[0].scale_domain(0.45)
     hd = hessian_decomposition(lev, 2, 30)
-    sig = lev.sigma_xi().as_array()
+    sig = lev.sigma_xi()
     assert np.max(np.abs(hd.sigma_u - sig / 28)) < 1e-15
     assert abs(hd.grad_var - lev.eval(1.0, 1)) < 1e-15
     assert abs(hd.goe_scale - (1 - 1 / 28) * lev.eval(1.0, 2)) < 1e-15

@@ -96,6 +96,17 @@ class TestStreams:
         with pytest.raises(BadInputError):
             stream_rng(*key)
 
+    @pytest.mark.parametrize("chain_index", [0, 1 << 16, (1 << 16) + 1])
+    def test_chain_start_is_off_the_field_finder_and_bootstrap_streams(self, chain_index):
+        # chain 0 against field 0's coefficients, 65536 against its finder
+        # restarts, 65537 against the bootstrap; a 1e-12 step keeps the
+        # first sample at the chain's start
+        f = sample_field(Mixture({3: 1.0}), 8, seed=0)
+        cfg = MCConfig(steps=1, burn_in=0, thin=1, step_size=1e-12, chain_index=chain_index)
+        start = gibbs_mcmc(f, 0.0, cfg).samples[0]
+        other = stream_rng(0, 0, chain_index).standard_normal(8)
+        assert not np.allclose(start, other * (math.sqrt(8) / np.linalg.norm(other)), atol=1e-6)
+
 
 # ---------------------------------------------------------------------------
 # field samples
@@ -553,6 +564,14 @@ class TestExactSampler:
         c = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_normals_are_not_the_field_coefficients(self):
+        m, geo, ev, y1, _ = band_fixture()
+        funcs, _, vals = chain_constraint_set(geo, ev)
+        points = np.vstack([geo.anchors, y1])
+        draws = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=5)
+        coeffs = sample_field(Mixture({3: 1.0}), 4, seed=5).tensors[3].ravel()
+        assert abs(float(np.corrcoef(draws[:, 0], coeffs)[0, 1])) < 0.5
 
     def test_degenerate_constraints_propagate_singular_block(self):
         m, geo, ev, y1, _ = band_fixture()

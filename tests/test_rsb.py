@@ -296,27 +296,54 @@ def test_scaling_identity_minimizers():
 # ------------------------------------------------------------------- gradients
 
 
+def fd_derivative(f, v, step):
+    """Central difference of f at v; at a level within step of 0, where the
+    order types reject the negative side, a second-order forward one."""
+    if v - step < 0.0:
+        return (-3.0 * f(v) + 4.0 * f(v + step) - f(v + 2 * step)) / (2 * step)
+    return (f(v + step) - f(v - step)) / (2 * step)
+
+
+def replaced(seq, i, v):
+    out = np.array(seq)
+    out[i] = v
+    return tuple(out)
+
+
 def fd_check_cs(m, beta, x, step=1e-5, rtol=1e-5):
     value, grad_q, grad_x = cs_value_with_grad(m, beta, x)
     # central differences coordinate by coordinate
     for i in range(x.k):
-        qp, qm = np.array(x.qs), np.array(x.qs)
-        qp[i] += step
-        qm[i] -= step
-        fd = (
-            cs_value(m, beta, OrderParameter(tuple(qp), x.levels))
-            - cs_value(m, beta, OrderParameter(tuple(qm), x.levels))
-        ) / (2 * step)
+        fd = fd_derivative(
+            lambda v: cs_value(m, beta, OrderParameter(replaced(x.qs, i, v), x.levels)), x.qs[i], step
+        )
         assert grad_q[i] == pytest.approx(fd, rel=rtol, abs=1e-7)
-        xp, xm = np.array(x.levels), np.array(x.levels)
-        xp[i] += step
-        xm[i] -= step
-        fd = (
-            cs_value(m, beta, OrderParameter(x.qs, tuple(xp)))
-            - cs_value(m, beta, OrderParameter(x.qs, tuple(xm)))
-        ) / (2 * step)
+        fd = fd_derivative(
+            lambda v: cs_value(m, beta, OrderParameter(x.qs, replaced(x.levels, i, v))), x.levels[i], step
+        )
         assert grad_x[i] == pytest.approx(fd, rel=rtol, abs=1e-7)
     return value
+
+
+def fd_check_zt(m, order, step=1e-5, rtol=1e-5):
+    _, grad_q, grad_a, grad_c = zt_value_with_grad(m, order)
+    breaks, vals, c = order.breakpoints, order.values, order.c
+
+    def val(bk, vl, cc):
+        return zt_value(m, ZeroTempOrder(tuple(zip(bk, vl)), cc))
+
+    for i in range(1, len(breaks)):
+        fd = fd_derivative(lambda v: val(replaced(breaks, i, v), vals, c), breaks[i], step)
+        assert grad_q[i - 1] == pytest.approx(fd, rel=rtol, abs=1e-7)
+    for l in range(len(vals)):
+        fd = fd_derivative(lambda v: val(breaks, replaced(vals, l, v), c), vals[l], step)
+        assert grad_a[l] == pytest.approx(fd, rel=rtol, abs=1e-7)
+    fd = fd_derivative(lambda v: val(breaks, vals, v), c, step)
+    assert grad_c == pytest.approx(fd, rel=rtol, abs=1e-7)
+
+
+# depths beyond the first draws' 1-3, each also with a zero bottom level
+DEEP_CASES = [(k, zero) for k in (0, 4, 5, 6) for zero in (False, True)]
 
 
 def test_cs_gradient_matches_finite_differences():
@@ -326,34 +353,26 @@ def test_cs_gradient_matches_finite_differences():
         x = random_order(rng, k=int(rng.integers(1, 4)), min_gap=0.05)
         beta = float(rng.uniform(0.4, 2.5))
         fd_check_cs(m, beta, x)
+    for k, zero_bottom in DEEP_CASES:
+        m = random_mixture(rng)
+        x = random_order(rng, k=k, min_gap=0.05)
+        if zero_bottom and k:
+            x = OrderParameter(x.qs, (0.0, *x.levels[1:]))
+        fd_check_cs(m, float(rng.uniform(0.4, 2.5)), x)
 
 
 def test_zt_gradient_matches_finite_differences():
     rng = np.random.default_rng(777)
-    step, rtol = 1e-5, 1e-5
     for _ in range(10):
+        fd_check_zt(random_mixture(rng), random_zt_order(rng, k=int(rng.integers(1, 4))))
+    for k, zero_bottom in DEEP_CASES:
         m = random_mixture(rng)
-        order = random_zt_order(rng, k=int(rng.integers(1, 4)))
-        _, grad_q, grad_a, grad_c = zt_value_with_grad(m, order)
-        breaks, vals, c = order.breakpoints, order.values, order.c
-
-        def val(bk, vl, cc):
-            return zt_value(m, ZeroTempOrder(tuple(zip(bk, vl)), cc))
-
-        for i in range(1, len(breaks)):
-            bp, bm = np.array(breaks), np.array(breaks)
-            bp[i] += step
-            bm[i] -= step
-            fd = (val(bp, vals, c) - val(bm, vals, c)) / (2 * step)
-            assert grad_q[i - 1] == pytest.approx(fd, rel=rtol, abs=1e-7)
-        for l in range(len(vals)):
-            vp, vm = np.array(vals), np.array(vals)
-            vp[l] += step
-            vm[l] -= step
-            fd = (val(breaks, vp, c) - val(breaks, vm, c)) / (2 * step)
-            assert grad_a[l] == pytest.approx(fd, rel=rtol, abs=1e-7)
-        fd = (val(breaks, vals, c + step) - val(breaks, vals, c - step)) / (2 * step)
-        assert grad_c == pytest.approx(fd, rel=rtol, abs=1e-7)
+        order = random_zt_order(rng, k=k)
+        if zero_bottom:
+            order = ZeroTempOrder(
+                tuple(zip(order.breakpoints, np.subtract(order.values, order.values[0]))), order.c
+            )
+        fd_check_zt(m, order)
 
 
 # ------------------------------------------------------------------ minimizers
