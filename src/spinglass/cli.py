@@ -38,7 +38,7 @@ from .franz_parisi import FPQuery, fp_high, fp_low
 from .landscape import (
     chain_bound,
     fprime_identity,
-    ground_state_point,
+    ground_state_curve,
     identity_esrs,
     theta_surface_csv,
 )
@@ -339,14 +339,12 @@ def _body_landscape(cfg: RunConfig) -> int:
     qgrid = _grid(p.get("qgrid") or "0.1:1:0.1", "--qgrid")
     solver = _solver_config(p)
     k_max = int(_param(p, "k_max", 2))
-    lines = ["q,E_star,R_star"]
     try:
-        for q in qgrid:
-            e_star, r_star, _ = ground_state_point(m, q, k_max=k_max, config=solver)
-            lines.append(f"{q:.12g},{e_star:.12g},{r_star:.12g}")
-    except _SOLVER_ERRORS as e:
-        return _partial(lines, cfg.out, str(e))
-    _emit("\n".join(lines) + "\n", cfg.out)
+        curve = ground_state_curve(m, qgrid, k_max=k_max, config=solver)
+    except SolverFailedError as e:
+        rows = [f"{q:.12g},{e_star:.12g},{r_star:.12g}" for q, e_star, r_star in e.rows]
+        return _partial(["q,E_star,R_star", *rows], cfg.out, str(e))
+    _emit(curve.to_csv(), cfg.out)
     return 0
 
 
@@ -627,7 +625,7 @@ def cmd_landscape(**kw):
 @click.option("--beta-prime", "beta_prime", type=float, default=None)
 @click.option("--r-grid", "r_grid", type=str, default=None, help="lo:hi:step overlap sweep.")
 @click.option("--both-regimes", "both_regimes", is_flag=True, default=False)
-@click.option("--k-max", "k_max", type=int, default=None)
+@click.option("--k-max", "k_max", type=int, default=None, help="Atom cap of the base solve and the anchor ground state (default 3); the section solves keep the solver config's cap of 3.")
 @click.option("--scan-points", "scan_points", type=int, default=None)
 @click.option("--solver-seed", "solver_seed", type=int, default=None)
 @_common

@@ -12,6 +12,7 @@ that law to a fresh sphere in the unconstrained coordinates.
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,7 +23,7 @@ from .errors import (
     SingularBlockError,
     SingularMatrixError,
 )
-from .landscape import ground_state_point
+from .landscape import _free_energy_slope, ground_state_point
 from .mixtures import Mixture, section_half_width, sigma_inverse, tau_mix
 from .rsb import SolverConfig
 
@@ -44,7 +45,6 @@ class BandGeometry:
 
     ladder: tuple[float, ...]
     n: int
-    eps: float = 0.0
     anchors: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -59,8 +59,6 @@ class BandGeometry:
             prev = q
         if self.n < len(ladder):
             raise BadInputError(f"need at least {len(ladder)} coordinates, got {self.n}")
-        if self.eps < 0.0:
-            raise BadInputError("band half-width cannot be negative")
         if self.anchors is None:
             object.__setattr__(self, "anchors", self._canonical_anchors())
         else:
@@ -138,49 +136,30 @@ class ConditioningEvent:
 def _pair_cov(m: Mixture, n: int, x, y, us, vs) -> float:
     """Covariance of directional derivatives of the field at x and y.
 
-    us differentiate the x slot, vs the y slot (each up to two directions).
-    Derivative pairs either contract with each other, raising the order of
-    the mixture derivative, or contract with the opposite point; the value
-    is the sum over all such pairings.
+    us differentiate the x slot, vs the y slot. Each derivative pairs with
+    one of the other slot (a factor u.v) or stays unpaired (u.y, or x.v);
+    a pairing with p pairs among a + b derivatives carries
+    xi^(a+b-p)(x.y/n) n^(1-(a+b-p)), and the value is the sum over all
+    pairings.
     """
     c = float(x @ y) / n
     a, b = len(us), len(vs)
     if a == 0 and b == 0:
         return n * m.eval(c)
-    if a == 1 and b == 0:
-        return m.eval(c, 1) * float(us[0] @ y)
-    if a == 0 and b == 1:
-        return m.eval(c, 1) * float(x @ vs[0])
-    if a == 1 and b == 1:
-        return (
-            m.eval(c, 1) * float(us[0] @ vs[0])
-            + m.eval(c, 2) * float(us[0] @ y) * float(x @ vs[0]) / n
-        )
-    if a == 2 and b == 0:
-        return m.eval(c, 2) * float(us[0] @ y) * float(us[1] @ y) / n
-    if a == 0 and b == 2:
-        return m.eval(c, 2) * float(x @ vs[0]) * float(x @ vs[1]) / n
-    if a == 2 and b == 1:
-        u1y, u2y = float(us[0] @ y), float(us[1] @ y)
-        return (
-            m.eval(c, 2) * (float(us[0] @ vs[0]) * u2y + float(us[1] @ vs[0]) * u1y) / n
-            + m.eval(c, 3) * u1y * u2y * float(x @ vs[0]) / n**2
-        )
-    if a == 1 and b == 2:
-        return _pair_cov(m, n, y, x, vs, us)
-    if a == 2 and b == 2:
-        u1y, u2y = float(us[0] @ y), float(us[1] @ y)
-        xv1, xv2 = float(x @ vs[0]), float(x @ vs[1])
-        d11, d12 = float(us[0] @ vs[0]), float(us[0] @ vs[1])
-        d21, d22 = float(us[1] @ vs[0]), float(us[1] @ vs[1])
-        return (
-            m.eval(c, 2) * (d11 * d22 + d12 * d21) / n
-            + m.eval(c, 3)
-            * (d11 * u2y * xv2 + d12 * u2y * xv1 + d21 * u1y * xv2 + d22 * u1y * xv1)
-            / n**2
-            + m.eval(c, 4) * u1y * u2y * xv1 * xv2 / n**3
-        )
-    raise BadInputError(f"at most two directions per slot, got {a} and {b}")
+    uy = [float(u @ y) for u in us]
+    xv = [float(x @ v) for v in vs]
+    total = 0.0
+    for p in range(min(a, b), -1, -1):
+        group = 0.0
+        for iu in combinations(range(a), p):
+            for jv in permutations(range(b), p):
+                factors = [float(us[i] @ vs[j]) for i, j in zip(iu, jv)]
+                factors += [uy[i] for i in range(a) if i not in iu]
+                factors += [xv[j] for j in range(b) if j not in jv]
+                group += math.prod(factors)
+        order = a + b - p
+        total += m.eval(c, order) * group / n ** (order - 1)
+    return total
 
 
 def _parse_functional(which, points: np.ndarray, n: int):
@@ -557,9 +536,7 @@ def fp_conditioning(
     c_full = conditioning_matrix(m, q1)
     v_full = section_vector(m, q1, r, rho)
     e1, r1, _ = ground_state_point(m, q1, k_max=k_max, config=config)
-    bar_top = m.eval(1.0) - m.eval(q1) - m.eval(q1, 1) * (1.0 - q1)
-    f_prime = e1 + beta * bar_top
-    rhs_full = np.array([f_prime, e1, r1, 0.0])
+    rhs_full = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])
     keep = pinned_rows(pure_reduced)
     if m.is_pure and not pure_reduced:
         raise SingularMatrixError(

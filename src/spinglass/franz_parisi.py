@@ -249,6 +249,10 @@ def fp_low(
     the maximizer is interior: a coarse scan (single-start solves, ranking
     only) brackets it and golden-section refinement polishes it with the
     full configuration.
+
+    k_max caps the atom count of the base solve and of the anchor ground
+    state only. The section solves keep config's own cap (SolverConfig's
+    k_max, 3 by default): field-mode sections can need two atoms.
     """
     _validate_inputs(beta, beta_prime, r)
     if scan_points < 3:

@@ -11,12 +11,13 @@ identities that tie the two together along an overlap ladder.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BadInputError, RegimeMismatchError
+from .errors import BadInputError, RegimeMismatchError, SolverFailedError
 from .mixtures import Mixture, sigma_inverse
 from .rsb import (
     CsResult,
@@ -119,12 +120,11 @@ def theta_pure(m: Mixture, E: float) -> float:
 @dataclass(frozen=True)
 class GroundStateCurve:
     """Ground-state energy and (twice) its radius derivative on a grid of
-    squared radii q. source tags how the values were produced."""
+    squared radii q."""
 
     q_grid: tuple[float, ...]
     e_star: tuple[float, ...]
     r_star: tuple[float, ...]
-    source: str = "zt_solver"
 
     def __post_init__(self) -> None:
         qs = tuple(float(q) for q in self.q_grid)
@@ -202,26 +202,33 @@ def ground_state_curve(
     workers: int = 1,
 ) -> GroundStateCurve:
     """Trace the ground-state energy and its radial slope over q_grid by
-    independent zero-temperature solves at each radius."""
+    independent zero-temperature solves at each radius.
+
+    A failed solve re-raises its SolverFailedError with the rows solved
+    before it, as (q, E*, R*) triples in grid order, in its rows attribute.
+    """
     qs = tuple(float(q) for q in q_grid)
     if not qs:
         raise BadInputError("empty q grid")
 
     def solve_one(q: float):
-        e, r, _ = ground_state_point(m, q, k_max=k_max, config=config)
-        return e, r
+        return ground_state_point(m, q, k_max=k_max, config=config)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, qs))
-    else:
-        rows = [solve_one(q) for q in qs]
-    return GroundStateCurve(
-        qs,
-        tuple(row[0] for row in rows),
-        tuple(row[1] for row in rows),
-        source="zt_solver",
-    )
+    rows = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        try:
+            for q, (e, r, _) in zip(qs, (pool.map if pool else map)(solve_one, qs)):
+                rows.append((q, e, r))
+        except SolverFailedError as exc:
+            exc.rows = tuple(rows)
+            raise
+    return GroundStateCurve(*zip(*rows))
+
+
+def _level_ground_state(xi_lev: Mixture, k_max: int, config: SolverConfig | None):
+    """Ground-state energy and radial slope of a level mixture at full radius."""
+    res = zt_minimize(xi_lev, k_max=k_max, config=config)
+    return res.gs_energy, _radial_slope(xi_lev, res.order, 1.0)
 
 
 # ==================================================== telescoping identities
@@ -283,22 +290,17 @@ def identity_esrs(
         )
     levels = m.level_mixtures(ladder)
     qs = (0.0, *ladder, 1.0)
-    estar = {0.0: 0.0}
-    rstar: dict[float, float | None] = {0.0: _origin_slope(m)}
-    for q in qs[1:]:
-        e, r, _ = ground_state_point(m, q, k_max=k_max, config=config)
-        estar[q], rstar[q] = e, r
+    curve = ground_state_curve(m, qs[1:], k_max=k_max, config=config)
+    estar = (0.0, *curve.e_star)
+    rstar = (_origin_slope(m), *curve.r_star)
     rows = []
     for lev, (xi_lev, _) in enumerate(levels):
         q_lo, q_hi = qs[lev], qs[lev + 1]
-        res_lev = zt_minimize(xi_lev, k_max=k_max, config=config)
-        e_level = res_lev.gs_energy
-        e_inc = estar[q_hi] - estar[q_lo]
-        r_level = _radial_slope(xi_lev, res_lev.order, 1.0)
+        e_level, r_level = _level_ground_state(xi_lev, k_max, config)
+        e_inc = estar[lev + 1] - estar[lev]
         gap = q_hi - q_lo
-        slope_lo = rstar[q_lo]
-        r_base = None if slope_lo is None else gap * slope_lo
-        r_next = gap * rstar[q_hi]
+        r_base = None if rstar[lev] is None else gap * rstar[lev]
+        r_next = gap * rstar[lev + 1]
         rows.append(
             EsRsRow(
                 m=lev,
@@ -357,28 +359,19 @@ def chain_bound(
     eps: float = 1e-3,
     k_max: int = 3,
     config: SolverConfig | None = None,
-    center: str = "level",
 ) -> float:
     """Upper bound on the growth rate of ladder-indexed critical-point
     chains: the sum over levels of the max rate over an energy window of
     half-width 2*eps around the ground-state increment and a radial window
-    of half-width eps (scaled by the level width) around a slope center.
+    of half-width eps (scaled by the level width) around the slope of the
+    level mixture's own zero-temperature solution.
 
-    center picks the slope center: "level" (default) uses the slope of the
-    level mixture's own zero-temperature solution, which is always a zero
-    of the rate, so the bound vanishes as eps -> 0 up to solver error.
-    "next" scales the slope at the right ladder point (numerically equal
-    to "level" whenever both endpoints are atoms) and "base" the left
-    point, which deviates by O(1) at interior atoms and is kept only for
-    side-by-side comparison. Levels with a single-degree mixture use the
-    restricted rate and ignore the radial window; a bottom level under
-    "base" with no curvature at the origin has no slope of its own and
-    borrows the "level" center.
+    That slope center is always a zero of the rate, so the bound vanishes
+    as eps -> 0 up to solver error. Levels with a single-degree mixture use
+    the restricted rate and ignore the radial window.
     """
     if eps <= 0.0:
         raise BadInputError(f"window half-width must be positive, got {eps}")
-    if center not in ("base", "next", "level"):
-        raise BadInputError(f"unknown slope center {center!r}")
     if ladder is None:
         base = cs_minimize(m, beta, k_max=k_max, config=config)
         ladder = tuple(q for q in base.x_star.support() if q > 0.0)
@@ -387,28 +380,15 @@ def chain_bound(
         raise RegimeMismatchError("chain bound needs a nonempty overlap ladder")
     qs = (0.0, *ladder)
     levels = m.level_mixtures(ladder)[: len(ladder)]
-    estar = {0.0: 0.0}
-    rstar: dict[float, float | None] = {0.0: _origin_slope(m)}
-    for q in ladder:
-        e, r, _ = ground_state_point(m, q, k_max=k_max, config=config)
-        estar[q], rstar[q] = e, r
+    estar = (0.0, *ground_state_curve(m, ladder, k_max=k_max, config=config).e_star)
     total = 0.0
     for lev, (xi_lev, _) in enumerate(levels):
-        q_lo, q_hi = qs[lev], qs[lev + 1]
-        gap = q_hi - q_lo
-        e_c = estar[q_hi] - estar[q_lo]
+        gap = qs[lev + 1] - qs[lev]
+        e_c = estar[lev + 1] - estar[lev]
         if xi_lev.is_pure:
-            r_c = None
-        elif center == "base" and rstar[q_lo] is not None:
-            r_c = gap * rstar[q_lo]
-        elif center == "next":
-            r_c = gap * rstar[q_hi]
-        else:
-            res_lev = zt_minimize(xi_lev, k_max=k_max, config=config)
-            r_c = _radial_slope(xi_lev, res_lev.order, 1.0)
-        if r_c is None:
             total += _sup_theta_pure_interval(xi_lev, e_c - 2 * eps, e_c + 2 * eps)
         else:
+            r_c = _level_ground_state(xi_lev, k_max, config)[1]
             total += _sup_theta_rect(
                 xi_lev,
                 e_c - 2 * eps,
@@ -435,6 +415,12 @@ class FprimeReport:
     deviation: float
 
 
+def _free_energy_slope(m: Mixture, beta: float, q: float, e_q: float) -> float:
+    """Closed form of F'(beta) from the top overlap atom q and the ground
+    state e_q at squared radius q: e_q + beta (xi(1) - xi(q) - xi'(q)(1 - q))."""
+    return e_q + beta * (m.eval(1.0) - m.eval(q) - m.eval(q, 1) * (1.0 - q))
+
+
 def fprime_identity(
     m: Mixture,
     beta: float,
@@ -453,8 +439,7 @@ def fprime_identity(
         e_top, _, _ = ground_state_point(m, q_top, k_max=k_max, config=config)
     else:
         e_top = 0.0
-    bar_top = m.eval(1.0) - m.eval(q_top) - m.eval(q_top, 1) * (1.0 - q_top)
-    closed = e_top + beta * bar_top
+    closed = _free_energy_slope(m, beta, q_top, e_top)
     up = cs_minimize(m, beta + step, k_max=k_max, config=config).value
     down = cs_minimize(m, beta - step, k_max=k_max, config=config).value
     fd = (up - down) / (2.0 * step)

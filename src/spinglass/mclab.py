@@ -397,16 +397,13 @@ class CriticalPointRecord:
     energy_density: float
     radial_derivative: float
     tangential_residual: float
-    hessian_eigs: np.ndarray | None = None
 
 
 def find_critical_points(
     field: FieldSample,
     q: float = 1.0,
     restarts: int = 64,
-    newton_tol: float | None = None,
     max_iter: int = 80,
-    with_hessian_summary: bool = False,
 ) -> list[CriticalPointRecord]:
     """Multi-start projected Newton search for critical points of the field
     restricted to the sphere of squared norm n*q.
@@ -426,7 +423,7 @@ def find_critical_points(
         raise BadInputError("need at least one restart")
     n = field.n
     radius = math.sqrt(n * q)
-    tol = float(newton_tol) if newton_tol is not None else 1e-8 * math.sqrt(n)
+    tol = 1e-8 * math.sqrt(n)
     rng = stream_rng(field.seed, field.field_index, _FINDER_LANE)
     eye = np.eye(n)
     accepted: list[CriticalPointRecord] = []
@@ -479,8 +476,6 @@ def find_critical_points(
             radial_derivative=float(x @ field.gradient(x)) / (n * q),
             tangential_residual=residual,
         )
-        if with_hessian_summary:
-            record.hessian_eigs = _tangent_spectrum(field, x, n, q)
         accepted.append(record)
 
     dedup: list[CriticalPointRecord] = []
@@ -489,17 +484,6 @@ def find_critical_points(
         if all(np.linalg.norm(rec.location - kept.location) >= cut for kept in dedup):
             dedup.append(rec)
     return dedup
-
-
-def _tangent_spectrum(field: FieldSample, x: np.ndarray, n: int, q: float) -> np.ndarray:
-    grad = field.gradient(x)
-    ux = x / np.linalg.norm(x)
-    shifted = field.hessian(x) - (float(x @ grad) / (n * q)) * np.eye(n)
-    shifted -= np.outer(ux, ux @ shifted)
-    shifted -= np.outer(shifted @ ux, ux)
-    big = 1e6 * (1.0 + float(np.max(np.abs(shifted))))
-    eigs = np.linalg.eigvalsh(shifted + big * np.outer(ux, ux))
-    return eigs[:-1]  # drop the pinned radial mode
 
 
 # ==================================================== empirical complexity
@@ -524,7 +508,6 @@ class ComplexityEstimate:
     ci_high: np.ndarray
     n: int
     n_fields: int
-    exploratory: bool = True
 
     def argmax_bin(self) -> tuple[int, int]:
         """Indices of the bin with the largest mean count."""
@@ -562,7 +545,6 @@ def empirical_complexity(
     n_fields: int,
     seed: int = 0,
     restarts: int = 32,
-    newton_tol: float | None = None,
     bootstrap: int = 200,
 ) -> ComplexityEstimate:
     """Average critical-point counts per (energy, radial-derivative) bin
@@ -579,9 +561,7 @@ def empirical_complexity(
 
     def one_field(index: int) -> np.ndarray:
         fld = sample_field(m, n, seed, field_index=index)
-        recs = find_critical_points(
-            fld, q=q, restarts=restarts, newton_tol=newton_tol
-        )
+        recs = find_critical_points(fld, q=q, restarts=restarts)
         if not recs:
             return np.zeros((e_edges.size - 1, r_edges.size - 1))
         es = [rec.energy_density for rec in recs]

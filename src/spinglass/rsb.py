@@ -631,7 +631,7 @@ def zero_temp_certificate(
     # strict two-level structure: psi vanishes only near the endpoints
     scale = max(1.0, m.eval(1.0, 1))
     zero_tol = max(10.0 * tolerance, 1e-8) * scale
-    zero_set = ts[psi(ts) <= zero_tol]
+    zero_set = ts[vals >= -zero_tol]
     interior = zero_set[(zero_set > 0.02) & (zero_set < 0.98)]
     flag = bool(len(interior) == 0)
     cert = OptimalityCertificate(

@@ -1,4 +1,7 @@
 """Public surface: every exported name resolves, and removed wrappers stay gone."""
+import dataclasses
+import inspect
+
 import pytest
 
 import spinglass
@@ -17,3 +20,31 @@ def test_removed_wrappers_are_not_exported(name):
     assert name not in spinglass.__all__
     assert not hasattr(spinglass, name)
     assert not hasattr(spinglass.mixtures, name)
+
+
+@pytest.mark.parametrize(
+    "func, name",
+    [
+        (spinglass.chain_bound, "center"),
+        (spinglass.find_critical_points, "newton_tol"),
+        (spinglass.find_critical_points, "with_hessian_summary"),
+        (spinglass.empirical_complexity, "newton_tol"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_removed_parameters_are_gone(func, name):
+    assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (spinglass.BandGeometry, "eps"),
+        (spinglass.GroundStateCurve, "source"),
+        (spinglass.ComplexityEstimate, "exploratory"),
+        (spinglass.CriticalPointRecord, "hessian_eigs"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_removed_fields_are_gone(cls, name):
+    assert name not in {f.name for f in dataclasses.fields(cls)}

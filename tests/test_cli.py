@@ -140,6 +140,28 @@ def test_landscape_gs_failure_keeps_the_rows_solved_before_it(tmp_path):
     assert [row.split(",")[0] for row in rows[1:]] == ["0.1", "0.2"]
 
 
+def test_run_config_replays_landscape_gs_byte_for_byte(tmp_path):
+    out = tmp_path / "gs.csv"
+    coeffs = {"3": 1.0, "4": 0.3}
+    result = CliRunner().invoke(
+        cli.main, ["landscape", "--mixture", _mixture(tmp_path, coeffs), "--gs",
+                   "--qgrid", "0.5:1:0.5", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    first = out.read_bytes()
+    assert first.decode().splitlines()[0] == "q,E_star,R_star"
+    out.unlink()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "command": "landscape", "mixture": {"coeffs": coeffs},
+        "params": {"gs": True, "qgrid": "0.5:1:0.5"}, "out": str(out),
+    }))
+    replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert replay.exit_code == 0, replay.output
+    assert replay.output == result.output
+    assert out.read_bytes() == first
+
+
 def test_mc_gibbs_over_the_tensor_capacity_exits_3(tmp_path):
     result = CliRunner().invoke(
         cli.main, ["mc", "gibbs", "--mixture", _mixture(tmp_path, {"4": 1.0}), "--N", "100",

