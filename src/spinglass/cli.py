@@ -52,7 +52,7 @@ from .mclab import (
     validate_kernels,
 )
 from .mixtures import Mixture
-from .rsb import SolverConfig, cs_minimize, zt_minimize
+from .rsb import ZT_K_MAX, SolverConfig, cs_minimize, zt_minimize
 
 _EXIT_BAD_INPUT = 1
 _EXIT_SOLVER_FAILED = 2
@@ -236,10 +236,11 @@ def _param(params: dict, key: str, default):
     return default if value is None else value
 
 
-def _solver_config(params: dict) -> SolverConfig:
+def _solver_config(params: dict, **defaults) -> SolverConfig:
+    """SolverConfig from --k-max, --starts and --solver-seed over the given defaults."""
     names = {"k_max": "k_max", "starts": "starts", "solver_seed": "seed"}  # param: field
     kw = {name: int(params[key]) for key, name in names.items() if params.get(key) is not None}
-    return SolverConfig(**kw)
+    return SolverConfig(**{**defaults, **kw})
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +251,8 @@ def _solver_config(params: dict) -> SolverConfig:
 def _body_parisi(cfg: RunConfig) -> int:
     m = cfg.mixture_obj()
     p = cfg.params
-    solver = _solver_config(p)
     if p.get("zero_temp"):
-        res = zt_minimize(m, k_max=int(_param(p, "k_max", 2)), config=solver)
+        res = zt_minimize(m, config=_solver_config(p, k_max=ZT_K_MAX))
         report = {
             "mode": "zero_temp",
             "order": {"steps": _jsonable(res.order.steps), "c": res.order.c},
@@ -265,7 +265,7 @@ def _body_parisi(cfg: RunConfig) -> int:
         if p.get("beta") is None:
             raise BadInputError("parisi requires --beta X or --zero-temp")
         beta = float(p["beta"])
-        res = cs_minimize(m, beta, config=solver)
+        res = cs_minimize(m, beta, config=_solver_config(p))
         report = {
             "mode": "finite_beta",
             "beta": beta,
@@ -299,9 +299,9 @@ def _body_landscape(cfg: RunConfig) -> int:
             raise BadInputError("landscape --identities requires --beta X")
         beta = float(p["beta"])
         solver = _solver_config(p)
-        esrs = identity_esrs(m, beta, k_max=solver.k_max, config=solver)
-        fpr = fprime_identity(m, beta, k_max=solver.k_max, config=solver)
-        bound = chain_bound(m, beta, k_max=solver.k_max, config=solver)
+        esrs = identity_esrs(m, beta, config=solver)
+        fpr = fprime_identity(m, beta, config=solver)
+        bound = chain_bound(m, beta, config=solver)
         report = {
             "beta": beta,
             "energy_radial_identities": _jsonable(esrs),
@@ -337,10 +337,8 @@ def _body_landscape(cfg: RunConfig) -> int:
         return 0
 
     qgrid = _grid(p.get("qgrid") or "0.1:1:0.1", "--qgrid")
-    solver = _solver_config(p)
-    k_max = int(_param(p, "k_max", 2))
     try:
-        curve = ground_state_curve(m, qgrid, k_max=k_max, config=solver)
+        curve = ground_state_curve(m, qgrid, config=_solver_config(p, k_max=ZT_K_MAX))
     except SolverFailedError as e:
         rows = [f"{q:.12g},{e_star:.12g},{r_star:.12g}" for q, e_star, r_star in e.rows]
         return _partial(["q,E_star,R_star", *rows], cfg.out, str(e))
@@ -366,11 +364,10 @@ def _body_fp(cfg: RunConfig) -> int:
     beta_prime = float(p["beta_prime"])
     r_values = _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid")
     rows = [r for r in r_values if abs(r) < 1.0]
-    k_max = int(_param(p, "k_max", 3))
+    solver = dataclasses.replace(_solver_config(p), starts=2)
     scan_points = int(_param(p, "scan_points", 32))
-    if k_max < 0 or scan_points < 3:
-        raise BadInputError("fp needs --k-max >= 0 and --scan-points >= 3")
-    solver = SolverConfig(starts=2, seed=int(p["solver_seed"])) if p.get("solver_seed") is not None else None
+    if scan_points < 3:
+        raise BadInputError("fp needs --scan-points >= 3")
     both = bool(p.get("both_regimes"))
     failures = 0
 
@@ -384,7 +381,7 @@ def _body_fp(cfg: RunConfig) -> int:
         if both:
             hi = fp_high(m, beta, beta_prime, r, config=solver, check_regime=False)
             try:
-                lo = fp_low(m, beta, beta_prime, r, k_max=k_max, config=solver, scan_points=scan_points)
+                lo = fp_low(m, beta, beta_prime, r, config=solver, scan_points=scan_points)
                 lines.append(
                     f"{r:.12g},{hi.value:.12g},{lo.value:.12g},{lo.rho_star:.12g}"
                 )
@@ -398,7 +395,7 @@ def _body_fp(cfg: RunConfig) -> int:
                 res = fp_high(m, beta, beta_prime, r, config=solver)
                 rho = float("nan")
             else:
-                res = fp_low(m, beta, beta_prime, r, k_max=k_max, config=solver, scan_points=scan_points)
+                res = fp_low(m, beta, beta_prime, r, config=solver, scan_points=scan_points)
                 rho = res.rho_star
             t = res.terms
             lines.append(
@@ -625,7 +622,7 @@ def cmd_landscape(**kw):
 @click.option("--beta-prime", "beta_prime", type=float, default=None)
 @click.option("--r-grid", "r_grid", type=str, default=None, help="lo:hi:step overlap sweep.")
 @click.option("--both-regimes", "both_regimes", is_flag=True, default=False)
-@click.option("--k-max", "k_max", type=int, default=None, help="Atom cap of the base solve and the anchor ground state (default 3); the section solves keep the solver config's cap of 3.")
+@click.option("--k-max", "k_max", type=int, default=None, help="Atom cap of every solve of the sweep (default 3).")
 @click.option("--scan-points", "scan_points", type=int, default=None)
 @click.option("--solver-seed", "solver_seed", type=int, default=None)
 @_common

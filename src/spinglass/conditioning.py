@@ -514,7 +514,6 @@ def fp_conditioning(
     r: float,
     rho: float,
     pure_reduced: bool = False,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> FPConditioning:
     """Solve the pinned linear system at reference values (free-energy
@@ -535,7 +534,8 @@ def fp_conditioning(
         )
     c_full = conditioning_matrix(m, q1)
     v_full = section_vector(m, q1, r, rho)
-    e1, r1, _ = ground_state_point(m, q1, k_max=k_max, config=config)
+    # the composite's cap, SolverConfig()'s, not the lower zero-temperature default
+    e1, r1, _ = ground_state_point(m, q1, config=config or SolverConfig())
     rhs_full = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])
     keep = pinned_rows(pure_reduced)
     if m.is_pure and not pure_reduced:

@@ -173,7 +173,6 @@ def _low_context(
     m: Mixture,
     beta: float,
     beta_prime: float,
-    k_max: int,
     config: SolverConfig | None,
 ) -> _LowContext:
     _validate_inputs(beta, beta_prime, 0.0)
@@ -183,16 +182,14 @@ def _low_context(
             f"got beta={beta}"
         )
     cfg = config if config is not None else SolverConfig(starts=2)
-    res = cs_minimize(m, beta, k_max=k_max, config=cfg)
+    res = cs_minimize(m, beta, config=cfg)
     if res.x_star.k != 1:
         raise KMismatchError(
             f"conditioned evaluation is derived for a single overlap atom; "
             f"solver support has k={res.x_star.k} at beta={beta}"
         )
     q1 = res.x_star.qs[0]
-    fpc = fp_conditioning(
-        m, beta, q1, r=0.0, rho=0.0, pure_reduced=m.is_pure, k_max=k_max, config=cfg
-    )
+    fpc = fp_conditioning(m, beta, q1, r=0.0, rho=0.0, pure_reduced=m.is_pure, config=cfg)
     return _LowContext(
         m=m, beta_prime=beta_prime, q1=q1, u=fpc.u, keep=pinned_rows(fpc.reduced), config=cfg
     )
@@ -215,14 +212,13 @@ def fp_low_objective(
     beta_prime: float,
     r: float,
     rho: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> FPTerms:
     """Term breakdown of the conditioned rate at one section position,
     without the maximization. Useful for profiling the objective along the
     admissible interval; endpoints are excluded (the volume term diverges)."""
     _validate_inputs(beta, beta_prime, r)
-    ctx = _low_context(m, beta, beta_prime, k_max, config)
+    ctx = _low_context(m, beta, beta_prime, config)
     lo, hi = j_interval(ctx.q1, r)
     if not lo < rho < hi:
         raise RegimeMismatchError(
@@ -237,7 +233,6 @@ def fp_low(
     beta: float,
     beta_prime: float,
     r: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
     scan_points: int = 64,
     xtol: float = 1e-10,
@@ -249,15 +244,11 @@ def fp_low(
     the maximizer is interior: a coarse scan (single-start solves, ranking
     only) brackets it and golden-section refinement polishes it with the
     full configuration.
-
-    k_max caps the atom count of the base solve and of the anchor ground
-    state only. The section solves keep config's own cap (SolverConfig's
-    k_max, 3 by default): field-mode sections can need two atoms.
     """
     _validate_inputs(beta, beta_prime, r)
     if scan_points < 3:
         raise BadInputError(f"need at least 3 scan points, got {scan_points}")
-    ctx = _low_context(m, beta, beta_prime, k_max, config)
+    ctx = _low_context(m, beta, beta_prime, config)
     lo, hi = j_interval(ctx.q1, r)
     width = hi - lo
     # ranking pass only: single start and loose certificates are enough to
@@ -306,7 +297,6 @@ def fp_potential(
     beta: float,
     beta_prime: float,
     r: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> tuple[FPQuery, FPResult]:
     """Evaluate the rate in whichever regime the sampling temperature
@@ -314,4 +304,4 @@ def fp_potential(
     query = FPQuery.detect(m, beta, beta_prime, r)
     if query.regime == "high":
         return query, fp_high(m, beta, beta_prime, r, config=config)
-    return query, fp_low(m, beta, beta_prime, r, k_max=k_max, config=config)
+    return query, fp_low(m, beta, beta_prime, r, config=config)

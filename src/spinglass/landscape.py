@@ -117,6 +117,14 @@ def theta_pure(m: Mixture, E: float) -> float:
 # ========================================================= ground-state curves
 
 
+def _check_q_grid(qs: tuple[float, ...]) -> None:
+    prev = 0.0
+    for q in qs:
+        if not prev < q <= 1.0:
+            raise BadInputError(f"q grid must be strictly increasing in (0,1]: {qs}")
+        prev = q
+
+
 @dataclass(frozen=True)
 class GroundStateCurve:
     """Ground-state energy and (twice) its radius derivative on a grid of
@@ -135,11 +143,7 @@ class GroundStateCurve:
         object.__setattr__(self, "r_star", rs)
         if not (len(qs) == len(es) == len(rs)) or not qs:
             raise BadInputError("grid and value columns must have equal nonzero length")
-        prev = 0.0
-        for q in qs:
-            if not prev < q <= 1.0:
-                raise BadInputError(f"q grid must be strictly increasing in (0,1]: {qs}")
-            prev = q
+        _check_q_grid(qs)
         if any(not math.isfinite(v) for v in es + rs):
             raise BadInputError("curve values must be finite")
         if any(e <= 0.0 for e in es):
@@ -182,7 +186,6 @@ def _origin_slope(m: Mixture) -> float | None:
 def ground_state_point(
     m: Mixture,
     q: float,
-    k_max: int = 2,
     config: SolverConfig | None = None,
 ):
     """Ground-state energy and radial slope at squared radius q, plus the
@@ -190,29 +193,31 @@ def ground_state_point(
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
     mhat = m.scale_domain(q)
-    res = zt_minimize(mhat, k_max=k_max, config=config)
+    res = zt_minimize(mhat, config=config)
     return res.gs_energy, _radial_slope(mhat, res.order, q), res
 
 
 def ground_state_curve(
     m: Mixture,
     q_grid,
-    k_max: int = 2,
     config: SolverConfig | None = None,
     workers: int = 1,
 ) -> GroundStateCurve:
     """Trace the ground-state energy and its radial slope over q_grid by
     independent zero-temperature solves at each radius.
 
-    A failed solve re-raises its SolverFailedError with the rows solved
-    before it, as (q, E*, R*) triples in grid order, in its rows attribute.
+    The grid must be strictly increasing in (0, 1]; it is checked before the
+    first solve. A failed solve re-raises its SolverFailedError with the
+    rows solved before it, as (q, E*, R*) triples in grid order, in its rows
+    attribute.
     """
     qs = tuple(float(q) for q in q_grid)
     if not qs:
         raise BadInputError("empty q grid")
+    _check_q_grid(qs)
 
     def solve_one(q: float):
-        return ground_state_point(m, q, k_max=k_max, config=config)
+        return ground_state_point(m, q, config=config)
 
     rows = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -225,9 +230,9 @@ def ground_state_curve(
     return GroundStateCurve(*zip(*rows))
 
 
-def _level_ground_state(xi_lev: Mixture, k_max: int, config: SolverConfig | None):
+def _level_ground_state(xi_lev: Mixture, config: SolverConfig):
     """Ground-state energy and radial slope of a level mixture at full radius."""
-    res = zt_minimize(xi_lev, k_max=k_max, config=config)
+    res = zt_minimize(xi_lev, config=config)
     return res.gs_energy, _radial_slope(xi_lev, res.order, 1.0)
 
 
@@ -274,14 +279,14 @@ class EsRsReport:
 def identity_esrs(
     m: Mixture,
     beta: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> EsRsReport:
     """Check, level by level, that the ground state of each level mixture
     matches the increment of the base ground-state curve, and that its
     radial slope matches the scaled base slope (both endpoint variants).
     """
-    base = cs_minimize(m, beta, k_max=k_max, config=config)
+    cfg = config or SolverConfig()
+    base = cs_minimize(m, beta, config=cfg)
     ladder = tuple(q for q in base.x_star.support() if q > 0.0)
     if not ladder:
         raise RegimeMismatchError(
@@ -290,13 +295,13 @@ def identity_esrs(
         )
     levels = m.level_mixtures(ladder)
     qs = (0.0, *ladder, 1.0)
-    curve = ground_state_curve(m, qs[1:], k_max=k_max, config=config)
+    curve = ground_state_curve(m, qs[1:], config=cfg)
     estar = (0.0, *curve.e_star)
     rstar = (_origin_slope(m), *curve.r_star)
     rows = []
     for lev, (xi_lev, _) in enumerate(levels):
         q_lo, q_hi = qs[lev], qs[lev + 1]
-        e_level, r_level = _level_ground_state(xi_lev, k_max, config)
+        e_level, r_level = _level_ground_state(xi_lev, cfg)
         e_inc = estar[lev + 1] - estar[lev]
         gap = q_hi - q_lo
         r_base = None if rstar[lev] is None else gap * rstar[lev]
@@ -357,7 +362,6 @@ def chain_bound(
     beta: float,
     ladder=None,
     eps: float = 1e-3,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> float:
     """Upper bound on the growth rate of ladder-indexed critical-point
@@ -372,15 +376,16 @@ def chain_bound(
     """
     if eps <= 0.0:
         raise BadInputError(f"window half-width must be positive, got {eps}")
+    cfg = config or SolverConfig()
     if ladder is None:
-        base = cs_minimize(m, beta, k_max=k_max, config=config)
+        base = cs_minimize(m, beta, config=cfg)
         ladder = tuple(q for q in base.x_star.support() if q > 0.0)
     ladder = tuple(float(q) for q in ladder)
     if not ladder:
         raise RegimeMismatchError("chain bound needs a nonempty overlap ladder")
     qs = (0.0, *ladder)
     levels = m.level_mixtures(ladder)[: len(ladder)]
-    estar = (0.0, *ground_state_curve(m, ladder, k_max=k_max, config=config).e_star)
+    estar = (0.0, *ground_state_curve(m, ladder, config=cfg).e_star)
     total = 0.0
     for lev, (xi_lev, _) in enumerate(levels):
         gap = qs[lev + 1] - qs[lev]
@@ -388,7 +393,7 @@ def chain_bound(
         if xi_lev.is_pure:
             total += _sup_theta_pure_interval(xi_lev, e_c - 2 * eps, e_c + 2 * eps)
         else:
-            r_c = _level_ground_state(xi_lev, k_max, config)[1]
+            r_c = _level_ground_state(xi_lev, cfg)[1]
             total += _sup_theta_rect(
                 xi_lev,
                 e_c - 2 * eps,
@@ -424,7 +429,6 @@ def _free_energy_slope(m: Mixture, beta: float, q: float, e_q: float) -> float:
 def fprime_identity(
     m: Mixture,
     beta: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
     step: float = 1e-4,
 ) -> FprimeReport:
@@ -433,15 +437,16 @@ def fprime_identity(
     and beta times the recentered covariance at full overlap."""
     if step <= 0.0 or beta - step <= 0.0:
         raise BadInputError("need 0 < step < beta for the central difference")
-    base = cs_minimize(m, beta, k_max=k_max, config=config)
+    cfg = config or SolverConfig()
+    base = cs_minimize(m, beta, config=cfg)
     q_top = base.x_star.q_hat
     if q_top > 0.0:
-        e_top, _, _ = ground_state_point(m, q_top, k_max=k_max, config=config)
+        e_top, _, _ = ground_state_point(m, q_top, config=cfg)
     else:
         e_top = 0.0
     closed = _free_energy_slope(m, beta, q_top, e_top)
-    up = cs_minimize(m, beta + step, k_max=k_max, config=config).value
-    down = cs_minimize(m, beta - step, k_max=k_max, config=config).value
+    up = cs_minimize(m, beta + step, config=cfg).value
+    down = cs_minimize(m, beta - step, config=cfg).value
     fd = (up - down) / (2.0 * step)
     return FprimeReport(
         beta=float(beta),

@@ -59,10 +59,14 @@ _HEADER = struct.Struct("<4sIII")  # magic, version, dimension, row count
 
 
 def _thread_count() -> int:
+    text = os.environ.get("SPINGLASS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPINGLASS_THREADS", "1")))
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise BadInputError(f"SPINGLASS_THREADS must be an integer >= 1, got {text!r}")
+    return count
 
 
 # Spawn keys: (field, 0) for coefficients, (field, _FINDER_LANE) for finder

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -267,9 +267,8 @@ def _config_from_json(cls, text: str, what: str, strict: bool = False):
     return cls(**kw)
 
 
-def _check_k_max(k_max: int) -> None:
-    if k_max < 0:
-        raise BadInputError(f"k_max must be non-negative, got {k_max}")
+# atom cap of a zero-temperature solve when no config is given
+ZT_K_MAX = 2
 
 
 @dataclass(frozen=True)
@@ -282,11 +281,14 @@ class SolverConfig:
     mesh: int = 2000
 
     def __post_init__(self) -> None:
-        _check_k_max(self.k_max)
+        if self.k_max < 0:
+            raise BadInputError(f"k_max must be non-negative, got {self.k_max}")
         if self.starts < 1:
             raise BadInputError(f"starts must be at least 1, got {self.starts}")
         if not (self.atom_tol > 0.0 and self.cert_tol > 0.0):
             raise BadInputError("atom_tol and cert_tol must be positive")
+        if self.mesh < 100:
+            raise BadInputError(f"certificate mesh must be >= 100, got {self.mesh}")
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
@@ -902,7 +904,7 @@ def _polish(m: Mixture, temp: _Temperature, qs, levels, tail, value: float):
     return state, new_value
 
 
-def _solve(m: Mixture, temp: _Temperature, k_max: int, cfg: SolverConfig):
+def _solve(m: Mixture, temp: _Temperature, cfg: SolverConfig):
     """Refine the atom count k = 0, 1, ... until the certificate
     passes and a further level gains less than atom_tol. Returns the
     certified answer with the smallest k among those within atom_tol of the
@@ -910,7 +912,7 @@ def _solve(m: Mixture, temp: _Temperature, k_max: int, cfg: SolverConfig):
     mass_tol = max(cfg.atom_tol * 10, 1e-6)
     history = []
     warm = None
-    for k in range(k_max + 1):
+    for k in range(cfg.k_max + 1):
         state = _level_candidate(m, temp, k, cfg, warm)
         # cleanup and polish interleave until the structure is stable
         for _ in range(3):
@@ -936,7 +938,7 @@ def _solve(m: Mixture, temp: _Temperature, k_max: int, cfg: SolverConfig):
     _, value, cert = min(history, key=lambda h: h[1])
     edge = "" if cert.edge_residual is None else f", edge residual {cert.edge_residual:.3g}"
     raise SolverFailedError(
-        f"no atom count up to k_max={k_max} produced a passing {cert.kind} "
+        f"no atom count up to k_max={cfg.k_max} produced a passing {cert.kind} "
         f"certificate; best value {value:.9g} with residuals {cert.residuals_at_support}, "
         f"off-support violation {cert.max_offsupport_violation:.3g}{edge}"
     )
@@ -945,7 +947,6 @@ def _solve(m: Mixture, temp: _Temperature, k_max: int, cfg: SolverConfig):
 def cs_minimize(
     m: Mixture,
     beta: float,
-    k_max: int | None = None,
     config: SolverConfig | None = None,
     allow_field: bool = False,
 ) -> CsResult:
@@ -953,7 +954,8 @@ def cs_minimize(
 
     Refines the atom count k = 0, 1, ... until the optimality certificate
     passes and a further level brings less than atom_tol improvement.
-    Raises SolverFailedError when no k up to the cap certifies.
+    The atom cap is config.k_max (3 without a config). Raises
+    SolverFailedError when no k up to the cap certifies.
     """
     if beta <= 0.0:
         raise BadInputError(f"beta must be positive, got {beta}")
@@ -971,14 +973,11 @@ def cs_minimize(
         ),
         result=CsResult,
     )
-    k_max = cfg.k_max if k_max is None else k_max
-    _check_k_max(k_max)
-    return _solve(m, temp, k_max, cfg)
+    return _solve(m, temp, cfg)
 
 
 def zt_minimize(
     m: Mixture,
-    k_max: int = 2,
     config: SolverConfig | None = None,
     allow_field: bool = False,
 ) -> ZtResult:
@@ -986,12 +985,12 @@ def zt_minimize(
 
     Returns the order parameter, the limiting normalized maximum of the
     field (the ground-state energy density), and the optimality certificate
-    with the strict two-level flag filled in. Raises SolverFailedError when
-    no k up to the cap certifies.
+    with the strict two-level flag filled in. The atom cap is config.k_max;
+    without a config it is ZT_K_MAX (2). Raises SolverFailedError when no k
+    up to the cap certifies.
     """
     _check_field(m, allow_field)
-    _check_k_max(k_max)
-    cfg = config or SolverConfig()
+    cfg = config or SolverConfig(k_max=ZT_K_MAX)
     temp = _Temperature(
         beta=None,
         substream=1 << 20,
@@ -1004,7 +1003,7 @@ def zt_minimize(
         ),
         result=ZtResult,
     )
-    return _solve(m, temp, k_max, cfg)
+    return _solve(m, temp, cfg)
 
 
 # ================================================================ criticality
@@ -1114,7 +1113,6 @@ def pushforward_check(
     m: Mixture,
     beta: float,
     q: float,
-    k_max: int = 3,
     config: SolverConfig | None = None,
 ) -> PushforwardReport:
     """Check the transport of the minimizer to the band and radial problems.
@@ -1127,7 +1125,7 @@ def pushforward_check(
     Both reduced problems are solved from scratch and compared.
     """
     cfg = config or SolverConfig()
-    base = cs_minimize(m, beta, k_max=k_max, config=cfg)
+    base = cs_minimize(m, beta, config=cfg)
     supp = base.x_star.support()
     dists = [abs(q - s) for s in supp]
     if not dists or min(dists) > 1e-6:
@@ -1137,7 +1135,7 @@ def pushforward_check(
     q = supp[int(np.argmin(dists))]
 
     xi_q, xi_bar, xi_hat = m.shift_restrict(q)
-    band = cs_minimize(xi_bar, beta, k_max=k_max, config=cfg)
+    band = cs_minimize(xi_bar, beta, config=cfg)
 
     # predicted band CDF: t -> x(q + (1-q) t)
     pred_breaks = tuple(
@@ -1172,7 +1170,7 @@ def pushforward_check(
     alpha_l1 = c_dev = None
     radial = None
     if q > 0.0:
-        radial = zt_minimize(xi_hat, k_max=max(k_max - 1, 1), config=cfg)
+        radial = zt_minimize(xi_hat, config=replace(cfg, k_max=max(cfg.k_max - 1, 1)))
         pred_a_breaks = tuple(qi / q for qi in base.x_star.qs if qi < q - 1e-12)
         pred_a_vals = tuple(beta * v for v in base_lev_ext[: len(pred_a_breaks) + 1])
         alpha_l1 = _step_l1(

@@ -48,3 +48,15 @@ def test_removed_parameters_are_gone(func, name):
 )
 def test_removed_fields_are_gone(cls, name):
     assert name not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_no_public_callable_takes_k_max():
+    # the atom cap is set in one place, SolverConfig.k_max
+    takes = [
+        name
+        for name in spinglass.__all__
+        if callable(obj := getattr(spinglass, name))
+        and not inspect.isclass(obj)
+        and "k_max" in inspect.signature(obj).parameters
+    ]
+    assert takes == []

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 import spinglass.cli as cli
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
+from spinglass.rsb import SolverConfig
 
 
 @pytest.fixture
@@ -38,9 +39,9 @@ def test_parisi_zero_temp_k_max_zero_is_honoured(pure3, tmp_path, monkeypatch):
     seen = []
     real = cli.zt_minimize
 
-    def spy(m, k_max=2, config=None, allow_field=False):
-        seen.append(k_max)
-        return real(m, k_max=k_max, config=config, allow_field=allow_field)
+    def spy(m, config=None, allow_field=False):
+        seen.append(config.k_max)
+        return real(m, config=config, allow_field=allow_field)
 
     monkeypatch.setattr(cli, "zt_minimize", spy)
     result, artifact = _run(["parisi", "--mixture", pure3, "--zero-temp", "--k-max", "0"], tmp_path)
@@ -50,24 +51,49 @@ def test_parisi_zero_temp_k_max_zero_is_honoured(pure3, tmp_path, monkeypatch):
     assert artifact["certificate"]["kind"] == "zero_temp"
 
 
-@pytest.mark.parametrize("solver_seed", [0, 5])
+def _spy_fp(monkeypatch):
+    """Replace fp_high and fp_low by stubs that record the config of each call."""
+    seen = {"high": [], "low": []}
+
+    def stub(regime):
+        def fake(m, beta, beta_prime, r, config=None, **kw):
+            seen[regime].append(config)
+            terms = FPTerms(mean=0.0, free_energy=0.0, volume=0.0)
+            return FPResult(value=0.0, rho_star=0.0, terms=terms, field_mode=False)
+
+        return fake
+
+    monkeypatch.setattr(cli, "fp_high", stub("high"))
+    monkeypatch.setattr(cli, "fp_low", stub("low"))
+    return seen
+
+
+@pytest.mark.parametrize("solver_seed", [0, 5, None])
 def test_fp_high_rows_receive_the_solver_config(pure3, tmp_path, monkeypatch, solver_seed):
-    seen = []
-
-    def fake_fp_high(m, beta, beta_prime, r, config=None, check_regime=True):
-        seen.append(config)
-        terms = FPTerms(mean=0.0, free_energy=0.0, volume=0.0)
-        return FPResult(value=0.0, rho_star=None, terms=terms, field_mode=False)
-
-    monkeypatch.setattr(cli, "fp_high", fake_fp_high)
+    seen = _spy_fp(monkeypatch)
+    seed_flags = [] if solver_seed is None else ["--solver-seed", str(solver_seed)]
     result = CliRunner().invoke(
         cli.main,
         ["fp", "--mixture", pure3, "--beta", "0.5", "--beta-prime", "1.0",
-         "--r-grid", "0:0.2:0.1", "--solver-seed", str(solver_seed)],
+         "--r-grid", "0:0.2:0.1", "--both-regimes", *seed_flags],
     )
     assert result.exit_code == 0, result.output
-    assert len(seen) == 3
-    assert all(cfg is not None and cfg.seed == solver_seed for cfg in seen)
+    assert len(seen["high"]) == len(seen["low"]) == 3
+    want = SolverConfig().seed if solver_seed is None else solver_seed
+    configs = seen["high"] + seen["low"]
+    assert all(cfg == configs[0] for cfg in configs)
+    assert configs[0].seed == want and configs[0].starts == 2
+
+
+def test_fp_k_max_caps_both_regimes(pure3, monkeypatch):
+    seen = _spy_fp(monkeypatch)
+    result = CliRunner().invoke(
+        cli.main,
+        ["fp", "--mixture", pure3, "--beta", "0.5", "--beta-prime", "1.0",
+         "--r-grid", "0:0.2:0.1", "--both-regimes", "--k-max", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    assert [cfg.k_max for cfg in seen["high"] + seen["low"]] == [1] * 6
 
 
 def test_mc_complexity_rejects_q_zero(pure3):
@@ -253,6 +279,18 @@ def test_negative_rng_keys_exit_with_the_bad_input_code(pure3, args):
     result = CliRunner().invoke(cli.main, ["mc", args[0], "--mixture", pure3, *args[1:]])
     assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_mc_complexity_rejects_a_bad_thread_count(pure3, monkeypatch, threads):
+    monkeypatch.setenv("SPINGLASS_THREADS", threads)
+    result = CliRunner().invoke(
+        cli.main,
+        ["mc", "complexity", "--mixture", pure3, "--N", "4", "--fields", "1", "--restarts", "2",
+         "--bootstrap", "2"],
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ") and "SPINGLASS_THREADS" in result.stderr
 
 
 @pytest.mark.parametrize("flags", [["--scan-points", "2"], ["--k-max", "-1"]])

@@ -17,6 +17,7 @@ from spinglass.errors import (
     SingularMatrixError,
     SolverFailedError,
 )
+from spinglass import landscape
 from spinglass.landscape import (
     ComplexityEval,
     GroundStateCurve,
@@ -207,6 +208,16 @@ def test_curve_failure_carries_the_rows_solved_before_it(workers):
     for q, e, r in rows:
         e_ref, r_ref, _ = ground_state_point(m, q)
         assert (e, r) == (e_ref, r_ref)
+
+
+@pytest.mark.parametrize("grid", [(0.5, 1.0, 1.5), (0.5, 0.4)])
+def test_curve_rejects_its_grid_before_any_solve(grid, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid point")
+
+    monkeypatch.setattr(landscape, "zt_minimize", unreachable)
+    with pytest.raises(BadInputError):
+        ground_state_curve(pure(3), grid)
 
 
 def test_curve_csv_round_trip():

@@ -397,7 +397,7 @@ def test_minimize_pure_cubic_one_step():
 
 def test_minimize_two_step_regression():
     m = Mixture(TWO_RSB_MIX)
-    res = cs_minimize(m, TWO_RSB_BETA, k_max=3)
+    res = cs_minimize(m, TWO_RSB_BETA, config=SolverConfig(k_max=3))
     assert res.x_star.k == 2
     assert res.value == pytest.approx(TWO_RSB_VALUE, rel=1e-9)
     assert res.x_star.qs == pytest.approx(TWO_RSB_QS, abs=1e-5)
@@ -408,14 +408,14 @@ def test_minimize_two_step_regression():
 def test_minimize_raises_when_no_level_certifies():
     # The two-step mixture cannot be certified with at most one step.
     with pytest.raises(SolverFailedError):
-        cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, k_max=1)
+        cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, config=SolverConfig(k_max=1))
 
 
 def test_zero_temp_failure_reports_residuals():
     # {2:.8,4:.2} has no certified constant-alpha solution; the error must
     # say which optimality condition failed, not only the best value.
     with pytest.raises(SolverFailedError) as info:
-        zt_minimize(Mixture({2: 0.8, 4: 0.2}), k_max=0)
+        zt_minimize(Mixture({2: 0.8, 4: 0.2}), config=SolverConfig(k_max=0))
     msg = str(info.value)
     assert "zero_temp" in msg
     assert "residuals (" in msg
@@ -423,12 +423,12 @@ def test_zero_temp_failure_reports_residuals():
 
 
 def test_minimize_monotone_in_allowed_steps():
-    vals = [cs_minimize(pure(3), T3_BETA, k_max=k).value for k in (1, 2, 3)]
+    vals = [cs_minimize(pure(3), T3_BETA, config=SolverConfig(k_max=k)).value for k in (1, 2, 3)]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi + 1e-7
     assert vals[0] == pytest.approx(vals[-1], abs=1e-7)
-    two = cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, k_max=2).value
-    three = cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, k_max=3).value
+    two = cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, config=SolverConfig(k_max=2)).value
+    three = cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, config=SolverConfig(k_max=3)).value
     assert three <= two + 1e-7 and three == pytest.approx(two, abs=1e-7)
 
 
@@ -486,7 +486,7 @@ def test_zero_temp_quadratic_matches_matrix_edge():
 
 
 def test_zero_temp_monotone_in_allowed_steps():
-    vals = [zt_minimize(pure(3), k_max=k).gs_energy for k in (0, 1, 2)]
+    vals = [zt_minimize(pure(3), config=SolverConfig(k_max=k)).gs_energy for k in (0, 1, 2)]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi + 1e-7
     assert max(vals) - min(vals) < 1e-7
@@ -625,20 +625,14 @@ def test_solver_config_from_json_rejects_bad_input(text):
 
 
 @pytest.mark.parametrize(
-    "kw", [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}]
+    "kw",
+    [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}, {"mesh": 50}],
 )
 def test_solver_config_rejects_values_the_engine_cannot_run(kw):
     with pytest.raises(BadInputError):
         SolverConfig(**kw)
     with pytest.raises(BadInputError):
         SolverConfig.from_json(json.dumps(kw))
-
-
-def test_minimizers_reject_a_negative_k_max():
-    with pytest.raises(BadInputError):
-        cs_minimize(pure(3), 1.0, k_max=-1)
-    with pytest.raises(BadInputError):
-        zt_minimize(pure(3), k_max=-1)
 
 
 def test_solver_config_to_json_is_unchanged():

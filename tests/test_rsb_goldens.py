@@ -8,7 +8,7 @@ import pytest
 
 from spinglass.landscape import ground_state_point
 from spinglass.mixtures import Mixture
-from spinglass.rsb import cs_minimize, zt_minimize
+from spinglass.rsb import SolverConfig, cs_minimize, zt_minimize
 
 VALUE_TOL = 1e-10
 ATOM_TOL = 1e-8
@@ -75,7 +75,7 @@ def _check_steps(order, steps, c):
 @pytest.mark.parametrize("mix,beta,k_max,golden", CS_GOLDENS)
 def test_cs_minimize_golden(mix, beta, k_max, golden):
     value, qs, levels, n_support = golden
-    res = cs_minimize(Mixture(mix), beta, k_max=k_max)
+    res = cs_minimize(Mixture(mix), beta, config=None if k_max is None else SolverConfig(k_max=k_max))
     assert res.value == pytest.approx(value, abs=VALUE_TOL)
     _close(res.x_star.qs, qs, ATOM_TOL)
     _close(res.x_star.levels, levels, ATOM_TOL)
