@@ -374,8 +374,8 @@ def chain_bound(
     as eps -> 0 up to solver error. Levels with a single-degree mixture use
     the restricted rate and ignore the radial window.
     """
-    if eps <= 0.0:
-        raise BadInputError(f"window half-width must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise BadInputError(f"window half-width must be positive and finite, got {eps}")
     cfg = config or SolverConfig()
     if ladder is None:
         base = cs_minimize(m, beta, config=cfg)
@@ -435,7 +435,7 @@ def fprime_identity(
     """Compare d/d(beta) of the minimized functional, by central finite
     difference, with the sum of the ground state at the top overlap atom
     and beta times the recentered covariance at full overlap."""
-    if step <= 0.0 or beta - step <= 0.0:
+    if not 0.0 < step < beta:  # cs_minimize rejects a non-finite beta
         raise BadInputError("need 0 < step < beta for the central difference")
     cfg = config or SolverConfig()
     base = cs_minimize(m, beta, config=cfg)

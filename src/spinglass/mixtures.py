@@ -51,6 +51,9 @@ def _normalize_coeffs(
             raise MixtureError(f"degree {len(vals)} exceeds cap {degree_cap}")
         for i, g in enumerate(vals):
             arr[i + 1] = float(g)
+    if not np.isfinite(arr).all():
+        bad = int(np.argmin(np.isfinite(arr)))
+        raise MixtureError(f"non-finite coefficient {arr[bad]} at degree {bad}")
     if arr.min() < -_COEFF_NEG_TOL:
         bad = int(np.argmin(arr))
         raise MixtureError(f"negative coefficient {arr[bad]} at degree {bad}")

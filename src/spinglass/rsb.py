@@ -34,12 +34,19 @@ Optimality is certified by first-order conditions of obstacle type: the
 support of the order parameter must sit inside the argmax of an explicitly
 integrable profile function. A solve returns a certified answer or raises
 SolverFailedError carrying the best candidate's residuals.
+
+Solves are memoised per process: cs_minimize, zt_minimize and beta_c return
+one shared immutable result for equal inputs (a bounded LRU memo), so the
+composites that re-solve the same Parisi problem pay for it once. Errors
+are not memoised; a failing solve raises afresh on every call.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -234,13 +241,13 @@ class OptimalityCertificate:
 
     @property
     def passes(self) -> bool:
-        if any(r > self.tolerance for r in self.residuals_at_support):
+        # "not r <= tol" so that a NaN residual fails
+        tol = self.tolerance
+        if any(not r <= tol for r in self.residuals_at_support):
             return False
-        if self.max_offsupport_violation > self.tolerance:
+        if not self.max_offsupport_violation <= tol:
             return False
-        if self.edge_residual is not None and self.edge_residual > self.tolerance:
-            return False
-        return True
+        return self.edge_residual is None or self.edge_residual <= tol
 
 
 def _config_from_json(cls, text: str, what: str, strict: bool = False):
@@ -281,12 +288,16 @@ class SolverConfig:
     mesh: int = 2000
 
     def __post_init__(self) -> None:
+        for name in ("k_max", "starts", "seed", "mesh"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadInputError(f"{name} must be an integer, got {value!r}")
         if self.k_max < 0:
             raise BadInputError(f"k_max must be non-negative, got {self.k_max}")
         if self.starts < 1:
             raise BadInputError(f"starts must be at least 1, got {self.starts}")
-        if not (self.atom_tol > 0.0 and self.cert_tol > 0.0):
-            raise BadInputError("atom_tol and cert_tol must be positive")
+        if not (0.0 < self.atom_tol < math.inf and 0.0 < self.cert_tol < math.inf):
+            raise BadInputError("atom_tol and cert_tol must be positive and finite")
         if self.mesh < 100:
             raise BadInputError(f"certificate mesh must be >= 100, got {self.mesh}")
 
@@ -402,6 +413,11 @@ def _step_value_grad(
     return value, grad_q, grad_lev, 0.0
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise BadInputError(f"beta must be positive and finite, got {beta}")
+
+
 def _check_field(m: Mixture, allow_field: bool) -> None:
     if m.has_linear and not allow_field:
         raise RegimeMismatchError(
@@ -417,8 +433,7 @@ def cs_value(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = Fal
 
 def cs_value_with_grad(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False):
     """Value plus gradient arrays (d/dq_i, d/dx_l); for optimizer and tests."""
-    if beta <= 0.0:
-        raise BadInputError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     _check_field(m, allow_field)
     value, grad_q, grad_x, _ = _step_value_grad(m, beta, *x.segments)
     return value, grad_q, grad_x
@@ -586,8 +601,7 @@ def talagrand_certificate(
     reports sup - phi(q) at every atom of the overlap measure. The order
     parameter is optimal iff all residuals vanish (support inside argmax).
     """
-    if beta <= 0.0:
-        raise BadInputError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     _check_field(m, allow_field)
     phi = _phi_function(m, beta, x)
     support = x.support()
@@ -653,49 +667,37 @@ def zero_temp_certificate(
 # ================================================================ solver engine
 
 
-def _cum_softmax(raw: np.ndarray):
-    z = raw - raw.max()
-    e = np.exp(z)
-    p = e / e.sum()
-    partial = np.cumsum(p)[:-1]
-    return p, partial
+def _cumsum(xs: list[float]) -> list[float]:
+    """Running sums of xs, added in np.cumsum's order."""
+    out = list(xs)
+    for i in range(1, len(out)):
+        out[i] = out[i - 1] + out[i]
+    return out
 
 
-def _cum_softmax_vjp(p: np.ndarray, partial: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # d partial_i / d raw_j = p_j (1{j <= i} - partial_i)
-    if len(g) == 0:
-        return np.zeros_like(p)
-    suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
-    return p * (suffix - float(g @ partial))
+def _softmax_partials(e: list[float]):
+    """Softmax weights p of the exponentials e and their partial sums
+    p_0, p_0 + p_1, ... (all but the last)."""
+    # numpy sums fewer than 8 terms in order and more pairwise
+    total = _cumsum(e)[-1] if len(e) < 8 else float(np.sum(e))
+    p = [v / total for v in e]
+    return p, _cumsum(p)[:-1]
 
 
-def _bounded_exp(z):
-    # keeps rogue line-search steps from overflowing
-    return np.exp(np.clip(z, -60.0, 60.0))
-
-
-def _cs_levels(raw: np.ndarray):
-    """Finite temperature: a cumulative softmax gives the k free levels in
-    (0, 1) under the pinned top level 1; the tail is 0."""
-    p, partial = _cum_softmax(raw)
-    return (*partial, 1.0), 0.0, lambda g_lev, g_tail: _cum_softmax_vjp(p, partial, g_lev)
+def _softmax_pullback(p: list[float], partial: list[float], g: np.ndarray) -> list[float]:
+    """Pull a gradient g in the partial sums back to the softmax's raw
+    coordinates: d partial_i / d raw_j = p_j (1{j <= i} - partial_i)."""
+    if not partial:
+        return [0.0] * len(p)
+    # numpy's dot: its BLAS reduction order is not a Python loop's
+    dot = float(g @ np.array(partial))
+    suffix = [*_cumsum(g.tolist()[::-1])[::-1], 0.0]
+    return [pj * (sj - dot) for pj, sj in zip(p, suffix)]
 
 
 def _cs_levels_raw(levels, tail) -> np.ndarray:
     x = np.maximum.accumulate(np.clip(levels[:-1], 1e-6, 1.0 - 1e-6))
     return np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), 1e-10, None))
-
-
-def _zt_levels(raw: np.ndarray):
-    """Zero temperature: exponentiated increments give the nondecreasing
-    levels and the last coordinate is log c."""
-    incr = _bounded_exp(raw[:-1])
-    c = float(_bounded_exp(raw[-1]))
-
-    def pullback(g_lev, g_tail):
-        return np.concatenate([incr * np.cumsum(g_lev[::-1])[::-1], [g_tail * c]])
-
-    return tuple(np.cumsum(incr)), c, pullback
 
 
 def _zt_levels_raw(levels, tail) -> np.ndarray:
@@ -709,15 +711,13 @@ class _Temperature:
 
     beta is None at zero temperature. With beta set the top level is pinned
     at 1, the tail is fixed at 0 and breakpoints stay below Q_CAP; at zero
-    temperature every level and the tail c are free. The raw-coordinate map
-    for the levels and tail is levels_from_raw, returning (levels, tail,
-    pullback of their gradient), with levels_to_raw as its inverse.
+    temperature every level and the tail c are free. _decode maps raw
+    coordinates to both; levels_to_raw inverts its level and tail part.
     """
 
     beta: float | None
     substream: int
     start_scale: float
-    levels_from_raw: Callable
     levels_to_raw: Callable
     order: Callable  # (qs, levels, tail) -> OrderParameter | ZeroTempOrder
     certify: Callable  # order -> OptimalityCertificate
@@ -728,27 +728,48 @@ class _Temperature:
         return self.beta is not None
 
 
-def _decode(raw: np.ndarray, k: int, temp: _Temperature):
-    """Raw coordinates -> (qs, levels, tail) and the pullback of a gradient
-    in those to a gradient in raw."""
+def _decode(raw: np.ndarray, k: int, pinned: bool):
+    """Raw coordinates -> (qs, levels, tail) as Python floats, plus what the
+    gradient pullback reads: the breakpoint softmax (p, partial) and either
+    the level softmax (pinned) or the increments and c (zero temperature).
+
+    A cumulative softmax over the first k + 1 coordinates (none when k = 0)
+    places the breakpoints in (0, Q_CAP). At finite temperature a second one
+    gives the k free levels in (0, 1) under the pinned top level 1, and the
+    tail is 0. At zero temperature exponentiated increments give the
+    nondecreasing levels and the last coordinate is log c, both clipped to
+    [-60, 60] in the exponent so that rogue line-search steps cannot
+    overflow. The arithmetic follows numpy's order step for step.
+    """
+    r = raw.tolist()
     n_q = k + 1 if k else 0
-    levels, tail, pull_levels = temp.levels_from_raw(raw[n_q:])
-    if not k:
-        return (), levels, tail, lambda gq, g_lev, g_tail: pull_levels(g_lev, g_tail)
-    p, partial = _cum_softmax(raw[:n_q])
+    rq, rl = r[:n_q], r[n_q:]
+    top_q, top_l = max(rq, default=0.0), max(rl)
+    args = [v - top_q for v in rq]
+    args += [v - top_l for v in rl] if pinned else [min(max(v, -60.0), 60.0) for v in rl]
+    e = np.exp(args).tolist()
+    q_soft = _softmax_partials(e[:n_q]) if n_q else ([], [])
+    qs = tuple(Q_CAP * v for v in q_soft[1])
+    if pinned:
+        lev_soft = _softmax_partials(e[n_q:])
+        return qs, (*lev_soft[1], 1.0), 0.0, q_soft, lev_soft
+    incr, c = e[n_q:-1], e[-1]
+    return qs, tuple(_cumsum(incr)), c, q_soft, (incr, c)
 
-    def pullback(gq, g_lev, g_tail):
-        return np.concatenate(
-            [Q_CAP * _cum_softmax_vjp(p, partial, gq), pull_levels(g_lev, g_tail)]
-        )
 
-    return tuple(Q_CAP * partial), levels, tail, pullback
-
-
-def _raw_objective(raw: np.ndarray, m: Mixture, k: int, temp: _Temperature):
-    qs, levels, tail, pullback = _decode(raw, k, temp)
-    value, gq, g_lev, g_tail = _step_value_grad(m, temp.beta, qs, levels, tail)
-    return value, pullback(gq, g_lev, g_tail)
+def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
+    """Value and raw-coordinate gradient of the functional at beta (zero
+    temperature when None) with k breakpoints."""
+    qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta is not None)
+    value, gq, g_lev, g_tail = _step_value_grad(m, beta, qs, levels, tail)
+    grad = [Q_CAP * v for v in _softmax_pullback(*q_soft, gq)]
+    if beta is not None:
+        grad += _softmax_pullback(*lev_aux, g_lev)
+    else:
+        incr, c = lev_aux
+        grad += [a * s for a, s in zip(incr, _cumsum(g_lev.tolist()[::-1])[::-1])]
+        grad.append(g_tail * c)
+    return value, np.array(grad)
 
 
 def _split_widest_gap(qs, levels, tail, temp: _Temperature) -> np.ndarray:
@@ -785,12 +806,12 @@ def _level_candidate(m: Mixture, temp: _Temperature, k: int, cfg: SolverConfig, 
         res = minimize(
             _raw_objective,
             raw0,
-            args=(m, k, temp),
+            args=(m, k, temp.beta),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
-        qs, levels, tail, _ = _decode(res.x, k, temp)
+        qs, levels, tail = _decode(res.x, k, temp.pinned)[:3]
         key = (round(float(res.fun), 12), qs, levels, tail)
         if best is None or key < best:
             best = key
@@ -904,11 +925,45 @@ def _polish(m: Mixture, temp: _Temperature, qs, levels, tail, value: float):
     return state, new_value
 
 
-def _solve(m: Mixture, temp: _Temperature, cfg: SolverConfig):
+# equal inputs solve once per process; the memo keeps this many answers
+_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool):
     """Refine the atom count k = 0, 1, ... until the certificate
     passes and a further level gains less than atom_tol. Returns the
     certified answer with the smallest k among those within atom_tol of the
-    best certified value; raises SolverFailedError when none certifies."""
+    best certified value; raises SolverFailedError when none certifies.
+
+    beta None is zero temperature. Inputs arrive validated and normalised
+    (beta a float, cfg a SolverConfig), so equal inputs share one memo entry;
+    an error is not memoised.
+    """
+    if beta is None:
+        temp = _Temperature(
+            beta=None,
+            substream=1 << 20,
+            start_scale=1.0,
+            levels_to_raw=_zt_levels_raw,
+            order=lambda qs, levels, tail: ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail),
+            certify=lambda order: zero_temp_certificate(
+                m, order, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
+            ),
+            result=ZtResult,
+        )
+    else:
+        temp = _Temperature(
+            beta=beta,
+            substream=0,
+            start_scale=1.5,
+            levels_to_raw=_cs_levels_raw,
+            order=lambda qs, levels, tail: OrderParameter(qs, levels[:-1]),
+            certify=lambda x: talagrand_certificate(
+                m, beta, x, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
+            ),
+            result=CsResult,
+        )
     mass_tol = max(cfg.atom_tol * 10, 1e-6)
     history = []
     warm = None
@@ -956,24 +1011,14 @@ def cs_minimize(
     passes and a further level brings less than atom_tol improvement.
     The atom cap is config.k_max (3 without a config). Raises
     SolverFailedError when no k up to the cap certifies.
+
+    Equal inputs return one shared immutable result per process (no config
+    and SolverConfig() are equal inputs, as are an int beta and its float);
+    an error is not cached and is raised again on every call.
     """
-    if beta <= 0.0:
-        raise BadInputError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     _check_field(m, allow_field)
-    cfg = config or SolverConfig()
-    temp = _Temperature(
-        beta=beta,
-        substream=0,
-        start_scale=1.5,
-        levels_from_raw=_cs_levels,
-        levels_to_raw=_cs_levels_raw,
-        order=lambda qs, levels, tail: OrderParameter(qs, levels[:-1]),
-        certify=lambda x: talagrand_certificate(
-            m, beta, x, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
-        ),
-        result=CsResult,
-    )
-    return _solve(m, temp, cfg)
+    return _solve(m, float(beta), config or SolverConfig(), allow_field)
 
 
 def zt_minimize(
@@ -988,22 +1033,13 @@ def zt_minimize(
     with the strict two-level flag filled in. The atom cap is config.k_max;
     without a config it is ZT_K_MAX (2). Raises SolverFailedError when no k
     up to the cap certifies.
+
+    Equal inputs return one shared immutable result per process (no config
+    and SolverConfig(k_max=ZT_K_MAX) are equal inputs); an error is not
+    cached and is raised again on every call.
     """
     _check_field(m, allow_field)
-    cfg = config or SolverConfig(k_max=ZT_K_MAX)
-    temp = _Temperature(
-        beta=None,
-        substream=1 << 20,
-        start_scale=1.0,
-        levels_from_raw=_zt_levels,
-        levels_to_raw=_zt_levels_raw,
-        order=lambda qs, levels, tail: ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail),
-        certify=lambda order: zero_temp_certificate(
-            m, order, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
-        ),
-        result=ZtResult,
-    )
-    return _solve(m, temp, cfg)
+    return _solve(m, None, config or SolverConfig(k_max=ZT_K_MAX), allow_field)
 
 
 # ================================================================ criticality
@@ -1029,13 +1065,25 @@ def _rs_profile_sup(m: Mixture, beta: float) -> float:
 def beta_c(m: Mixture, tol: float = 1e-8, beta_max: float = 64.0) -> float:
     """Critical inverse temperature: largest beta at which the minimum is
     attained at the replica-symmetric point, located by bisection on the
-    replica-symmetric optimality test.
+    replica-symmetric optimality test to within tol.
+
+    Equal inputs return one shared result per process; an error is not
+    cached and is raised again on every call.
     """
+    if not 0.0 < tol < math.inf:
+        raise BadInputError(f"bisection tolerance must be positive and finite, got {tol}")
+    if not 0.0 < beta_max < math.inf:
+        raise BadInputError(f"beta_max must be positive and finite, got {beta_max}")
     if m.has_linear:
         raise NotBracketedError(
             "a degree-1 component destabilizes the replica-symmetric point at "
             "every positive beta; no critical temperature exists"
         )
+    return _beta_c(m, float(tol), float(beta_max))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _beta_c(m: Mixture, tol: float, beta_max: float) -> float:
     lo = 1e-9
     if _rs_profile_sup(m, lo) > 0.0:
         raise NotBracketedError("replica-symmetric point already unstable at beta ~ 0")
@@ -1044,6 +1092,8 @@ def beta_c(m: Mixture, tol: float = 1e-8, beta_max: float = 64.0) -> float:
     hi = beta_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink below tol
         if _rs_profile_sup(m, mid) <= 0.0:
             lo = mid
         else:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import spinglass.cli as cli
+from spinglass import rsb
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
 from spinglass.rsb import SolverConfig
@@ -16,6 +17,12 @@ def pure3(tmp_path):
     path = tmp_path / "pure3.json"
     path.write_text(json.dumps({"coeffs": {"3": 1.0}}))
     return str(path)
+
+
+def _clear_solver_caches():
+    """Forget memoised solves, so that a replay recomputes them."""
+    rsb._solve.cache_clear()
+    rsb._beta_c.cache_clear()
 
 
 def _run(args, tmp_path):
@@ -114,6 +121,7 @@ def test_run_config_replays_parisi_zero_temp_byte_for_byte(tmp_path):
     first = out.read_bytes()
     config = tmp_path / "config.json"
     config.write_text(json.dumps(artifact["config"]))
+    _clear_solver_caches()
     replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
     assert replay.exit_code == 0, replay.output
     assert replay.output == result.output
@@ -182,6 +190,7 @@ def test_run_config_replays_landscape_gs_byte_for_byte(tmp_path):
         "command": "landscape", "mixture": {"coeffs": coeffs},
         "params": {"gs": True, "qgrid": "0.5:1:0.5"}, "out": str(out),
     }))
+    _clear_solver_caches()
     replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
     assert replay.exit_code == 0, replay.output
     assert replay.output == result.output

@@ -198,6 +198,14 @@ def test_curve_workers_match_serial():
     assert serial.r_star == threaded.r_star
 
 
+def test_threaded_curve_repeats_its_rows():
+    m = Mixture(T34_MIX)
+    grid = (0.3, 0.6, 0.9)
+    first = ground_state_curve(m, grid, workers=3)
+    again = ground_state_curve(m, grid, workers=3)
+    assert (first.e_star, first.r_star) == (again.e_star, again.r_star)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_curve_failure_carries_the_rows_solved_before_it(workers):
     m = Mixture({2: 0.5, 4: 0.5})  # no atomic order certifies at q = 0.3
@@ -388,6 +396,22 @@ def test_fprime_rejects_bad_step():
         fprime_identity(pure(3), 1.8, step=0.0)
     with pytest.raises(BadInputError):
         fprime_identity(pure(3), 1.8, step=2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: identity_esrs(pure(3), float("nan")),
+        lambda: fprime_identity(pure(3), 1.8, step=float("nan")),
+        lambda: fprime_identity(pure(3), float("inf")),
+        lambda: chain_bound(pure(3), 1.8, eps=float("nan")),
+        lambda: chain_bound(pure(3), 1.8, eps=float("inf")),
+    ],
+    ids=["esrs-beta", "fprime-step", "fprime-beta", "chain-eps-nan", "chain-eps-inf"],
+)
+def test_non_finite_inputs_are_bad_input(call):
+    with pytest.raises(BadInputError):
+        call()
 
 
 def test_complexity_eval_requires_finite_rate():

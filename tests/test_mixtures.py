@@ -154,6 +154,14 @@ def test_rejects_negative_coefficient():
         Mixture({2: -0.5})
 
 
+@pytest.mark.parametrize(
+    "coeffs, const_term", [({2: float("nan")}, 0.0), ({2: float("inf")}, 0.0), ({2: 1.0}, float("nan"))]
+)
+def test_rejects_non_finite_coefficient(coeffs, const_term):
+    with pytest.raises(MixtureError):
+        Mixture(coeffs, const_term=const_term)
+
+
 def test_rejects_degree_zero_key():
     with pytest.raises(MixtureError):
         Mixture({0: 1.0})

@@ -1,6 +1,8 @@
 """Variational layer: quadrature oracles, gradients, solver regressions."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from spinglass.errors import (
     RegimeMismatchError,
     SolverFailedError,
 )
+from spinglass import rsb
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import (
+    Q_CAP,
+    ZT_K_MAX,
     OptimalityCertificate,
     OrderParameter,
     SolverConfig,
@@ -52,6 +57,12 @@ T3_GS_SLOPE = 0.6250208221069993
 T3_GS_C = 0.34399251380682466
 
 BETA_C_T3 = 1.2065557512021616
+
+
+def clear_solver_caches():
+    """Forget memoised solves, so that the next call recomputes."""
+    rsb._solve.cache_clear()
+    rsb._beta_c.cache_clear()
 
 
 def random_mixture(rng, max_terms=3):
@@ -375,6 +386,75 @@ def test_zt_gradient_matches_finite_differences():
         fd_check_zt(m, order)
 
 
+# --------------------------------------------------- raw-coordinate objective
+# The array implementation the scalar objective replaced, kept as its
+# reference: the scalar one must give the same values and gradients bit for
+# bit, so that every solve takes the same L-BFGS path.
+
+
+def _cum_softmax(raw):
+    z = raw - raw.max()
+    e = np.exp(z)
+    p = e / e.sum()
+    return p, np.cumsum(p)[:-1]
+
+
+def _cum_softmax_vjp(p, partial, g):
+    if len(g) == 0:
+        return np.zeros_like(p)
+    suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
+    return p * (suffix - float(g @ partial))
+
+
+def _cs_levels(raw):
+    p, partial = _cum_softmax(raw)
+    return (*partial, 1.0), 0.0, lambda g_lev, g_tail: _cum_softmax_vjp(p, partial, g_lev)
+
+
+def _zt_levels(raw):
+    incr = np.exp(np.clip(raw[:-1], -60.0, 60.0))
+    c = float(np.exp(np.clip(raw[-1], -60.0, 60.0)))
+
+    def pullback(g_lev, g_tail):
+        return np.concatenate([incr * np.cumsum(g_lev[::-1])[::-1], [g_tail * c]])
+
+    return tuple(np.cumsum(incr)), c, pullback
+
+
+def reference_raw_objective(raw, m, k, beta):
+    n_q = k + 1 if k else 0
+    levels, tail, pull_levels = (_zt_levels if beta is None else _cs_levels)(raw[n_q:])
+    qs = ()
+    if k:
+        p, partial = _cum_softmax(raw[:n_q])
+        qs = tuple(Q_CAP * partial)
+    value, gq, g_lev, g_tail = rsb._step_value_grad(m, beta, qs, levels, tail)
+    grad = pull_levels(g_lev, g_tail)
+    if k:
+        grad = np.concatenate([Q_CAP * _cum_softmax_vjp(p, partial, gq), grad])
+    return value, grad
+
+
+@pytest.mark.parametrize("beta", [1.7, None], ids=["finite", "zero"])
+def test_raw_objective_is_bit_identical_to_the_array_reference(beta):
+    # k = 7, 8 put 8 and 9 terms under one softmax sum, where numpy sums
+    # pairwise; scale 30 drives zero-temperature exponents past the +-60 clip
+    rng = np.random.default_rng(2024)
+    mixtures = [Mixture({2: 0.5, 4: 0.5}), Mixture({3: 1.0, 4: 0.3}), Mixture(TWO_RSB_MIX)]
+    clipped = 0
+    for n in range(2100):
+        k, scale = n % 9, (1.0, 3.0, 30.0)[n % 3]
+        size = (k + 1 if k else 0) + k + 1 + (0 if beta is not None else 1)
+        raw = rng.normal(0.0, scale, size)
+        clipped += bool(np.any(np.abs(raw) > 60.0))
+        m = mixtures[n % len(mixtures)]
+        value, grad = rsb._raw_objective(raw, m, k, beta)
+        ref_value, ref_grad = reference_raw_objective(raw, m, k, beta)
+        assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
+        assert grad.dtype == ref_grad.dtype and np.array_equal(grad, ref_grad, equal_nan=True)
+    assert clipped > 50
+
+
 # ------------------------------------------------------------------ minimizers
 
 
@@ -434,6 +514,7 @@ def test_minimize_monotone_in_allowed_steps():
 
 def test_minimize_deterministic_and_seed_stable():
     a = cs_minimize(pure(3), T3_BETA)
+    clear_solver_caches()
     b = cs_minimize(pure(3), T3_BETA)
     assert a.value == b.value and a.x_star == b.x_star
     c = cs_minimize(pure(3), T3_BETA, config=SolverConfig(seed=2024))
@@ -527,6 +608,28 @@ def test_certificate_mesh_floor():
         zero_temp_certificate(pure(3), ZeroTempOrder.constant(0.5, 0.5), mesh=50)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("residuals_at_support", (0.0, float("nan"))), ("max_offsupport_violation", float("nan")),
+     ("edge_residual", float("nan"))],
+)
+def test_certificate_with_a_nan_residual_does_not_pass(field, value):
+    clean = dict(
+        sup_phi=0.0, residuals_at_support=(0.0, 0.0), max_offsupport_violation=0.0,
+        tolerance=1e-6, support=(0.0, 0.5), kind="zero_temp", edge_residual=0.0,
+    )
+    assert OptimalityCertificate(**clean).passes
+    assert not OptimalityCertificate(**{**clean, field: value}).passes
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+def test_non_finite_beta_is_bad_input(beta):
+    with pytest.raises(BadInputError):
+        cs_minimize(pure(3), beta)
+    with pytest.raises(BadInputError):
+        talagrand_certificate(pure(3), beta, OrderParameter.rs())
+
+
 def test_zero_temp_certificate_rejects_flat_profile_for_cubic():
     # For the pure cubic the flat profile is not optimal at any c.
     slope = pure(3).eval(1.0, 1)
@@ -557,6 +660,18 @@ def test_beta_c_cubic_brackets_transition():
     above = cs_minimize(pure(3), 1.05 * bc)
     assert above.x_star.k >= 1
     assert above.value < rs_value(pure(3), 1.05 * bc)
+
+
+@pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1.0}, {"beta_max": float("nan")}])
+def test_beta_c_rejects_a_tolerance_or_cap_it_cannot_bisect_to(kw):
+    # a zero or negative tol used to bisect forever, and beta_max=nan returned nan
+    with pytest.raises(BadInputError):
+        beta_c(pure(3), **kw)
+
+
+def test_beta_c_stops_when_the_bracket_reaches_adjacent_floats():
+    # a tol below one ulp of beta_c used to bisect forever
+    assert beta_c(pure(2), tol=1e-300) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
 
 
 def test_beta_c_not_bracketed_cases():
@@ -600,6 +715,57 @@ def test_pushforward_rejects_off_support_point():
         pushforward_check(pure(3), T3_BETA, 0.3)
 
 
+# ----------------------------------------------------------------------- memo
+
+
+def test_equal_inputs_share_one_result():
+    m = pure(2)
+    assert cs_minimize(m, 2) is cs_minimize(m, 2.0, config=SolverConfig())
+    assert zt_minimize(m) is zt_minimize(m, config=SolverConfig(k_max=ZT_K_MAX))
+    assert beta_c(m) is beta_c(m, tol=1e-8, beta_max=64)
+
+
+def test_a_different_seed_or_field_opt_in_is_a_new_solve():
+    m = pure(2)
+    base = cs_minimize(m, 0.5)
+    misses = rsb._solve.cache_info().misses
+    assert cs_minimize(m, 0.5, config=SolverConfig(seed=7)) is not base
+    assert cs_minimize(m, 0.5, allow_field=True) is not base
+    assert rsb._solve.cache_info().misses == misses + 2
+
+
+def test_a_failing_solve_raises_on_every_call():
+    m = Mixture({2: 0.8, 4: 0.2})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SolverFailedError) as info:
+            zt_minimize(m, config=SolverConfig(k_max=0))
+        errors.append(info.value)
+    assert errors[0] is not errors[1]
+
+
+def test_threads_racing_for_one_memo_entry_get_equal_answers():
+    # more threads than cores miss on the same keys at once
+    m, cfg = pure(2), SolverConfig(starts=2, seed=911)
+    betas = (0.4, 0.6) * 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(cs_minimize, m, beta, cfg) for beta in betas]
+            results = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for beta, res in zip(betas, results):
+        again = cs_minimize(m, beta, cfg)
+        assert (res.value, res.x_star) == (again.value, again.x_star)
+
+
+def test_the_memo_is_bounded():
+    for cached in (rsb._solve, rsb._beta_c):
+        assert isinstance(cached.cache_info().maxsize, int)
+
+
 # ------------------------------------------------------------- config and gate
 
 
@@ -626,7 +792,9 @@ def test_solver_config_from_json_rejects_bad_input(text):
 
 @pytest.mark.parametrize(
     "kw",
-    [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}, {"mesh": 50}],
+    [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}, {"mesh": 50},
+     {"k_max": 2.5}, {"starts": 1.5}, {"seed": 4.5}, {"mesh": 2000.5}, {"cert_tol": float("inf")},
+     {"atom_tol": float("inf")}],
 )
 def test_solver_config_rejects_values_the_engine_cannot_run(kw):
     with pytest.raises(BadInputError):
