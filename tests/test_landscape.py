@@ -17,7 +17,7 @@ from spinglass.errors import (
     SingularMatrixError,
     SolverFailedError,
 )
-from spinglass import landscape
+from spinglass import landscape, rsb
 from spinglass.landscape import (
     ComplexityEval,
     GroundStateCurve,
@@ -198,12 +198,20 @@ def test_curve_workers_match_serial():
     assert serial.r_star == threaded.r_star
 
 
-def test_threaded_curve_repeats_its_rows():
+def test_threaded_curve_recomputes_the_serial_rows():
+    # Both runs start from empty solve caches, so the threaded rows are
+    # solved in threads rather than read back from the serial run's memo.
     m = Mixture(T34_MIX)
     grid = (0.3, 0.6, 0.9)
-    first = ground_state_curve(m, grid, workers=3)
-    again = ground_state_curve(m, grid, workers=3)
-    assert (first.e_star, first.r_star) == (again.e_star, again.r_star)
+    curves = []
+    for workers in (3, 1):
+        rsb._solve.cache_clear()
+        rsb._beta_c.cache_clear()
+        curves.append(ground_state_curve(m, grid, workers=workers))
+        assert rsb._solve.cache_info().misses >= len(grid)
+    threaded, serial = curves
+    assert threaded.e_star == serial.e_star
+    assert threaded.r_star == serial.r_star
 
 
 @pytest.mark.parametrize("workers", [1, 3])
