@@ -32,7 +32,7 @@ from .conditioning import (
 )
 from .errors import BadInputError, CapacityExceededError
 from .mixtures import Mixture
-from .rsb import _config_from_json
+from .rsb import _check_integer_fields, _config_from_json
 
 __all__ = [
     "ComplexityEstimate",
@@ -272,10 +272,11 @@ class MCConfig:
     chain_index: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer_fields(self, ("steps", "burn_in", "thin", "adapt_every", "chain_index"))
         if self.steps < 1 or self.burn_in < 0 or self.thin < 1:
             raise BadInputError("chain lengths must be positive")
-        if not self.step_size > 0.0:
-            raise BadInputError("step size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise BadInputError("step size must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:
             raise BadInputError("target acceptance must be in (0,1)")
         if self.adapt_every < 1:
@@ -288,7 +289,7 @@ class MCConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "MCConfig":
-        return _config_from_json(cls, text, "chain config", strict=True)
+        return _config_from_json(cls, text, "chain config")
 
 
 @dataclass(eq=False)
@@ -342,8 +343,8 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
     during burn-in and is frozen afterwards; every state is renormalized to
     the sphere after each move.
     """
-    if beta < 0.0:
-        raise BadInputError(f"inverse temperature must be nonnegative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise BadInputError(f"inverse temperature must be nonnegative and finite, got {beta}")
     cfg = config if config is not None else MCConfig()
     n = field.n
     radius = math.sqrt(n)

@@ -26,9 +26,9 @@ certificate profiles and both order types' tail integrals.
 One solver runs a seeded multistart quasi-Newton pass in unconstrained raw
 coordinates, canonicalizes the resulting atoms, polishes interior solutions
 by Newton root-finding on the gradient, and raises the atom count k until
-the answer certifies. cs_minimize and zt_minimize are its two instances:
-each only describes its temperature (raw-coordinate map, random-start
-stream and scale, pinned top level, certificate and result type).
+the answer certifies. Every engine function takes the one temperature
+switch beta, a float at finite temperature and None at zero temperature;
+cs_minimize and zt_minimize are its two settings.
 
 Optimality is certified by first-order conditions of obstacle type: the
 support of the order parameter must sit inside the argmax of an explicitly
@@ -47,7 +47,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar, root
@@ -250,11 +250,11 @@ class OptimalityCertificate:
         return self.edge_residual is None or self.edge_residual <= tol
 
 
-def _config_from_json(cls, text: str, what: str, strict: bool = False):
+def _config_from_json(cls, text: str, what: str):
     """Build the int/float-field config dataclass cls from a JSON object.
 
-    Raises BadInputError on unparsable text, a non-object, or a field of the
-    wrong type; unknown keys are ignored unless strict.
+    Raises BadInputError on unparsable text, a non-object, an unknown field
+    or a field of the wrong type.
     """
     try:
         obj = json.loads(text)
@@ -263,7 +263,7 @@ def _config_from_json(cls, text: str, what: str, strict: bool = False):
     if not isinstance(obj, dict):
         raise BadInputError(f"{what} must be a JSON object")
     kw = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-    if strict and len(kw) < len(obj):
+    if len(kw) < len(obj):
         raise BadInputError(f"{what} has unknown fields {sorted(set(obj) - set(kw))}")
     for f in fields(cls):
         # float fields also take JSON integers; no field takes a bool
@@ -272,6 +272,14 @@ def _config_from_json(cls, text: str, what: str, strict: bool = False):
             kind = type(f.default).__name__
             raise BadInputError(f"{what} field {f.name!r} must be {kind}, got {kw[f.name]!r}")
     return cls(**kw)
+
+
+def _check_integer_fields(config, names: Sequence[str]) -> None:
+    """Reject a config field in names that is a bool or not an integer."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise BadInputError(f"{name} must be an integer, got {value!r}")
 
 
 # atom cap of a zero-temperature solve when no config is given
@@ -288,10 +296,7 @@ class SolverConfig:
     mesh: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("k_max", "starts", "seed", "mesh"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise BadInputError(f"{name} must be an integer, got {value!r}")
+        _check_integer_fields(self, ("k_max", "starts", "seed", "mesh"))
         if self.k_max < 0:
             raise BadInputError(f"k_max must be non-negative, got {self.k_max}")
         if self.starts < 1:
@@ -573,8 +578,8 @@ def _refined_max(fun, grid_ts, grid_vals):
 
 
 def _certificate_mesh(mesh: int, anchor_pts: Sequence[float], top: float) -> np.ndarray:
-    if mesh < 100:
-        raise BadInputError(f"certificate mesh must be >= 100, got {mesh}")
+    if isinstance(mesh, bool) or not isinstance(mesh, numbers.Integral) or mesh < 100:
+        raise BadInputError(f"certificate mesh must be an integer >= 100, got {mesh!r}")
     ts = [np.linspace(0.0, top, mesh)]
     offs = np.geomspace(1e-9, 1e-2, 25)
     for q in anchor_pts:
@@ -695,43 +700,10 @@ def _softmax_pullback(p: list[float], partial: list[float], g: np.ndarray) -> li
     return [pj * (sj - dot) for pj, sj in zip(p, suffix)]
 
 
-def _cs_levels_raw(levels, tail) -> np.ndarray:
-    x = np.maximum.accumulate(np.clip(levels[:-1], 1e-6, 1.0 - 1e-6))
-    return np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), 1e-10, None))
-
-
-def _zt_levels_raw(levels, tail) -> np.ndarray:
-    incr = np.clip(np.diff(np.concatenate([[0.0], levels])), 1e-8, None)
-    return np.concatenate([np.log(incr), [math.log(max(tail, 1e-8))]])
-
-
-@dataclass(frozen=True)
-class _Temperature:
-    """What the shared solver needs to know about one of the two functionals.
-
-    beta is None at zero temperature. With beta set the top level is pinned
-    at 1, the tail is fixed at 0 and breakpoints stay below Q_CAP; at zero
-    temperature every level and the tail c are free. _decode maps raw
-    coordinates to both; levels_to_raw inverts its level and tail part.
-    """
-
-    beta: float | None
-    substream: int
-    start_scale: float
-    levels_to_raw: Callable
-    order: Callable  # (qs, levels, tail) -> OrderParameter | ZeroTempOrder
-    certify: Callable  # order -> OptimalityCertificate
-    result: type  # CsResult | ZtResult, both laid out (order, value, certificate)
-
-    @property
-    def pinned(self) -> bool:
-        return self.beta is not None
-
-
-def _decode(raw: np.ndarray, k: int, pinned: bool):
+def _decode(raw: np.ndarray, k: int, beta: float | None):
     """Raw coordinates -> (qs, levels, tail) as Python floats, plus what the
     gradient pullback reads: the breakpoint softmax (p, partial) and either
-    the level softmax (pinned) or the increments and c (zero temperature).
+    the level softmax (beta set) or the increments and c (beta None).
 
     A cumulative softmax over the first k + 1 coordinates (none when k = 0)
     places the breakpoints in (0, Q_CAP). At finite temperature a second one
@@ -741,6 +713,7 @@ def _decode(raw: np.ndarray, k: int, pinned: bool):
     [-60, 60] in the exponent so that rogue line-search steps cannot
     overflow. The arithmetic follows numpy's order step for step.
     """
+    pinned = beta is not None
     r = raw.tolist()
     n_q = k + 1 if k else 0
     rq, rl = r[:n_q], r[n_q:]
@@ -760,7 +733,7 @@ def _decode(raw: np.ndarray, k: int, pinned: bool):
 def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
     """Value and raw-coordinate gradient of the functional at beta (zero
     temperature when None) with k breakpoints."""
-    qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta is not None)
+    qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta)
     value, gq, g_lev, g_tail = _step_value_grad(m, beta, qs, levels, tail)
     grad = [Q_CAP * v for v in _softmax_pullback(*q_soft, gq)]
     if beta is not None:
@@ -772,12 +745,13 @@ def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
     return value, np.array(grad)
 
 
-def _split_widest_gap(qs, levels, tail, temp: _Temperature) -> np.ndarray:
+def _split_widest_gap(qs, levels, tail, beta: float | None) -> np.ndarray:
     """Raw warm start one level up: halve the widest gap between breakpoints
     and give the new left segment a lowered copy of the split segment's level."""
-    edges = (0.0, *qs, Q_CAP if temp.pinned else 1.0)
+    pinned = beta is not None
+    edges = (0.0, *qs, Q_CAP if pinned else 1.0)
     j = int(np.argmax(np.diff(edges)))
-    if temp.pinned and j == len(qs):
+    if pinned and j == len(qs):
         # the pinned top keeps the right half; the left half takes the level
         # below it (one half when there is none)
         new_level = levels[j - 1] if j else 0.5
@@ -785,53 +759,63 @@ def _split_widest_gap(qs, levels, tail, temp: _Temperature) -> np.ndarray:
         new_level = max(levels[j] - 0.05, 0.5 * levels[j])
     q_new = np.insert(qs, j, (edges[j] + edges[j + 1]) / 2.0)
     gq = np.clip(np.diff(np.concatenate([[0.0], q_new / Q_CAP, [1.0]])), 1e-10, None)
-    return np.concatenate([np.log(gq), temp.levels_to_raw(np.insert(levels, j, new_level), tail)])
+    lev = np.insert(levels, j, new_level)
+    # invert _decode's level part
+    if pinned:
+        x = np.maximum.accumulate(np.clip(lev[:-1], 1e-6, 1.0 - 1e-6))
+        raw_lev = np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), 1e-10, None))
+    else:
+        incr = np.clip(np.diff(np.concatenate([[0.0], lev])), 1e-8, None)
+        raw_lev = np.concatenate([np.log(incr), [math.log(max(tail, 1e-8))]])
+    return np.concatenate([np.log(gq), raw_lev])
 
 
-def _level_candidate(m: Mixture, temp: _Temperature, k: int, cfg: SolverConfig, warm):
+def _level_candidate(m: Mixture, beta: float | None, k: int, cfg: SolverConfig, warm):
     """Best candidate with k atoms from the seeded multistart plus a
     warm start split from the previous level's answer."""
-    if temp.pinned and not k:
+    pinned = beta is not None
+    if pinned and not k:
         return (), (1.0,), 0.0  # the replica-symmetric point has no free coordinate
+    sub, scale = (0, 1.5) if pinned else (1 << 20, 1.0)
     # the breakpoint softmax takes k + 1 coordinates (none when k = 0)
-    size = (k + 1 if k else 0) + k + 1 + (0 if temp.pinned else 1)
+    size = (k + 1 if k else 0) + k + 1 + (0 if pinned else 1)
     raws = [
-        stream(cfg.seed, STREAM_SOLVER, temp.substream | (k << 10) | s).normal(0.0, temp.start_scale, size)
+        stream(cfg.seed, STREAM_SOLVER, sub | (k << 10) | s).normal(0.0, scale, size)
         for s in range(cfg.starts)
     ]
     if warm is not None and len(warm[0]) == k - 1:
-        raws.append(_split_widest_gap(*warm, temp))
+        raws.append(_split_widest_gap(*warm, beta))
     best = None
     for raw0 in raws:
         res = minimize(
             _raw_objective,
             raw0,
-            args=(m, k, temp.beta),
+            args=(m, k, beta),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
-        qs, levels, tail = _decode(res.x, k, temp.pinned)[:3]
+        qs, levels, tail = _decode(res.x, k, beta)[:3]
         key = (round(float(res.fun), 12), qs, levels, tail)
         if best is None or key < best:
             best = key
     return best[1:]
 
 
-def _canonical(qs, levels, pinned: bool, merge_tol: float = 1e-7, mass_tol: float = 1e-6):
+def _canonical(qs, levels, beta: float | None, mass_tol: float = 1e-6):
     """Merge coincident atoms, drop massless ones, snap a tiny bottom level
-    to 0. levels has one entry per segment; when pinned, the top entry is the
-    level 1 and survives every merge."""
+    to 0. levels has one entry per segment; at finite temperature the top
+    entry is the pinned level 1 and survives every merge."""
     qs = list(map(float, qs))
     lev = list(map(float, levels))
     changed = True
     while changed:
         changed = False
-        # a breakpoint within merge_tol of its left neighbour (or of 0) goes
-        # with the narrow segment; the two jumps pool at their mass average
+        # a breakpoint within 1e-7 of its left neighbour (or of 0) goes with
+        # the narrow segment; the two jumps pool at their mass average
         for j in range(len(qs)):
             left = qs[j - 1] if j else 0.0
-            if qs[j] - left < merge_tol:
+            if qs[j] - left < 1e-7:
                 if j:
                     m_left, m_right = lev[j] - lev[j - 1], lev[j + 1] - lev[j]
                     qs[j - 1] = (
@@ -848,7 +832,7 @@ def _canonical(qs, levels, pinned: bool, merge_tol: float = 1e-7, mass_tol: floa
         # massless atoms: remove the breakpoint, width-average the level
         for j in range(len(qs)):
             if lev[j + 1] - lev[j] < mass_tol:
-                if pinned and j + 1 == len(qs):
+                if beta is not None and j + 1 == len(qs):
                     # the pinned top level extends down over the merged segment
                     qs.pop(j)
                     lev.pop(j)
@@ -865,11 +849,11 @@ def _canonical(qs, levels, pinned: bool, merge_tol: float = 1e-7, mass_tol: floa
     return tuple(qs), tuple(lev)
 
 
-def _feasible(qs, levels, tail, pinned: bool) -> bool:
+def _feasible(qs, levels, tail, beta: float | None) -> bool:
     """Breakpoints strictly increasing below the cap, levels nondecreasing
     from >= 0, and a top atom with mass under the pinned level 1 (finite
     temperature) or a positive c (zero temperature)."""
-    cap = Q_CAP + 1e-12 if pinned else 1.0
+    cap = Q_CAP + 1e-12 if beta is not None else 1.0
     prev = 0.0
     for q in qs:
         if not prev + 1e-12 < q < cap:
@@ -880,46 +864,46 @@ def _feasible(qs, levels, tail, pinned: bool) -> bool:
         if a < prev - 1e-14 or a < 0.0:
             return False
         prev = a
-    if pinned:
+    if beta is not None:
         return len(levels) == 1 or levels[-2] < 1.0
     return tail > 0.0
 
 
-def _polish(m: Mixture, temp: _Temperature, qs, levels, tail, value: float):
+def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
     """Newton polish of the stationarity system over the free coordinates.
 
     A level pinned at 0 stays pinned, as does the top level 1 at finite
     temperature; c is free at zero temperature. Keeps the result only if it
     stays feasible, moves by at most 1e-2 and does not increase the value.
     """
+    pinned = beta is not None
     k = len(qs)
-    free = list(range(1 if levels[0] == 0.0 else 0, k if temp.pinned else k + 1))
-    free_tail = not temp.pinned
+    free = list(range(1 if levels[0] == 0.0 else 0, k if pinned else k + 1))
     start = (qs, levels, tail), value
 
     def assemble(vec):
         lev = list(levels)
         for idx, pos in enumerate(free):
             lev[pos] = vec[k + idx]
-        return tuple(vec[:k]), tuple(lev), float(vec[-1]) if free_tail else tail
+        return tuple(vec[:k]), tuple(lev), tail if pinned else float(vec[-1])
 
     def fun(vec):
         state = assemble(vec)
-        if not _feasible(*state, temp.pinned):
+        if not _feasible(*state, beta):
             return np.full(len(vec), 1e6)
-        _, gq, g_lev, g_tail = _step_value_grad(m, temp.beta, *state)
-        return np.concatenate([gq, g_lev[free], [g_tail] if free_tail else []])
+        _, gq, g_lev, g_tail = _step_value_grad(m, beta, *state)
+        return np.concatenate([gq, g_lev[free], [] if pinned else [g_tail]])
 
-    v0 = np.concatenate([np.asarray(qs), np.asarray(levels)[free], [tail] if free_tail else []])
+    v0 = np.concatenate([np.asarray(qs), np.asarray(levels)[free], [] if pinned else [tail]])
     if not len(v0):
         return start
     sol = root(fun, v0, method="hybr", tol=1e-13)
     if not sol.success:
         return start
     state = assemble(sol.x)
-    if not _feasible(*state, temp.pinned) or np.max(np.abs(sol.x - v0)) > 1e-2:
+    if not _feasible(*state, beta) or np.max(np.abs(sol.x - v0)) > 1e-2:
         return start
-    new_value = _step_value_grad(m, temp.beta, *state)[0]
+    new_value = _step_value_grad(m, beta, *state)[0]
     if new_value > value + 1e-10:
         return start
     return state, new_value
@@ -936,52 +920,36 @@ def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool)
     certified answer with the smallest k among those within atom_tol of the
     best certified value; raises SolverFailedError when none certifies.
 
-    beta None is zero temperature. Inputs arrive validated and normalised
-    (beta a float, cfg a SolverConfig), so equal inputs share one memo entry;
-    an error is not memoised.
+    A float beta yields a CsResult certified by talagrand_certificate, None
+    (zero temperature) a ZtResult certified by zero_temp_certificate. Inputs
+    arrive validated and normalised (beta a float, cfg a SolverConfig), so
+    equal inputs share one memo entry; an error is not memoised.
     """
-    if beta is None:
-        temp = _Temperature(
-            beta=None,
-            substream=1 << 20,
-            start_scale=1.0,
-            levels_to_raw=_zt_levels_raw,
-            order=lambda qs, levels, tail: ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail),
-            certify=lambda order: zero_temp_certificate(
-                m, order, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
-            ),
-            result=ZtResult,
-        )
-    else:
-        temp = _Temperature(
-            beta=beta,
-            substream=0,
-            start_scale=1.5,
-            levels_to_raw=_cs_levels_raw,
-            order=lambda qs, levels, tail: OrderParameter(qs, levels[:-1]),
-            certify=lambda x: talagrand_certificate(
-                m, beta, x, mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field
-            ),
-            result=CsResult,
-        )
     mass_tol = max(cfg.atom_tol * 10, 1e-6)
+    opts = dict(mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field)
     history = []
     warm = None
     for k in range(cfg.k_max + 1):
-        state = _level_candidate(m, temp, k, cfg, warm)
+        state = _level_candidate(m, beta, k, cfg, warm)
         # cleanup and polish interleave until the structure is stable
         for _ in range(3):
             qs, levels, tail = state
-            qs, levels = _canonical(qs, levels, temp.pinned, mass_tol=mass_tol)
-            value = _step_value_grad(m, temp.beta, qs, levels, tail)[0]
-            polished, value = _polish(m, temp, qs, levels, tail, value)
+            qs, levels = _canonical(qs, levels, beta, mass_tol=mass_tol)
+            value = _step_value_grad(m, beta, qs, levels, tail)[0]
+            polished, value = _polish(m, beta, qs, levels, tail, value)
             stable = polished == state
             state = polished
             if stable:
                 break
-        order = temp.order(*state)
-        cert = temp.certify(order)
-        history.append(temp.result(order, float(value), cert))
+        qs, levels, tail = state
+        # the certificates are called by module name, so a patched one is seen
+        if beta is not None:
+            x = OrderParameter(qs, levels[:-1])
+            history.append(CsResult(x, float(value), talagrand_certificate(m, beta, x, **opts)))
+        else:
+            order = ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail)
+            history.append(ZtResult(order, float(value), zero_temp_certificate(m, order, **opts)))
+        cert = history[-1][2]
         warm = state
         if cert.passes and len(history) >= 2 and history[-2][1] - value < cfg.atom_tol:
             break

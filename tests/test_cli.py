@@ -290,6 +290,17 @@ def test_negative_rng_keys_exit_with_the_bad_input_code(pure3, args):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [["--beta", "nan"], ["--beta", "inf"], ["--step-size", "inf"]])
+def test_mc_gibbs_rejects_a_chain_it_cannot_run(pure3, flags):
+    result = CliRunner().invoke(
+        cli.main,
+        ["mc", "gibbs", "--mixture", pure3, "--N", "8", "--beta", "1", "--steps", "100",
+         "--burn-in", "20", "--thin", "5", *flags],
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 def test_mc_complexity_rejects_a_bad_thread_count(pure3, monkeypatch, threads):
     monkeypatch.setenv("SPINGLASS_THREADS", threads)

@@ -279,6 +279,22 @@ class TestGibbs:
         with pytest.raises(BadInputError):
             MCConfig.from_json(text)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"steps": 100.5}, {"steps": True}, {"burn_in": 2.5}, {"thin": 2.5}, {"thin": True},
+         {"adapt_every": 10.0}, {"chain_index": 1.5}, {"step_size": math.inf},
+         {"step_size": math.nan}],
+    )
+    def test_config_rejects_values_the_chain_cannot_run(self, kw):
+        with pytest.raises(BadInputError):
+            MCConfig(**kw)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_chain_rejects_a_beta_it_cannot_run(self, beta):
+        f = sample_field(Mixture({3: 1.0}), 4, seed=0)
+        with pytest.raises(BadInputError):
+            gibbs_mcmc(f, beta, MCConfig(steps=10, burn_in=0, thin=1))
+
     def test_infinite_temperature_chain_is_uniform(self):
         m = Mixture(MIX_23)
         f = sample_field(m, 48, seed=5)

@@ -19,6 +19,7 @@ from spinglass.errors import (
     SolverFailedError,
 )
 from spinglass import rsb
+from spinglass._rng import STREAM_SOLVER, stream
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import (
     Q_CAP,
@@ -608,6 +609,14 @@ def test_certificate_mesh_floor():
         zero_temp_certificate(pure(3), ZeroTempOrder.constant(0.5, 0.5), mesh=50)
 
 
+@pytest.mark.parametrize("mesh", [150.5, 2000.0, "2000"])
+def test_certificates_reject_a_non_integer_mesh(mesh):
+    with pytest.raises(BadInputError):
+        talagrand_certificate(Mixture({2: 1.0}), 0.5, OrderParameter.rs(), mesh=mesh)
+    with pytest.raises(BadInputError):
+        zero_temp_certificate(Mixture({2: 0.5, 4: 0.5}), ZeroTempOrder.constant(1.0, 1.0), mesh=mesh)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("residuals_at_support", (0.0, float("nan"))), ("max_offsupport_violation", float("nan")),
@@ -761,6 +770,39 @@ def test_threads_racing_for_one_memo_entry_get_equal_answers():
         assert (res.value, res.x_star) == (again.value, again.x_star)
 
 
+def test_multistart_keys_are_pinned_per_temperature(monkeypatch):
+    # every random start of level k, start s is the normal draw keyed by
+    # (seed, STREAM_SOLVER, substream | k << 10 | s) at the temperature's scale
+    starts_by_level = {}
+    real = rsb.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        k = kwargs["args"][1]
+        starts_by_level.setdefault(k, []).append(np.array(x0, copy=True))
+        return real(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(rsb, "minimize", recording)
+    cfg = SolverConfig(k_max=1, starts=2)
+    solves = [
+        (lambda: cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0, cfg), 0, 1.5, [1]),
+        (lambda: zt_minimize(Mixture({2: 0.3, 3: 0.7}), cfg), 1 << 20, 1.0, [0, 1]),
+    ]
+    for solve, sub, scale, k_levels in solves:
+        rsb._solve.cache_clear()
+        starts_by_level.clear()
+        try:
+            solve()
+        except SolverFailedError:
+            pass  # the starts are drawn either way
+        assert sorted(starts_by_level) == k_levels
+        for k, x0s in starts_by_level.items():
+            assert len(x0s) >= cfg.starts
+            for s, x0 in enumerate(x0s[: cfg.starts]):
+                key = sub | (k << 10) | s
+                expected = stream(cfg.seed, STREAM_SOLVER, key).normal(0.0, scale, x0.size)
+                assert np.array_equal(x0, expected), (k, s)
+
+
 def test_the_memo_is_bounded():
     for cached in (rsb._solve, rsb._beta_c):
         assert isinstance(cached.cache_info().maxsize, int)
@@ -788,6 +830,11 @@ def test_solver_config_json_round_trip():
 def test_solver_config_from_json_rejects_bad_input(text):
     with pytest.raises(BadInputError):
         SolverConfig.from_json(text)
+
+
+def test_solver_config_from_json_rejects_unknown_fields():
+    with pytest.raises(BadInputError, match=r"\['kmax', 'strats'\]"):
+        SolverConfig.from_json('{"kmax": 1, "strats": 2}')
 
 
 @pytest.mark.parametrize(
