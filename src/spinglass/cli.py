@@ -7,8 +7,9 @@ byte-identical artifacts.  A command's ``--config file.json`` supplies the
 defaults of its options, so explicit flags override config-file values.
 
 Exit codes: 0 success, 1 bad input (including click usage errors: unknown
-options or commands, mistyped flag or config values), 2 solver failure (or
-failed validation / failed sweep rows), 3 capacity exceeded.  When a
+options or commands, unknown config fields, mistyped flag or config values),
+2 solver failure (or failed validation / failed sweep rows), 3 capacity
+exceeded.  When a
 ``landscape`` grid point fails and ``--out FILE`` was given, the rows solved
 before the failure are written to ``FILE.partial``.
 """
@@ -107,12 +108,31 @@ class RunConfig:
         for name, value in kw.items():
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name]):
                 raise BadInputError(f"run config field {name!r} has the wrong type: {value!r}")
+        unknown = sorted(set(obj) - set(_FIELD_TYPES))
+        if kw["command"] in _BODIES:
+            options = _command_options(kw["command"])
+            unknown += [f"params.{name}" for name in sorted(set(kw.get("params", {})) - options)]
+        if unknown:
+            raise BadInputError(f"run config has unknown fields: {', '.join(unknown)}")
         return cls(**kw)
 
     def mixture_obj(self) -> Mixture:
         if self.mixture is None:
             raise BadInputError("this command requires a mixture (--mixture FILE)")
         return Mixture.from_json(json.dumps(self.mixture))
+
+
+# options every command shares; the config records them outside params
+_SHARED_OPTIONS = {"config", "seed", "out", "fmt", "mixture_path"}
+
+
+def _command_options(command: str) -> set[str]:
+    """The params keys a config of command may carry: the options of its
+    click command other than the shared ones."""
+    cmd = main
+    for part in command.split("."):
+        cmd = cmd.commands[part]
+    return {p.name for p in cmd.params} - _SHARED_OPTIONS
 
 
 def _read(path: str, what: str) -> str:
@@ -501,8 +521,10 @@ def _body_mc_gibbs(cfg: RunConfig) -> int:
         "max_norm_dev": norm_dev,
         "config": json.loads(cfg.to_json()),
     }
-    if run.samples.shape[0] >= 2:
-        hist = overlap_statistics(run, run)
+    if run.samples.shape[0] >= 1:
+        # two replicas: a partner chain on the same field and settings
+        partner = gibbs_mcmc(f, beta, dataclasses.replace(mc, chain_index=mc.chain_index + 1))
+        hist = overlap_statistics(run, partner)
         report["overlap_mean"] = hist.mean
         report["overlap_std"] = hist.std
     click.echo(
@@ -671,7 +693,8 @@ def cmd_mc_complexity(**kw):
 @click.option("--dump", type=click.Path(), default=None, help="Write samples to a binary dump.")
 @_common
 def cmd_mc_gibbs(**kw):
-    """Run one Metropolis chain and report chain diagnostics."""
+    """Run one Metropolis chain and report its diagnostics, with the overlap
+    against a second chain (the next chain index) on the same field."""
     _run("mc.gibbs", **kw)
 
 

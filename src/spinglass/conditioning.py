@@ -6,8 +6,8 @@ finite point set reduce to closed forms in the mixture and its first few
 derivatives. This module assembles those joint covariance matrices, does
 textbook Gaussian conditioning on them, and packages the two structured
 consequences used elsewhere: the law of the field on a band slice given
-pinned values and gradients along an anchor chain, and the reduction of
-that law to a fresh sphere in the unconstrained coordinates.
+pinned values and gradients along an anchor chain, and the pinned system
+behind the conditioned Franz-Parisi potential.
 """
 
 import math
@@ -17,14 +17,9 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    BadInputError,
-    RegimeMismatchError,
-    SingularBlockError,
-    SingularMatrixError,
-)
+from .errors import BadInputError, SingularBlockError, SingularMatrixError
 from .landscape import _free_energy_slope, ground_state_point
-from .mixtures import Mixture, section_half_width, sigma_inverse, tau_mix
+from .mixtures import Mixture, sigma_inverse
 from .rsb import SolverConfig
 
 _OVERLAP_TOL = 1e-8
@@ -37,15 +32,15 @@ _OVERLAP_TOL = 1e-8
 class BandGeometry:
     """Anchor chain for band conditioning.
 
-    The canonical anchors stack the overlap increments along the first
-    depth coordinate axes, so the anchor inner products reproduce the
-    ladder exactly and the orthogonal complement of the chain is spanned
-    by the remaining standard basis vectors.
+    The anchors are always the canonical ones: they stack the overlap
+    increments along the first depth coordinate axes, so the anchor inner
+    products reproduce the ladder exactly and the orthogonal complement of
+    the chain is spanned by the remaining standard basis vectors.
     """
 
     ladder: tuple[float, ...]
     n: int
-    anchors: np.ndarray = field(default=None, repr=False)
+    anchors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ladder = tuple(float(q) for q in self.ladder)
@@ -59,13 +54,7 @@ class BandGeometry:
             prev = q
         if self.n < len(ladder):
             raise BadInputError(f"need at least {len(ladder)} coordinates, got {self.n}")
-        if self.anchors is None:
-            object.__setattr__(self, "anchors", self._canonical_anchors())
-        else:
-            anchors = np.asarray(self.anchors, dtype=float)
-            if anchors.shape != (len(ladder), self.n):
-                raise BadInputError(f"anchors must have shape {(len(ladder), self.n)}")
-            object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchors", self._canonical_anchors())
         gram = self.anchors @ self.anchors.T / self.n
         want = np.minimum.outer(np.array(ladder), np.array(ladder))
         if np.max(np.abs(gram - want)) > _OVERLAP_TOL:
@@ -95,13 +84,11 @@ class BandGeometry:
 
 @dataclass(frozen=True, eq=False)
 class ConditioningEvent:
-    """Pinned values along a chain: per-level energies and radial slopes,
-    optionally a normalized energy at an external point."""
+    """Pinned values along a chain: per-level energies and radial slopes."""
 
     e_vec: tuple[float, ...]
     r_vec: tuple[float, ...]
     geometry: BandGeometry
-    E: float | None = None
 
     def __post_init__(self) -> None:
         e_vec = tuple(float(v) for v in self.e_vec)
@@ -113,21 +100,6 @@ class ConditioningEvent:
                 f"need {self.geometry.depth} per-level targets, got "
                 f"{len(e_vec)} energies and {len(r_vec)} slopes"
             )
-
-    def in_window(self, f_prime: float, e_stars, r_stars, eps: float) -> bool:
-        """Membership of the pinned values in the eps window around the
-        reference energies and slopes (and f_prime, when E is set)."""
-        if eps <= 0.0:
-            raise BadInputError("window width must be positive")
-        if self.E is not None and abs(self.E - f_prime) >= eps:
-            return False
-        for e, e_ref in zip(self.e_vec, e_stars):
-            if abs(e - e_ref) >= eps:
-                return False
-        for r, r_ref in zip(self.r_vec, r_stars):
-            if abs(r - r_ref) >= eps:
-                return False
-        return True
 
 
 # ============================================== derivative covariance algebra
@@ -208,17 +180,6 @@ def derivative_covariances(m: Mixture, points, which) -> np.ndarray:
     return out
 
 
-def covariance_csv(labels, matrix: np.ndarray) -> str:
-    """Row-major CSV dump of a labeled covariance matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (len(labels), len(labels)):
-        raise BadInputError("label count must match the matrix dimension")
-    lines = [",".join(str(lab) for lab in labels)]
-    for row in matrix:
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # ==================================================== Gaussian conditioning
 
 
@@ -268,40 +229,32 @@ def schur_condition(
 # ======================================================== band conditioning
 
 
-def _chain_functionals(geometry: BandGeometry):
-    """Constraint functionals along the anchor chain: one value and one
-    increment-direction derivative per level plus the full tangential
-    gradient, in the canonical frame where the chain spans the leading
-    coordinate axes."""
+def chain_constraint_set(geometry: BandGeometry, event: ConditioningEvent):
+    """Constraint functionals, display labels and pinned raw values along
+    the anchor chain: per level one value (the extensive energy) and one
+    increment-direction derivative (the unnormalized slope), then the
+    tangential gradient (pinned to zero), in the canonical frame where the
+    chain spans the leading coordinate axes. Extra eval points appended
+    after the anchors keep indices starting at the chain depth."""
     n = geometry.n
     eye = np.eye(n)
     anchors = geometry.anchors
-    funcs, labels = [], []
+    qs = (0.0, *geometry.ladder)
+    funcs, labels, vals = [], [], []
     prev = np.zeros(n)
-    for i, _ in enumerate(geometry.ladder):
+    for i in range(geometry.depth):
         funcs.append(("value", i))
         labels.append(f"H@x{i + 1}")
+        vals.append(n * event.e_vec[i])
         funcs.append(("deriv", i, anchors[i] - prev))
         labels.append(f"dR@x{i + 1}")
+        vals.append(n * (qs[i + 1] - qs[i]) * event.r_vec[i])
         for j in range(i + 1, n):
             funcs.append(("deriv", i, eye[j]))
             labels.append(f"gperp{j + 1}@x{i + 1}")
-        prev = anchors[i]
-    return funcs, labels
-
-
-def chain_constraint_values(geometry: BandGeometry, event: ConditioningEvent):
-    """Raw pinned values for the chain functionals of the geometry: the
-    extensive energies, the unnormalized increment derivatives, and zeros
-    for the tangential gradients."""
-    n = geometry.n
-    qs = (0.0, *geometry.ladder)
-    vals = []
-    for i in range(geometry.depth):
-        vals.append(n * event.e_vec[i])
-        vals.append(n * (qs[i + 1] - qs[i]) * event.r_vec[i])
         vals.extend([0.0] * (n - i - 1))
-    return np.array(vals)
+        prev = anchors[i]
+    return funcs, labels, np.array(vals)
 
 
 def band_kernel(
@@ -337,75 +290,6 @@ def band_kernel(
     shifted, _, _ = m.shift_restrict(q_top)
     mean = float(event.e_vec[-1]) if event is not None else 0.0
     return mean, float(shifted.eval(t - q_top))
-
-
-# ======================================================== sphere reduction
-
-
-@dataclass(frozen=True)
-class SphereReduction:
-    """Affine change of variables from the band slice to a fresh sphere of
-    dimension n - depth, together with the matching (energy, slope) map."""
-
-    n: int
-    depth: int
-    e_top: float
-    q_lo: float
-    q_next: float
-    anchor_top: np.ndarray
-
-    @property
-    def prefactor(self) -> float:
-        """Field normalization sqrt((n - depth)/n); its reciprocal scales
-        the per-site energy and slope in forward()."""
-        return math.sqrt((self.n - self.depth) / self.n)
-
-    @property
-    def gap(self) -> float:
-        return self.q_next - self.q_lo
-
-    def point_map(self, z: np.ndarray) -> np.ndarray:
-        """Embed a point of the reduced sphere into the band slice."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n - self.depth,):
-            raise BadInputError(f"reduced points have length {self.n - self.depth}")
-        out = self.anchor_top.copy()
-        out[self.depth:] += math.sqrt(self.n * self.gap / (self.n - self.depth)) * z
-        return out
-
-    def forward(self, e: float, r: float) -> tuple[float, float]:
-        """Ambient (energy, radial slope) to reduced-sphere coordinates."""
-        return (e - self.e_top) / self.prefactor, self.gap * r / self.prefactor
-
-    def inverse(self, e_red: float, r_red: float) -> tuple[float, float]:
-        return self.e_top + self.prefactor * e_red, self.prefactor * r_red / self.gap
-
-
-def reduce_to_sphere(
-    m: Mixture,
-    geometry: BandGeometry,
-    event: ConditioningEvent,
-    q_next: float = 1.0,
-) -> tuple[Mixture, SphereReduction]:
-    """Reduced mixture and coordinate maps for the conditional field on
-    the band slice, recentered at the top anchor and rescaled to a sphere
-    in the unconstrained coordinates."""
-    if event.geometry.ladder != geometry.ladder or event.geometry.n != geometry.n:
-        raise BadInputError("event was built for a different geometry")
-    q_top = geometry.q_top
-    if not q_top < q_next <= 1.0:
-        raise BadInputError(f"next radius must be in ({q_top}, 1], got {q_next}")
-    shifted, _, _ = m.shift_restrict(q_top)
-    reduced = shifted.scale_domain(q_next - q_top)
-    transform = SphereReduction(
-        n=geometry.n,
-        depth=geometry.depth,
-        e_top=float(event.e_vec[-1]),
-        q_lo=q_top,
-        q_next=float(q_next),
-        anchor_top=geometry.anchors[-1].copy(),
-    )
-    return reduced, transform
 
 
 # ================================================== Hessian decomposition
@@ -450,26 +334,6 @@ def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecompositio
 # ==================================== overlap-constrained mean and kernel
 
 
-@dataclass(frozen=True)
-class FPConditioning:
-    """Conditioning data for the constrained-overlap potential: the pinned
-    4-vector's covariance C, the cross-covariance v to a section point,
-    and the solved coefficients u, plus the scalar consequences: the
-    conditional mean per site and the two constant covariance terms."""
-
-    C: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    q1: float
-    r: float
-    rho: float
-    beta: float
-    tau: float
-    cond_mean_coeff: float
-    cond_cov_constants: tuple[float, float]
-    reduced: bool = False
-
-
 def conditioning_matrix(m: Mixture, q1: float) -> np.ndarray:
     """Covariance of the pinned vector at the anchor pair: energies at the
     reference point and anchor, then the radial and in-plane anchor
@@ -488,12 +352,6 @@ def conditioning_matrix(m: Mixture, q1: float) -> np.ndarray:
     )
 
 
-def pinned_rows(reduced: bool) -> list[int]:
-    """Rows of the pinned vector that enter the solve: all four, or all but
-    the anchor's radial derivative when reduced."""
-    return [0, 1, 3] if reduced else [0, 1, 2, 3]
-
-
 def section_vector(m: Mixture, q1: float, r: float, rho: float) -> np.ndarray:
     """Covariance of the field at a section point with the pinned vector."""
     rhop = m.eval(rho, 1)
@@ -507,45 +365,44 @@ def section_vector(m: Mixture, q1: float, r: float, rho: float) -> np.ndarray:
     )
 
 
+def _kept_rows(m: Mixture) -> list[int]:
+    """Rows of the pinned vector that enter the solve. For a single-degree
+    mixture the anchor's radial derivative is a deterministic function of
+    its energy, so that row would make the system singular and is dropped."""
+    return [0, 1, 3] if m.is_pure else [0, 1, 2, 3]
+
+
+@dataclass(frozen=True, eq=False)
+class FPConditioning:
+    """The solved pinned system of the constrained-overlap potential: the
+    covariance C of the pinned rows at anchor overlap q1 and the
+    coefficients u with C u = the reference values."""
+
+    m: Mixture
+    q1: float
+    C: np.ndarray
+    u: np.ndarray
+
+    def mean_coeff(self, r: float, rho: float) -> float:
+        """Conditional mean per site of the field at a section point with
+        overlaps r to the reference point and rho to the anchor."""
+        return float(section_vector(self.m, self.q1, r, rho)[_kept_rows(self.m)] @ self.u)
+
+
 def fp_conditioning(
     m: Mixture,
     beta: float,
     q1: float,
-    r: float,
-    rho: float,
-    pure_reduced: bool = False,
     config: SolverConfig | None = None,
 ) -> FPConditioning:
-    """Solve the pinned linear system at reference values (free-energy
+    """Solve the pinned linear system at reference values: free-energy
     slope, ground state and its slope at the anchor, zero in-plane
-    gradient) and contract it with the section vector.
-
-    For a single-degree mixture the radial derivative at the anchor is a
-    deterministic function of its energy and C is singular; pure_reduced
-    drops that row and column instead of failing.
-    """
-    if not -1.0 < r < 1.0:
-        raise BadInputError(f"reference overlap must be in (-1,1), got {r}")
-    if not 0.0 < q1 < 1.0:
-        raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
-    if abs(rho - r * q1) > section_half_width(q1, r) + 1e-12:
-        raise RegimeMismatchError(
-            f"section overlap {rho} outside the admissible interval around {r * q1}"
-        )
-    c_full = conditioning_matrix(m, q1)
-    v_full = section_vector(m, q1, r, rho)
+    gradient."""
+    rows = _kept_rows(m)
+    c = conditioning_matrix(m, q1)[np.ix_(rows, rows)]
     # the composite's cap, SolverConfig()'s, not the lower zero-temperature default
     e1, r1, _ = ground_state_point(m, q1, config=config or SolverConfig())
-    rhs_full = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])
-    keep = pinned_rows(pure_reduced)
-    if m.is_pure and not pure_reduced:
-        raise SingularMatrixError(
-            "the pinned covariance of a single-degree mixture is singular; "
-            "pass pure_reduced=True to drop the dependent radial row"
-        )
-    c = c_full[np.ix_(keep, keep)]
-    v = v_full[keep]
-    rhs = rhs_full[keep]
+    rhs = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])[rows]
     try:
         factor = cho_factor(c)
     except np.linalg.LinAlgError as exc:
@@ -553,17 +410,4 @@ def fp_conditioning(
     u = cho_solve(factor, rhs)
     if np.max(np.abs(c @ u - rhs)) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularMatrixError("pinned system solve failed the residual check")
-    tau = tau_mix(q1, r, rho)
-    return FPConditioning(
-        C=c,
-        v=v,
-        u=u,
-        q1=float(q1),
-        r=float(r),
-        rho=float(rho),
-        beta=float(beta),
-        tau=float(tau),
-        cond_mean_coeff=float(v @ u),
-        cond_cov_constants=(float(m.eval(tau)), float(v @ cho_solve(factor, v))),
-        reduced=bool(pure_reduced),
-    )
+    return FPConditioning(m=m, q1=float(q1), C=c, u=u)

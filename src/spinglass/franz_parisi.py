@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from scipy.optimize import minimize_scalar
 
-from .conditioning import fp_conditioning, pinned_rows, section_vector
+from .conditioning import FPConditioning, fp_conditioning
 from .errors import (
     BadInputError,
     KMismatchError,
@@ -164,8 +164,7 @@ class _LowContext:
     m: Mixture
     beta_prime: float
     q1: float
-    u: "object"
-    keep: list[int]
+    fpc: FPConditioning
     config: SolverConfig
 
 
@@ -189,16 +188,13 @@ def _low_context(
             f"solver support has k={res.x_star.k} at beta={beta}"
         )
     q1 = res.x_star.qs[0]
-    fpc = fp_conditioning(m, beta, q1, r=0.0, rho=0.0, pure_reduced=m.is_pure, config=cfg)
-    return _LowContext(
-        m=m, beta_prime=beta_prime, q1=q1, u=fpc.u, keep=pinned_rows(fpc.reduced), config=cfg
-    )
+    fpc = fp_conditioning(m, beta, q1, config=cfg)
+    return _LowContext(m=m, beta_prime=beta_prime, q1=q1, fpc=fpc, config=cfg)
 
 
 def _low_terms(ctx: _LowContext, r: float, rho: float, config: SolverConfig) -> FPTerms:
     m, q1 = ctx.m, ctx.q1
-    v = section_vector(m, q1, r, rho)[ctx.keep]
-    mean = ctx.beta_prime * float(v @ ctx.u)
+    mean = ctx.beta_prime * ctx.fpc.mean_coeff(r, rho)
     _, section, _ = m.fp_mixtures(r, q1, rho)
     res = cs_minimize(section, ctx.beta_prime, config=config, allow_field=True)
     t = tau_mix(q1, r, rho)

@@ -23,9 +23,8 @@ import numpy as np
 from .conditioning import (
     BandGeometry,
     ConditioningEvent,
-    _chain_functionals,
     band_kernel,
-    chain_constraint_values,
+    chain_constraint_set,
     derivative_covariances,
     hessian_decomposition,
     schur_condition,
@@ -41,7 +40,6 @@ __all__ = [
     "GibbsRun",
     "MCConfig",
     "OverlapHistogram",
-    "chain_constraint_set",
     "dump_samples",
     "empirical_complexity",
     "exact_conditional_sampler",
@@ -610,16 +608,6 @@ def empirical_complexity(
 
 
 # ============================================== exact conditional sampling
-
-
-def chain_constraint_set(geometry: BandGeometry, event: ConditioningEvent):
-    """Constraint functionals, display labels, and pinned raw values for an
-    anchor-chain event, ready for the exact conditional sampler. Extra eval
-    points appended after the anchors keep indices starting at the chain
-    depth."""
-    funcs, labels = _chain_functionals(geometry)
-    values = chain_constraint_values(geometry, event)
-    return funcs, labels, values
 
 
 def exact_conditional_sampler(

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import MixtureError, SingularMatrixError
 
-DEFAULT_DEGREE_CAP = 32
+# maximum representable degree (coefficient arrays are dense)
+DEGREE_CAP = 32
 
 # tolerance for clipping float noise in derived coefficient arrays
 _COEFF_NEG_TOL = 1e-12
@@ -30,10 +31,9 @@ _COEFF_NEG_TOL = 1e-12
 def _normalize_coeffs(
     coeffs: Mapping[int, float] | Sequence[float] | None,
     const_term: float,
-    degree_cap: int,
 ) -> tuple[float, ...]:
     """Build the dense degree-indexed array (index 0 = constant offset)."""
-    arr = np.zeros(degree_cap + 1)
+    arr = np.zeros(DEGREE_CAP + 1)
     arr[0] = const_term
     if coeffs is None:
         pass
@@ -42,13 +42,13 @@ def _normalize_coeffs(
             p = int(p)
             if p < 1:
                 raise MixtureError(f"coefficient degree must be >= 1, got {p}")
-            if p > degree_cap:
-                raise MixtureError(f"degree {p} exceeds cap {degree_cap}")
+            if p > DEGREE_CAP:
+                raise MixtureError(f"degree {p} exceeds cap {DEGREE_CAP}")
             arr[p] = float(g)
     else:
         vals = list(coeffs)
-        if len(vals) > degree_cap:
-            raise MixtureError(f"degree {len(vals)} exceeds cap {degree_cap}")
+        if len(vals) > DEGREE_CAP:
+            raise MixtureError(f"degree {len(vals)} exceeds cap {DEGREE_CAP}")
         for i, g in enumerate(vals):
             arr[i + 1] = float(g)
     if not np.isfinite(arr).all():
@@ -100,27 +100,19 @@ class Mixture:
     const_term
         Constant covariance offset (degree 0). Only carried for
         conditional-covariance bookkeeping; zero for physical models.
-    generic_truncation
-        Caller's declaration that this is a truncation of a generic series.
-    degree_cap
-        Maximum representable degree (coefficient arrays are dense).
     """
 
     # _tables caches the Horner tables of eval, one per derivative order
-    __slots__ = ("_c", "generic_truncation", "degree_cap", "_tables")
+    __slots__ = ("_c", "_tables")
 
     def __init__(
         self,
         coeffs: Mapping[int, float] | Sequence[float] | None = None,
         const_term: float = 0.0,
-        generic_truncation: bool = False,
-        degree_cap: int = DEFAULT_DEGREE_CAP,
     ) -> None:
         if const_term < -_COEFF_NEG_TOL:
             raise MixtureError(f"negative constant term {const_term}")
-        object.__setattr__(self, "_c", _normalize_coeffs(coeffs, max(const_term, 0.0), degree_cap))
-        object.__setattr__(self, "generic_truncation", bool(generic_truncation))
-        object.__setattr__(self, "degree_cap", int(degree_cap))
+        object.__setattr__(self, "_c", _normalize_coeffs(coeffs, max(const_term, 0.0)))
         object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -128,10 +120,7 @@ class Mixture:
 
     def __reduce__(self):
         # copies and pickles rebuild through __init__, with an empty eval cache
-        return (
-            Mixture,
-            (self.coeffs, self.const_term, self.generic_truncation, self.degree_cap),
-        )
+        return (Mixture, (self.coeffs, self.const_term))
 
     # ---------------------------------------------------------------- basics
 
@@ -183,7 +172,7 @@ class Mixture:
         Trimmed to max_degree: the dropped coefficients are zeros, and a
         Horner step over a zero coefficient maps 0 to 0 for finite t. Orders
         past max_degree keep one zero, so a non-finite t still yields NaN,
-        and orders past degree_cap are empty. Threads that miss together
+        and orders past DEGREE_CAP are empty. Threads that miss together
         build the same table, so a plain dict keyed by order is safe.
         """
         if order < 0:
@@ -237,8 +226,6 @@ class Mixture:
         return Mixture(
             {p: g for p, g in enumerate(arr) if p >= 1 and g != 0.0},
             const_term=float(arr[0]) if len(arr) else 0.0,
-            generic_truncation=self.generic_truncation,
-            degree_cap=self.degree_cap,
         )
 
     def scale(self, factor: float) -> "Mixture":
@@ -384,12 +371,12 @@ class Mixture:
         obj = {
             "coeffs": {str(p): g for p, g in sorted(self.coeffs.items())},
             "const": self.const_term,
-            "generic_truncation": self.generic_truncation,
         }
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> "Mixture":
+    def from_json(cls, text: str) -> "Mixture":
+        """Parse a mixture object; keys other than coeffs and const are ignored."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
@@ -403,12 +390,7 @@ class Mixture:
             coeffs = {int(p): float(g) for p, g in raw.items()}
         except (TypeError, ValueError) as e:
             raise MixtureError(f"bad coefficient entry: {e}") from e
-        return cls(
-            coeffs,
-            const_term=float(obj.get("const", 0.0)),
-            generic_truncation=bool(obj.get("generic_truncation", False)),
-            degree_cap=degree_cap,
-        )
+        return cls(coeffs, const_term=float(obj.get("const", 0.0)))
 
 
 def pure(p: int, weight: float = 1.0) -> Mixture:

@@ -15,11 +15,14 @@ def test_every_exported_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-@pytest.mark.parametrize("name", ["SigmaMatrix", "GenericityReport"])
+@pytest.mark.parametrize(
+    "name", ["SigmaMatrix", "GenericityReport", "SphereReduction", "reduce_to_sphere", "covariance_csv"]
+)
 def test_removed_wrappers_are_not_exported(name):
     assert name not in spinglass.__all__
     assert not hasattr(spinglass, name)
     assert not hasattr(spinglass.mixtures, name)
+    assert not hasattr(spinglass.conditioning, name)
 
 
 @pytest.mark.parametrize(
@@ -29,6 +32,12 @@ def test_removed_wrappers_are_not_exported(name):
         (spinglass.find_critical_points, "newton_tol"),
         (spinglass.find_critical_points, "with_hessian_summary"),
         (spinglass.empirical_complexity, "newton_tol"),
+        (spinglass.fp_conditioning, "pure_reduced"),
+        (spinglass.fp_conditioning, "r"),
+        (spinglass.fp_conditioning, "rho"),
+        (spinglass.Mixture, "generic_truncation"),
+        (spinglass.Mixture, "degree_cap"),
+        (spinglass.Mixture.from_json, "degree_cap"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -43,11 +52,13 @@ def test_removed_parameters_are_gone(func, name):
         (spinglass.GroundStateCurve, "source"),
         (spinglass.ComplexityEstimate, "exploratory"),
         (spinglass.CriticalPointRecord, "hessian_eigs"),
+        (spinglass.BandGeometry, "anchors"),
+        (spinglass.ConditioningEvent, "E"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_removed_fields_are_gone(cls, name):
-    assert name not in {f.name for f in dataclasses.fields(cls)}
+    assert name not in {f.name for f in dataclasses.fields(cls) if f.init}
 
 
 def test_no_public_callable_takes_k_max():

@@ -1,5 +1,6 @@
 """CLI contract: flags reach the library with the values the artifact records."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,8 @@ import spinglass.cli as cli
 from spinglass import rsb
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
+from spinglass.mclab import MCConfig, gibbs_mcmc, overlap_statistics, sample_field
+from spinglass.mixtures import pure
 from spinglass.rsb import SolverConfig
 
 
@@ -143,6 +146,30 @@ def test_run_config_replays_mc_gibbs_byte_for_byte(pure3, tmp_path):
     assert replay.exit_code == 0, replay.output
     assert replay.output == result.output
     assert out.read_bytes() == first
+
+
+def test_run_config_rejects_unknown_fields(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "parisi", "mixture": {"coeffs": {"3": 1.0}},
+                                  "params": {"beta": 1.8, "kmax": 0}, "sed": 5}))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert "sed" in result.stderr and "kmax" in result.stderr
+
+
+def test_mc_gibbs_overlap_is_between_two_replicas(pure3, tmp_path):
+    result, artifact = _run(
+        ["mc", "gibbs", "--mixture", pure3, "--N", "8", "--beta", "1", "--steps", "40",
+         "--burn-in", "10", "--thin", "2", "--chain-index", "2", "--field-index", "1",
+         "--seed", "3"],
+        tmp_path,
+    )
+    assert result.exit_code == 0, result.output
+    field = sample_field(pure(3), 8, seed=3, field_index=1)
+    chain = MCConfig(steps=40, burn_in=10, thin=2, chain_index=2)
+    run = gibbs_mcmc(field, 1.0, chain)
+    partner = gibbs_mcmc(field, 1.0, dataclasses.replace(chain, chain_index=3))
+    assert artifact["overlap_mean"] == overlap_statistics(run, partner).mean
 
 
 def _mixture(tmp_path, coeffs):

@@ -15,13 +15,13 @@ from spinglass.conditioning import (
     BandGeometry,
     ConditioningEvent,
     band_kernel,
+    chain_constraint_set,
     hessian_decomposition,
 )
 from spinglass.errors import BadInputError, CapacityExceededError, SingularBlockError
 from spinglass.landscape import ground_state_point
 from spinglass.mclab import (
     MCConfig,
-    chain_constraint_set,
     dump_samples,
     empirical_complexity,
     exact_conditional_sampler,

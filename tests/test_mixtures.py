@@ -55,7 +55,7 @@ def test_eval_rejects_negative_order():
 
 
 def dense_eval(xi: Mixture, t, order: int = 0):
-    """Reference: Horner over all degree_cap + 1 dense coefficients,
+    """Reference: Horner over all DEGREE_CAP + 1 dense coefficients,
     rescaled by falling factorials on every call."""
     c = np.asarray(xi._c)
     if order > 0:
@@ -170,6 +170,13 @@ def test_rejects_degree_zero_key():
 def test_rejects_over_cap():
     with pytest.raises(MixtureError):
         Mixture({40: 1.0})
+    # the cap is degree 32, for mappings and sequences alike
+    assert Mixture({32: 1.0}).max_degree == 32
+    assert Mixture([0.0] * 31 + [1.0]).max_degree == 32
+    with pytest.raises(MixtureError):
+        Mixture({33: 1.0})
+    with pytest.raises(MixtureError):
+        Mixture([0.0] * 32 + [1.0])
 
 
 def test_sequence_constructor():
@@ -180,17 +187,16 @@ def test_sequence_constructor():
 def test_immutability():
     xi = Mixture({2: 1.0})
     with pytest.raises(AttributeError):
-        xi.degree_cap = 5
+        xi._c = (0.0,)
 
 
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
 def test_copy_and_pickle_rebuild_an_equal_mixture(copier):
-    xi = Mixture({1: 0.25, 2: 0.5, 7: 1.5}, const_term=0.3, generic_truncation=True, degree_cap=12)
+    xi = Mixture({1: 0.25, 2: 0.5, 7: 1.5}, const_term=0.3)
     xi.eval(0.4, 1)  # warm the original's cache
     twin = copier(xi)
     assert twin is not xi
     assert twin == xi and hash(twin) == hash(xi)
-    assert (twin.generic_truncation, twin.degree_cap) == (True, 12)
     assert twin._tables == {}
     t = np.linspace(-1.0, 1.0, 9)
     for order in range(3):
@@ -356,15 +362,16 @@ def test_sigma_xi_inverse():
 # --------------------------------------------------------- serialization
 
 def test_json_round_trip():
-    xi = Mixture({2: 1.0, 3: 0.5}, generic_truncation=True)
+    xi = Mixture({2: 1.0, 3: 0.5}, const_term=0.25)
     assert Mixture.from_json(xi.to_json()) == xi
 
 
 def test_json_matches_documented_shape():
+    # files written with the retired generic_truncation key still load
     text = '{"coeffs": {"2": 1.0, "3": 0.5}, "const": 0.0, "generic_truncation": true}'
     xi = Mixture.from_json(text)
     assert xi.coeffs == {2: 1.0, 3: 0.5}
-    assert xi.generic_truncation
+    assert xi.to_json() == '{"coeffs": {"2": 1.0, "3": 0.5}, "const": 0.0}'
 
 
 def test_json_rejects_garbage():
