@@ -4,14 +4,16 @@ One binary with subcommands.  Every run resolves to a ``RunConfig`` (command
 name, inline mixture, parameters, seed, output path, format); the same config
 can be replayed with ``spinglass run --config file.json`` and yields
 byte-identical artifacts.  A command's ``--config file.json`` supplies the
-defaults of its options, so explicit flags override config-file values.
+defaults of its options, so explicit flags override config-file values.  A
+replay is the config's command run with ``--config file.json``, so click types
+every value on both paths.  Options left unset keep the library's defaults.
 
 Exit codes: 0 success, 1 bad input (including click usage errors: unknown
 options or commands, unknown config fields, mistyped flag or config values),
 2 solver failure (or failed validation / failed sweep rows), 3 capacity
-exceeded.  When a
-``landscape`` grid point fails and ``--out FILE`` was given, the rows solved
-before the failure are written to ``FILE.partial``.
+exceeded.  One boundary, around the command group, maps errors to these codes.
+When a ``landscape`` grid point fails and ``--out FILE`` was given, the rows
+solved before the failure are written to ``FILE.partial``.
 """
 from __future__ import annotations
 
@@ -209,26 +211,25 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-def _guarded(body, *args):
+def _colon_spec(spec: str, what: str, shape: str) -> list:
+    """The finite numbers of a colon spec of the given shape, such as
+    lo:hi:step; a part named count is an integer."""
+    names = shape.split(":")
+    parts = spec.split(":")
+    if len(parts) != len(names):
+        raise BadInputError(f"{what} must look like {shape}, got {spec!r}")
     try:
-        return body(*args)
-    except CapacityExceededError as e:
-        _fail(str(e), _EXIT_CAPACITY)
-    except _SOLVER_ERRORS as e:
-        _fail(str(e), _EXIT_SOLVER_FAILED)
-    except _INPUT_ERRORS as e:
-        _fail(str(e), _EXIT_BAD_INPUT)
+        values = [int(v) if name == "count" else float(v) for name, v in zip(names, parts)]
+    except ValueError as e:
+        raise BadInputError(f"bad {what} value: {e}") from e
+    if not all(math.isfinite(v) for v in values):
+        raise BadInputError(f"{what} needs finite numbers, got {spec!r}")
+    return values
 
 
 def _grid(spec: str, what: str) -> list[float]:
     """Parse an inclusive lo:hi:step grid spec."""
-    parts = str(spec).split(":")
-    if len(parts) != 3:
-        raise BadInputError(f"{what} must look like lo:hi:step, got {spec!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as e:
-        raise BadInputError(f"bad {what} value: {e}") from e
+    lo, hi, step = _colon_spec(spec, what, "lo:hi:step")
     if step <= 0 or hi < lo:
         raise BadInputError(f"{what} needs hi >= lo and step > 0")
     count = int(round((hi - lo) / step))
@@ -237,16 +238,17 @@ def _grid(spec: str, what: str) -> list[float]:
 
 
 def _pair(spec: str, what: str) -> tuple[float, float]:
-    parts = str(spec).split(":")
-    if len(parts) != 2:
-        raise BadInputError(f"{what} must look like lo:hi, got {spec!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise BadInputError(f"bad {what} value: {e}") from e
+    lo, hi = _colon_spec(spec, what, "lo:hi")
     if hi <= lo:
         raise BadInputError(f"{what} needs hi > lo")
     return lo, hi
+
+
+def _edges(spec: str, what: str) -> tuple[float, float, int]:
+    lo, hi, count = _colon_spec(spec, what, "lo:hi:count")
+    if hi <= lo or count < 2:
+        raise BadInputError(f"{what} needs hi > lo and count >= 2")
+    return lo, hi, count
 
 
 def _param(params: dict, key: str, default):
@@ -256,15 +258,21 @@ def _param(params: dict, key: str, default):
     return default if value is None else value
 
 
+def _given(params: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments from the options among keys that were given, so that
+    the library's own defaults fill in the rest; renamed maps an option to a
+    keyword of another name."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {name: params[key] for key, name in pairs if params.get(key) is not None}
+
+
 def _solver_config(params: dict, **defaults) -> SolverConfig:
     """SolverConfig from --k-max, --starts and --solver-seed over the given defaults."""
-    names = {"k_max": "k_max", "starts": "starts", "solver_seed": "seed"}  # param: field
-    kw = {name: int(params[key]) for key, name in names.items() if params.get(key) is not None}
-    return SolverConfig(**{**defaults, **kw})
+    return SolverConfig(**{**defaults, **_given(params, "k_max", "starts", solver_seed="seed")})
 
 
 # ---------------------------------------------------------------------------
-# command bodies (shared by flag invocation and `run --config`)
+# command bodies (reached only through their click command)
 # ---------------------------------------------------------------------------
 
 
@@ -284,7 +292,7 @@ def _body_parisi(cfg: RunConfig) -> int:
     else:
         if p.get("beta") is None:
             raise BadInputError("parisi requires --beta X or --zero-temp")
-        beta = float(p["beta"])
+        beta = p["beta"]
         res = cs_minimize(m, beta, config=_solver_config(p))
         report = {
             "mode": "finite_beta",
@@ -317,7 +325,7 @@ def _body_landscape(cfg: RunConfig) -> int:
     if mode == "identities":
         if p.get("beta") is None:
             raise BadInputError("landscape --identities requires --beta X")
-        beta = float(p["beta"])
+        beta = p["beta"]
         solver = _solver_config(p)
         esrs = identity_esrs(m, beta, config=solver)
         fpr = fprime_identity(m, beta, config=solver)
@@ -340,7 +348,7 @@ def _body_landscape(cfg: RunConfig) -> int:
 
     # grid modes emit CSV tables regardless of --format json default
     if mode == "theta":
-        grid = int(_param(p, "grid", 41))
+        grid = _param(p, "grid", 41)
         if grid < 2:
             raise BadInputError("--grid must be at least 2")
         e_lo, e_hi = _pair(p.get("e_range") or "-2:2", "--e-range")
@@ -380,12 +388,11 @@ def _body_fp(cfg: RunConfig) -> int:
     p = cfg.params
     if p.get("beta") is None or p.get("beta_prime") is None:
         raise BadInputError("fp requires --beta X and --beta-prime X")
-    beta = float(p["beta"])
-    beta_prime = float(p["beta_prime"])
+    beta, beta_prime = p["beta"], p["beta_prime"]
     r_values = _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid")
     rows = [r for r in r_values if abs(r) < 1.0]
     solver = dataclasses.replace(_solver_config(p), starts=2)
-    scan_points = int(_param(p, "scan_points", 32))
+    scan_points = _param(p, "scan_points", 32)
     if scan_points < 3:
         raise BadInputError("fp needs --scan-points >= 3")
     both = bool(p.get("both_regimes"))
@@ -456,8 +463,8 @@ def _body_mc_validate(cfg: RunConfig) -> int:
 def _body_mc_complexity(cfg: RunConfig) -> int:
     m = cfg.mixture_obj()
     p = cfg.params
-    n = int(p.get("n") or 0)
-    n_fields = int(p.get("fields") or 0)
+    n = p.get("n") or 0
+    n_fields = p.get("fields") or 0
     if n < 2 or n_fields < 1:
         raise BadInputError("mc complexity requires --N >= 2 and --fields >= 1")
     e_lo, e_hi, e_count = _edges(p.get("e_grid") or "-2:2:17", "--e-grid")
@@ -465,13 +472,12 @@ def _body_mc_complexity(cfg: RunConfig) -> int:
     est = empirical_complexity(
         m,
         n,
-        float(_param(p, "q", 1.0)),
+        _param(p, "q", 1.0),
         np.linspace(e_lo, e_hi, e_count),
         np.linspace(r_lo, r_hi, r_count),
         n_fields=n_fields,
         seed=cfg.seed,
-        restarts=int(_param(p, "restarts", 32)),
-        bootstrap=int(_param(p, "bootstrap", 200)),
+        **_given(p, "restarts", "bootstrap"),
     )
     ei, ri = est.argmax_bin()
     click.echo(
@@ -482,36 +488,17 @@ def _body_mc_complexity(cfg: RunConfig) -> int:
     return 0
 
 
-def _edges(spec: str, what: str) -> tuple[float, float, int]:
-    parts = str(spec).split(":")
-    if len(parts) != 3:
-        raise BadInputError(f"{what} must look like lo:hi:count, got {spec!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as e:
-        raise BadInputError(f"bad {what} value: {e}") from e
-    if hi <= lo or count < 2:
-        raise BadInputError(f"{what} needs hi > lo and count >= 2")
-    return lo, hi, count
-
-
 def _body_mc_gibbs(cfg: RunConfig) -> int:
     m = cfg.mixture_obj()
     p = cfg.params
-    n = int(p.get("n") or 0)
+    n = p.get("n") or 0
     if n < 2:
         raise BadInputError("mc gibbs requires --N >= 2")
     if p.get("beta") is None:
         raise BadInputError("mc gibbs requires --beta X")
-    beta = float(p["beta"])
-    mc = MCConfig(
-        steps=int(_param(p, "steps", 4000)),
-        burn_in=int(_param(p, "burn_in", 1000)),
-        thin=int(_param(p, "thin", 10)),
-        step_size=float(_param(p, "step_size", 0.3)),
-        chain_index=int(_param(p, "chain_index", 0)),
-    )
-    f = sample_field(m, n, seed=cfg.seed, field_index=int(_param(p, "field_index", 0)))
+    beta = p["beta"]
+    mc = MCConfig(**_given(p, "steps", "burn_in", "thin", "step_size", "chain_index"))
+    f = sample_field(m, n, seed=cfg.seed, **_given(p, "field_index"))
     run = gibbs_mcmc(f, beta, mc)
     norm_dev = float(np.max(np.abs(np.sum(run.samples**2, axis=1) - n)))
     report = {
@@ -558,7 +545,7 @@ def _load_config(ctx, param, path):
     defaults, so explicit flags beat them. Returns the config, for its mixture."""
     if path is None:
         return None
-    base = _guarded(lambda: RunConfig.from_json(_read(path, "config")))
+    base = RunConfig.from_json(_read(path, "config"))
     ctx.default_map = {**base.params, "seed": base.seed, "out": base.out, "fmt": base.format}
     return base
 
@@ -572,35 +559,40 @@ def _common(fn):
 
 
 def _run(command, config, seed, out, fmt, mixture_path=None, **params):
-    """Build the RunConfig of one flag invocation and run its command body.
-    An inline --mixture file beats the config file's mixture."""
-
-    def body():
-        mixture = _mixture_dict(mixture_path)
-        if mixture is None and config is not None:
-            mixture = config.mixture
-        cfg = RunConfig(command, mixture, params, seed, out, fmt)
-        return _BODIES[command](cfg)
-
-    sys.exit(_guarded(body))
+    """Build the RunConfig of one parsed invocation and run its command body,
+    the only call of a body. A config file written for another command is
+    rejected; an inline --mixture file beats the config file's mixture."""
+    if config is not None and config.command != command:
+        raise BadInputError(f"the config file is for {config.command!r}, not {command!r}")
+    mixture = _mixture_dict(mixture_path)
+    if mixture is None and config is not None:
+        mixture = config.mixture
+    sys.exit(_BODIES[command](RunConfig(command, mixture, params, seed, out, fmt)))
 
 
-def _as_bad_input(fn, *args):
+def _exit_codes(fn, *args):
+    """The error boundary: usage errors and library errors exit with their codes."""
     try:
         return fn(*args)
     except click.UsageError as e:
         e.exit_code = _EXIT_BAD_INPUT
         raise
+    except CapacityExceededError as e:
+        _fail(str(e), _EXIT_CAPACITY)
+    except _SOLVER_ERRORS as e:
+        _fail(str(e), _EXIT_SOLVER_FAILED)
+    except _INPUT_ERRORS as e:
+        _fail(str(e), _EXIT_BAD_INPUT)
 
 
 class _Group(click.Group):
-    """Usage errors exit with the bad-input code; click's 2 is a solver failure here."""
+    """Maps errors to exit codes; click's usage-error 2 is a solver failure here."""
 
     def parse_args(self, ctx, args):
-        return _as_bad_input(super().parse_args, ctx, args)
+        return _exit_codes(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        return _as_bad_input(super().invoke, ctx)
+        return _exit_codes(super().invoke, ctx)
 
 
 @click.group(cls=_Group)
@@ -700,17 +692,14 @@ def cmd_mc_gibbs(**kw):
 
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(), required=True)
-def cmd_run(config_path):
-    """Replay a RunConfig file; artifacts are byte-identical to the flag run."""
-    def body():
-        cfg = RunConfig.from_json(_read(config_path, "config"))
-        if cfg.command not in _BODIES:
-            raise BadInputError(
-                f"unknown command {cfg.command!r}; expected one of {sorted(_BODIES)}"
-            )
-        return _BODIES[cfg.command](cfg)
-
-    sys.exit(_guarded(body))
+@click.pass_context
+def cmd_run(ctx, config_path):
+    """Replay a RunConfig file: run its command with --config FILE, so that
+    artifacts and exit codes are those of the flag run."""
+    command = RunConfig.from_json(_read(config_path, "config")).command
+    if command not in _BODIES:
+        raise BadInputError(f"unknown command {command!r}; expected one of {sorted(_BODIES)}")
+    main.main([*command.split("."), "--config", config_path], prog_name=ctx.find_root().info_name)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -230,12 +230,6 @@ def ground_state_curve(
     return GroundStateCurve(*zip(*rows))
 
 
-def _level_ground_state(xi_lev: Mixture, config: SolverConfig):
-    """Ground-state energy and radial slope of a level mixture at full radius."""
-    res = zt_minimize(xi_lev, config=config)
-    return res.gs_energy, _radial_slope(xi_lev, res.order, 1.0)
-
-
 # ==================================================== telescoping identities
 
 
@@ -301,7 +295,7 @@ def identity_esrs(
     rows = []
     for lev, (xi_lev, _) in enumerate(levels):
         q_lo, q_hi = qs[lev], qs[lev + 1]
-        e_level, r_level = _level_ground_state(xi_lev, cfg)
+        e_level, r_level, _ = ground_state_point(xi_lev, 1.0, config=cfg)
         e_inc = estar[lev + 1] - estar[lev]
         gap = q_hi - q_lo
         r_base = None if rstar[lev] is None else gap * rstar[lev]
@@ -393,7 +387,7 @@ def chain_bound(
         if xi_lev.is_pure:
             total += _sup_theta_pure_interval(xi_lev, e_c - 2 * eps, e_c + 2 * eps)
         else:
-            r_c = _level_ground_state(xi_lev, cfg)[1]
+            r_c = ground_state_point(xi_lev, 1.0, config=cfg)[1]
             total += _sup_theta_rect(
                 xi_lev,
                 e_c - 2 * eps,

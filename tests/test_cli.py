@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -264,9 +268,75 @@ def test_a_mistyped_config_value_is_a_usage_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"command": "parisi", "mixture": {"coeffs": {"3": 1.0}},
                                   "params": {"beta": "x"}}))
+    for command in ("parisi", "run"):
+        result = CliRunner().invoke(cli.main, [command, "--config", str(config)])
+        assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+        assert "--beta" in result.stderr
+
+
+def test_run_config_and_command_config_write_the_same_artifact(tmp_path):
+    config = tmp_path / "config.json"
+    out = tmp_path / "artifact.json"
+    config.write_text(json.dumps({"command": "parisi", "mixture": {"coeffs": {"3": 1.0}},
+                                  "params": {"beta": 1.8}, "out": str(out)}))
+    artifacts = []
+    for command in ("run", "parisi"):
+        result = CliRunner().invoke(cli.main, [command, "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        artifacts.append(json.loads(out.read_text()))
+        out.unlink()
+    assert artifacts[0] == artifacts[1]
+    assert artifacts[0]["config"]["params"]["zero_temp"] is False
+
+
+def test_a_config_for_another_command_is_rejected(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "fp", "mixture": {"coeffs": {"3": 1.0}},
+                                  "params": {"beta": 0.5, "beta_prime": 1.0}}))
     result = CliRunner().invoke(cli.main, ["parisi", "--config", str(config)])
     assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
-    assert "--beta" in result.stderr
+    assert "'fp'" in result.stderr and "'parisi'" in result.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["landscape", "--gs", "--qgrid", "0.1:{}:0.1"],
+        ["fp", "--beta", "0.5", "--beta-prime", "1.0", "--r-grid", "0:{}:0.1"],
+        ["landscape", "--theta", "--e-range", "0:{}"],
+        ["landscape", "--theta", "--r-range", "0:{}"],
+        ["mc", "complexity", "--N", "4", "--fields", "1", "--e-grid", "0:{}:3"],
+        ["mc", "complexity", "--N", "4", "--fields", "1", "--r-grid", "0:{}:3"],
+    ],
+)
+def test_a_non_finite_colon_spec_is_bad_input(tmp_path, args, bad):
+    mixture = _mixture(tmp_path, {"2": 0.5, "3": 0.5})
+    result = CliRunner().invoke(cli.main, [*args[:-1], args[-1].format(bad), "--mixture", mixture])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith(f"error: {args[-2]} needs finite numbers")
+
+
+@pytest.mark.parametrize(
+    "command, coeffs, params, code",
+    [
+        ("parisi", {"3": 1.0}, {"zero_temp": True}, 0),
+        ("parisi", {"3": 1.0}, {"beta": "x"}, cli._EXIT_BAD_INPUT),
+        ("landscape", {"2": 0.5, "4": 0.5}, {"gs": True}, cli._EXIT_SOLVER_FAILED),
+        ("mc.gibbs", {"3": 1.0}, {"n": 500, "beta": 1.0}, cli._EXIT_CAPACITY),
+    ],
+)
+def test_run_config_exit_codes_reach_the_process(tmp_path, command, coeffs, params, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": command, "mixture": {"coeffs": coeffs},
+                                  "params": params, "out": str(tmp_path / "artifact")}))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinglass.cli", "run", "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
 
 
 @pytest.mark.parametrize(
