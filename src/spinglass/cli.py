@@ -29,11 +29,6 @@ import numpy as np
 from .errors import (
     BadInputError,
     CapacityExceededError,
-    KMismatchError,
-    MixtureError,
-    NotBracketedError,
-    RegimeMismatchError,
-    SingularBlockError,
     SingularMatrixError,
     SolverFailedError,
 )
@@ -61,13 +56,10 @@ _EXIT_BAD_INPUT = 1
 _EXIT_SOLVER_FAILED = 2
 _EXIT_CAPACITY = 3
 
-_INPUT_ERRORS = (BadInputError, MixtureError, RegimeMismatchError, KMismatchError)
-_SOLVER_ERRORS = (
-    SolverFailedError,
-    NotBracketedError,
-    SingularMatrixError,
-    SingularBlockError,
-)
+# subclasses map with their bases; _exit_codes tries the solver errors first,
+# so a SingularMatrixError (a BadInputError) exits as a solver failure
+_INPUT_ERRORS = (BadInputError,)
+_SOLVER_ERRORS = (SolverFailedError, SingularMatrixError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared error taxonomy.
 
 The CLI maps these to exit codes: bad input -> 1, solver failures -> 2,
-capacity limits -> 3.
+capacity limits -> 3. Singular-matrix errors exit 2, even though they
+subclass BadInputError.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ class MixtureError(BadInputError):
 class SingularMatrixError(BadInputError):
     """A matrix that the operation requires to be invertible is singular.
 
-    Raised e.g. for the 2x2 complexity covariance of a pure mixture, or for
-    the Franz-Parisi conditioning matrix of a pure mixture when the reduced
-    variant was not requested.
+    Raised e.g. for the 2x2 complexity covariance of a pure mixture, or when
+    the pinned Franz-Parisi system is not positive definite or fails its
+    residual check.
     """
 
 

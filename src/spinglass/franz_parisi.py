@@ -25,7 +25,7 @@ from .errors import (
     RegimeMismatchError,
     SolverFailedError,
 )
-from .mixtures import Mixture, section_half_width, tau_mix
+from .mixtures import Mixture, section_half_width, tau
 from .rsb import SolverConfig, beta_c, cs_minimize
 
 __all__ = [
@@ -39,14 +39,6 @@ __all__ = [
     "j_interval",
     "tau",
 ]
-
-
-def tau(q1: float, r: float, rho: float) -> float:
-    """Squared relative radius of the overlap section: the fraction of the
-    sphere's scale consumed by the pinned coordinates."""
-    if not 0.0 < q1 < 1.0:
-        raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
-    return tau_mix(q1, r, rho)
 
 
 def j_interval(q1: float, r: float) -> tuple[float, float]:
@@ -107,7 +99,6 @@ class FPResult:
     value: float
     rho_star: float | None
     terms: FPTerms
-    field_mode: bool = False
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -149,32 +140,14 @@ def fp_high(
     res = cs_minimize(section, beta_prime, config=config, allow_field=section.has_linear)
     mean = beta * beta_prime * m(r) / m(1.0)
     terms = FPTerms(mean=mean, free_energy=res.value, volume=0.0)
-    return FPResult(
-        value=terms.total,
-        rho_star=None,
-        terms=terms,
-        field_mode=section.has_linear,
-    )
-
-
-@dataclass(frozen=True)
-class _LowContext:
-    """Pinned data shared by every section evaluation at fixed (m, beta)."""
-
-    m: Mixture
-    beta_prime: float
-    q1: float
-    fpc: FPConditioning
-    config: SolverConfig
+    return FPResult(value=terms.total, rho_star=None, terms=terms)
 
 
 def _low_context(
-    m: Mixture,
-    beta: float,
-    beta_prime: float,
-    config: SolverConfig | None,
-) -> _LowContext:
-    _validate_inputs(beta, beta_prime, 0.0)
+    m: Mixture, beta: float, config: SolverConfig | None
+) -> tuple[FPConditioning, SolverConfig]:
+    """The pinned system and solver configuration shared by every section
+    evaluation at fixed (m, beta)."""
     if not beta > beta_c(m):
         raise RegimeMismatchError(
             f"conditioned evaluation needs beta > the symmetric phase boundary; "
@@ -187,17 +160,16 @@ def _low_context(
             f"conditioned evaluation is derived for a single overlap atom; "
             f"solver support has k={res.x_star.k} at beta={beta}"
         )
-    q1 = res.x_star.qs[0]
-    fpc = fp_conditioning(m, beta, q1, config=cfg)
-    return _LowContext(m=m, beta_prime=beta_prime, q1=q1, fpc=fpc, config=cfg)
+    return fp_conditioning(m, beta, res.x_star.qs[0], config=cfg), cfg
 
 
-def _low_terms(ctx: _LowContext, r: float, rho: float, config: SolverConfig) -> FPTerms:
-    m, q1 = ctx.m, ctx.q1
-    mean = ctx.beta_prime * ctx.fpc.mean_coeff(r, rho)
-    _, section, _ = m.fp_mixtures(r, q1, rho)
-    res = cs_minimize(section, ctx.beta_prime, config=config, allow_field=True)
-    t = tau_mix(q1, r, rho)
+def _low_terms(
+    fpc: FPConditioning, beta_prime: float, r: float, rho: float, cfg: SolverConfig
+) -> FPTerms:
+    mean = beta_prime * fpc.mean_coeff(r, rho)
+    section = fpc.m.fp_mixtures(r, fpc.q1, rho)
+    res = cs_minimize(section, beta_prime, config=cfg, allow_field=True)
+    t = tau(fpc.q1, r, rho)
     volume = 0.5 * math.log((1.0 - t) / (1.0 - r * r))
     return FPTerms(mean=mean, free_energy=res.value, volume=volume)
 
@@ -214,14 +186,14 @@ def fp_low_objective(
     without the maximization. Useful for profiling the objective along the
     admissible interval; endpoints are excluded (the volume term diverges)."""
     _validate_inputs(beta, beta_prime, r)
-    ctx = _low_context(m, beta, beta_prime, config)
-    lo, hi = j_interval(ctx.q1, r)
+    fpc, cfg = _low_context(m, beta, config)
+    lo, hi = j_interval(fpc.q1, r)
     if not lo < rho < hi:
         raise RegimeMismatchError(
             f"section overlap {rho} is outside the open admissible interval "
             f"({lo}, {hi})"
         )
-    return _low_terms(ctx, r, rho, ctx.config)
+    return _low_terms(fpc, beta_prime, r, rho, cfg)
 
 
 def fp_low(
@@ -244,18 +216,18 @@ def fp_low(
     _validate_inputs(beta, beta_prime, r)
     if scan_points < 3:
         raise BadInputError(f"need at least 3 scan points, got {scan_points}")
-    ctx = _low_context(m, beta, beta_prime, config)
-    lo, hi = j_interval(ctx.q1, r)
+    fpc, cfg = _low_context(m, beta, config)
+    lo, hi = j_interval(fpc.q1, r)
     width = hi - lo
     # ranking pass only: single start and loose certificates are enough to
     # bracket the maximizer to a grid cell, and a point whose quick solve
     # fails outright is simply never the bracket center
-    scan_cfg = replace(ctx.config, starts=1, cert_tol=1e-3, atom_tol=1e-5)
+    scan_cfg = replace(cfg, starts=1, cert_tol=1e-3, atom_tol=1e-5)
     rhos = [lo + width * (i + 1) / (scan_points + 1) for i in range(scan_points)]
     scan_vals = []
     for rho in rhos:
         try:
-            scan_vals.append(_low_terms(ctx, r, rho, scan_cfg).total)
+            scan_vals.append(_low_terms(fpc, beta_prime, r, rho, scan_cfg).total)
         except SolverFailedError:
             scan_vals.append(-math.inf)
     if all(v == -math.inf for v in scan_vals):
@@ -268,7 +240,7 @@ def fp_low(
     right = rhos[best + 1] if best < scan_points - 1 else hi - width * 1e-9
 
     def negated(rho: float) -> float:
-        return -_low_terms(ctx, r, float(rho), ctx.config).total
+        return -_low_terms(fpc, beta_prime, r, float(rho), cfg).total
 
     try:
         opt = minimize_scalar(
@@ -284,8 +256,8 @@ def fp_low(
             negated, bounds=(left, right), method="bounded", options={"xatol": xtol}
         )
     rho_star = float(min(max(opt.x, lo + width * 1e-12), hi - width * 1e-12))
-    terms = _low_terms(ctx, r, rho_star, ctx.config)
-    return FPResult(value=terms.total, rho_star=rho_star, terms=terms, field_mode=True)
+    terms = _low_terms(fpc, beta_prime, r, rho_star, cfg)
+    return FPResult(value=terms.total, rho_star=rho_star, terms=terms)
 
 
 def fp_potential(

@@ -293,7 +293,7 @@ def identity_esrs(
     estar = (0.0, *curve.e_star)
     rstar = (_origin_slope(m), *curve.r_star)
     rows = []
-    for lev, (xi_lev, _) in enumerate(levels):
+    for lev, xi_lev in enumerate(levels):
         q_lo, q_hi = qs[lev], qs[lev + 1]
         e_level, r_level, _ = ground_state_point(xi_lev, 1.0, config=cfg)
         e_inc = estar[lev + 1] - estar[lev]
@@ -354,7 +354,6 @@ def _sup_theta_pure_interval(mx: Mixture, e_lo, e_hi) -> float:
 def chain_bound(
     m: Mixture,
     beta: float,
-    ladder=None,
     eps: float = 1e-3,
     config: SolverConfig | None = None,
 ) -> float:
@@ -362,7 +361,8 @@ def chain_bound(
     chains: the sum over levels of the max rate over an energy window of
     half-width 2*eps around the ground-state increment and a radial window
     of half-width eps (scaled by the level width) around the slope of the
-    level mixture's own zero-temperature solution.
+    level mixture's own zero-temperature solution. The ladder is the
+    positive support of the order parameter solved at beta.
 
     That slope center is always a zero of the rate, so the bound vanishes
     as eps -> 0 up to solver error. Levels with a single-degree mixture use
@@ -371,17 +371,15 @@ def chain_bound(
     if not 0.0 < eps < math.inf:
         raise BadInputError(f"window half-width must be positive and finite, got {eps}")
     cfg = config or SolverConfig()
-    if ladder is None:
-        base = cs_minimize(m, beta, config=cfg)
-        ladder = tuple(q for q in base.x_star.support() if q > 0.0)
-    ladder = tuple(float(q) for q in ladder)
+    base = cs_minimize(m, beta, config=cfg)
+    ladder = tuple(float(q) for q in base.x_star.support() if q > 0.0)
     if not ladder:
         raise RegimeMismatchError("chain bound needs a nonempty overlap ladder")
     qs = (0.0, *ladder)
     levels = m.level_mixtures(ladder)[: len(ladder)]
     estar = (0.0, *ground_state_curve(m, ladder, config=cfg).e_star)
     total = 0.0
-    for lev, (xi_lev, _) in enumerate(levels):
+    for lev, xi_lev in enumerate(levels):
         gap = qs[lev + 1] - qs[lev]
         e_c = estar[lev + 1] - estar[lev]
         if xi_lev.is_pure:

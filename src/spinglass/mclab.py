@@ -13,6 +13,7 @@ no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 
 import json
 import math
+import numbers
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +49,6 @@ __all__ = [
     "load_samples",
     "overlap_statistics",
     "sample_field",
-    "stream_rng",
     "validate_kernels",
 ]
 
@@ -76,25 +76,19 @@ _CHAIN_LANE = 1 << 17
 _SAMPLER_LANE = _CHAIN_LANE + 1
 
 
-def stream_rng(seed: int, field_index: int = 0, chain_index: int = 0) -> np.random.Generator:
-    """Counter-based generator for the (seed, field, chain) work unit.
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator for one spawn key under seed.
 
-    Units drawn from distinct keys are independent, and a unit's stream
-    does not depend on how many other units run or in what order.
-    Raises BadInputError for a negative key.
+    Streams of distinct keys are independent, and a stream does not depend
+    on how many others run or in what order. Raises BadInputError for a
+    negative seed or key part.
     """
-    return _stream(seed, field_index, chain_index)
-
-
-def _stream(seed: int, field_index: int, chain_index: int, *lane: int) -> np.random.Generator:
-    if min(seed, field_index, chain_index) < 0:
+    if min(seed, *key) < 0:
         raise BadInputError(
-            f"seed, field index and chain index must be non-negative, got "
-            f"{seed}, {field_index}, {chain_index}"
+            "seed, field index and chain index must be non-negative, got "
+            + ", ".join(str(part) for part in (seed, *key))
         )
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(field_index), int(chain_index), *lane)
-    )
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(part) for part in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -242,7 +236,7 @@ def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSa
     if not degrees and m.const_term == 0.0:
         raise BadInputError("mixture has no active degrees")
     _capacity_check(degrees or (1,), n)
-    rng = stream_rng(seed, field_index, 0)
+    rng = _stream(seed, field_index, 0)
     tensors: dict[int, np.ndarray] = {}
     if m.const_term > 0.0:
         tensors[0] = math.sqrt(m.const_term * n) * rng.standard_normal()
@@ -427,7 +421,7 @@ def find_critical_points(
     n = field.n
     radius = math.sqrt(n * q)
     tol = 1e-8 * math.sqrt(n)
-    rng = stream_rng(field.seed, field.field_index, _FINDER_LANE)
+    rng = _stream(field.seed, field.field_index, _FINDER_LANE)
     eye = np.eye(n)
     accepted: list[CriticalPointRecord] = []
 
@@ -552,7 +546,8 @@ def empirical_complexity(
 ) -> ComplexityEstimate:
     """Average critical-point counts per (energy, radial-derivative) bin
     over independent field draws, with the log-count curve and bootstrap
-    confidence intervals. Exploratory: inherits the finder's blind spots."""
+    confidence intervals; bootstrap=0 leaves the intervals at (-inf, inf).
+    Exploratory: inherits the finder's blind spots."""
     e_edges = np.asarray(e_edges, dtype=float)
     r_edges = np.asarray(r_edges, dtype=float)
     if e_edges.ndim != 1 or e_edges.size < 2 or r_edges.ndim != 1 or r_edges.size < 2:
@@ -561,6 +556,10 @@ def empirical_complexity(
         raise BadInputError("need at least one field")
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
+    if restarts < 1:
+        raise BadInputError("need at least one restart")
+    if isinstance(bootstrap, bool) or not isinstance(bootstrap, numbers.Integral) or bootstrap < 0:
+        raise BadInputError(f"bootstrap must be a non-negative integer, got {bootstrap!r}")
 
     def one_field(index: int) -> np.ndarray:
         fld = sample_field(m, n, seed, field_index=index)
@@ -582,7 +581,7 @@ def empirical_complexity(
     mean_counts = stack.mean(axis=0)
     log_counts = _log_scaled(mean_counts, n)
 
-    rng = stream_rng(seed, 0, _FINDER_LANE + 1)
+    rng = _stream(seed, 0, _FINDER_LANE + 1)
     if bootstrap > 0:
         draws = np.empty((bootstrap,) + mean_counts.shape)
         for b in range(bootstrap):

@@ -77,9 +77,12 @@ def sigma_inverse(sigma: np.ndarray) -> np.ndarray:
     return np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
 
 
-def tau_mix(q1: float, r: float, rho: float) -> float:
+def tau(q1: float, r: float, rho: float) -> float:
     """Squared relative radius of the Franz-Parisi section with mutual
-    overlap r to the reference point and rho to the anchor at overlap q1."""
+    overlap r to the reference point and rho to the anchor at overlap q1:
+    the fraction of the sphere's scale consumed by the pinned coordinates."""
+    if not 0.0 < q1 < 1.0:
+        raise MixtureError(f"anchor overlap must be in (0,1), got {q1}")
     return rho * rho / q1 + (r - rho) ** 2 / (1.0 - q1)
 
 
@@ -294,43 +297,27 @@ class Mixture:
         arr = shifted * ((1.0 - q) ** np.arange(len(shifted), dtype=float))
         return self._from_array(arr)
 
-    def level_mixtures(
-        self, ladder: Sequence[float]
-    ) -> list[tuple["Mixture", "Mixture"]]:
+    def level_mixtures(self, ladder: Sequence[float]) -> list["Mixture"]:
         """Per-level reduced covariances for a support ladder.
 
         For 0 = q_0 < q_1 < ... < q_k < q_{k+1} = 1 (the ladder argument
-        lists q_1..q_k) returns, for each level m = 0..k, the pair
-        (xi_q_m((q_{m+1}-q_m) t), xi_q_m((1-q_m) t)).
+        lists q_1..q_k) returns, for each level m = 0..k, the mixture
+        xi_q_m((q_{m+1}-q_m) t).
         """
         qs = [0.0, *map(float, ladder), 1.0]
         for a, b in zip(qs, qs[1:]):
             if not a < b:
                 raise MixtureError(f"ladder must be strictly increasing in (0,1): {ladder}")
-        out = []
-        for m in range(len(qs) - 1):
-            xi_qm, _, _ = self.shift_restrict(qs[m])
-            out.append(
-                (
-                    xi_qm.scale_domain(qs[m + 1] - qs[m]),
-                    xi_qm.scale_domain(1.0 - qs[m]),
-                )
-            )
-        return out
+        return [
+            self.shift_restrict(qs[m])[0].scale_domain(qs[m + 1] - qs[m])
+            for m in range(len(qs) - 1)
+        ]
 
-    def fp_mixtures(
-        self, r: float, q1: float, rho: float
-    ) -> tuple["Mixture", "Mixture", float]:
-        """Covariances entering the Franz-Parisi potential.
-
-        Returns (xi_tilde, xi_fp, linear_deficit):
-
-        * xi_tilde: section at overlap r^2, the covariance of the field on
-          the band of a reference sample at overlap r.
-        * xi_fp: section at tau (the conditional second-moment overlap for
-          the pinned pair) minus the conditioning-induced linear slope
-          xi'(rho)^2/xi'(q1) * (1-tau) * t, folded into the degree-1 slot.
-        * linear_deficit: the subtracted slope, for diagnostics.
+    def fp_mixtures(self, r: float, q1: float, rho: float) -> "Mixture":
+        """Covariance of the Franz-Parisi section: the section at tau (the
+        conditional second-moment overlap for the pinned pair) minus the
+        conditioning-induced linear slope xi'(rho)^2/xi'(q1) * (1-tau) * t,
+        folded into the degree-1 slot.
         """
         if not abs(r) < 1.0:
             raise MixtureError(f"sample overlap must satisfy |r|<1, got {r}")
@@ -340,17 +327,14 @@ class Mixture:
             raise MixtureError(
                 f"rho={rho} outside the admissible interval around r*q1={r * q1}"
             )
-        tau = tau_mix(q1, r, rho)
-        xi_tilde = self.band_section(r * r)
-        section = self.band_section(tau)
-        deficit = (1.0 - tau) * self.eval(rho, 1) ** 2 / self.eval(q1, 1)
-        arr = np.asarray(section._c, dtype=float).copy()
-        arr[1] -= deficit
+        t = tau(q1, r, rho)
+        arr = np.asarray(self.band_section(t)._c, dtype=float).copy()
+        arr[1] -= (1.0 - t) * self.eval(rho, 1) ** 2 / self.eval(q1, 1)
         if arr[1] < -_COEFF_NEG_TOL:
             raise MixtureError(
                 f"invalid (r,q1,rho) region: folded linear coefficient {arr[1]:.3e} < 0"
             )
-        return xi_tilde, self._from_array(arr), deficit
+        return self._from_array(arr)
 
     # -------------------------------------------------------------- reports
 

@@ -433,25 +433,15 @@ def _check_field(m: Mixture, allow_field: bool) -> None:
 
 def cs_value(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False) -> float:
     """Finite-temperature functional value at a step order parameter."""
-    return cs_value_with_grad(m, beta, x, allow_field)[0]
-
-
-def cs_value_with_grad(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False):
-    """Value plus gradient arrays (d/dq_i, d/dx_l); for optimizer and tests."""
     _check_beta(beta)
     _check_field(m, allow_field)
-    value, grad_q, grad_x, _ = _step_value_grad(m, beta, *x.segments)
-    return value, grad_q, grad_x
+    return _step_value_grad(m, beta, *x.segments)[0]
 
 
 def zt_value(m: Mixture, order: ZeroTempOrder, allow_field: bool = False) -> float:
     """Zero-temperature functional value at a step order parameter."""
-    return zt_value_with_grad(m, order, allow_field)[0]
-
-
-def zt_value_with_grad(m: Mixture, order: ZeroTempOrder, allow_field: bool = False):
     _check_field(m, allow_field)
-    return _step_value_grad(m, None, *order.segments)
+    return _step_value_grad(m, None, *order.segments)[0]
 
 
 def rs_value(m: Mixture, beta: float) -> float:

@@ -16,19 +16,36 @@ def test_every_exported_name_resolves(module):
 
 
 @pytest.mark.parametrize(
-    "name", ["SigmaMatrix", "GenericityReport", "SphereReduction", "reduce_to_sphere", "covariance_csv"]
+    "name",
+    [
+        "SigmaMatrix",
+        "GenericityReport",
+        "SphereReduction",
+        "reduce_to_sphere",
+        "covariance_csv",
+        "stream_rng",
+        "tau_mix",
+        "cs_value_with_grad",
+        "zt_value_with_grad",
+    ],
 )
 def test_removed_wrappers_are_not_exported(name):
     assert name not in spinglass.__all__
     assert not hasattr(spinglass, name)
-    assert not hasattr(spinglass.mixtures, name)
-    assert not hasattr(spinglass.conditioning, name)
+    for module in (spinglass.mixtures, spinglass.conditioning, spinglass.mclab, spinglass.rsb):
+        assert not hasattr(module, name)
+
+
+def test_tau_has_one_definition():
+    assert spinglass.franz_parisi.tau is spinglass.mixtures.tau
+    assert spinglass.tau is spinglass.mixtures.tau
 
 
 @pytest.mark.parametrize(
     "func, name",
     [
         (spinglass.chain_bound, "center"),
+        (spinglass.chain_bound, "ladder"),
         (spinglass.find_critical_points, "newton_tol"),
         (spinglass.find_critical_points, "with_hessian_summary"),
         (spinglass.empirical_complexity, "newton_tol"),
@@ -54,6 +71,7 @@ def test_removed_parameters_are_gone(func, name):
         (spinglass.CriticalPointRecord, "hessian_eigs"),
         (spinglass.BandGeometry, "anchors"),
         (spinglass.ConditioningEvent, "E"),
+        (spinglass.FPResult, "field_mode"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )

@@ -1,6 +1,7 @@
 """CLI contract: flags reach the library with the values the artifact records."""
 
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import spinglass.cli as cli
-from spinglass import rsb
+from spinglass import errors, rsb
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
 from spinglass.mclab import MCConfig, gibbs_mcmc, overlap_statistics, sample_field
@@ -73,7 +74,7 @@ def _spy_fp(monkeypatch):
         def fake(m, beta, beta_prime, r, config=None, **kw):
             seen[regime].append(config)
             terms = FPTerms(mean=0.0, free_energy=0.0, volume=0.0)
-            return FPResult(value=0.0, rho_star=0.0, terms=terms, field_mode=False)
+            return FPResult(value=0.0, rho_star=0.0, terms=terms)
 
         return fake
 
@@ -117,6 +118,47 @@ def test_mc_complexity_rejects_q_zero(pure3):
          "--restarts", "2", "--bootstrap", "2"],
     )
     assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+
+
+def test_mc_complexity_rejects_a_negative_bootstrap(pure3, tmp_path):
+    out = tmp_path / "artifact.json"
+    result = CliRunner().invoke(
+        cli.main,
+        ["mc", "complexity", "--mixture", pure3, "--N", "6", "--fields", "2", "--restarts", "2",
+         "--bootstrap", "-1", "--out", str(out)],
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert result.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+# exit code of every class in errors.py at the CLI boundary
+_EXIT_CODE_OF = {
+    "BadInputError": 1,
+    "MixtureError": 1,
+    "RegimeMismatchError": 1,
+    "KMismatchError": 1,
+    "SingularMatrixError": 2,
+    "SingularBlockError": 2,
+    "SolverFailedError": 2,
+    "NotBracketedError": 2,
+    "CapacityExceededError": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [cls for cls in vars(errors).values() if inspect.isclass(cls) and cls.__module__ == errors.__name__],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_class_exits_with_its_code(error, capsys):
+    def body():
+        raise error("boom")
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli._exit_codes(body)
+    assert exit_info.value.code == _EXIT_CODE_OF[error.__name__]
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_run_config_replays_parisi_zero_temp_byte_for_byte(tmp_path):
@@ -427,7 +469,7 @@ def test_fp_rejects_unrunnable_settings_before_any_solve(pure3, monkeypatch, fla
 def test_fp_failure_count_covers_only_the_table_rows(pure3, monkeypatch):
     def fake_fp_high(m, beta, beta_prime, r, config=None, check_regime=True):
         terms = FPTerms(mean=0.0, free_energy=0.0, volume=0.0)
-        return FPResult(value=0.0, rho_star=None, terms=terms, field_mode=False)
+        return FPResult(value=0.0, rho_star=None, terms=terms)
 
     def failing_fp_low(*args, **kwargs):
         raise SolverFailedError("no certificate")

@@ -25,7 +25,8 @@ from spinglass.conditioning import (
 )
 from spinglass.errors import BadInputError, SingularBlockError
 from spinglass.landscape import ground_state_point
-from spinglass.mixtures import Mixture, pure, tau_mix
+from spinglass.mixtures import Mixture, pure
+from spinglass.mixtures import tau as section_tau
 
 MIX = Mixture({2: 0.4, 3: 1.0})
 MIX3 = Mixture({2: 0.3, 3: 1.0, 4: 0.25})
@@ -489,7 +490,7 @@ def test_fp_conditioning_schur_oracle():
     n, q1, r, rho = 40, 0.6, 0.3, 0.25
     c = conditioning_matrix(MIX, q1)
     v = section_vector(MIX, q1, r, rho)
-    tau = tau_mix(q1, r, rho)
+    tau = section_tau(q1, r, rho)
     x1 = np.zeros(n)
     x1[0] = math.sqrt(n * q1)
     s1 = x1.copy()
@@ -526,7 +527,7 @@ def test_fp_conditioning_two_point_kernel():
     n, q1, r, rho = 40, 0.6, 0.3, 0.25
     c = conditioning_matrix(MIX, q1)
     v = section_vector(MIX, q1, r, rho)
-    tau = tau_mix(q1, r, rho)
+    tau = section_tau(q1, r, rho)
     x1 = np.zeros(n)
     x1[0] = math.sqrt(n * q1)
     s1 = x1.copy()
@@ -577,7 +578,7 @@ def test_fp_conditional_kernel_is_psd():
     slack = math.sqrt(q1 - q1 * q1) * math.sqrt(1 - r * r)
     ts = np.linspace(-1, 1, 25)
     for rho in (r * q1 - 0.9 * slack, r * q1, r * q1 + 0.9 * slack):
-        tau = tau_mix(q1, r, rho)
+        tau = section_tau(q1, r, rho)
         c = conditioning_matrix(MIX, q1)
         v = section_vector(MIX, q1, r, rho)
         const = float(v @ np.linalg.solve(c, v))

@@ -142,7 +142,6 @@ class TestHighRegime:
         direct = cs_minimize(mix, 1.3)
         assert res.value == pytest.approx(direct.value, abs=1e-12)
         assert res.value == pytest.approx(1.126181765523, abs=1e-9)
-        assert res.field_mode is False
         assert res.rho_star is None
         assert res.terms.mean == 0.0
         assert res.terms.volume == 0.0
@@ -175,8 +174,14 @@ class TestHighRegime:
         assert plus == pytest.approx(0.378635178997, abs=1e-8)
 
     def test_nonzero_overlap_runs_in_field_mode(self):
+        # the section at r != 0 carries a degree-1 term, which only a
+        # field-mode solve accepts
         mix = Mixture(MIX_B)
-        assert fp_high(mix, 0.5, 0.8, 0.3).field_mode is True
+        section = mix.band_section(0.3 * 0.3)
+        assert section.has_linear
+        res = fp_high(mix, 0.5, 0.8, 0.3)
+        direct = cs_minimize(section, 0.8, allow_field=True)
+        assert res.terms.free_energy == direct.value
 
     def test_rejects_cold_sampling_temperature(self):
         mix = Mixture(MIX_A)
@@ -211,7 +216,6 @@ class TestLowRegime:
         assert res.value == pytest.approx(0.741810558633, abs=1e-9)
         assert res.rho_star == pytest.approx(0.29782027, abs=1e-6)
         assert res.rho_star > 0.3 * Q1_A
-        assert res.field_mode is True
         assert res.terms.mean == pytest.approx(0.106718018, abs=1e-6)
         assert res.terms.free_energy == pytest.approx(0.647235814, abs=1e-6)
         assert res.terms.volume == pytest.approx(-0.012143274, abs=1e-6)

@@ -332,7 +332,7 @@ def test_chain_pure_matches_restricted_sup():
     value = chain_bound(pure(3), beta, eps=1e-3)
     res = cs_minimize(pure(3), beta)
     ladder = tuple(q for q in res.x_star.support() if q > 0.0)
-    lev0 = pure(3).level_mixtures(ladder)[0][0]
+    lev0 = pure(3).level_mixtures(ladder)[0]
     e_c, _, _ = ground_state_point(pure(3), ladder[0])
     es = np.linspace(e_c - 2e-3, e_c + 2e-3, 20001)
     oracle = max(theta_pure(lev0, e) for e in es)
@@ -342,9 +342,7 @@ def test_chain_pure_matches_restricted_sup():
 def test_chain_monotone_in_eps_and_small_at_default():
     m = Mixture(T34_MIX)
     beta = 1.5 * T34_BETA_C
-    res = cs_minimize(m, beta)
-    ladder = tuple(q for q in res.x_star.support() if q > 0.0)
-    vals = [chain_bound(m, beta, ladder=ladder, eps=e) for e in (1e-5, 1e-4, 1e-3, 4e-3)]
+    vals = [chain_bound(m, beta, eps=e) for e in (1e-5, 1e-4, 1e-3, 4e-3)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi - lo >= -1e-12
     assert abs(vals[2]) <= 1e-2
@@ -354,9 +352,7 @@ def test_chain_monotone_in_eps_and_small_at_default():
 def test_chain_two_rsb_center_variants():
     m = Mixture(TWO_RSB_MIX)
     beta = 2.0 * TWO_RSB_BETA_C
-    res = cs_minimize(m, beta)
-    ladder = tuple(q for q in res.x_star.support() if q > 0.0)
-    lev = chain_bound(m, beta, ladder=ladder, eps=1e-3)
+    lev = chain_bound(m, beta, eps=1e-3)
     assert abs(lev) <= 1e-2
 
 

@@ -19,6 +19,7 @@ from spinglass.conditioning import (
     hessian_decomposition,
 )
 from spinglass.errors import BadInputError, CapacityExceededError, SingularBlockError
+from spinglass import mclab
 from spinglass.landscape import ground_state_point
 from spinglass.mclab import (
     MCConfig,
@@ -30,7 +31,6 @@ from spinglass.mclab import (
     load_samples,
     overlap_statistics,
     sample_field,
-    stream_rng,
     validate_kernels,
 )
 from spinglass.mixtures import Mixture
@@ -82,19 +82,19 @@ def relative_gap(got, want) -> float:
 
 class TestStreams:
     def test_deterministic_per_key(self):
-        a = stream_rng(7, 3, 1).standard_normal(8)
-        b = stream_rng(7, 3, 1).standard_normal(8)
+        a = mclab._stream(7, 3, 1).standard_normal(8)
+        b = mclab._stream(7, 3, 1).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_differ(self):
-        base = stream_rng(7, 0, 0).standard_normal(8)
+        base = mclab._stream(7, 0, 0).standard_normal(8)
         for key in [(8, 0, 0), (7, 1, 0), (7, 0, 1)]:
-            assert not np.array_equal(base, stream_rng(*key).standard_normal(8))
+            assert not np.array_equal(base, mclab._stream(*key).standard_normal(8))
 
     @pytest.mark.parametrize("key", [(-1, 0, 0), (7, -2, 0), (7, 0, -1)])
     def test_negative_keys_are_bad_input(self, key):
         with pytest.raises(BadInputError):
-            stream_rng(*key)
+            mclab._stream(*key)
 
     @pytest.mark.parametrize("chain_index", [0, 1 << 16, (1 << 16) + 1])
     def test_chain_start_is_off_the_field_finder_and_bootstrap_streams(self, chain_index):
@@ -104,8 +104,37 @@ class TestStreams:
         f = sample_field(Mixture({3: 1.0}), 8, seed=0)
         cfg = MCConfig(steps=1, burn_in=0, thin=1, step_size=1e-12, chain_index=chain_index)
         start = gibbs_mcmc(f, 0.0, cfg).samples[0]
-        other = stream_rng(0, 0, chain_index).standard_normal(8)
+        other = mclab._stream(0, 0, chain_index).standard_normal(8)
         assert not np.allclose(start, other * (math.sqrt(8) / np.linalg.norm(other)), atol=1e-6)
+
+    def test_lane_keys_and_first_draws_are_pinned(self, monkeypatch):
+        # (seed, spawn key, first two normal draws) of every stream the lab
+        # opens, in call order: field (f, 0), chain (f, c, 1 << 17), finder
+        # (f, 1 << 16), bootstrap (0, (1 << 16) + 1), sampler (0, 0, (1 << 17) + 1)
+        pinned = [
+            (5, (2, 0), [2.14531363898752, -0.8986451092959384]),
+            (5, (2, 1, 131072), [1.4641235579007026, 0.7130358657997055]),
+            (5, (2, 65536), [-0.2793851082596105, -1.762865892830405]),
+            (5, (0, 0), [-0.4324286880180627, 1.092281102662813]),
+            (5, (0, 65536), [-0.32059859275607133, 0.8501272558838965]),
+            (5, (0, 65537), [0.6953263788525851, -0.9474698968555516]),
+            (5, (0, 0, 131073), [-0.522453776482439, 0.5038425769375194]),
+        ]
+        seen = []
+        real = mclab._stream
+
+        def recording(seed, *key):
+            seen.append((seed, key, real(seed, *key).standard_normal(2).tolist()))
+            return real(seed, *key)
+
+        monkeypatch.setattr(mclab, "_stream", recording)
+        m = Mixture({3: 1.0})
+        field = sample_field(m, 4, seed=5, field_index=2)
+        gibbs_mcmc(field, 0.5, MCConfig(steps=1, burn_in=0, thin=1, chain_index=1))
+        find_critical_points(field, restarts=1, max_iter=1)
+        empirical_complexity(m, 4, 1.0, [-1, 1], [-1, 1], 1, seed=5, restarts=1, bootstrap=1)
+        exact_conditional_sampler(m, np.eye(4)[:1] * 2.0, [], [], [("value", 0)], 1, seed=5)
+        assert seen == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +502,22 @@ class TestComplexity:
         with pytest.raises(BadInputError):
             empirical_complexity(
                 Mixture(MIX_23), 24, 1.0, self.E_EDGES, self.R_EDGES, n_fields=0
+            )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(bootstrap=-1), dict(bootstrap=True), dict(bootstrap=2.0), dict(bootstrap="5"),
+         dict(restarts=0), dict(restarts=-3)],
+        ids=["bootstrap=-1", "bootstrap=True", "bootstrap=2.0", "bootstrap='5'", "restarts=0", "restarts=-3"],
+    )
+    def test_bad_bootstrap_or_restarts_is_rejected_before_any_field(self, kw, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(mclab, "sample_field", no_draw)
+        with pytest.raises(BadInputError):
+            empirical_complexity(
+                Mixture(MIX_23), 24, 1.0, self.E_EDGES, self.R_EDGES, n_fields=2, **kw
             )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinglass import Mixture, MixtureError, pure
+from spinglass import Mixture, MixtureError, mixtures, pure
 from spinglass.errors import SingularMatrixError
 from spinglass.mixtures import sigma_inverse
 
@@ -266,14 +266,13 @@ def test_band_section_keeps_linear_term():
 def test_level_mixtures_against_shift_restrict():
     xi = Mixture({2: 0.5, 4: 1.0})
     ladder = [0.3, 0.7]
-    pairs = xi.level_mixtures(ladder)
-    assert len(pairs) == 3
+    levels = xi.level_mixtures(ladder)
+    assert len(levels) == 3
     qs = [0.0, 0.3, 0.7, 1.0]
-    for m, (seg, tail) in enumerate(pairs):
+    for m, seg in enumerate(levels):
         xi_qm, _, _ = xi.shift_restrict(qs[m])
         dq = qs[m + 1] - qs[m]
         assert np.max(np.abs(seg.eval(MESH) - xi_qm.eval(dq * MESH))) < 1e-12
-        assert np.max(np.abs(tail.eval(MESH) - xi_qm.eval((1 - qs[m]) * MESH))) < 1e-12
 
 
 def test_level_mixtures_rejects_bad_ladder():
@@ -295,13 +294,11 @@ def test_scale_domain_degenerate():
 def test_fp_mixtures_frozen_tau():
     xi = Mixture({2: 1.0, 3: 1.0})
     r, q1, rho = 0.3, 0.5, 0.15
-    xi_tilde, xi_fp, deficit = xi.fp_mixtures(r, q1, rho)
+    xi_fp = xi.fp_mixtures(r, q1, rho)
     tau = r * r + (rho - r * q1) ** 2 / (q1 - q1 * q1)
     assert tau == pytest.approx(0.09, abs=1e-15)
-    direct_tilde = xi.eval(r * r + (1 - r * r) * MESH) - xi.eval(r * r)
-    assert np.max(np.abs(xi_tilde.eval(MESH) - direct_tilde)) < 1e-12
-    expect_deficit = (1 - tau) * xi.eval(rho, 1) ** 2 / xi.eval(q1, 1)
-    assert deficit == pytest.approx(expect_deficit, abs=1e-14)
+    assert mixtures.tau(q1, r, rho) == pytest.approx(tau, abs=1e-15)
+    deficit = (1 - tau) * xi.eval(rho, 1) ** 2 / xi.eval(q1, 1)
     direct_fp = xi.eval(tau + (1 - tau) * MESH) - xi.eval(tau) - deficit * MESH
     assert np.max(np.abs(xi_fp.eval(MESH) - direct_fp)) < 1e-12
 
@@ -314,8 +311,9 @@ def test_fp_mixtures_random_instances_dual_route():
         q1 = float(rng.uniform(0.2, 0.9))
         half = math.sqrt(q1 - q1 * q1) * math.sqrt(1 - r * r)
         rho = r * q1 + float(rng.uniform(-0.99, 0.99)) * half
-        xi_tilde, xi_fp, deficit = xi.fp_mixtures(r, q1, rho)
+        xi_fp = xi.fp_mixtures(r, q1, rho)
         tau = r * r + (rho - r * q1) ** 2 / (q1 - q1 * q1)
+        deficit = (1 - tau) * xi.eval(rho, 1) ** 2 / xi.eval(q1, 1)
         direct = xi.eval(tau + (1 - tau) * MESH) - xi.eval(tau) - deficit * MESH
         assert np.max(np.abs(xi_fp.eval(MESH) - direct)) < 1e-10
         assert xi_fp.coeffs.get(1, 0.0) >= 0.0
@@ -334,7 +332,7 @@ def test_fp_linear_slot_nonnegative_at_endpoint():
     r, q1 = 0.0, 0.5
     half = math.sqrt(q1 - q1 * q1)
     for frac in np.linspace(-0.95, 0.95, 15):
-        _, xi_fp, _ = xi.fp_mixtures(r, q1, r * q1 + frac * half)
+        xi_fp = xi.fp_mixtures(r, q1, r * q1 + frac * half)
         assert xi_fp.coeffs.get(1, 0.0) >= 0.0
 
 

@@ -31,14 +31,12 @@ from spinglass.rsb import (
     beta_c,
     cs_minimize,
     cs_value,
-    cs_value_with_grad,
     pushforward_check,
     rs_value,
     talagrand_certificate,
     zero_temp_certificate,
     zt_minimize,
     zt_value,
-    zt_value_with_grad,
 )
 
 # Frozen solver outputs; recomputing them must stay inside the stated bands.
@@ -323,7 +321,7 @@ def replaced(seq, i, v):
 
 
 def fd_check_cs(m, beta, x, step=1e-5, rtol=1e-5):
-    value, grad_q, grad_x = cs_value_with_grad(m, beta, x)
+    value, grad_q, grad_x, _ = rsb._step_value_grad(m, beta, *x.segments)
     # central differences coordinate by coordinate
     for i in range(x.k):
         fd = fd_derivative(
@@ -338,7 +336,7 @@ def fd_check_cs(m, beta, x, step=1e-5, rtol=1e-5):
 
 
 def fd_check_zt(m, order, step=1e-5, rtol=1e-5):
-    _, grad_q, grad_a, grad_c = zt_value_with_grad(m, order)
+    _, grad_q, grad_a, grad_c = rsb._step_value_grad(m, None, *order.segments)
     breaks, vals, c = order.breakpoints, order.values, order.c
 
     def val(bk, vl, cc):
