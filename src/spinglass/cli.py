@@ -597,7 +597,12 @@ def main():
 @click.option("--beta", type=float, default=None)
 @click.option("--zero-temp", "zero_temp", is_flag=True, default=False)
 @click.option("--k-max", "k_max", type=int, default=None)
-@click.option("--starts", type=int, default=None)
+@click.option(
+    "--starts", type=int, default=None,
+    help="Cap on the seeded starts per atom level (default 8). A level stops at its first "
+    "certified candidate (seeded start 0 plus the previous level's warm split) and runs the "
+    "other seeded starts only when that candidate does not certify.",
+)
 @click.option("--solver-seed", "solver_seed", type=int, default=None)
 @_common
 def cmd_parisi(**kw):

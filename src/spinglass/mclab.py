@@ -76,6 +76,13 @@ _CHAIN_LANE = 1 << 17
 _SAMPLER_LANE = _CHAIN_LANE + 1
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is a bool, not an integer or below minimum (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "non-negative" if minimum == 0 else "positive"
+        raise BadInputError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for one spawn key under seed.
 
@@ -416,8 +423,8 @@ def find_critical_points(
     """
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
-    if restarts < 1:
-        raise BadInputError("need at least one restart")
+    _check_count("restarts", restarts, 1)
+    _check_count("max_iter", max_iter, 1)
     n = field.n
     radius = math.sqrt(n * q)
     tol = 1e-8 * math.sqrt(n)
@@ -552,14 +559,11 @@ def empirical_complexity(
     r_edges = np.asarray(r_edges, dtype=float)
     if e_edges.ndim != 1 or e_edges.size < 2 or r_edges.ndim != 1 or r_edges.size < 2:
         raise BadInputError("bin edges must be 1-d arrays with at least two entries")
-    if n_fields < 1:
-        raise BadInputError("need at least one field")
+    _check_count("n_fields", n_fields, 1)
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
-    if restarts < 1:
-        raise BadInputError("need at least one restart")
-    if isinstance(bootstrap, bool) or not isinstance(bootstrap, numbers.Integral) or bootstrap < 0:
-        raise BadInputError(f"bootstrap must be a non-negative integer, got {bootstrap!r}")
+    _check_count("restarts", restarts, 1)
+    _check_count("bootstrap", bootstrap, 0)
 
     def one_field(index: int) -> np.ndarray:
         fld = sample_field(m, n, seed, field_index=index)

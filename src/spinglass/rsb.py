@@ -288,6 +288,14 @@ ZT_K_MAX = 2
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of the certified solver.
+
+    starts caps the seeded L-BFGS starts of one atom level. A level first
+    runs seeded start 0 and the warm split of the previous level's answer,
+    and stops there when that candidate certifies; only a level whose cheap
+    candidate fails runs the other starts - 1 seeded starts.
+    """
+
     k_max: int = 3
     starts: int = 8
     atom_tol: float = 1e-7
@@ -760,22 +768,32 @@ def _split_widest_gap(qs, levels, tail, beta: float | None) -> np.ndarray:
     return np.concatenate([np.log(gq), raw_lev])
 
 
-def _level_candidate(m: Mixture, beta: float | None, k: int, cfg: SolverConfig, warm):
-    """Best candidate with k atoms from the seeded multistart plus a
-    warm start split from the previous level's answer."""
+def _level_starts(beta: float | None, k: int, cfg: SolverConfig, warm):
+    """Raw starts of level k as (cheap, rest). cheap is seeded start 0 plus,
+    when the previous level's answer has k - 1 breakpoints, its widest-gap
+    split; rest is seeded starts 1 .. starts - 1, run only when the cheap
+    candidate does not certify. Both are empty for the replica-symmetric
+    point, which has no free coordinate."""
     pinned = beta is not None
     if pinned and not k:
-        return (), (1.0,), 0.0  # the replica-symmetric point has no free coordinate
+        return [], []
     sub, scale = (0, 1.5) if pinned else (1 << 20, 1.0)
     # the breakpoint softmax takes k + 1 coordinates (none when k = 0)
     size = (k + 1 if k else 0) + k + 1 + (0 if pinned else 1)
-    raws = [
+    seeded = [
         stream(cfg.seed, STREAM_SOLVER, sub | (k << 10) | s).normal(0.0, scale, size)
         for s in range(cfg.starts)
     ]
+    cheap = seeded[:1]
     if warm is not None and len(warm[0]) == k - 1:
-        raws.append(_split_widest_gap(*warm, beta))
-    best = None
+        cheap.append(_split_widest_gap(*warm, beta))
+    return cheap, seeded[1:]
+
+
+def _descend(m: Mixture, beta: float | None, k: int, raws, best=None):
+    """Run L-BFGS from each raw start and return the smallest of the
+    incumbent best and the results, keyed by (round(value, 12), qs, levels,
+    tail); None when there is neither."""
     for raw0 in raws:
         res = minimize(
             _raw_objective,
@@ -789,7 +807,7 @@ def _level_candidate(m: Mixture, beta: float | None, k: int, cfg: SolverConfig, 
         key = (round(float(res.fun), 12), qs, levels, tail)
         if best is None or key < best:
             best = key
-    return best[1:]
+    return best
 
 
 def _canonical(qs, levels, beta: float | None, mass_tol: float = 1e-6):
@@ -899,6 +917,31 @@ def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
     return state, new_value
 
 
+def _settle(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool, state):
+    """Canonicalise and polish a level's candidate (qs, levels, tail) until
+    its structure is stable, then certify it. Returns the settled state and
+    the level's CsResult (beta set) or ZtResult (beta None)."""
+    mass_tol = max(cfg.atom_tol * 10, 1e-6)
+    # cleanup and polish interleave until the structure is stable
+    for _ in range(3):
+        qs, levels, tail = state
+        qs, levels = _canonical(qs, levels, beta, mass_tol=mass_tol)
+        value = _step_value_grad(m, beta, qs, levels, tail)[0]
+        polished, value = _polish(m, beta, qs, levels, tail, value)
+        stable = polished == state
+        state = polished
+        if stable:
+            break
+    qs, levels, tail = state
+    opts = dict(mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field)
+    # the certificates are called by module name, so a patched one is seen
+    if beta is not None:
+        x = OrderParameter(qs, levels[:-1])
+        return state, CsResult(x, float(value), talagrand_certificate(m, beta, x, **opts))
+    order = ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail)
+    return state, ZtResult(order, float(value), zero_temp_certificate(m, order, **opts))
+
+
 # equal inputs solve once per process; the memo keeps this many answers
 _CACHE_SIZE = 256
 
@@ -910,37 +953,32 @@ def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool)
     certified answer with the smallest k among those within atom_tol of the
     best certified value; raises SolverFailedError when none certifies.
 
+    Each level stops at its first certified candidate: it minimises from
+    seeded start 0 and the warm split of the previous level's answer, and
+    only when that candidate's certificate fails does it run the other
+    seeded starts (cfg.starts caps them) and settle the best of all of them.
+
     A float beta yields a CsResult certified by talagrand_certificate, None
     (zero temperature) a ZtResult certified by zero_temp_certificate. Inputs
     arrive validated and normalised (beta a float, cfg a SolverConfig), so
     equal inputs share one memo entry; an error is not memoised.
     """
-    mass_tol = max(cfg.atom_tol * 10, 1e-6)
-    opts = dict(mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field)
     history = []
     warm = None
     for k in range(cfg.k_max + 1):
-        state = _level_candidate(m, beta, k, cfg, warm)
-        # cleanup and polish interleave until the structure is stable
-        for _ in range(3):
-            qs, levels, tail = state
-            qs, levels = _canonical(qs, levels, beta, mass_tol=mass_tol)
-            value = _step_value_grad(m, beta, qs, levels, tail)[0]
-            polished, value = _polish(m, beta, qs, levels, tail, value)
-            stable = polished == state
-            state = polished
-            if stable:
-                break
-        qs, levels, tail = state
-        # the certificates are called by module name, so a patched one is seen
-        if beta is not None:
-            x = OrderParameter(qs, levels[:-1])
-            history.append(CsResult(x, float(value), talagrand_certificate(m, beta, x, **opts)))
-        else:
-            order = ZeroTempOrder(tuple(zip((0.0, *qs), levels)), tail)
-            history.append(ZtResult(order, float(value), zero_temp_certificate(m, order, **opts)))
-        cert = history[-1][2]
+        cheap, rest = _level_starts(beta, k, cfg, warm)
+        best = _descend(m, beta, k, cheap)
+        # only the replica-symmetric point has no start
+        state = best[1:] if best else ((), (1.0,), 0.0)
+        state, entry = _settle(m, beta, cfg, allow_field, state)
+        if rest and not entry[2].passes:
+            escalated = _descend(m, beta, k, rest, best)
+            # an unchanged best would settle to the same failing certificate
+            if escalated != best:
+                state, entry = _settle(m, beta, cfg, allow_field, escalated[1:])
+        history.append(entry)
         warm = state
+        _, value, cert = entry
         if cert.passes and len(history) >= 2 and history[-2][1] - value < cfg.atom_tol:
             break
     passing = [h for h in history if h[2].passes]
@@ -967,8 +1005,11 @@ def cs_minimize(
 
     Refines the atom count k = 0, 1, ... until the optimality certificate
     passes and a further level brings less than atom_tol improvement.
-    The atom cap is config.k_max (3 without a config). Raises
-    SolverFailedError when no k up to the cap certifies.
+    A level stops at its first certified candidate (from seeded start 0 and
+    the previous level's warm split); config.starts caps the seeded starts
+    it escalates to when that candidate fails. The atom cap is
+    config.k_max (3 without a config). Raises SolverFailedError when no k
+    up to the cap certifies.
 
     Equal inputs return one shared immutable result per process (no config
     and SolverConfig() are equal inputs, as are an int beta and its float);
@@ -988,9 +1029,12 @@ def zt_minimize(
 
     Returns the order parameter, the limiting normalized maximum of the
     field (the ground-state energy density), and the optimality certificate
-    with the strict two-level flag filled in. The atom cap is config.k_max;
-    without a config it is ZT_K_MAX (2). Raises SolverFailedError when no k
-    up to the cap certifies.
+    with the strict two-level flag filled in. A level stops at its first
+    certified candidate (from seeded start 0 and the previous level's warm
+    split); config.starts caps the seeded starts it escalates to when that
+    candidate fails. The atom cap is config.k_max; without a config it is
+    ZT_K_MAX (2). Raises SolverFailedError when no k up to the cap
+    certifies.
 
     Equal inputs return one shared immutable result per process (no config
     and SolverConfig(k_max=ZT_K_MAX) are equal inputs); an error is not

@@ -436,6 +436,18 @@ class TestCriticalPoints:
         with pytest.raises(BadInputError):
             find_critical_points(f, restarts=0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(restarts=2.5), dict(restarts=True), dict(restarts="4"), dict(max_iter=2.5),
+         dict(max_iter=0), dict(max_iter=-1), dict(max_iter=True)],
+        ids=["restarts=2.5", "restarts=True", "restarts='4'", "max_iter=2.5", "max_iter=0",
+             "max_iter=-1", "max_iter=True"],
+    )
+    def test_a_count_it_cannot_run_is_bad_input(self, kw):
+        f = sample_field(Mixture(MIX_23), 16, seed=4)
+        with pytest.raises(BadInputError):
+            find_critical_points(f, **kw)
+
 
 # ---------------------------------------------------------------------------
 # empirical complexity
@@ -518,6 +530,22 @@ class TestComplexity:
         with pytest.raises(BadInputError):
             empirical_complexity(
                 Mixture(MIX_23), 24, 1.0, self.E_EDGES, self.R_EDGES, n_fields=2, **kw
+            )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(n_fields=1.5), dict(n_fields=True), dict(n_fields=0), dict(restarts=2.5),
+         dict(restarts=True)],
+        ids=["n_fields=1.5", "n_fields=True", "n_fields=0", "restarts=2.5", "restarts=True"],
+    )
+    def test_a_non_integer_count_is_rejected_before_any_field(self, kw, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(mclab, "sample_field", no_draw)
+        with pytest.raises(BadInputError):
+            empirical_complexity(
+                Mixture(MIX_23), 24, 1.0, self.E_EDGES, self.R_EDGES, **{"n_fields": 2, **kw}
             )
 
 

@@ -1,6 +1,7 @@
 """Variational layer: quadrature oracles, gradients, solver regressions."""
 
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +21,7 @@ from spinglass.errors import (
 )
 from spinglass import rsb
 from spinglass._rng import STREAM_SOLVER, stream
+from spinglass.landscape import ground_state_point
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import (
     Q_CAP,
@@ -768,37 +770,144 @@ def test_threads_racing_for_one_memo_entry_get_equal_answers():
         assert (res.value, res.x_star) == (again.value, again.x_star)
 
 
+def _spy_levels(monkeypatch):
+    """Clear the memo and record every solve from here on, per atom level k
+    in run order: each L-BFGS start as ("start", x0) and each certificate as
+    ("cert", passes). A certificate joins the level of the last start (the
+    replica-symmetric level 0 has none)."""
+    levels = {}
+    current = [0]
+    real_minimize = rsb.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        current[0] = kwargs["args"][1]
+        levels.setdefault(current[0], []).append(("start", np.array(x0, copy=True)))
+        return real_minimize(fun, x0, *args, **kwargs)
+
+    def spying(real):
+        def certificate(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            levels.setdefault(current[0], []).append(("cert", cert.passes))
+            return cert
+
+        return certificate
+
+    monkeypatch.setattr(rsb, "minimize", recording)
+    for name in ("talagrand_certificate", "zero_temp_certificate"):
+        monkeypatch.setattr(rsb, name, spying(getattr(rsb, name)))
+    rsb._solve.cache_clear()
+    return levels
+
+
+def _seeded_draw(cfg, beta, k, s, size):
+    sub, scale = (0, 1.5) if beta is not None else (1 << 20, 1.0)
+    return stream(cfg.seed, STREAM_SOLVER, sub | (k << 10) | s).normal(0.0, scale, size)
+
+
+def _check_certify_first(levels, cfg, beta):
+    """Every level runs seeded start 0 (and the warm split) and certifies;
+    only a failed certificate escalates, to seeded starts 1 .. starts - 1,
+    after which the level certifies at most once more. No start runs twice
+    within a level. Returns each level's event shape ("s" start, "P"/"F"
+    passing/failing certificate)."""
+    shapes = {}
+    for k, events in levels.items():
+        shape = "".join(
+            "s" if kind == "start" else ("P" if value else "F") for kind, value in events
+        )
+        escalated = f"Fs{{{cfg.starts - 1}}}[PF]?" if cfg.starts > 1 else "F"
+        # the replica-symmetric level has no start and nothing to escalate to
+        assert re.fullmatch(f"[PF]|s{{1,2}}(P|{escalated})", shape), (k, shape)
+        x0s = [value for kind, value in events if kind == "start"]
+        for i, x0 in enumerate(x0s):
+            assert not any(np.array_equal(x0, other) for other in x0s[:i]), (k, i)
+        if x0s:
+            assert np.array_equal(x0s[0], _seeded_draw(cfg, beta, k, 0, x0s[0].size)), k
+        shapes[k] = shape
+    return shapes
+
+
 def test_multistart_keys_are_pinned_per_temperature(monkeypatch):
-    # every random start of level k, start s is the normal draw keyed by
-    # (seed, STREAM_SOLVER, substream | k << 10 | s) at the temperature's scale
+    # every seeded start of level k, start s is the normal draw keyed by
+    # (seed, STREAM_SOLVER, substream | k << 10 | s) at the temperature's
+    # scale; a level runs seeded start 0 first, then the warm split of the
+    # previous level's answer, then (only if it escalates) seeded starts 1, 2, ...
     starts_by_level = {}
-    real = rsb.minimize
+    splits_by_level = {}
+    real, real_split = rsb.minimize, rsb._split_widest_gap
 
     def recording(fun, x0, *args, **kwargs):
         k = kwargs["args"][1]
         starts_by_level.setdefault(k, []).append(np.array(x0, copy=True))
         return real(fun, x0, *args, **kwargs)
 
+    def splitting(qs, *args):
+        raw = real_split(qs, *args)
+        splits_by_level[len(qs) + 1] = raw
+        return raw
+
     monkeypatch.setattr(rsb, "minimize", recording)
+    monkeypatch.setattr(rsb, "_split_widest_gap", splitting)
     cfg = SolverConfig(k_max=1, starts=2)
     solves = [
-        (lambda: cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0, cfg), 0, 1.5, [1]),
-        (lambda: zt_minimize(Mixture({2: 0.3, 3: 0.7}), cfg), 1 << 20, 1.0, [0, 1]),
+        (lambda: cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0, cfg), 2.0, [1]),
+        (lambda: zt_minimize(Mixture({2: 0.3, 3: 0.7}), cfg), None, [0, 1]),
     ]
-    for solve, sub, scale, k_levels in solves:
+    for solve, beta, k_levels in solves:
         rsb._solve.cache_clear()
         starts_by_level.clear()
+        splits_by_level.clear()
         try:
             solve()
         except SolverFailedError:
             pass  # the starts are drawn either way
         assert sorted(starts_by_level) == k_levels
+        # the level above an answer with k - 1 breakpoints gets its warm split
+        assert sorted(splits_by_level) == [k for k in k_levels if k]
         for k, x0s in starts_by_level.items():
-            assert len(x0s) >= cfg.starts
-            for s, x0 in enumerate(x0s[: cfg.starts]):
-                key = sub | (k << 10) | s
-                expected = stream(cfg.seed, STREAM_SOLVER, key).normal(0.0, scale, x0.size)
-                assert np.array_equal(x0, expected), (k, s)
+            seeded = x0s
+            if k in splits_by_level:
+                assert np.array_equal(x0s[1], splits_by_level[k]), k
+                seeded = x0s[:1] + x0s[2:]
+            assert 1 <= len(seeded) <= cfg.starts
+            for s, x0 in enumerate(seeded):
+                assert np.array_equal(x0, _seeded_draw(cfg, beta, k, s, x0.size)), (k, s)
+
+
+def test_a_level_stops_at_its_first_certified_candidate(monkeypatch):
+    levels = _spy_levels(monkeypatch)
+    res = cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0)
+    assert res.certificate.passes and res.x_star.k == 2
+    shapes = _check_certify_first(levels, SolverConfig(), 2.0)
+    # the top levels certify their cheap pair: start 0 and the warm split
+    assert shapes[2] == shapes[3] == "ssP"
+
+
+def test_a_failing_solve_escalates_every_level_to_all_seeded_starts(monkeypatch):
+    levels = _spy_levels(monkeypatch)
+    with pytest.raises(SolverFailedError):
+        ground_state_point(Mixture({2: 0.8, 4: 0.2}), 1.0)
+    cfg = SolverConfig(k_max=ZT_K_MAX)
+    shapes = _check_certify_first(levels, cfg, None)
+    assert sorted(shapes) == list(range(ZT_K_MAX + 1))
+    for k, events in levels.items():
+        assert "P" not in shapes[k]
+        x0s = [value for kind, value in events if kind == "start"]
+        for s in range(cfg.starts):
+            draw = _seeded_draw(cfg, None, k, s, x0s[0].size)
+            assert sum(np.array_equal(x0, draw) for x0 in x0s) == 1, (k, s)
+
+
+def test_one_start_per_level_runs_each_start_once(monkeypatch):
+    levels = _spy_levels(monkeypatch)
+    cfg = SolverConfig(starts=1)
+    res = cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0, cfg)
+    assert res.certificate.passes
+    shapes = _check_certify_first(levels, cfg, 2.0)
+    # the replica-symmetric level has no start; every other level runs its
+    # cheap pair (seeded start 0 and the warm split) once and certifies once
+    assert shapes[0] in ("P", "F")
+    assert all(shapes[k] in ("ssP", "ssF") for k in range(1, max(shapes) + 1))
 
 
 def test_the_memo_is_bounded():
