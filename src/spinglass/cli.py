@@ -8,6 +8,18 @@ defaults of its options, so explicit flags override config-file values.  A
 replay is the config's command run with ``--config file.json``, so click types
 every value on both paths.  Options left unset keep the library's defaults.
 
+Artifacts: this is the only module that knows an artifact format.  A command
+body returns what it computed, a report (a dict) or a table (columns, rows of
+numbers or labels, an optional note), and the failure if there was one; one
+writer renders and writes it.  ``--format`` left unset resolves to json for a
+report and csv for a table, and the run config records the resolved format.
+A JSON report carries the run config under ``config``, a CSV report as
+``config.*`` rows.  A table in JSON is ``{"columns", "rows", "config"}``, plus
+``"note"`` when it has one; in CSV it is the note line (``# note``), the header
+and the rows, with numbers written as ``{:.12g}``, and no config.  NaN and
+infinities are written as ``nan``, ``inf`` and ``-inf``.  Every JSON artifact
+embeds its config, so ``run --config`` replays it.
+
 Exit codes: 0 success, 1 bad input (including click usage errors: unknown
 options or commands, unknown config fields, mistyped flag or config values),
 2 solver failure (or failed validation / failed sweep rows), 3 capacity
@@ -22,6 +34,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -38,7 +51,7 @@ from .landscape import (
     fprime_identity,
     ground_state_curve,
     identity_esrs,
-    theta_surface_csv,
+    theta,
 )
 from .mclab import (
     MCConfig,
@@ -81,10 +94,10 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     seed: int = 0
     out: str | None = None
-    format: str = "json"
+    format: str | None = None  # unset: json for a report, csv for a table
 
     def __post_init__(self):
-        if self.format not in ("json", "csv"):
+        if self.format not in (None, "json", "csv"):
             raise BadInputError(f"format must be json or csv, got {self.format!r}")
 
     def to_json(self) -> str:
@@ -161,9 +174,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "nan", "inf" or "-inf": JSON has no such numbers
     return obj
 
 
@@ -180,22 +193,44 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def _render(report: dict, fmt: str) -> str:
+class _Table(NamedTuple):
+    """A table artifact: column names, rows of numbers or labels, and an
+    optional note that leads its CSV form."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    note: str | None = None
+
+
+class _Failure(NamedTuple):
+    """Why a command exits 2 after writing its artifact; a partial artifact
+    holds only the rows solved before the failure."""
+
+    message: str
+    partial: bool = False
+
+
+def _cell(value) -> str:
+    return value if isinstance(value, str) else f"{value:.12g}"
+
+
+def _render(artifact: dict | _Table, fmt: str, config: dict) -> str:
+    """The text of a report or table in fmt, with the run config attached."""
+    if isinstance(artifact, _Table):
+        if fmt == "csv":
+            lines = [] if artifact.note is None else [f"# {artifact.note}"]
+            lines.append(",".join(artifact.columns))
+            lines += [",".join(map(_cell, row)) for row in artifact.rows]
+            return "\n".join(lines) + "\n"
+        note = {} if artifact.note is None else {"note": artifact.note}
+        artifact = {"columns": artifact.columns, "rows": artifact.rows, **note}
+    report = {**artifact, "config": config}
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     lines = ["key,value"]
     for key, value in _flatten(report):
         lines.append(f"{key},{value}")
     return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}")
 
 
 def _fail(message: str, code: int):
@@ -264,11 +299,12 @@ def _solver_config(params: dict, **defaults) -> SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (reached only through their click command)
+# command bodies (reached only through their click command); each returns
+# (artifact, failure or None), and _run writes the artifact
 # ---------------------------------------------------------------------------
 
 
-def _body_parisi(cfg: RunConfig) -> int:
+def _body_parisi(cfg: RunConfig):
     m = cfg.mixture_obj()
     p = cfg.params
     if p.get("zero_temp"):
@@ -301,12 +337,10 @@ def _body_parisi(cfg: RunConfig) -> int:
         "certificate: sup_phi %.3e, worst support residual %.3e"
         % (cert["sup_phi"], max(abs(r) for r in cert["residuals_at_support"]))
     )
-    report["config"] = json.loads(cfg.to_json())
-    _emit(_render(report, cfg.format), cfg.out)
-    return 0
+    return report, None
 
 
-def _body_landscape(cfg: RunConfig) -> int:
+def _body_landscape(cfg: RunConfig):
     m = cfg.mixture_obj()
     p = cfg.params
     modes = [name for name in ("theta", "identities", "gs") if p.get(name)]
@@ -329,16 +363,13 @@ def _body_landscape(cfg: RunConfig) -> int:
             "chain_bound": bound,
             "worst_energy_dev": max(abs(row.e_dev) for row in esrs.rows),
             "worst_radial_dev_next": max(abs(row.r_dev_next) for row in esrs.rows),
-            "config": json.loads(cfg.to_json()),
         }
         click.echo(
             "identities: worst energy dev %.3e, derivative dev %.3e, chain bound %.6g"
             % (report["worst_energy_dev"], fpr.deviation, bound)
         )
-        _emit(_render(report, cfg.format), cfg.out)
-        return 0
+        return report, None
 
-    # grid modes emit CSV tables regardless of --format json default
     if mode == "theta":
         grid = _param(p, "grid", 41)
         if grid < 2:
@@ -347,42 +378,33 @@ def _body_landscape(cfg: RunConfig) -> int:
         r_lo, r_hi = _pair(p.get("r_range") or "-4:4", "--r-range")
         e_grid = [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
         r_grid = [r_lo + (r_hi - r_lo) * i / (grid - 1) for i in range(grid)]
+        table = _Table(("E", "R", "theta"), [])
         try:
-            table = theta_surface_csv(m, e_grid, r_grid)
+            for e in e_grid:
+                for r in r_grid:
+                    table.rows.append((e, r, theta(m, e, r).theta))
         except _SOLVER_ERRORS as e:
             # theta fails only on a singular sigma, a property of the
             # mixture alone: the first point fails or none does
-            return _partial(["E,R,theta"], cfg.out, str(e))
-        _emit(table, cfg.out)
-        return 0
+            return table, _Failure(f"grid point failed: {e}", partial=True)
+        return table, None
 
     qgrid = _grid(p.get("qgrid") or "0.1:1:0.1", "--qgrid")
+    columns = ("q", "E_star", "R_star")
     try:
         curve = ground_state_curve(m, qgrid, config=_solver_config(p, k_max=ZT_K_MAX))
     except SolverFailedError as e:
-        rows = [f"{q:.12g},{e_star:.12g},{r_star:.12g}" for q, e_star, r_star in e.rows]
-        return _partial(["q,E_star,R_star", *rows], cfg.out, str(e))
-    _emit(curve.to_csv(), cfg.out)
-    return 0
+        return _Table(columns, list(e.rows)), _Failure(f"grid point failed: {e}", partial=True)
+    return _Table(columns, list(zip(curve.q_grid, curve.e_star, curve.r_star))), None
 
 
-def _partial(lines: list[str], out: str | None, message: str) -> int:
-    if out is not None:
-        partial = out + ".partial"
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        click.echo(f"wrote {partial}")
-    _fail(f"grid point failed: {message}", _EXIT_SOLVER_FAILED)
-
-
-def _body_fp(cfg: RunConfig) -> int:
+def _body_fp(cfg: RunConfig):
     m = cfg.mixture_obj()
     p = cfg.params
     if p.get("beta") is None or p.get("beta_prime") is None:
         raise BadInputError("fp requires --beta X and --beta-prime X")
     beta, beta_prime = p["beta"], p["beta_prime"]
-    r_values = _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid")
-    rows = [r for r in r_values if abs(r) < 1.0]
+    r_values = [r for r in _grid(p.get("r_grid") or "-0.8:0.8:0.2", "--r-grid") if abs(r) < 1.0]
     solver = dataclasses.replace(_solver_config(p), starts=2)
     scan_points = _param(p, "scan_points", 32)
     if scan_points < 3:
@@ -391,50 +413,44 @@ def _body_fp(cfg: RunConfig) -> int:
     failures = 0
 
     if both:
-        lines = ["r,value_high,value_low,rho_star_low"]
+        table = _Table(("r", "value_high", "value_low", "rho_star_low"), [])
     else:
-        lines = ["r,regime,value,rho_star,mean,free_energy,volume"]
+        table = _Table(("r", "regime", "value", "rho_star", "mean", "free_energy", "volume"), [])
 
     regime = FPQuery.detect(m, beta, beta_prime, 0.0).regime
-    for r in rows:
+    for r in r_values:
         if both:
             hi = fp_high(m, beta, beta_prime, r, config=solver, check_regime=False)
             try:
                 lo = fp_low(m, beta, beta_prime, r, config=solver, scan_points=scan_points)
-                lines.append(
-                    f"{r:.12g},{hi.value:.12g},{lo.value:.12g},{lo.rho_star:.12g}"
-                )
+                table.rows.append((r, hi.value, lo.value, lo.rho_star))
             except _SOLVER_ERRORS + _INPUT_ERRORS as e:
                 failures += 1
                 click.echo(f"r={r:g}: {e}", err=True)
-                lines.append(f"{r:.12g},{hi.value:.12g},nan,nan")
+                table.rows.append((r, hi.value, math.nan, math.nan))
             continue
         try:
             if regime == "high":
                 res = fp_high(m, beta, beta_prime, r, config=solver)
-                rho = float("nan")
+                rho = math.nan
             else:
                 res = fp_low(m, beta, beta_prime, r, config=solver, scan_points=scan_points)
                 rho = res.rho_star
             t = res.terms
-            lines.append(
-                f"{r:.12g},{regime},{res.value:.12g},{rho:.12g},"
-                f"{t.mean:.12g},{t.free_energy:.12g},{t.volume:.12g}"
-            )
+            table.rows.append((r, regime, res.value, rho, t.mean, t.free_energy, t.volume))
         except _SOLVER_ERRORS + _INPUT_ERRORS as e:
             failures += 1
             click.echo(f"r={r:g}: {e}", err=True)
-            lines.append(f"{r:.12g},{regime},nan,nan,nan,nan,nan")
-    _emit("\n".join(lines) + "\n", cfg.out)
+            table.rows.append((r, regime, *[math.nan] * 5))
     if failures:
-        _fail(f"{failures} of {len(rows)} sweep rows failed", _EXIT_SOLVER_FAILED)
-    return 0
+        return table, _Failure(f"{failures} of {len(r_values)} sweep rows failed")
+    return table, None
 
 
 # ----------------------------------------------------------------- mc bodies
 
 
-def _body_mc_validate(cfg: RunConfig) -> int:
+def _body_mc_validate(cfg: RunConfig):
     tests = validate_kernels(cfg.seed)
     for t in tests:
         click.echo(
@@ -444,15 +460,13 @@ def _body_mc_validate(cfg: RunConfig) -> int:
     report = {
         "tests": tests,
         "all_pass": all(t["pass"] for t in tests),
-        "config": json.loads(cfg.to_json()),
     }
-    _emit(_render(report, cfg.format), cfg.out)
     if not report["all_pass"]:
-        _fail("one or more kernel validations failed", _EXIT_SOLVER_FAILED)
-    return 0
+        return report, _Failure("one or more kernel validations failed")
+    return report, None
 
 
-def _body_mc_complexity(cfg: RunConfig) -> int:
+def _body_mc_complexity(cfg: RunConfig):
     m = cfg.mixture_obj()
     p = cfg.params
     n = p.get("n") or 0
@@ -476,11 +490,18 @@ def _body_mc_complexity(cfg: RunConfig) -> int:
         "argmax bin: E in [%.6g, %.6g), R in [%.6g, %.6g), mean count %.6g"
         % (est.e_edges[ei], est.e_edges[ei + 1], est.r_edges[ri], est.r_edges[ri + 1], est.mean_counts[ei, ri])
     )
-    _emit(est.to_csv(), cfg.out)
-    return 0
+    e_mid = 0.5 * (est.e_edges[:-1] + est.e_edges[1:])
+    r_mid = 0.5 * (est.r_edges[:-1] + est.r_edges[1:])
+    rows = [
+        (e, r, est.mean_counts[i, j], est.log_counts[i, j], est.ci_low[i, j], est.ci_high[i, j])
+        for i, e in enumerate(e_mid)
+        for j, r in enumerate(r_mid)
+    ]
+    columns = ("e_center", "r_center", "mean_count", "log_count", "ci_low", "ci_high")
+    return _Table(columns, rows, "exploratory: multi-start finder, counts are lower estimates"), None
 
 
-def _body_mc_gibbs(cfg: RunConfig) -> int:
+def _body_mc_gibbs(cfg: RunConfig):
     m = cfg.mixture_obj()
     p = cfg.params
     n = p.get("n") or 0
@@ -498,14 +519,12 @@ def _body_mc_gibbs(cfg: RunConfig) -> int:
         "energy_mean_density": float(run.energies.mean() / n),
         "energy_std_density": float(run.energies.std(ddof=1) / n) if len(run.energies) > 1 else 0.0,
         "max_norm_dev": norm_dev,
-        "config": json.loads(cfg.to_json()),
     }
-    if run.samples.shape[0] >= 1:
-        # two replicas: a partner chain on the same field and settings
-        partner = gibbs_mcmc(f, beta, dataclasses.replace(mc, chain_index=mc.chain_index + 1))
-        hist = overlap_statistics(run, partner)
-        report["overlap_mean"] = hist.mean
-        report["overlap_std"] = hist.std
+    # two replicas: a partner chain on the same field and settings
+    partner = gibbs_mcmc(f, beta, dataclasses.replace(mc, chain_index=mc.chain_index + 1))
+    hist = overlap_statistics(run, partner)
+    report["overlap_mean"] = hist.mean
+    report["overlap_std"] = hist.std
     click.echo(
         "acceptance %.4f, energy density %.6g, max norm dev %.2e"
         % (run.acceptance_rate, report["energy_mean_density"], norm_dev)
@@ -513,8 +532,7 @@ def _body_mc_gibbs(cfg: RunConfig) -> int:
     if p.get("dump"):
         dump_samples(p["dump"], run.samples)
         click.echo(f"wrote {p['dump']}")
-    _emit(_render(report, cfg.format), cfg.out)
-    return 0
+    return report, None
 
 
 _BODIES = {
@@ -546,20 +564,35 @@ def _common(fn):
     fn = click.option("--config", "config", type=click.Path(), default=None, is_eager=True, callback=_load_config, help="RunConfig JSON file; flags override its values.")(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="Artifact path (stdout if omitted).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)(fn)
+    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None, help="Artifact format (default json for a report, csv for a table); every JSON artifact embeds its run config.")(fn)
     return fn
 
 
 def _run(command, config, seed, out, fmt, mixture_path=None, **params):
-    """Build the RunConfig of one parsed invocation and run its command body,
-    the only call of a body. A config file written for another command is
-    rejected; an inline --mixture file beats the config file's mixture."""
+    """Build the RunConfig of one parsed invocation, run its command body (the
+    only call of a body) and write what it returns, the one artifact writer:
+    resolve the format, attach the config, write to --out or stdout (a partial
+    artifact only to OUT.partial) and exit 2 on a failure. A config file for
+    another command is rejected; an inline --mixture beats the config's."""
     if config is not None and config.command != command:
         raise BadInputError(f"the config file is for {config.command!r}, not {command!r}")
     mixture = _mixture_dict(mixture_path)
     if mixture is None and config is not None:
         mixture = config.mixture
-    sys.exit(_BODIES[command](RunConfig(command, mixture, params, seed, out, fmt)))
+    cfg = RunConfig(command, mixture, params, seed, out, fmt)
+    artifact, failure = _BODIES[command](cfg)
+    cfg = dataclasses.replace(cfg, format=fmt or ("csv" if isinstance(artifact, _Table) else "json"))
+    text = _render(artifact, cfg.format, json.loads(cfg.to_json()))
+    partial = failure is not None and failure.partial
+    if out is not None:
+        path = out + ".partial" if partial else out
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        click.echo(f"wrote {path}")
+    elif not partial:
+        click.echo(text, nl=False)
+    if failure is not None:
+        _fail(failure.message, _EXIT_SOLVER_FAILED)
 
 
 def _exit_codes(fn, *args):
@@ -612,9 +645,9 @@ def cmd_parisi(**kw):
 
 @main.command("landscape")
 @click.option("--mixture", "mixture_path", type=click.Path(), default=None)
-@click.option("--theta", is_flag=True, default=False, help="Emit the complexity surface CSV.")
+@click.option("--theta", is_flag=True, default=False, help="Emit the complexity surface table.")
 @click.option("--identities", is_flag=True, default=False, help="Report ladder identity deviations.")
-@click.option("--gs", is_flag=True, default=False, help="Emit the ground-state curve CSV.")
+@click.option("--gs", is_flag=True, default=False, help="Emit the ground-state curve table.")
 @click.option("--beta", type=float, default=None)
 @click.option("--grid", type=int, default=None)
 @click.option("--e-range", "e_range", type=str, default=None, help="lo:hi for the energy axis.")

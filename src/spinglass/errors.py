@@ -1,10 +1,12 @@
-"""Shared error taxonomy.
+"""Shared error taxonomy, and the one integer check that raises it.
 
 The CLI maps these to exit codes: bad input -> 1, solver failures -> 2,
 capacity limits -> 3. Singular-matrix errors exit 2, even though they
 subclass BadInputError.
 """
 from __future__ import annotations
+
+import numbers
 
 
 class BadInputError(ValueError):
@@ -50,3 +52,13 @@ class NotBracketedError(SolverFailedError):
 
 class CapacityExceededError(RuntimeError):
     """Requested dense-tensor size exceeds the configured memory caps."""
+
+
+def _check_count(name: str, value, minimum: int | None) -> None:
+    """Reject a value that is a bool, not an integer, or below minimum (None
+    sets no bound) with BadInputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise BadInputError(f"{name} must be an integer{bound}, got {value!r}")

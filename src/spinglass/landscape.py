@@ -80,13 +80,6 @@ def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
     const = 0.5 + 0.5 * math.log(xi2 / xi1)
     val = _theta_raw(sig_inv, const, xi2, float(E), float(R))
     u = R / math.sqrt(xi2)
-    if abs(abs(u) - 2.0) < 1e-8:
-        # both closed forms of the log potential must agree at the edge
-        inner = 0.25 * u * u - 0.5
-        root = math.sqrt(max(u * u - 4.0, 0.0))
-        outer = inner - (0.25 * abs(u) * root - math.log(0.5 * (abs(u) + root)))
-        if abs(inner - outer) > 1e-10 * max(1.0, abs(inner)):
-            raise BadInputError("log-potential branches disagree at the spectral edge")
     branch = "inner" if abs(u) <= 2.0 else "outer"
     return ComplexityEval(float(E), float(R), float(val), branch)
 
@@ -151,12 +144,6 @@ class GroundStateCurve:
         for lo, hi in zip(es, es[1:]):
             if hi < lo - 1e-8:
                 raise BadInputError("ground-state energy cannot decrease with radius")
-
-    def to_csv(self) -> str:
-        lines = ["q,E_star,R_star"]
-        for q, e, r in zip(self.q_grid, self.e_star, self.r_star):
-            lines.append(f"{q:.12g},{e:.12g},{r:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 def _radial_slope(mhat: Mixture, order: ZeroTempOrder, q: float) -> float:
@@ -449,11 +436,3 @@ def fprime_identity(
         deviation=abs(fd - closed),
     )
 
-
-def theta_surface_csv(m: Mixture, e_grid, r_grid) -> str:
-    """Rate surface over a rectangular (E, R) grid, one row per pair."""
-    lines = ["E,R,theta"]
-    for e in e_grid:
-        for r in r_grid:
-            lines.append(f"{float(e):.12g},{float(r):.12g},{theta(m, e, r).theta:.12g}")
-    return "\n".join(lines) + "\n"

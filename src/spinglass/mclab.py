@@ -11,13 +11,11 @@ in memory, and the critical-point finder is a multi-start local method with
 no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 """
 
-import json
 import math
-import numbers
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,9 +28,8 @@ from .conditioning import (
     hessian_decomposition,
     schur_condition,
 )
-from .errors import BadInputError, CapacityExceededError
+from .errors import BadInputError, CapacityExceededError, _check_count
 from .mixtures import Mixture
-from .rsb import _check_integer_fields, _config_from_json
 
 __all__ = [
     "ComplexityEstimate",
@@ -74,13 +71,6 @@ def _thread_count() -> int:
 _FINDER_LANE = 1 << 16
 _CHAIN_LANE = 1 << 17
 _SAMPLER_LANE = _CHAIN_LANE + 1
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is a bool, not an integer or below minimum (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        kind = "non-negative" if minimum == 0 else "positive"
-        raise BadInputError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -260,7 +250,11 @@ def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSa
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Chain configuration for spherical random-walk Metropolis."""
+    """Chain configuration for spherical random-walk Metropolis.
+
+    The chain keeps every thin-th of its steps after burn-in, so thin may not
+    exceed steps: a chain keeps floor(steps / thin) >= 1 samples.
+    """
 
     steps: int = 4000
     burn_in: int = 1000
@@ -271,24 +265,17 @@ class MCConfig:
     chain_index: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self, ("steps", "burn_in", "thin", "adapt_every", "chain_index"))
-        if self.steps < 1 or self.burn_in < 0 or self.thin < 1:
-            raise BadInputError("chain lengths must be positive")
+        _check_count("steps", self.steps, 1)
+        _check_count("burn_in", self.burn_in, 0)
+        _check_count("thin", self.thin, 1)
+        _check_count("adapt_every", self.adapt_every, 1)
+        _check_count("chain_index", self.chain_index, 0)
+        if self.thin > self.steps:
+            raise BadInputError(f"thin must not exceed steps, got thin={self.thin}, steps={self.steps}")
         if not 0.0 < self.step_size < math.inf:
             raise BadInputError("step size must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:
             raise BadInputError("target acceptance must be in (0,1)")
-        if self.adapt_every < 1:
-            raise BadInputError("adaptation window must be at least one step")
-        if self.chain_index < 0:
-            raise BadInputError("chain index must be non-negative")
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MCConfig":
-        return _config_from_json(cls, text, "chain config")
 
 
 @dataclass(eq=False)
@@ -318,7 +305,7 @@ class GibbsRun:
             "n": self.n,
             "seed": self.seed,
             "field_index": self.field_index,
-            "chain": json.loads(self.config.to_json()),
+            "chain": dict(sorted(asdict(self.config).items())),
             "samples": int(self.samples.shape[0]),
             "acceptance_rate": self.acceptance_rate,
         }
@@ -518,22 +505,6 @@ class ComplexityEstimate:
         flat = int(np.argmax(self.mean_counts))
         return np.unravel_index(flat, self.mean_counts.shape)
 
-    def to_csv(self) -> str:
-        lines = [
-            "# exploratory: multi-start finder, counts are lower estimates",
-            "e_center,r_center,mean_count,log_count,ci_low,ci_high",
-        ]
-        e_mid = 0.5 * (self.e_edges[:-1] + self.e_edges[1:])
-        r_mid = 0.5 * (self.r_edges[:-1] + self.r_edges[1:])
-        for i, e in enumerate(e_mid):
-            for j, r in enumerate(r_mid):
-                lines.append(
-                    f"{e:.12g},{r:.12g},{self.mean_counts[i, j]:.12g},"
-                    f"{self.log_counts[i, j]:.12g},{self.ci_low[i, j]:.12g},"
-                    f"{self.ci_high[i, j]:.12g}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def _log_scaled(mean_counts: np.ndarray, n: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
@@ -689,12 +660,6 @@ class OverlapHistogram:
         """Fraction of overlaps inside [lo, hi]."""
         inside = np.count_nonzero((self.overlaps >= lo) & (self.overlaps <= hi))
         return inside / self.overlaps.size
-
-    def to_csv(self) -> str:
-        lines = ["bin_left,bin_right,count"]
-        for left, right, count in zip(self.edges[:-1], self.edges[1:], self.counts):
-            lines.append(f"{left:.12g},{right:.12g},{int(count)}")
-        return "\n".join(lines) + "\n"
 
 
 def overlap_statistics(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

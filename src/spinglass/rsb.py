@@ -42,10 +42,8 @@ are not memoised; a failing solve raises afresh on every call.
 """
 from __future__ import annotations
 
-import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -58,6 +56,7 @@ from .errors import (
     NotBracketedError,
     RegimeMismatchError,
     SolverFailedError,
+    _check_count,
 )
 from .mixtures import Mixture
 
@@ -250,38 +249,6 @@ class OptimalityCertificate:
         return self.edge_residual is None or self.edge_residual <= tol
 
 
-def _config_from_json(cls, text: str, what: str):
-    """Build the int/float-field config dataclass cls from a JSON object.
-
-    Raises BadInputError on unparsable text, a non-object, an unknown field
-    or a field of the wrong type.
-    """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise BadInputError(f"{what} parse error: {e}") from e
-    if not isinstance(obj, dict):
-        raise BadInputError(f"{what} must be a JSON object")
-    kw = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-    if len(kw) < len(obj):
-        raise BadInputError(f"{what} has unknown fields {sorted(set(obj) - set(kw))}")
-    for f in fields(cls):
-        # float fields also take JSON integers; no field takes a bool
-        kinds = (int, float) if isinstance(f.default, float) else int
-        if f.name in kw and (isinstance(kw[f.name], bool) or not isinstance(kw[f.name], kinds)):
-            kind = type(f.default).__name__
-            raise BadInputError(f"{what} field {f.name!r} must be {kind}, got {kw[f.name]!r}")
-    return cls(**kw)
-
-
-def _check_integer_fields(config, names: Sequence[str]) -> None:
-    """Reject a config field in names that is a bool or not an integer."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise BadInputError(f"{name} must be an integer, got {value!r}")
-
-
 # atom cap of a zero-temperature solve when no config is given
 ZT_K_MAX = 2
 
@@ -304,22 +271,12 @@ class SolverConfig:
     mesh: int = 2000
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self, ("k_max", "starts", "seed", "mesh"))
-        if self.k_max < 0:
-            raise BadInputError(f"k_max must be non-negative, got {self.k_max}")
-        if self.starts < 1:
-            raise BadInputError(f"starts must be at least 1, got {self.starts}")
+        _check_count("k_max", self.k_max, 0)
+        _check_count("starts", self.starts, 1)
+        _check_count("seed", self.seed, None)
+        _check_count("certificate mesh", self.mesh, 100)
         if not (0.0 < self.atom_tol < math.inf and 0.0 < self.cert_tol < math.inf):
             raise BadInputError("atom_tol and cert_tol must be positive and finite")
-        if self.mesh < 100:
-            raise BadInputError(f"certificate mesh must be >= 100, got {self.mesh}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        return _config_from_json(cls, text, "solver config")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 class CsResult(NamedTuple):
@@ -576,8 +533,7 @@ def _refined_max(fun, grid_ts, grid_vals):
 
 
 def _certificate_mesh(mesh: int, anchor_pts: Sequence[float], top: float) -> np.ndarray:
-    if isinstance(mesh, bool) or not isinstance(mesh, numbers.Integral) or mesh < 100:
-        raise BadInputError(f"certificate mesh must be an integer >= 100, got {mesh!r}")
+    _check_count("certificate mesh", mesh, 100)
     ts = [np.linspace(0.0, top, mesh)]
     offs = np.geomspace(1e-9, 1e-2, 25)
     for q in anchor_pts:

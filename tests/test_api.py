@@ -1,6 +1,9 @@
-"""Public surface: every exported name resolves, and removed wrappers stay gone."""
+"""Public surface: every exported name resolves, removed wrappers stay gone,
+and no module imports a name it never uses."""
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import pytest
 
@@ -27,6 +30,7 @@ def test_every_exported_name_resolves(module):
         "tau_mix",
         "cs_value_with_grad",
         "zt_value_with_grad",
+        "theta_surface_csv",
     ],
 )
 def test_removed_wrappers_are_not_exported(name):
@@ -34,6 +38,51 @@ def test_removed_wrappers_are_not_exported(name):
     assert not hasattr(spinglass, name)
     for module in (spinglass.mixtures, spinglass.conditioning, spinglass.mclab, spinglass.rsb):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        spinglass.GroundStateCurve,
+        spinglass.ComplexityEstimate,
+        spinglass.OverlapHistogram,
+        spinglass.SolverConfig,
+        spinglass.MCConfig,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_library_types_do_not_serialise(cls):
+    # artifact formats live in the CLI alone
+    assert not any(hasattr(cls, name) for name in ("to_csv", "to_json", "from_json"))
+
+
+_MODULES = sorted(
+    path
+    for path in pathlib.Path(spinglass.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    # a dotted use such as np.linalg starts with a Name
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    unused = sorted(name for name in imported if name not in used | exported)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
 def test_tau_has_one_definition():

@@ -1,7 +1,9 @@
 """CLI contract: flags reach the library with the values the artifact records."""
 
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import os
 import pathlib
@@ -15,8 +17,9 @@ import spinglass.cli as cli
 from spinglass import errors, rsb
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
+from spinglass.landscape import ground_state_curve, theta
 from spinglass.mclab import MCConfig, gibbs_mcmc, overlap_statistics, sample_field
-from spinglass.mixtures import pure
+from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import SolverConfig
 
 
@@ -270,6 +273,102 @@ def test_run_config_replays_landscape_gs_byte_for_byte(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_curve_csv_round_trip(pure3, tmp_path):
+    out = tmp_path / "gs.csv"
+    result = CliRunner().invoke(
+        cli.main, ["landscape", "--mixture", pure3, "--gs", "--qgrid", "0.5:1:0.5", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["q", "E_star", "R_star"]
+    assert len(rows) == 3
+    curve = ground_state_curve(pure(3), (0.5, 1.0))
+    assert float(rows[2][1]) == pytest.approx(curve.e_star[1], rel=1e-11)
+
+
+def test_theta_surface_csv_shape(tmp_path):
+    coeffs = {"3": 1.0, "4": 0.2}
+    out = tmp_path / "theta.csv"
+    result = CliRunner().invoke(
+        cli.main, ["landscape", "--mixture", _mixture(tmp_path, coeffs), "--theta", "--grid", "3",
+                   "--e-range", "0:1", "--r-range", "0:4", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["E", "R", "theta"]
+    assert len(rows) == 1 + 3 * 3
+    # energy is the outer loop
+    assert [row[:2] for row in rows[1:4]] == [["0", "0"], ["0", "2"], ["0", "4"]]
+    m = Mixture({3: 1.0, 4: 0.2})
+    assert rows[-1][2] == f"{theta(m, 1.0, 4.0).theta:.12g}"
+
+
+def test_complexity_csv_emission(pure3, tmp_path):
+    out = tmp_path / "complexity.csv"
+    result = CliRunner().invoke(
+        cli.main, ["mc", "complexity", "--mixture", pure3, "--N", "6", "--fields", "2",
+                   "--restarts", "4", "--bootstrap", "10", "--e-grid", "-1.8:1.8:7",
+                   "--r-grid", "-5:5:5", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# exploratory")
+    assert lines[1].split(",") == [
+        "e_center",
+        "r_center",
+        "mean_count",
+        "log_count",
+        "ci_low",
+        "ci_high",
+    ]
+    assert len(lines) == 2 + 6 * 4
+
+
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize(
+    "args, coeffs",
+    [
+        (["fp", "--beta", "0.5", "--beta-prime", "1", "--r-grid", "0:0.2:0.2"], {"3": 1.0}),
+        (["landscape", "--gs", "--qgrid", "0.5:1:0.5"], {"3": 1.0}),
+        (["landscape", "--theta", "--grid", "3"], {"2": 0.5, "3": 0.5}),
+        (["mc", "complexity", "--N", "4", "--fields", "1", "--restarts", "2", "--bootstrap", "2"],
+         {"3": 1.0}),
+    ],
+    ids=["fp", "landscape-gs", "landscape-theta", "mc-complexity"],
+)
+def test_table_commands_honour_format_json_and_replay_it(tmp_path, args, coeffs):
+    mixture = _mixture(tmp_path, coeffs)
+    csv_out = tmp_path / "table.csv"
+    result = CliRunner().invoke(cli.main, [*args, "--mixture", mixture, "--out", str(csv_out)])
+    assert result.exit_code == 0, result.output
+    lines = csv_out.read_text().splitlines()
+    note = lines.pop(0)[2:] if lines[0].startswith("# ") else None
+    out = tmp_path / "table.json"
+    result = CliRunner().invoke(
+        cli.main, [*args, "--mixture", mixture, "--format", "json", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    first = out.read_bytes()
+    artifact = json.loads(first, parse_constant=_not_json)
+    assert set(artifact) == {"columns", "rows", "config"} | ({"note"} if note else set())
+    assert artifact.get("note") == note
+    assert ",".join(artifact["columns"]) == lines[0]
+    cells = [[v if isinstance(v, str) else f"{v:.12g}" for v in row] for row in artifact["rows"]]
+    assert cells == [line.split(",") for line in lines[1:]]
+    assert artifact["config"]["format"] == "json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(artifact["config"]))
+    out.unlink()
+    _clear_solver_caches()
+    replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert replay.exit_code == 0, replay.output
+    assert replay.output == result.output
+    assert out.read_bytes() == first
+
+
 def test_mc_gibbs_over_the_tensor_capacity_exits_3(tmp_path):
     result = CliRunner().invoke(
         cli.main, ["mc", "gibbs", "--mixture", _mixture(tmp_path, {"4": 1.0}), "--N", "100",
@@ -429,7 +528,10 @@ def test_negative_rng_keys_exit_with_the_bad_input_code(pure3, args):
     assert result.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("flags", [["--beta", "nan"], ["--beta", "inf"], ["--step-size", "inf"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--beta", "nan"], ["--beta", "inf"], ["--step-size", "inf"], ["--steps", "5", "--thin", "10"]],
+)
 def test_mc_gibbs_rejects_a_chain_it_cannot_run(pure3, flags):
     result = CliRunner().invoke(
         cli.main,

@@ -1,8 +1,6 @@
 """Complexity layer: log-potential oracle, rate symmetries, curve and
 ladder identities, chain bounds, free-energy derivative."""
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -29,7 +27,6 @@ from spinglass.landscape import (
     omega,
     theta,
     theta_pure,
-    theta_surface_csv,
 )
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import cs_minimize
@@ -113,6 +110,17 @@ def test_theta_branch_tag():
     m = Mixture({2: 1.0, 3: 1.0})
     wide = theta(m, 0.0, 3.0 * math.sqrt(m.eval(1.0, 2)))
     assert wide.branch == "outer"
+
+
+@pytest.mark.parametrize("shrink", [1e-9, 3e-9])
+def test_theta_just_inside_the_spectral_edge_is_inner(shrink):
+    m = Mixture({2: 0.5, 3: 0.5})
+    edge = 2.0 * math.sqrt(m.eval(1.0, 2))
+    at_edge = theta(m, 0.5, edge)
+    inside = theta(m, 0.5, edge * (1.0 - shrink))
+    assert inside.branch == at_edge.branch == "inner"
+    assert at_edge.theta == pytest.approx(-14.014998185, abs=1e-9)
+    assert inside.theta == pytest.approx(at_edge.theta, abs=1e-6)
 
 
 @settings(deadline=None, max_examples=60)
@@ -236,15 +244,6 @@ def test_curve_rejects_its_grid_before_any_solve(grid, monkeypatch):
         ground_state_curve(pure(3), grid)
 
 
-def test_curve_csv_round_trip():
-    curve = ground_state_curve(pure(3), (0.5, 1.0))
-    text = curve.to_csv()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["q", "E_star", "R_star"]
-    assert len(rows) == 3
-    assert float(rows[2][1]) == pytest.approx(curve.e_star[1], rel=1e-11)
-
-
 def test_curve_container_validation():
     with pytest.raises(BadInputError):
         GroundStateCurve((0.5, 0.4), (1.0, 1.1), (1.0, 1.0))
@@ -252,13 +251,6 @@ def test_curve_container_validation():
         GroundStateCurve((0.5, 1.0), (1.0, 0.5), (1.0, 1.0))
     with pytest.raises(BadInputError):
         GroundStateCurve((0.5,), (-1.0,), (1.0,))
-
-
-def test_theta_surface_csv_shape():
-    text = theta_surface_csv(Mixture(T34_MIX), (0.0, 1.0), (0.0, 2.0, 4.0))
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["E", "R", "theta"]
-    assert len(rows) == 1 + 2 * 3
 
 
 # ------------------------------------------------------- ladder identities

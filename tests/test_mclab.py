@@ -283,9 +283,6 @@ class TestFieldSample:
 
 class TestGibbs:
     def test_config_round_trip_and_validation(self):
-        cfg = MCConfig(steps=100, burn_in=10, thin=2, step_size=0.5, chain_index=3)
-        assert MCConfig.from_json(cfg.to_json()) == cfg
-        assert MCConfig.from_json('{"step_size": 1}') == MCConfig(step_size=1.0)
         with pytest.raises(BadInputError):
             MCConfig(steps=0)
         with pytest.raises(BadInputError):
@@ -301,22 +298,19 @@ class TestGibbs:
             MCConfig(chain_index=-1)
 
     @pytest.mark.parametrize(
-        "text",
-        ["3", "[1]", '{"bogus": 1}', '{"steps": "x"}', '{"steps": 2.0}', '{"thin": true}', "{"],
-    )
-    def test_config_from_json_rejects_bad_input(self, text):
-        with pytest.raises(BadInputError):
-            MCConfig.from_json(text)
-
-    @pytest.mark.parametrize(
         "kw",
         [{"steps": 100.5}, {"steps": True}, {"burn_in": 2.5}, {"thin": 2.5}, {"thin": True},
          {"adapt_every": 10.0}, {"chain_index": 1.5}, {"step_size": math.inf},
-         {"step_size": math.nan}],
+         {"step_size": math.nan}, {"steps": 5, "thin": 10}],
     )
     def test_config_rejects_values_the_chain_cannot_run(self, kw):
         with pytest.raises(BadInputError):
             MCConfig(**kw)
+
+    def test_a_chain_with_thin_equal_to_steps_keeps_one_sample(self):
+        f = sample_field(Mixture({3: 1.0}), 4, seed=0)
+        run = gibbs_mcmc(f, 1.0, MCConfig(steps=5, burn_in=0, thin=5))
+        assert run.samples.shape == (1, 4)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
     def test_chain_rejects_a_beta_it_cannot_run(self, beta):
@@ -491,20 +485,6 @@ class TestComplexity:
         threaded = self.run_small()
         assert np.array_equal(est.mean_counts, threaded.mean_counts)
         assert np.array_equal(est.ci_low, threaded.ci_low)
-
-    def test_csv_emission(self):
-        est = self.run_small(bootstrap=10)
-        lines = est.to_csv().splitlines()
-        assert lines[0].startswith("# exploratory")
-        assert lines[1].split(",") == [
-            "e_center",
-            "r_center",
-            "mean_count",
-            "log_count",
-            "ci_low",
-            "ci_high",
-        ]
-        assert len(lines) == 2 + 6 * 4
 
     def test_validation(self):
         with pytest.raises(BadInputError):
@@ -704,9 +684,6 @@ class TestOverlapAndDumps:
         assert hist.edges.shape == (21,)
         assert 0.0 <= hist.mass_in(-1.0, 1.0) <= 1.0
         assert hist.mass_in(-1.0, 1.0) == 1.0
-        lines = hist.to_csv().splitlines()
-        assert lines[0] == "bin_left,bin_right,count"
-        assert len(lines) == 21
 
     def test_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

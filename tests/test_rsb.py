@@ -1,6 +1,5 @@
 """Variational layer: quadrature oracles, gradients, solver regressions."""
 
-import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -918,32 +917,6 @@ def test_the_memo_is_bounded():
 # ------------------------------------------------------------- config and gate
 
 
-def test_solver_config_json_round_trip():
-    cfg = SolverConfig(k_max=2, starts=4, seed=7)
-    again = SolverConfig.from_json(cfg.to_json())
-    assert again == cfg
-    parsed = SolverConfig.from_json(
-        '{"k_max": 3, "starts": 8, "atom_tol": 1e-7, "cert_tol": 1e-6, "seed": 42}'
-    )
-    assert parsed.k_max == 3 and parsed.starts == 8 and parsed.seed == 42
-    assert parsed.atom_tol == 1e-7 and parsed.cert_tol == 1e-6
-    partial = SolverConfig.from_json('{"k_max": 2}')
-    assert partial.k_max == 2 and partial.starts == SolverConfig().starts
-    with pytest.raises(BadInputError):
-        SolverConfig.from_json("{not json")
-
-
-@pytest.mark.parametrize("text", ["3", '["k_max"]', '{"k_max": "x"}', '{"atom_tol": true}'])
-def test_solver_config_from_json_rejects_bad_input(text):
-    with pytest.raises(BadInputError):
-        SolverConfig.from_json(text)
-
-
-def test_solver_config_from_json_rejects_unknown_fields():
-    with pytest.raises(BadInputError, match=r"\['kmax', 'strats'\]"):
-        SolverConfig.from_json('{"kmax": 1, "strats": 2}')
-
-
 @pytest.mark.parametrize(
     "kw",
     [{"k_max": -1}, {"starts": 0}, {"atom_tol": 0.0}, {"cert_tol": -1e-6}, {"cert_tol": float("nan")}, {"mesh": 50},
@@ -953,14 +926,6 @@ def test_solver_config_from_json_rejects_unknown_fields():
 def test_solver_config_rejects_values_the_engine_cannot_run(kw):
     with pytest.raises(BadInputError):
         SolverConfig(**kw)
-    with pytest.raises(BadInputError):
-        SolverConfig.from_json(json.dumps(kw))
-
-
-def test_solver_config_to_json_is_unchanged():
-    assert SolverConfig().to_json() == (
-        '{"atom_tol": 1e-07, "cert_tol": 1e-06, "k_max": 3, "mesh": 2000, "seed": 42, "starts": 8}'
-    )
 
 
 def test_field_component_requires_opt_in():
