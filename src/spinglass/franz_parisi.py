@@ -24,6 +24,7 @@ from .errors import (
     KMismatchError,
     RegimeMismatchError,
     SolverFailedError,
+    _check_count,
 )
 from .mixtures import Mixture, section_half_width, tau
 from .rsb import SolverConfig, beta_c, cs_minimize
@@ -214,8 +215,9 @@ def fp_low(
     full configuration.
     """
     _validate_inputs(beta, beta_prime, r)
-    if scan_points < 3:
-        raise BadInputError(f"need at least 3 scan points, got {scan_points}")
+    _check_count("scan_points", scan_points, 3)
+    if not 0.0 < xtol < math.inf:
+        raise BadInputError(f"xtol must be positive and finite, got {xtol!r}")
     fpc, cfg = _low_context(m, beta, config)
     lo, hi = j_interval(fpc.q1, r)
     width = hi - lo

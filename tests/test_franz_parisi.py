@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from spinglass import franz_parisi
 from spinglass.errors import (
     BadInputError,
     KMismatchError,
@@ -259,10 +260,19 @@ class TestLowRegime:
         with pytest.raises(RegimeMismatchError):
             fp_low(mix, 0.5, 1.0, 0.3)
 
-    def test_rejects_bad_scan_inputs(self):
+    def test_rejects_bad_scan_inputs(self, monkeypatch):
+        # every bad input is rejected before the first solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the input")
+
+        monkeypatch.setattr(franz_parisi, "beta_c", no_solve)
+        monkeypatch.setattr(franz_parisi, "cs_minimize", no_solve)
         mix = Mixture(MIX_A)
-        with pytest.raises(BadInputError):
-            fp_low(mix, 2.0 * BC_A, 1.0, 0.3, scan_points=2)
+        bad = [{"scan_points": 2}, {"scan_points": 3.5}, {"scan_points": True}, {"xtol": 0.0},
+               {"xtol": -1.0}, {"xtol": math.nan}, {"xtol": math.inf}]
+        for kw in bad:
+            with pytest.raises(BadInputError):
+                fp_low(mix, 2.0 * BC_A, 1.0, 0.3, **kw)
         with pytest.raises(BadInputError):
             fp_low(mix, 2.0 * BC_A, 1.0, 1.0)
 

@@ -776,12 +776,12 @@ def _spy_levels(monkeypatch):
     replica-symmetric level 0 has none)."""
     levels = {}
     current = [0]
-    real_minimize = rsb.minimize
+    real_lbfgs = rsb._lbfgs
 
-    def recording(fun, x0, *args, **kwargs):
-        current[0] = kwargs["args"][1]
+    def recording(x0, m, k, beta):
+        current[0] = k
         levels.setdefault(current[0], []).append(("start", np.array(x0, copy=True)))
-        return real_minimize(fun, x0, *args, **kwargs)
+        return real_lbfgs(x0, m, k, beta)
 
     def spying(real):
         def certificate(*args, **kwargs):
@@ -791,7 +791,7 @@ def _spy_levels(monkeypatch):
 
         return certificate
 
-    monkeypatch.setattr(rsb, "minimize", recording)
+    monkeypatch.setattr(rsb, "_lbfgs", recording)
     for name in ("talagrand_certificate", "zero_temp_certificate"):
         monkeypatch.setattr(rsb, name, spying(getattr(rsb, name)))
     rsb._solve.cache_clear()
@@ -833,19 +833,18 @@ def test_multistart_keys_are_pinned_per_temperature(monkeypatch):
     # previous level's answer, then (only if it escalates) seeded starts 1, 2, ...
     starts_by_level = {}
     splits_by_level = {}
-    real, real_split = rsb.minimize, rsb._split_widest_gap
+    real, real_split = rsb._lbfgs, rsb._split_widest_gap
 
-    def recording(fun, x0, *args, **kwargs):
-        k = kwargs["args"][1]
+    def recording(x0, m, k, beta):
         starts_by_level.setdefault(k, []).append(np.array(x0, copy=True))
-        return real(fun, x0, *args, **kwargs)
+        return real(x0, m, k, beta)
 
     def splitting(qs, *args):
         raw = real_split(qs, *args)
         splits_by_level[len(qs) + 1] = raw
         return raw
 
-    monkeypatch.setattr(rsb, "minimize", recording)
+    monkeypatch.setattr(rsb, "_lbfgs", recording)
     monkeypatch.setattr(rsb, "_split_widest_gap", splitting)
     cfg = SolverConfig(k_max=1, starts=2)
     solves = [
@@ -907,6 +906,30 @@ def test_one_start_per_level_runs_each_start_once(monkeypatch):
     # cheap pair (seeded start 0 and the warm split) once and certifies once
     assert shapes[0] in ("P", "F")
     assert all(shapes[k] in ("ssP", "ssF") for k in range(1, max(shapes) + 1))
+
+
+@pytest.mark.parametrize(
+    "mix, beta, k_levels, exit_seen",
+    [({2: 0.5, 4: 0.5}, 2.0, (1, 2, 3), "ABNORMAL"), ({2: 0.3, 3: 0.7}, None, (0, 1, 2, 3), "STOP")],
+)
+def test_lbfgs_driver_matches_scipy_minimize(mix, beta, k_levels, exit_seen):
+    # the engine's L-BFGS-B driver and scipy's minimize with the same settings
+    # take the same iterates from every start of every level, including starts
+    # that end in a failed line search (ABNORMAL) or at the iteration limit (STOP)
+    m, cfg = Mixture(mix), SolverConfig()
+    options = {"maxcor": 10, "maxls": 20, "ftol": 1e-16, "gtol": 1e-12, "maxiter": 1000, "maxfun": 15000}
+    exits = set()
+    for k in k_levels:
+        cheap, rest = rsb._level_starts(beta, k, cfg, None)
+        for s, x0 in enumerate(cheap + rest):
+            ref = scipy_minimize(
+                rsb._raw_objective, x0, args=(m, k, beta), jac=True, method="L-BFGS-B", options=options
+            )
+            x, value, nit, nfev = rsb._lbfgs(x0, m, k, beta)
+            assert x.tobytes() == ref.x.tobytes(), (k, s)
+            assert (value, nit, nfev) == (ref.fun, ref.nit, ref.nfev), (k, s)
+            exits.add(ref.message.split(":")[0])
+    assert exit_seen in exits and "CONVERGENCE" in exits
 
 
 def test_the_memo_is_bounded():
