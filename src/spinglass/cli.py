@@ -118,7 +118,17 @@ class RunConfig:
         unknown = sorted(set(obj) - set(_FIELD_TYPES))
         if kw["command"] in _BODIES:
             options = _command_options(kw["command"])
-            unknown += [f"params.{name}" for name in sorted(set(kw.get("params", {})) - options)]
+            params = kw.get("params", {})
+            unknown += [f"params.{name}" for name in sorted(params.keys() - options.keys())]
+            for name in sorted(params.keys() & options.keys()):
+                value, types = params[name], _PARAM_TYPES.get(options[name].type.name, str)
+                # null leaves the option unset; a bool is only ever a flag
+                if value is not None and (
+                    isinstance(value, bool) != (types is bool) or not isinstance(value, types)
+                ):
+                    raise BadInputError(
+                        f"run config param {name!r} ({options[name].opts[0]}) has the wrong type: {value!r}"
+                    )
         if unknown:
             raise BadInputError(f"run config has unknown fields: {', '.join(unknown)}")
         return cls(**kw)
@@ -129,17 +139,21 @@ class RunConfig:
         return Mixture.from_json(json.dumps(self.mixture))
 
 
+# the JSON types a config param takes, by its option's click type name (the
+# rest take a string); click itself would truncate a float for an integer
+_PARAM_TYPES = {"boolean": bool, "integer": int, "float": (int, float)}
+
 # options every command shares; the config records them outside params
 _SHARED_OPTIONS = {"config", "seed", "out", "fmt", "mixture_path"}
 
 
-def _command_options(command: str) -> set[str]:
-    """The params keys a config of command may carry: the options of its
-    click command other than the shared ones."""
+def _command_options(command: str) -> dict[str, click.Parameter]:
+    """The params keys a config of command may carry, with their options:
+    the options of its click command other than the shared ones."""
     cmd = main
     for part in command.split("."):
         cmd = cmd.commands[part]
-    return {p.name for p in cmd.params} - _SHARED_OPTIONS
+    return {p.name: p for p in cmd.params if p.name not in _SHARED_OPTIONS}
 
 
 def _read(path: str, what: str) -> str:

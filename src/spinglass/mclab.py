@@ -78,14 +78,11 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
     Streams of distinct keys are independent, and a stream does not depend
     on how many others run or in what order. Raises BadInputError for a
-    negative seed or key part.
+    seed or key part that is not a non-negative integer.
     """
-    if min(seed, *key) < 0:
-        raise BadInputError(
-            "seed, field index and chain index must be non-negative, got "
-            + ", ".join(str(part) for part in (seed, *key))
-        )
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(part) for part in key))
+    for part in (seed, *key):
+        _check_count("seed, field index and chain index", part, 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -213,8 +210,6 @@ def _last_slot_pairs(t: np.ndarray, x: np.ndarray, p: int, powers) -> np.ndarray
 
 def _capacity_check(degrees, n: int) -> None:
     max_p = max(degrees)
-    if n < 2:
-        raise BadInputError(f"need dimension at least 2, got {n}")
     if max_p > 4:
         raise CapacityExceededError(
             f"dense tensors are capped at degree 4, mixture has degree {max_p}"
@@ -232,6 +227,7 @@ def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSa
     degrees = m.degrees
     if not degrees and m.const_term == 0.0:
         raise BadInputError("mixture has no active degrees")
+    _check_count("dimension", n, 2)
     _capacity_check(degrees or (1,), n)
     rng = _stream(seed, field_index, 0)
     tensors: dict[int, np.ndarray] = {}
@@ -248,34 +244,36 @@ def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSa
 # =============================================================== Gibbs MCMC
 
 
+ADAPT_EVERY = 50
+TARGET_ACCEPT = 0.4
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Chain configuration for spherical random-walk Metropolis.
 
     The chain keeps every thin-th of its steps after burn-in, so thin may not
-    exceed steps: a chain keeps floor(steps / thin) >= 1 samples.
+    exceed steps: a chain keeps floor(steps / thin) >= 1 samples. The step
+    starts at step_size; after every ADAPT_EVERY = 50 burn-in steps it is
+    multiplied by exp(rate - TARGET_ACCEPT), rate being that window's
+    acceptance rate and TARGET_ACCEPT = 0.4, and it is frozen after burn-in.
     """
 
     steps: int = 4000
     burn_in: int = 1000
     thin: int = 10
     step_size: float = 0.3
-    target_accept: float = 0.4
-    adapt_every: int = 50
     chain_index: int = 0
 
     def __post_init__(self) -> None:
         _check_count("steps", self.steps, 1)
         _check_count("burn_in", self.burn_in, 0)
         _check_count("thin", self.thin, 1)
-        _check_count("adapt_every", self.adapt_every, 1)
         _check_count("chain_index", self.chain_index, 0)
         if self.thin > self.steps:
             raise BadInputError(f"thin must not exceed steps, got thin={self.thin}, steps={self.steps}")
         if not 0.0 < self.step_size < math.inf:
             raise BadInputError("step size must be positive and finite")
-        if not 0.0 < self.target_accept < 1.0:
-            raise BadInputError("target acceptance must be in (0,1)")
 
 
 @dataclass(eq=False)
@@ -355,9 +353,9 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
         if t >= cfg.burn_in:
             proposed_main += 1
         x *= radius / np.linalg.norm(x)
-        if t < cfg.burn_in and (t + 1) % cfg.adapt_every == 0:
-            rate = accepted_window / cfg.adapt_every
-            step *= math.exp(rate - cfg.target_accept)
+        if t < cfg.burn_in and (t + 1) % ADAPT_EVERY == 0:
+            rate = accepted_window / ADAPT_EVERY
+            step *= math.exp(rate - TARGET_ACCEPT)
             accepted_window = 0
         if t >= cfg.burn_in and (t - cfg.burn_in + 1) % cfg.thin == 0:
             samples.append(x.copy())
@@ -605,8 +603,7 @@ def exact_conditional_sampler(
     conditioner when the constraint covariance is degenerate (pass
     pseudo_inverse=True to condition on its attainable span).
     """
-    if n_draws < 1:
-        raise BadInputError("need at least one draw")
+    _check_count("n_draws", n_draws, 1)
     constraints = list(constraints)
     targets = list(targets)
     if not targets:
@@ -620,7 +617,7 @@ def exact_conditional_sampler(
     )
     root = _psd_root(cov)
     rng = _stream(seed, 0, 0, _SAMPLER_LANE)
-    z = rng.standard_normal((int(n_draws), len(targets)))
+    z = rng.standard_normal((n_draws, len(targets)))
     return mean[None, :] + z @ root.T
 
 
@@ -662,25 +659,26 @@ class OverlapHistogram:
         return inside / self.overlaps.size
 
 
-def overlap_statistics(
-    run_a: GibbsRun, run_b: GibbsRun, bins: int = 41
-) -> OverlapHistogram:
+def overlap_statistics(run_a: GibbsRun, run_b: GibbsRun) -> OverlapHistogram:
     """Histogram of pairwise normalized overlaps between the samples of two
-    chains over the same field. Passing the same run twice uses distinct
-    index pairs within it."""
+    chains over the same field, in 41 equal bins on [-1, 1].
+    Passing the same run twice uses distinct index pairs within it, so that
+    run needs at least two samples."""
     if run_a.n != run_b.n:
         raise BadInputError("runs must share the dimension")
     if run_a.seed != run_b.seed or run_a.field_index != run_b.field_index:
         raise BadInputError("runs must be driven by the same field")
     if run_a.samples.size == 0 or run_b.samples.size == 0:
         raise BadInputError("runs carry no samples")
+    if run_a is run_b and run_a.samples.shape[0] < 2:
+        raise BadInputError("a run compared with itself needs at least two samples")
     prods = run_a.samples @ run_b.samples.T / run_a.n
     if run_a is run_b:
         idx = np.triu_indices(prods.shape[0], k=1)
         overlaps = prods[idx]
     else:
         overlaps = prods.ravel()
-    counts, edges = np.histogram(overlaps, bins=bins, range=(-1.0, 1.0))
+    counts, edges = np.histogram(overlaps, bins=41, range=(-1.0, 1.0))
     return OverlapHistogram(overlaps=overlaps, edges=edges, counts=counts)
 
 

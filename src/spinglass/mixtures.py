@@ -28,29 +28,19 @@ DEGREE_CAP = 32
 _COEFF_NEG_TOL = 1e-12
 
 
-def _normalize_coeffs(
-    coeffs: Mapping[int, float] | Sequence[float] | None,
-    const_term: float,
-) -> tuple[float, ...]:
+def _normalize_coeffs(coeffs: Mapping[int, float] | None, const_term: float) -> tuple[float, ...]:
     """Build the dense degree-indexed array (index 0 = constant offset)."""
+    if not isinstance(coeffs, (Mapping, type(None))):
+        raise MixtureError(f"coefficients must map degree to gamma_p^2, got {type(coeffs).__name__}")
     arr = np.zeros(DEGREE_CAP + 1)
     arr[0] = const_term
-    if coeffs is None:
-        pass
-    elif isinstance(coeffs, Mapping):
-        for p, g in coeffs.items():
-            p = int(p)
-            if p < 1:
-                raise MixtureError(f"coefficient degree must be >= 1, got {p}")
-            if p > DEGREE_CAP:
-                raise MixtureError(f"degree {p} exceeds cap {DEGREE_CAP}")
-            arr[p] = float(g)
-    else:
-        vals = list(coeffs)
-        if len(vals) > DEGREE_CAP:
-            raise MixtureError(f"degree {len(vals)} exceeds cap {DEGREE_CAP}")
-        for i, g in enumerate(vals):
-            arr[i + 1] = float(g)
+    for p, g in (coeffs or {}).items():
+        p = int(p)
+        if p < 1:
+            raise MixtureError(f"coefficient degree must be >= 1, got {p}")
+        if p > DEGREE_CAP:
+            raise MixtureError(f"degree {p} exceeds cap {DEGREE_CAP}")
+        arr[p] = float(g)
     if not np.isfinite(arr).all():
         bad = int(np.argmin(np.isfinite(arr)))
         raise MixtureError(f"non-finite coefficient {arr[bad]} at degree {bad}")
@@ -98,8 +88,8 @@ class Mixture:
     Parameters
     ----------
     coeffs
-        Mapping degree -> gamma_p^2 (degrees >= 1), or a sequence whose
-        i-th entry is the coefficient of degree i+1.
+        Mapping degree -> gamma_p^2 (degrees 1 to DEGREE_CAP); None is the
+        empty mixture. Any other type raises MixtureError.
     const_term
         Constant covariance offset (degree 0). Only carried for
         conditional-covariance bookkeeping; zero for physical models.
@@ -110,7 +100,7 @@ class Mixture:
 
     def __init__(
         self,
-        coeffs: Mapping[int, float] | Sequence[float] | None = None,
+        coeffs: Mapping[int, float] | None = None,
         const_term: float = 0.0,
     ) -> None:
         if const_term < -_COEFF_NEG_TOL:
@@ -230,12 +220,6 @@ class Mixture:
             {p: g for p, g in enumerate(arr) if p >= 1 and g != 0.0},
             const_term=float(arr[0]) if len(arr) else 0.0,
         )
-
-    def scale(self, factor: float) -> "Mixture":
-        """Multiply the whole covariance by factor (>= 0)."""
-        if factor < 0:
-            raise MixtureError("covariance scale factor must be >= 0")
-        return self._from_array(np.asarray(self._c) * factor)
 
     def scale_domain(self, s: float) -> "Mixture":
         """Return xi(s*t): coefficient of degree p scales by s^p.

@@ -65,6 +65,8 @@ from .errors import (
 from .mixtures import Mixture
 
 Q_CAP = 1.0 - 1e-4  # atoms never placed above this; keeps log(1 - q_hat) finite
+SUPPORT_MASS_TOL = 1e-12  # an atom of the overlap measure counts as support above this mass
+CERT_MESH = 2000  # uniform points of the certificate mesh, before its refinement at the support
 
 
 # ====================================================================== types
@@ -124,8 +126,9 @@ class OrderParameter:
             out.append((q, lev_ext[i + 1] - lev_ext[i]))
         return tuple(out)
 
-    def support(self, mass_tol: float = 1e-12) -> tuple[float, ...]:
-        return tuple(p for p, mass in self.measure_atoms() if mass > mass_tol)
+    def support(self) -> tuple[float, ...]:
+        """Positions of the atoms whose mass exceeds SUPPORT_MASS_TOL."""
+        return tuple(p for p, mass in self.measure_atoms() if mass > SUPPORT_MASS_TOL)
 
     def cdf(self, t):
         """Evaluate x(t); vectorized."""
@@ -189,12 +192,12 @@ class ZeroTempOrder:
     def values(self) -> tuple[float, ...]:
         return tuple(a for _, a in self.steps)
 
-    def support(self, mass_tol: float = 1e-12) -> tuple[float, ...]:
-        """Jump points of alpha (atoms of the associated measure)."""
+    def support(self) -> tuple[float, ...]:
+        """Jump points of alpha (atoms of its measure) above SUPPORT_MASS_TOL."""
         out = []
         prev = 0.0
         for q, a in self.steps:
-            if a - prev > mass_tol:
+            if a - prev > SUPPORT_MASS_TOL:
                 out.append(q)
             prev = a
         return tuple(out)
@@ -264,7 +267,9 @@ class SolverConfig:
     starts caps the seeded L-BFGS starts of one atom level. A level first
     runs seeded start 0 and the warm split of the previous level's answer,
     and stops there when that candidate certifies; only a level whose cheap
-    candidate fails runs the other starts - 1 seeded starts.
+    candidate fails runs the other starts - 1 seeded starts. The certificates
+    read their profile on the fixed CERT_MESH = 2000 uniform points plus a
+    refinement at the support; that mesh is not a setting.
     """
 
     k_max: int = 3
@@ -272,13 +277,11 @@ class SolverConfig:
     atom_tol: float = 1e-7
     cert_tol: float = 1e-6
     seed: int = 42
-    mesh: int = 2000
 
     def __post_init__(self) -> None:
         _check_count("k_max", self.k_max, 0)
         _check_count("starts", self.starts, 1)
         _check_count("seed", self.seed, None)
-        _check_count("certificate mesh", self.mesh, 100)
         if not (0.0 < self.atom_tol < math.inf and 0.0 < self.cert_tol < math.inf):
             raise BadInputError("atom_tol and cert_tol must be positive and finite")
 
@@ -536,9 +539,8 @@ def _refined_max(fun, grid_ts, grid_vals):
     return best_t, best_v
 
 
-def _certificate_mesh(mesh: int, anchor_pts: Sequence[float], top: float) -> np.ndarray:
-    _check_count("certificate mesh", mesh, 100)
-    ts = [np.linspace(0.0, top, mesh)]
+def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
+    ts = [np.linspace(0.0, top, CERT_MESH)]
     offs = np.geomspace(1e-9, 1e-2, 25)
     for q in anchor_pts:
         ts.append(np.clip(q + offs, 0.0, top))
@@ -554,21 +556,22 @@ def talagrand_certificate(
     m: Mixture,
     beta: float,
     x: OrderParameter,
-    mesh: int = 2000,
     tolerance: float = 1e-6,
     allow_field: bool = False,
 ) -> OptimalityCertificate:
     """First-order optimality check at finite temperature.
 
-    Computes the profile phi exactly on a refined mesh, takes its sup, and
-    reports sup - phi(q) at every atom of the overlap measure. The order
+    Computes the profile phi exactly on the fixed mesh (CERT_MESH = 2000
+    uniform points on [0, 1 - 1e-9], 25 log-spaced offsets on each side of
+    every support point and 200 log-spaced points near 0), refines its max,
+    and reports sup - phi(q) at every atom of the overlap measure. The order
     parameter is optimal iff all residuals vanish (support inside argmax).
     """
     _check_beta(beta)
     _check_field(m, allow_field)
     phi = _phi_function(m, beta, x)
     support = x.support()
-    ts = _certificate_mesh(mesh, support, 1.0 - 1e-9)
+    ts = _certificate_mesh(support, 1.0 - 1e-9)
     vals = phi(ts)
     _, sup_phi = _refined_max(phi, ts, vals)
     sup_phi = max(sup_phi, 0.0 if not support else -np.inf)
@@ -588,7 +591,6 @@ def talagrand_certificate(
 def zero_temp_certificate(
     m: Mixture,
     order: ZeroTempOrder,
-    mesh: int = 2000,
     tolerance: float = 1e-6,
     allow_field: bool = False,
 ) -> OptimalityCertificate:
@@ -596,12 +598,13 @@ def zero_temp_certificate(
 
     Conditions: psi >= 0 on [0,1] with psi = 0 on the jump set of alpha, and
     the endpoint identity Psi(1) = 0. Reported through the shared certificate
-    type with phi := -psi, so sup_phi = -min psi.
+    type with phi := -psi, so sup_phi = -min psi. psi is read on the same
+    fixed mesh as the finite-temperature certificate, up to 1.
     """
     _check_field(m, allow_field)
     psi, edge = _psi_function(m, order)
     support = order.support()
-    ts = _certificate_mesh(mesh, support, 1.0)
+    ts = _certificate_mesh(support, 1.0)
     vals = -psi(ts)
     _, sup_phi = _refined_max(lambda t: -psi(t), ts, vals)
     psi_supp = [float(psi(np.asarray(q))) for q in support]
@@ -933,7 +936,7 @@ def _settle(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool
         if stable:
             break
     qs, levels, tail = state
-    opts = dict(mesh=cfg.mesh, tolerance=cfg.cert_tol, allow_field=allow_field)
+    opts = dict(tolerance=cfg.cert_tol, allow_field=allow_field)
     # the certificates are called by module name, so a patched one is seen
     if beta is not None:
         x = OrderParameter(qs, levels[:-1])
@@ -1064,38 +1067,35 @@ def _rs_profile_sup(m: Mixture, beta: float) -> float:
     return _refined_max(f, ts, vals)[1]
 
 
-def beta_c(m: Mixture, tol: float = 1e-8, beta_max: float = 64.0) -> float:
+def beta_c(m: Mixture) -> float:
     """Critical inverse temperature: largest beta at which the minimum is
     attained at the replica-symmetric point, located by bisection on the
-    replica-symmetric optimality test to within tol.
+    replica-symmetric optimality test over the fixed bracket (1e-9, 64] to
+    within 1e-8. Raises NotBracketedError when the point is unstable already
+    at beta = 1e-9, when the mixture does not break symmetry by beta = 64,
+    and for a mixture with a degree-1 component.
 
     Equal inputs return one shared result per process; an error is not
     cached and is raised again on every call.
     """
-    if not 0.0 < tol < math.inf:
-        raise BadInputError(f"bisection tolerance must be positive and finite, got {tol}")
-    if not 0.0 < beta_max < math.inf:
-        raise BadInputError(f"beta_max must be positive and finite, got {beta_max}")
     if m.has_linear:
         raise NotBracketedError(
             "a degree-1 component destabilizes the replica-symmetric point at "
             "every positive beta; no critical temperature exists"
         )
-    return _beta_c(m, float(tol), float(beta_max))
+    return _beta_c(m)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _beta_c(m: Mixture, tol: float, beta_max: float) -> float:
-    lo = 1e-9
+def _beta_c(m: Mixture) -> float:
+    lo, hi = 1e-9, 64.0
     if _rs_profile_sup(m, lo) > 0.0:
         raise NotBracketedError("replica-symmetric point already unstable at beta ~ 0")
-    if _rs_profile_sup(m, beta_max) <= 0.0:
-        raise NotBracketedError(f"no symmetry breaking detected up to beta_max={beta_max}")
-    hi = beta_max
-    while hi - lo > tol:
+    if _rs_profile_sup(m, hi) <= 0.0:
+        raise NotBracketedError(f"no symmetry breaking detected up to beta_max={hi}")
+    # a 1e-8 bracket below 64 still spans ~1e6 floats, so every halving shrinks it
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: the bracket cannot shrink below tol
         if _rs_profile_sup(m, mid) <= 0.0:
             lo = mid
         else:

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 import spinglass
-from spinglass import franz_parisi, mclab
+from spinglass import franz_parisi, mclab, rsb
 
 
 @pytest.mark.parametrize("module", [spinglass, mclab, franz_parisi], ids=lambda mod: mod.__name__)
@@ -104,6 +104,13 @@ def test_tau_has_one_definition():
         (spinglass.Mixture, "generic_truncation"),
         (spinglass.Mixture, "degree_cap"),
         (spinglass.Mixture.from_json, "degree_cap"),
+        (rsb.talagrand_certificate, "mesh"),
+        (rsb.zero_temp_certificate, "mesh"),
+        (spinglass.beta_c, "tol"),
+        (spinglass.beta_c, "beta_max"),
+        pytest.param(spinglass.OrderParameter.support, "mass_tol", id="OrderParameter.support-mass_tol"),
+        pytest.param(spinglass.ZeroTempOrder.support, "mass_tol", id="ZeroTempOrder.support-mass_tol"),
+        (spinglass.overlap_statistics, "bins"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -121,11 +128,32 @@ def test_removed_parameters_are_gone(func, name):
         (spinglass.BandGeometry, "anchors"),
         (spinglass.ConditioningEvent, "E"),
         (spinglass.FPResult, "field_mode"),
+        (spinglass.SolverConfig, "mesh"),
+        (spinglass.MCConfig, "target_accept"),
+        (spinglass.MCConfig, "adapt_every"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_removed_fields_are_gone(cls, name):
     assert name not in {f.name for f in dataclasses.fields(cls) if f.init}
+
+
+def test_mixture_has_no_scale_method():
+    # a scaled covariance is a rebuilt Mixture
+    assert not hasattr(spinglass.Mixture, "scale")
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (spinglass.SolverConfig, ["k_max", "starts", "atom_tol", "cert_tol", "seed"]),
+        (spinglass.MCConfig, ["steps", "burn_in", "thin", "step_size", "chain_index"]),
+    ],
+    ids=["SolverConfig", "MCConfig"],
+)
+def test_config_fields_are_pinned(cls, names):
+    # a new knob means editing this list on purpose
+    assert [f.name for f in dataclasses.fields(cls)] == names
 
 
 def test_no_public_callable_takes_k_max():

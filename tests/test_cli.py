@@ -415,6 +415,29 @@ def test_a_mistyped_config_value_is_a_usage_error(tmp_path):
         assert "--beta" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, params, name",
+    [
+        ("parisi", {"k_max": 2.7}, "--k-max"),
+        ("fp", {"beta": 1.5, "beta_prime": 1.5, "r_grid": "0.3:0.3:0.1", "scan_points": 3.5}, "--scan-points"),
+        ("mc.gibbs", {"n": 8, "beta": 1.0, "dump": 3}, "--dump"),
+    ],
+)
+def test_a_config_param_that_is_not_its_options_json_type_is_bad_input(tmp_path, command, params, name):
+    # click's INT would truncate 2.7 to 2 and run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": command, "mixture": {"coeffs": {"3": 1.0}}, "params": params}))
+    for args in (command.split("."), ["run"]):
+        result = CliRunner().invoke(cli.main, [*args, "--config", str(config)])
+        assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+        assert name in result.stderr
+
+
+def test_a_float_option_takes_a_json_integer_and_null_leaves_it_unset():
+    params = {"beta": 2, "k_max": None, "zero_temp": False}
+    assert cli.RunConfig.from_json(json.dumps({"command": "parisi", "params": params})).params == params
+
+
 def test_run_config_and_command_config_write_the_same_artifact(tmp_path):
     config = tmp_path / "config.json"
     out = tmp_path / "artifact.json"
@@ -493,6 +516,12 @@ def test_run_config_exit_codes_reach_the_process(tmp_path, command, coeffs, para
         {"out": 3},
         {"command": 3},
         {"format": 3},
+        {"params": {"k_max": 2.0}},
+        {"params": {"k_max": True}},
+        {"params": {"starts": "8"}},
+        {"params": {"beta": True}},
+        {"params": {"beta": "1.5"}},
+        {"params": {"zero_temp": 1}},
     ],
 )
 def test_run_config_from_json_rejects_mistyped_fields(fields, tmp_path):

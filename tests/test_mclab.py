@@ -96,6 +96,29 @@ class TestStreams:
         with pytest.raises(BadInputError):
             mclab._stream(*key)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample_field(Mixture({3: 1.0}), 8, seed=1.5),
+            lambda: sample_field(Mixture({3: 1.0}), 8, seed=True),
+            lambda: sample_field(Mixture({3: 1.0}), 8, seed=1, field_index=True),
+            lambda: sample_field(Mixture({3: 1.0}), 8, seed=1, field_index=0.5),
+            lambda: sample_field(Mixture({3: 1.0}), 8.0, seed=1),
+            lambda: exact_conditional_sampler(
+                Mixture({3: 1.0}), np.eye(4)[:1] * 2.0, [], [], [("value", 0)], 2.5, seed=0
+            ),
+            lambda: exact_conditional_sampler(
+                Mixture({3: 1.0}), np.eye(4)[:1] * 2.0, [], [], [("value", 0)], 2, seed=0.7
+            ),
+        ],
+        ids=["seed-float", "seed-bool", "field-index-bool", "field-index-float", "n-float",
+             "n-draws-float", "sampler-seed-float"],
+    )
+    def test_a_non_integer_seed_or_count_is_bad_input(self, call):
+        # these used to be truncated to integers, or to raise a bare TypeError
+        with pytest.raises(BadInputError):
+            call()
+
     @pytest.mark.parametrize("chain_index", [0, 1 << 16, (1 << 16) + 1])
     def test_chain_start_is_off_the_field_finder_and_bootstrap_streams(self, chain_index):
         # chain 0 against field 0's coefficients, 65536 against its finder
@@ -287,11 +310,6 @@ class TestGibbs:
             MCConfig(steps=0)
         with pytest.raises(BadInputError):
             MCConfig(step_size=0.0)
-        with pytest.raises(BadInputError):
-            MCConfig(target_accept=1.0)
-        for window in (0, -5):
-            with pytest.raises(BadInputError):
-                MCConfig(adapt_every=window)
 
     def test_chain_index_must_be_non_negative(self):
         with pytest.raises(BadInputError):
@@ -300,7 +318,7 @@ class TestGibbs:
     @pytest.mark.parametrize(
         "kw",
         [{"steps": 100.5}, {"steps": True}, {"burn_in": 2.5}, {"thin": 2.5}, {"thin": True},
-         {"adapt_every": 10.0}, {"chain_index": 1.5}, {"step_size": math.inf},
+         {"burn_in": True}, {"chain_index": 1.5}, {"step_size": math.inf},
          {"step_size": math.nan}, {"steps": 5, "thin": 10}],
     )
     def test_config_rejects_values_the_chain_cannot_run(self, kw):
@@ -679,11 +697,20 @@ class TestOverlapAndDumps:
         f = sample_field(m, 16, seed=2)
         run_a = gibbs_mcmc(f, 0.0, MCConfig(steps=60, burn_in=0, thin=3, chain_index=0))
         run_b = gibbs_mcmc(f, 0.0, MCConfig(steps=60, burn_in=0, thin=3, chain_index=1))
-        hist = overlap_statistics(run_a, run_b, bins=20)
+        hist = overlap_statistics(run_a, run_b)
         assert hist.counts.sum() == hist.overlaps.size == 400
-        assert hist.edges.shape == (21,)
+        assert hist.edges.shape == (42,)
         assert 0.0 <= hist.mass_in(-1.0, 1.0) <= 1.0
         assert hist.mass_in(-1.0, 1.0) == 1.0
+
+    def test_a_run_compared_with_itself_needs_two_samples(self):
+        f = sample_field(Mixture(MIX_23), 8, seed=2)
+        run = gibbs_mcmc(f, 0.0, MCConfig(steps=5, burn_in=0, thin=5))
+        assert run.samples.shape[0] == 1
+        with pytest.raises(BadInputError):
+            overlap_statistics(run, run)
+        pair = gibbs_mcmc(f, 0.0, MCConfig(steps=10, burn_in=0, thin=5))
+        assert overlap_statistics(pair, pair).overlaps.size == 1
 
     def test_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
