@@ -267,10 +267,10 @@ def band_kernel(
     """Conditional mean and covariance (both per site) of the field at two
     band-slice points, given pinned values and gradients along the chain.
 
-    The pair enters only through its mutual overlap: pass two explicit
-    points (slice membership is checked) or that overlap twice as a
-    scalar. The mean is the top pinned energy when an event is supplied,
-    else 0 for the centered law.
+    The pair enters only through its mutual overlap q_top + (1 - q_top) cos:
+    pass two explicit points (slice membership is checked) or that overlap,
+    in [2 q_top - 1, 1], twice as a scalar. The mean is the top pinned
+    energy when an event is supplied, else 0 for the centered law.
     """
     q_top = geometry.q_top
     if np.ndim(y1_overlap) == 1 or np.ndim(y2_overlap) == 1:
@@ -287,6 +287,8 @@ def band_kernel(
             raise BadInputError(
                 "scalar mode takes the mutual overlap twice; got two different values"
             )
+        if not 2.0 * q_top - 1.0 - 1e-12 <= t <= 1.0 + 1e-12:
+            raise BadInputError(f"no two band-slice points have overlap {t}")
     shifted, _, _ = m.shift_restrict(q_top)
     mean = float(event.e_vec[-1]) if event is not None else 0.0
     return mean, float(shifted.eval(t - q_top))

@@ -528,6 +528,8 @@ def empirical_complexity(
     r_edges = np.asarray(r_edges, dtype=float)
     if e_edges.ndim != 1 or e_edges.size < 2 or r_edges.ndim != 1 or r_edges.size < 2:
         raise BadInputError("bin edges must be 1-d arrays with at least two entries")
+    if not all(np.isfinite(x).all() and (np.diff(x) > 0).all() for x in (e_edges, r_edges)):
+        raise BadInputError("bin edges must be finite and increasing")
     _check_count("n_fields", n_fields, 1)
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")

@@ -264,12 +264,14 @@ ZT_K_MAX = 2
 class SolverConfig:
     """Settings of the certified solver.
 
-    starts caps the seeded L-BFGS starts of one atom level. A level first
-    runs seeded start 0 and the warm split of the previous level's answer,
-    and stops there when that candidate certifies; only a level whose cheap
-    candidate fails runs the other starts - 1 seeded starts. The certificates
-    read their profile on the fixed CERT_MESH = 2000 uniform points plus a
-    refinement at the support; that mesh is not a setting.
+    A solve raises the atom count k = 0, 1, ..., k_max and returns the first
+    level whose certificate passes. starts caps the seeded L-BFGS starts of
+    one level: it runs seeded start 0 and the warm split of the previous
+    level's answer, and the other starts - 1 only when that candidate fails.
+    atom_tol only sets the mass below which a candidate's atoms merge:
+    max(10 * atom_tol, 1e-6). The certificates read their profile on the
+    fixed CERT_MESH = 2000 uniform points plus a refinement at the support;
+    that mesh is not a setting.
     """
 
     k_max: int = 3
@@ -951,15 +953,16 @@ _CACHE_SIZE = 256
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool):
-    """Refine the atom count k = 0, 1, ... until the certificate
-    passes and a further level gains less than atom_tol. Returns the
-    certified answer with the smallest k among those within atom_tol of the
-    best certified value; raises SolverFailedError when none certifies.
+    """Raise the atom count k = 0, 1, ... and return the first level whose
+    certificate passes. Both functionals are strictly convex and the
+    certificate checks the obstacle condition that characterises their
+    unique minimiser, so a higher level could only reproduce it. Raises
+    SolverFailedError when no level up to cfg.k_max certifies.
 
-    Each level stops at its first certified candidate: it minimises from
-    seeded start 0 and the warm split of the previous level's answer, and
-    only when that candidate's certificate fails does it run the other
-    seeded starts (cfg.starts caps them) and settle the best of all of them.
+    A level minimises from seeded start 0 and the warm split of the previous
+    level's answer, and from the other seeded starts (cfg.starts caps them)
+    only when that candidate fails. Settling merges atoms lighter than
+    max(10 cfg.atom_tol, 1e-6).
 
     A float beta yields a CsResult certified by talagrand_certificate, None
     (zero temperature) a ZtResult certified by zero_temp_certificate. Inputs
@@ -979,16 +982,10 @@ def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool)
             # an unchanged best would settle to the same failing certificate
             if escalated != best:
                 state, entry = _settle(m, beta, cfg, allow_field, escalated[1:])
+        if entry[2].passes:
+            return entry
         history.append(entry)
         warm = state
-        _, value, cert = entry
-        if cert.passes and len(history) >= 2 and history[-2][1] - value < cfg.atom_tol:
-            break
-    passing = [h for h in history if h[2].passes]
-    if passing:
-        best_val = min(h[1] for h in passing)
-        near = [h for h in passing if h[1] <= best_val + cfg.atom_tol]
-        return min(near, key=lambda h: (h[0].k, h[1]))
     _, value, cert = min(history, key=lambda h: h[1])
     edge = "" if cert.edge_residual is None else f", edge residual {cert.edge_residual:.3g}"
     raise SolverFailedError(
@@ -1006,11 +1003,9 @@ def cs_minimize(
 ) -> CsResult:
     """Minimize the finite-temperature functional over atomic order parameters.
 
-    Refines the atom count k = 0, 1, ... until the optimality certificate
-    passes and a further level brings less than atom_tol improvement.
-    A level stops at its first certified candidate (from seeded start 0 and
-    the previous level's warm split); config.starts caps the seeded starts
-    it escalates to when that candidate fails. The atom cap is
+    Returns the first atom level k = 0, 1, ... whose optimality certificate
+    passes; its atoms lighter than max(10 atom_tol, 1e-6) are merged, and
+    SolverConfig says which starts a level runs. The atom cap is
     config.k_max (3 without a config). Raises SolverFailedError when no k
     up to the cap certifies.
 
@@ -1032,10 +1027,10 @@ def zt_minimize(
 
     Returns the order parameter, the limiting normalized maximum of the
     field (the ground-state energy density), and the optimality certificate
-    with the strict two-level flag filled in. A level stops at its first
-    certified candidate (from seeded start 0 and the previous level's warm
-    split); config.starts caps the seeded starts it escalates to when that
-    candidate fails. The atom cap is config.k_max; without a config it is
+    with the strict two-level flag filled in, of the first atom level
+    k = 0, 1, ... whose certificate passes; its atoms lighter than
+    max(10 atom_tol, 1e-6) are merged, and SolverConfig says which starts a
+    level runs. The atom cap is config.k_max; without a config it is
     ZT_K_MAX (2). Raises SolverFailedError when no k up to the cap
     certifies.
 
@@ -1051,12 +1046,11 @@ def zt_minimize(
 
 
 def _rs_profile_sup(m: Mixture, beta: float) -> float:
-    """sup over [0,1) of beta^2 (xi(s) - xi(0)) + s + log(1 - s)."""
-    xi0 = m.eval(0.0)
+    """sup over [0,1) of beta^2 xi(s) + s + log(1 - s) for a const-free xi."""
 
     def f(s):
         s = np.asarray(s, dtype=float)
-        return beta * beta * (m.eval(s) - xi0) + s + np.log1p(-s)
+        return beta * beta * m.eval(s) + s + np.log1p(-s)
 
     ts = np.unique(
         np.concatenate(
@@ -1083,7 +1077,8 @@ def beta_c(m: Mixture) -> float:
             "a degree-1 component destabilizes the replica-symmetric point at "
             "every positive beta; no critical temperature exists"
         )
-    return _beta_c(m)
+    # the constant cancels in the test; subtracting it would add its rounding
+    return _beta_c(Mixture(m.coeffs))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -18,7 +18,7 @@ from spinglass import errors, rsb
 from spinglass.errors import BadInputError, SolverFailedError
 from spinglass.franz_parisi import FPResult, FPTerms
 from spinglass.landscape import ground_state_curve, theta
-from spinglass.mclab import MCConfig, gibbs_mcmc, overlap_statistics, sample_field
+from spinglass.mclab import MCConfig, gibbs_mcmc, load_samples, overlap_statistics, sample_field
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import SolverConfig
 
@@ -614,3 +614,69 @@ def test_fp_failure_count_covers_only_the_table_rows(pure3, monkeypatch):
     assert result.exit_code == cli._EXIT_SOLVER_FAILED, result.output
     assert len(result.stdout.splitlines()) == 1 + 3
     assert "3 of 3 sweep rows failed" in result.stderr
+
+
+def _replays_byte_for_byte(result, artifact, tmp_path):
+    """run --config on the artifact's own config rewrites it byte for byte."""
+    out = tmp_path / "artifact.json"
+    first = out.read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(artifact["config"]))
+    out.unlink()
+    _clear_solver_caches()
+    replay = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert replay.exit_code == 0, replay.output
+    assert replay.output == result.output
+    assert out.read_bytes() == first
+
+
+def test_landscape_identities_reports_every_identity_and_replays(tmp_path):
+    mixture = _mixture(tmp_path, {"3": 1.0, "4": 0.3})
+    result, artifact = _run(["landscape", "--mixture", mixture, "--identities", "--beta", "1.432"], tmp_path)
+    assert result.exit_code == 0, result.output
+    assert artifact["beta"] == 1.432
+    rows = artifact["energy_radial_identities"]["rows"]
+    assert len(rows) == 2 and rows[0]["q_lo"] == 0.0 and rows[-1]["q_hi"] == 1.0
+    assert artifact["worst_energy_dev"] == max(abs(row["e_dev"]) for row in rows)
+    assert artifact["free_energy_derivative"]["deviation"] < 1e-8
+    assert artifact["chain_bound"] > 0.0
+    _replays_byte_for_byte(result, artifact, tmp_path)
+
+
+def test_fp_above_the_critical_point_runs_the_low_regime_and_replays(pure3, tmp_path):
+    result, artifact = _run(
+        ["fp", "--mixture", pure3, "--beta", "1.5", "--beta-prime", "1.5", "--r-grid", "0.3:0.3:0.1",
+         "--scan-points", "3", "--format", "json"],
+        tmp_path,
+    )
+    assert result.exit_code == 0, result.output
+    (row,) = [dict(zip(artifact["columns"], row)) for row in artifact["rows"]]
+    assert row["r"] == 0.3 and row["regime"] == "low"
+    assert 0.0 < row["rho_star"] < 0.3
+    assert row["value"] == pytest.approx(row["mean"] + row["free_energy"] + row["volume"], abs=1e-12)
+    _replays_byte_for_byte(result, artifact, tmp_path)
+
+
+def test_mc_validate_conditioning_reports_every_record_and_replays(tmp_path):
+    result, artifact = _run(["mc", "validate-conditioning"], tmp_path)
+    assert result.exit_code == 0, result.output
+    assert len(artifact["tests"]) == 8 and artifact["all_pass"] is True
+    assert all(record["pass"] for record in artifact["tests"])
+    _replays_byte_for_byte(result, artifact, tmp_path)
+
+
+def test_mc_gibbs_dump_holds_the_manifests_samples(pure3, tmp_path):
+    dump = tmp_path / "samples.bin"
+    result, artifact = _run(
+        ["mc", "gibbs", "--mixture", pure3, "--N", "8", "--beta", "1", "--steps", "40",
+         "--burn-in", "10", "--thin", "5", "--dump", str(dump)],
+        tmp_path,
+    )
+    assert result.exit_code == 0, result.output
+    samples = load_samples(dump)
+    assert samples.shape == (artifact["manifest"]["samples"], 8) == (8, 8)
+    assert artifact["config"]["params"]["dump"] == str(dump)
+    first = dump.read_bytes()
+    dump.unlink()
+    _replays_byte_for_byte(result, artifact, tmp_path)
+    assert dump.read_bytes() == first

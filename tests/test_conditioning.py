@@ -388,6 +388,13 @@ def test_band_kernel_explicit_points_agree_with_scalar_mode():
         band_kernel(MIX3, geo, off, ys[1])
     with pytest.raises(BadInputError):
         band_kernel(MIX3, geo, 0.7, 0.8)
+    # two slice points of a one-point ladder at 0.5 have overlap in [0, 1]
+    half = BandGeometry((0.5,), 4)
+    for t in (0.0, 1.0):
+        band_kernel(Mixture({2: 0.5, 3: 0.5}), half, t, t)
+    for t in (3.0, math.nan, math.inf, -1.0, -1e-9):
+        with pytest.raises(BadInputError):
+            band_kernel(Mixture({2: 0.5, 3: 0.5}), half, t, t)
 
 
 def test_band_kernel_equals_full_schur_conditioning():

@@ -531,6 +531,20 @@ class TestComplexity:
             )
 
     @pytest.mark.parametrize(
+        "edges", [[1.0, 0.0], [0.0, 0.0], [0.0, math.nan], [0.0, math.inf]], ids=["1,0", "0,0", "0,nan", "0,inf"]
+    )
+    def test_bin_edges_that_are_not_finite_and_increasing_are_rejected_before_any_field(
+        self, edges, monkeypatch
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(mclab, "sample_field", no_draw)
+        for e_edges, r_edges in ((edges, self.R_EDGES), (self.E_EDGES, edges)):
+            with pytest.raises(BadInputError, match="finite and increasing"):
+                empirical_complexity(Mixture(MIX_23), 24, 1.0, e_edges, r_edges, n_fields=2)
+
+    @pytest.mark.parametrize(
         "kw",
         [dict(n_fields=1.5), dict(n_fields=True), dict(n_fields=0), dict(restarts=2.5),
          dict(restarts=True)],

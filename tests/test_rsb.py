@@ -20,6 +20,7 @@ from spinglass.errors import (
 )
 from spinglass import rsb
 from spinglass._rng import STREAM_SOLVER, stream
+from spinglass.franz_parisi import FPQuery
 from spinglass.landscape import ground_state_point
 from spinglass.mixtures import Mixture, pure
 from spinglass.rsb import (
@@ -670,6 +671,17 @@ def test_beta_c_cubic_brackets_transition():
     assert above.value < rs_value(pure(3), 1.05 * bc)
 
 
+@pytest.mark.parametrize("coeffs", [{2: 1.0}, {3: 1.0, 4: 0.3}])
+def test_beta_c_ignores_a_constant_term(coeffs):
+    # the constant cancels in the replica-symmetric test, so neither beta_c
+    # nor the regime it selects may depend on it
+    bare, offset = Mixture(coeffs), Mixture(coeffs, const_term=0.5)
+    assert beta_c(offset) == beta_c(bare)
+    beta = 0.9 * beta_c(bare)
+    assert FPQuery.detect(offset, beta, beta, 0.3).regime == "high"
+    assert FPQuery.detect(bare, beta, beta, 0.3).regime == "high"
+
+
 def test_beta_c_not_bracketed_cases():
     # beta_c of 1e-4 t^2 is 1/sqrt(2e-4) ~ 70.7, above the fixed bracket's 64
     with pytest.raises(NotBracketedError):
@@ -838,7 +850,7 @@ def test_multistart_keys_are_pinned_per_temperature(monkeypatch):
     cfg = SolverConfig(k_max=1, starts=2)
     solves = [
         (lambda: cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0, cfg), 2.0, [1]),
-        (lambda: zt_minimize(Mixture({2: 0.3, 3: 0.7}), cfg), None, [0, 1]),
+        (lambda: zt_minimize(Mixture({2: 0.8, 4: 0.2}), cfg), None, [0, 1]),
     ]
     for solve, beta, k_levels in solves:
         rsb._solve.cache_clear()
@@ -866,8 +878,9 @@ def test_a_level_stops_at_its_first_certified_candidate(monkeypatch):
     res = cs_minimize(Mixture({2: 0.5, 4: 0.5}), 2.0)
     assert res.certificate.passes and res.x_star.k == 2
     shapes = _check_certify_first(levels, SolverConfig(), 2.0)
-    # the top levels certify their cheap pair: start 0 and the warm split
-    assert shapes[2] == shapes[3] == "ssP"
+    # the answer's level certifies its cheap pair (start 0 and the warm
+    # split), and no level above it runs
+    assert shapes[2] == "ssP" and max(shapes) == 2
 
 
 def test_a_failing_solve_escalates_every_level_to_all_seeded_starts(monkeypatch):
