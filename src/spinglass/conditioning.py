@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import BadInputError, SingularBlockError, SingularMatrixError
+from .errors import BadInputError, SingularBlockError, SingularMatrixError, _check_count
 from .landscape import _free_energy_slope, ground_state_point
 from .mixtures import Mixture, sigma_inverse
 from .rsb import SolverConfig
@@ -52,8 +52,7 @@ class BandGeometry:
             if not prev < q <= 1.0:
                 raise BadInputError(f"ladder must be strictly increasing in (0,1]: {ladder}")
             prev = q
-        if self.n < len(ladder):
-            raise BadInputError(f"need at least {len(ladder)} coordinates, got {self.n}")
+        _check_count("n", self.n, len(ladder))
         object.__setattr__(self, "anchors", self._canonical_anchors())
         gram = self.anchors @ self.anchors.T / self.n
         want = np.minimum.outer(np.array(ladder), np.array(ladder))
@@ -272,6 +271,12 @@ def band_kernel(
     in [2 q_top - 1, 1], twice as a scalar. The mean is the top pinned
     energy when an event is supplied, else 0 for the centered law.
     """
+    pinned = geometry if event is None else event.geometry
+    if (pinned.ladder, pinned.n) != (geometry.ladder, geometry.n):
+        raise BadInputError(
+            f"the event pins the chain {pinned.ladder} with n={pinned.n}, "
+            f"not the geometry's {geometry.ladder} with n={geometry.n}"
+        )
     q_top = geometry.q_top
     if np.ndim(y1_overlap) == 1 or np.ndim(y2_overlap) == 1:
         y1 = np.asarray(y1_overlap, dtype=float)
@@ -313,10 +318,8 @@ class HessianDecomposition:
 def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecomposition:
     """Split the local law of the reduced field (mixture m at depth) into
     its independent components for an n-coordinate ambient model."""
-    if depth < 0:
-        raise BadInputError("depth cannot be negative")
-    if n <= depth + 1:
-        raise BadInputError(f"need n > depth + 1, got n={n}, depth={depth}")
+    _check_count("depth", depth, 0)
+    _check_count("n", n, depth + 2)
     d = n - depth
     sig = m.sigma_xi()
     try:

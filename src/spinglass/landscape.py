@@ -94,6 +94,8 @@ def theta_pure(m: Mixture, E: float) -> float:
     two-argument rate with that reduction, and coincides with the
     small-ridge limit of the full form.
     """
+    if not math.isfinite(E):
+        raise BadInputError(f"energy must be finite, got {E}")
     if not m.is_pure:
         raise BadInputError("restricted rate needs a single-degree mixture")
     p = m.max_degree

@@ -354,11 +354,17 @@ class Mixture:
         raw = obj["coeffs"]
         if not isinstance(raw, dict):
             raise MixtureError("'coeffs' must map degree strings to numbers")
+        const = obj.get("const", 0.0)
+        # a JSON bool would read as 1.0 or 0.0, and a string as its float value
+        for g in (*raw.values(), const):
+            if isinstance(g, bool) or not isinstance(g, (int, float)):
+                raise MixtureError(f"coefficients and const must be JSON numbers, got {g!r}")
         try:
             coeffs = {int(p): float(g) for p, g in raw.items()}
-        except (TypeError, ValueError) as e:
+            const_term = float(const)
+        except (ValueError, OverflowError) as e:
             raise MixtureError(f"bad coefficient entry: {e}") from e
-        return cls(coeffs, const_term=float(obj.get("const", 0.0)))
+        return cls(coeffs, const_term=const_term)
 
 
 def pure(p: int, weight: float = 1.0) -> Mixture:

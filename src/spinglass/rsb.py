@@ -18,11 +18,13 @@ is c > 0, and after integrating the middle term by parts
                               + Int_0^1 dt / (Int_t^1 alpha(s) ds + c) ].
 
 The two differ only in the tail term and in the pinned top level, so one
-engine serves both. One closed-form kernel (piecewise log/ratio algebra)
-gives the value with analytic gradients in breakpoints, levels and tail.
-The tail values P_j = tail + Int_{q_j}^1 of the step function come from one
-recurrence, which the kernel shares with the one step table behind the
-certificate profiles and both order types' tail integrals.
+engine serves both, and both order types hand it the same (qs, levels,
+tail) layout as their segments. One closed-form kernel (piecewise log/ratio
+algebra) gives the value with analytic gradients in breakpoints, levels and
+tail. Above it each job on the layout has one path: _check_layout validates
+both order types, _jumps gives their atoms and support, the step table's
+one tail recurrence (shared with the kernel) gives their step values, tail
+integrals and certificate profiles, and _certify builds both certificates.
 One solver runs a seeded multistart quasi-Newton pass in unconstrained raw
 coordinates, canonicalizes the resulting atoms, polishes interior solutions
 by Newton root-finding on the gradient, and raises the atom count k until
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -69,6 +71,38 @@ SUPPORT_MASS_TOL = 1e-12  # an atom of the overlap measure counts as support abo
 CERT_MESH = 2000  # uniform points of the certificate mesh, before its refinement at the support
 
 
+# ================================================================= step layout
+
+
+def _check_layout(qs: Sequence[float], levels: Sequence[float]) -> None:
+    """Reject a step function that is not one finite level per segment of
+    [0, 1] cut at breakpoints strictly increasing in (0, 1), nondecreasing
+    from >= 0. The comparisons are negated so that NaN fails."""
+    if len(levels) != len(qs) + 1:
+        raise BadInputError(f"need one level per segment, got {len(levels)} for {len(qs)} cuts")
+    prev = 0.0
+    for q in qs:
+        if not prev < q < 1.0:
+            raise BadInputError(f"breakpoints must be strictly increasing in (0,1): {qs}")
+        prev = q
+    prev = 0.0
+    for v in levels:
+        if not prev <= v < math.inf:
+            raise BadInputError(f"levels must be finite and nondecreasing from >= 0: {levels}")
+        prev = v
+
+
+def _jumps(qs: Sequence[float], levels: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    """(position, jump) pairs of the step function, starting with its jump
+    levels[0] from 0 at position 0."""
+    return ((0.0, levels[0]), *((q, levels[i + 1] - levels[i]) for i, q in enumerate(qs)))
+
+
+def _support(qs: Sequence[float], levels: Sequence[float]) -> tuple[float, ...]:
+    """Positions of the jumps above SUPPORT_MASS_TOL."""
+    return tuple(p for p, jump in _jumps(qs, levels) if jump > SUPPORT_MASS_TOL)
+
+
 # ====================================================================== types
 
 
@@ -83,23 +117,10 @@ class OrderParameter:
     levels: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        qs = tuple(float(q) for q in self.qs)
-        levels = tuple(float(v) for v in self.levels)
-        object.__setattr__(self, "qs", qs)
-        object.__setattr__(self, "levels", levels)
-        if len(qs) != len(levels):
-            raise BadInputError("need one level per atom")
-        prev = 0.0
-        for q in qs:
-            if not prev < q < 1.0:
-                raise BadInputError(f"atoms must be strictly increasing in (0,1): {qs}")
-            prev = q
-        prev = 0.0
-        for v in levels:
-            if not 0.0 <= v <= 1.0 or v < prev:
-                raise BadInputError(f"levels must be nondecreasing in [0,1]: {levels}")
-            prev = v
-        if levels and levels[-1] >= 1.0:
+        object.__setattr__(self, "qs", tuple(float(q) for q in self.qs))
+        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        _check_layout(*self.segments[:2])
+        if self.levels and not self.levels[-1] < 1.0:
             raise BadInputError("top level must stay below 1 (the top atom needs mass)")
 
     @classmethod
@@ -120,23 +141,15 @@ class OrderParameter:
 
     def measure_atoms(self) -> tuple[tuple[float, float], ...]:
         """(position, mass) pairs of the overlap measure, including 0."""
-        lev_ext = (*self.levels, 1.0)
-        out = [(0.0, lev_ext[0])]
-        for i, q in enumerate(self.qs):
-            out.append((q, lev_ext[i + 1] - lev_ext[i]))
-        return tuple(out)
+        return _jumps(*self.segments[:2])
 
     def support(self) -> tuple[float, ...]:
         """Positions of the atoms whose mass exceeds SUPPORT_MASS_TOL."""
-        return tuple(p for p, mass in self.measure_atoms() if mass > SUPPORT_MASS_TOL)
+        return _support(*self.segments[:2])
 
     def cdf(self, t):
-        """Evaluate x(t); vectorized."""
-        t_arr = np.asarray(t, dtype=float)
-        lev_ext = np.asarray((*self.levels, 1.0))
-        idx = np.searchsorted(np.asarray(self.qs), t_arr, side="right")
-        out = lev_ext[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        """Evaluate x(t), right-continuous; vectorized."""
+        return _StepTable(*self.segments).level(t)
 
     @property
     def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
@@ -145,7 +158,7 @@ class OrderParameter:
 
     def tail_integral(self, t):
         """D(t) = Int_t^1 x(s) ds; piecewise linear, vectorized."""
-        return _StepTable(*self.segments).p(t)
+        return _StepTable(*self.segments[:2], 0.0).p(t)
 
 
 @dataclass(frozen=True)
@@ -164,17 +177,11 @@ class ZeroTempOrder:
         steps = tuple((float(q), float(a)) for q, a in self.steps)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "c", float(self.c))
-        if self.c <= 0.0:
-            raise BadInputError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise BadInputError(f"c must be positive and finite, got {self.c}")
         if not steps or steps[0][0] != 0.0:
             raise BadInputError("steps must start at breakpoint 0")
-        prev_q, prev_a = -1.0, 0.0
-        for q, a in steps:
-            if not (prev_q < q < 1.0):
-                raise BadInputError(f"breakpoints must be strictly increasing in [0,1): {steps}")
-            if a < prev_a or a < 0.0:
-                raise BadInputError(f"step values must be nondecreasing and >= 0: {steps}")
-            prev_q, prev_a = q, a
+        _check_layout(*self.segments[:2])
 
     @classmethod
     def constant(cls, a: float, c: float) -> "ZeroTempOrder":
@@ -194,24 +201,11 @@ class ZeroTempOrder:
 
     def support(self) -> tuple[float, ...]:
         """Jump points of alpha (atoms of its measure) above SUPPORT_MASS_TOL."""
-        out = []
-        prev = 0.0
-        for q, a in self.steps:
-            if a - prev > SUPPORT_MASS_TOL:
-                out.append(q)
-            prev = a
-        return tuple(out)
+        return _support(*self.segments[:2])
 
     def alpha(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        vals = np.asarray(self.values)
-        idx = np.clip(
-            np.searchsorted(np.asarray(self.breakpoints), t_arr, side="right") - 1,
-            0,
-            len(vals) - 1,
-        )
-        out = vals[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        """Evaluate alpha(t), right-continuous; vectorized."""
+        return _StepTable(*self.segments).level(t)
 
     @property
     def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
@@ -220,8 +214,7 @@ class ZeroTempOrder:
 
     def tail_integral(self, t):
         """B(t) = Int_t^1 alpha(s) ds; piecewise linear, vectorized."""
-        qs, levels, _ = self.segments
-        return _StepTable(qs, levels, 0.0).p(t)
+        return _StepTable(*self.segments[:2], 0.0).p(t)
 
 
 @dataclass(frozen=True)
@@ -431,17 +424,22 @@ class _StepTable:
     function lev on [0, 1] cut at qs, with lev constant on each segment.
 
     P is piecewise linear and decreasing; its breakpoint values come from
-    _tail_breaks. Provides P(t), G(t) = Int_0^t ds/P(s)^2 and H(t) =
+    _tail_breaks. Provides lev(t), P(t), G(t) = Int_0^t ds/P(s)^2 and H(t) =
     Int_0^t G, all exact per segment; with tail = 0, G and H diverge at
-    t -> 1 and must only be queried strictly inside [0, 1).
+    t -> 1 and must only be queried strictly inside [0, 1). The breakpoint
+    values of G and H are built on the first query of either, so a table
+    that only answers lev and P stays cheap.
     """
 
     def __init__(self, qs: Sequence[float], levels: Sequence[float], tail: float):
         qext = (0.0, *qs, 1.0)
         self.qext = np.asarray(qext, dtype=float)
         self.levels = np.asarray(levels, dtype=float)
-        p = _tail_breaks(qext, levels, tail)
-        self.p_break = np.asarray(p)
+        self.p_break = np.asarray(_tail_breaks(qext, levels, tail))
+
+    @cached_property
+    def _gh_break(self):
+        qext, levels, p = self.qext.tolist(), self.levels.tolist(), self.p_break.tolist()
         n = len(levels)
         g = np.zeros(n + 1)
         h = np.zeros(n + 1)
@@ -453,8 +451,7 @@ class _StepTable:
             else:
                 g[j + 1] = g[j] + d / (p[j] * p[j + 1])
                 h[j + 1] = h[j] + g[j] * d + self._inner(levels[j], p[j], d)
-        self.g_break = g
-        self.h_break = h
+        return g, h
 
     @staticmethod
     def _inner(lev, p_left, sigma):
@@ -479,6 +476,12 @@ class _StepTable:
         idx = np.searchsorted(self.qext, t, side="right") - 1
         return np.clip(idx, 0, len(self.levels) - 1)
 
+    def level(self, t):
+        """The step function's value at t, right-continuous: levels[0] below 0
+        and the top level from 1 on; a float for scalar t."""
+        out = self.levels[self._locate(np.asarray(t, dtype=float))]
+        return float(out) if np.ndim(t) == 0 else out
+
     def p(self, t):
         """P(t), a float for scalar t."""
         t_arr = np.asarray(t, dtype=float)
@@ -490,37 +493,16 @@ class _StepTable:
         t = np.asarray(t, dtype=float)
         j = self._locate(t)
         pt = self.p_break[j] - self.levels[j] * (t - self.qext[j])
-        return self.g_break[j] + (t - self.qext[j]) / (pt * self.p_break[j])
+        return self._gh_break[0][j] + (t - self.qext[j]) / (pt * self.p_break[j])
 
     def h(self, t):
         t = np.asarray(t, dtype=float)
         j = self._locate(t)
         sigma = t - self.qext[j]
-        return self.h_break[j] + self.g_break[j] * sigma + self._inner(
+        g_break, h_break = self._gh_break
+        return h_break[j] + g_break[j] * sigma + self._inner(
             self.levels[j], self.p_break[j], sigma
         )
-
-
-def _phi_function(m: Mixture, beta: float, x: OrderParameter):
-    prof = _StepTable(*x.segments)
-    xi0 = m.eval(0.0)
-
-    def phi(t):
-        return beta * beta * (m.eval(t) - xi0) - prof.h(t)
-
-    return phi
-
-
-def _psi_function(m: Mixture, order: ZeroTempOrder):
-    prof = _StepTable(*order.segments)
-    xi1 = m.eval(1.0)
-    h1 = float(prof.h(np.asarray(1.0)))
-
-    def psi(s):
-        return (xi1 - m.eval(s)) - (h1 - prof.h(s))
-
-    edge = m.eval(1.0, 1) - float(prof.g(np.asarray(1.0)))
-    return psi, edge
 
 
 def _refined_max(fun, grid_ts, grid_vals):
@@ -554,6 +536,53 @@ def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
     return out
 
 
+def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance: float):
+    """Certificate of the layout (qs, levels, tail) at beta, or at zero
+    temperature when beta is None. The profile is phi = beta^2 (xi - xi(0))
+    - H, or -psi = -((xi(1) - xi) - (H(1) - H)), with H from the step table;
+    a support point's residual is sup - phi there, or |psi|."""
+    if not 0.0 < tolerance < math.inf:
+        raise BadInputError(f"tolerance must be positive and finite, got {tolerance}")
+    prof = _StepTable(qs, levels, tail)
+    support = _support(qs, levels)
+    if beta is not None:
+        xi0 = m.eval(0.0)
+
+        def profile(t):
+            return beta * beta * (m.eval(t) - xi0) - prof.h(t)
+
+        top = 1.0 - 1e-9
+    else:
+        xi1 = m.eval(1.0)
+        h1 = float(prof.h(np.asarray(1.0)))
+
+        def profile(t):
+            return -((xi1 - m.eval(t)) - (h1 - prof.h(t)))
+
+        top = 1.0
+    ts = _certificate_mesh(support, top)
+    vals = profile(ts)
+    _, sup_phi = _refined_max(profile, ts, vals)
+    at_support = [float(profile(np.asarray(q))) for q in support]
+    if beta is not None:
+        sup_phi = max(sup_phi, 0.0 if not support else -np.inf)
+        residuals = tuple(sup_phi - v for v in at_support)
+        violation = sup_phi - max(at_support) if at_support else sup_phi
+        return OptimalityCertificate(
+            sup_phi, residuals, violation, tolerance, support, "finite_beta"
+        )
+    xi1p = m.eval(1.0, 1)
+    edge = abs(xi1p - float(prof.g(np.asarray(1.0))))
+    residuals = tuple(abs(v) for v in at_support)
+    cert = OptimalityCertificate(
+        sup_phi, residuals, max(0.0, sup_phi), tolerance, support, "zero_temp", edge
+    )
+    # strict two-level structure: psi vanishes only near the endpoints
+    zero_set = ts[vals >= -max(10.0 * tolerance, 1e-8) * max(1.0, xi1p)]
+    interior = zero_set[(zero_set > 0.02) & (zero_set < 0.98)]
+    return replace(cert, strictly_1rsb=not len(interior) and cert.passes)
+
+
 def talagrand_certificate(
     m: Mixture,
     beta: float,
@@ -571,23 +600,7 @@ def talagrand_certificate(
     """
     _check_beta(beta)
     _check_field(m, allow_field)
-    phi = _phi_function(m, beta, x)
-    support = x.support()
-    ts = _certificate_mesh(support, 1.0 - 1e-9)
-    vals = phi(ts)
-    _, sup_phi = _refined_max(phi, ts, vals)
-    sup_phi = max(sup_phi, 0.0 if not support else -np.inf)
-    phi_supp = [float(phi(np.asarray(q))) for q in support]
-    residuals = tuple(sup_phi - v for v in phi_supp)
-    violation = sup_phi - max(phi_supp) if phi_supp else sup_phi
-    return OptimalityCertificate(
-        sup_phi=sup_phi,
-        residuals_at_support=residuals,
-        max_offsupport_violation=violation,
-        tolerance=tolerance,
-        support=support,
-        kind="finite_beta",
-    )
+    return _certify(m, beta, *x.segments, tolerance)
 
 
 def zero_temp_certificate(
@@ -604,32 +617,7 @@ def zero_temp_certificate(
     fixed mesh as the finite-temperature certificate, up to 1.
     """
     _check_field(m, allow_field)
-    psi, edge = _psi_function(m, order)
-    support = order.support()
-    ts = _certificate_mesh(support, 1.0)
-    vals = -psi(ts)
-    _, sup_phi = _refined_max(lambda t: -psi(t), ts, vals)
-    psi_supp = [float(psi(np.asarray(q))) for q in support]
-    residuals = tuple(abs(v) for v in psi_supp)
-    violation = max(0.0, sup_phi)
-    # strict two-level structure: psi vanishes only near the endpoints
-    scale = max(1.0, m.eval(1.0, 1))
-    zero_tol = max(10.0 * tolerance, 1e-8) * scale
-    zero_set = ts[vals >= -zero_tol]
-    interior = zero_set[(zero_set > 0.02) & (zero_set < 0.98)]
-    flag = bool(len(interior) == 0)
-    cert = OptimalityCertificate(
-        sup_phi=sup_phi,
-        residuals_at_support=residuals,
-        max_offsupport_violation=violation,
-        tolerance=tolerance,
-        support=support,
-        kind="zero_temp",
-        edge_residual=abs(edge),
-        strictly_1rsb=None,
-    )
-    object.__setattr__(cert, "strictly_1rsb", flag and cert.passes)
-    return cert
+    return _certify(m, None, *order.segments, tolerance)
 
 
 # ================================================================ solver engine
@@ -1105,13 +1093,10 @@ def _step_l1(breaks_a, vals_a, breaks_b, vals_b) -> float:
     """Exact L1 distance on [0,1] of two step functions given as
     (interior breakpoints, per-segment values with len = breaks + 1)."""
     cuts = np.unique(np.concatenate([[0.0, 1.0], breaks_a, breaks_b]))
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        va = vals_a[np.searchsorted(breaks_a, mid, side="right")]
-        vb = vals_b[np.searchsorted(breaks_b, mid, side="right")]
-        total += abs(va - vb) * (hi - lo)
-    return float(total)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    va = _StepTable(breaks_a, vals_a, 0.0).level(mids)
+    vb = _StepTable(breaks_b, vals_b, 0.0).level(mids)
+    return float(sum(np.abs(va - vb) * np.diff(cuts)))
 
 
 def _atom_match_dev(atoms_a, atoms_b):
@@ -1188,20 +1173,14 @@ def pushforward_check(
     pred_breaks = tuple(
         (qi - q) / (1.0 - q) for qi in base.x_star.qs if qi > q + 1e-12
     )
-    base_lev_ext = (*base.x_star.levels, 1.0)
+    base_lev_ext = base.x_star.segments[1]
     n_below = sum(1 for qi in base.x_star.qs if qi <= q + 1e-12)
     pred_vals = base_lev_ext[n_below:]
-    ind_breaks = band.x_star.qs
-    ind_vals = (*band.x_star.levels, 1.0)
-    x_l1 = _step_l1(
-        np.asarray(pred_breaks), np.asarray(pred_vals), np.asarray(ind_breaks), np.asarray(ind_vals)
-    )
-    pred_atoms = [(0.0, pred_vals[0])] + [
-        (b, pred_vals[i + 1] - pred_vals[i]) for i, b in enumerate(pred_breaks)
-    ]
-    ind_atoms = list(OrderParameter(ind_breaks, band.x_star.levels).measure_atoms())
+    ind_breaks, ind_vals, _ = band.x_star.segments
+    x_l1 = _step_l1(pred_breaks, pred_vals, ind_breaks, ind_vals)
     pos_dev, mass_dev = _atom_match_dev(
-        [a for a in pred_atoms if a[1] > 1e-9], [a for a in ind_atoms if a[1] > 1e-9]
+        [a for a in _jumps(pred_breaks, pred_vals) if a[1] > 1e-9],
+        [a for a in _jumps(ind_breaks, ind_vals) if a[1] > 1e-9],
     )
 
     # support relation: lift independent band atoms back to [q, 1]
@@ -1220,12 +1199,7 @@ def pushforward_check(
         radial = zt_minimize(xi_hat, config=replace(cfg, k_max=max(cfg.k_max - 1, 1)))
         pred_a_breaks = tuple(qi / q for qi in base.x_star.qs if qi < q - 1e-12)
         pred_a_vals = tuple(beta * v for v in base_lev_ext[: len(pred_a_breaks) + 1])
-        alpha_l1 = _step_l1(
-            np.asarray(pred_a_breaks),
-            np.asarray(pred_a_vals),
-            np.asarray(radial.order.breakpoints[1:]),
-            np.asarray(radial.order.values),
-        )
+        alpha_l1 = _step_l1(pred_a_breaks, pred_a_vals, *radial.order.segments[:2])
         c_pred = (beta / q) * base.x_star.tail_integral(q)
         c_dev = abs(radial.order.c - c_pred)
 

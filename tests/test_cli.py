@@ -405,6 +405,16 @@ def test_usage_errors_exit_with_the_bad_input_code(args):
     assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
 
 
+@pytest.mark.parametrize("mixture", [{"coeffs": {"3": 1.0}, "const": "x"}, {"coeffs": {"3": True}}])
+def test_a_malformed_mixture_file_is_bad_input_without_a_traceback(tmp_path, mixture):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mixture))
+    result = CliRunner().invoke(cli.main, ["parisi", "--mixture", str(path), "--beta", "2"])
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "JSON numbers" in result.stderr
+
+
 def test_a_mistyped_config_value_is_a_usage_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"command": "parisi", "mixture": {"coeffs": {"3": 1.0}},

@@ -54,6 +54,8 @@ def test_geometry_validation():
         BandGeometry((0.3, 1.2), 10)
     with pytest.raises(BadInputError):
         BandGeometry((0.2, 0.5, 0.8), 2)
+    with pytest.raises(BadInputError):
+        BandGeometry((0.5,), 2.5)
 
 
 def test_on_slice():
@@ -368,6 +370,16 @@ def test_band_kernel_two_spin_closed_form():
     assert mean == 0.0
 
 
+def test_band_kernel_rejects_an_event_built_for_another_chain():
+    geo = BandGeometry((0.5,), 6)
+    band_kernel(pure(3), geo, 0.7, 0.7, ConditioningEvent((0.1,), (0.2,), BandGeometry((0.5,), 6)))
+    # the other chain's top energy 0.9 came back as the mean
+    for other in (ConditioningEvent((0.1, 0.9), (0.2, 0.3), BandGeometry((0.3, 0.6), 6)),
+                  ConditioningEvent((0.1,), (0.2,), BandGeometry((0.5,), 7))):
+        with pytest.raises(BadInputError):
+            band_kernel(pure(3), geo, 0.7, 0.7, other)
+
+
 def test_band_kernel_explicit_points_agree_with_scalar_mode():
     geo = BandGeometry((0.3, 0.6), 10)
     rng = np.random.default_rng(4)
@@ -451,6 +463,8 @@ def test_hessian_decomposition_parameters():
         hessian_decomposition(MIX, 5, 6)
     with pytest.raises(BadInputError):
         hessian_decomposition(MIX, -1, 6)
+    with pytest.raises(BadInputError):
+        hessian_decomposition(MIX, 1, 10.5)
 
 
 # --------------------------------------- constrained-overlap conditioning

@@ -144,6 +144,9 @@ def test_theta_pure_input_gates():
         theta_pure(Mixture({3: 1.0, 4: 0.2}), 1.0)
     with pytest.raises(BadInputError):
         theta_pure(pure(2), 1.0)
+    for e in (math.nan, math.inf):
+        with pytest.raises(BadInputError):
+            theta_pure(pure(3), e)
 
 
 def test_theta_pure_matches_small_ridge_limit():

@@ -380,3 +380,12 @@ def test_json_rejects_garbage():
         Mixture.from_json('{"coeffs": {"x": 1.0}}')
     with pytest.raises(MixtureError):
         Mixture.from_json('{"coeffs": {"2": -1.0}}')
+    # a const that is not a number, and a bool read as 1.0
+    for text in (
+        '{"coeffs": {"2": 1.0}, "const": "x"}',
+        '{"coeffs": {"2": 1.0}, "const": null}',
+        '{"coeffs": {"2": 1.0}, "const": true}',
+        '{"coeffs": {"2": true}}',
+    ):
+        with pytest.raises(MixtureError):
+            Mixture.from_json(text)

@@ -206,6 +206,35 @@ def test_zero_temp_order_validation():
         ZeroTempOrder(((0.0, -0.1),), 0.3)
 
 
+@pytest.mark.parametrize(
+    "steps, c",
+    [
+        (((0.0, 1.0),), float("nan")),
+        (((0.0, 1.0),), float("inf")),
+        (((0.0, float("nan")),), 1.0),
+        (((0.0, float("inf")),), 1.0),
+        (((0.0, 0.2), (float("nan"), 0.5)), 1.0),
+        (((0.0, 0.2), (0.5, float("nan"))), 1.0),
+    ],
+)
+def test_zero_temp_order_rejects_non_finite_values(steps, c):
+    # once built, zt_value read NaN and the certificate a zero violation
+    with pytest.raises(BadInputError):
+        ZeroTempOrder(steps, c)
+
+
+def test_step_values_are_right_continuous_at_every_breakpoint():
+    x = OrderParameter((0.3, 0.7), (0.2, 0.5))
+    ts = [-0.5, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5]
+    assert x.cdf(ts).tolist() == [0.2, 0.2, 0.2, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+    assert [x.cdf(t) for t in ts] == [0.2, 0.2, 0.2, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+    assert OrderParameter.rs().cdf(ts).tolist() == [1.0] * len(ts)
+    o = ZeroTempOrder(((0.0, 0.2), (0.4, 0.9), (0.8, 1.5)), 0.3)
+    ts = [-0.5, 0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.5]
+    assert o.alpha(ts).tolist() == [0.2, 0.2, 0.2, 0.9, 0.9, 1.5, 1.5, 1.5, 1.5]
+    assert [o.alpha(t) for t in ts] == [0.2, 0.2, 0.2, 0.9, 0.9, 1.5, 1.5, 1.5, 1.5]
+
+
 def test_zero_temp_order_accessors():
     o = ZeroTempOrder(((0.0, 0.2), (0.4, 0.9)), 0.3)
     assert o.k == 1
@@ -637,6 +666,15 @@ def test_non_finite_beta_is_bad_input(beta):
         cs_minimize(pure(3), beta)
     with pytest.raises(BadInputError):
         talagrand_certificate(pure(3), beta, OrderParameter.rs())
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("inf"), float("nan")])
+def test_certificates_reject_a_tolerance_outside_zero_to_infinity(tolerance):
+    # an infinite tolerance passed the replica-symmetric point far above beta_c
+    with pytest.raises(BadInputError):
+        talagrand_certificate(pure(3), 5.0, OrderParameter.rs(), tolerance=tolerance)
+    with pytest.raises(BadInputError):
+        zero_temp_certificate(pure(3), ZeroTempOrder.constant(1.0, 0.5), tolerance=tolerance)
 
 
 def test_zero_temp_certificate_rejects_flat_profile_for_cubic():
