@@ -74,6 +74,8 @@ def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
     """Exponential growth rate of the expected number of critical points
     with energy per coordinate E and radial derivative R.
     """
+    if not (math.isfinite(E) and math.isfinite(R)):
+        raise BadInputError(f"energy and radial derivative must be finite, got E={E}, R={R}")
     sig_inv = sigma_inverse(m.sigma_xi())
     xi2 = m.eval(1.0, 2)
     xi1 = m.eval(1.0, 1)

@@ -11,6 +11,7 @@ in memory, and the critical-point finder is a multi-start local method with
 no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 """
 
+import itertools
 import math
 import os
 import struct
@@ -95,7 +96,10 @@ class FieldSample:
 
     tensors[p] holds the order-p coefficients already scaled so that the
     field's covariance at overlap t is n * xi(t); the degree-0 entry, when
-    present, is the random constant term.
+    present, is the random constant term. Each S_p = tensors[p] is symmetric
+    in all slots: construction replaces it by its average over slot
+    permutations, which defines the same polynomial, and the gradient and
+    Hessian kernels rely on that symmetry.
     """
 
     n: int
@@ -103,6 +107,12 @@ class FieldSample:
     seed: int
     field_index: int
     tensors: dict[int, np.ndarray]
+
+    def __post_init__(self) -> None:
+        # one degree at a time into a new dict; the caller's arrays stay as they were
+        self.tensors = {
+            p: _symmetrized(np.asarray(t, dtype=float)) if p else t for p, t in self.tensors.items()
+        }
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -147,65 +157,61 @@ class FieldSample:
         return total
 
     def gradient(self, x) -> np.ndarray:
-        """Ambient gradient of the field at a point."""
-        x = np.asarray(x, dtype=float)
-        self._check_point(x)
-        n = self.n
-        powers = _kron_powers(x, max(self.tensors) - 1)
-        grad = np.zeros(n)
-        for p, tensor in self.tensors.items():
-            if p == 0:
-                continue
-            # the last slot free, then recurse on the others with it contracted
-            t = tensor
-            for k in range(p - 1, 0, -1):
-                flat = t.reshape(-1, n)
-                grad += powers[k] @ flat
-                t = flat @ x
-            grad += t
-        return grad
+        """Ambient gradient of the field at a point: sum_p p * S_p[x^(p-1)]."""
+        return self._derivatives(x)[0]
 
     def hessian(self, x) -> np.ndarray:
-        """Ambient Hessian of the field at a point."""
+        """Ambient Hessian of the field at a point: sum_p p(p-1) * S_p[x^(p-2)]."""
+        hess = self._derivatives(x)[1]
+        return 0.5 * (hess + hess.T)  # exactly symmetric
+
+    def _derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from one two-slot contraction per degree: with
+        M = S_p[x^(p-2)], the degree-p Hessian is p(p-1) M and its gradient p M x."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
         n = self.n
-        powers = _kron_powers(x, max(self.tensors) - 2)
-        hess = np.zeros((n, n))
+        grad, hess = np.zeros(n), np.zeros((n, n))
         for p, tensor in self.tensors.items():
-            # the pairs with the last slot, then recurse on the others with it
-            # contracted; adding w + w.T keeps the sum exactly symmetric
-            t = tensor
-            for k in range(p, 1, -1):
-                w = _last_slot_pairs(t, x, k, powers)
-                hess += w + w.T
-                t = t.reshape(-1, n) @ x
-        return hess
+            if p == 1:
+                grad += tensor
+            elif p > 1:
+                pair = tensor
+                for _ in range(p - 2):
+                    pair = pair.reshape(-1, n) @ x
+                pair = pair.reshape(n, n)
+                hess += p * (p - 1) * pair
+                grad += p * (pair @ x)
+        return grad, hess
 
     def _check_point(self, x: np.ndarray) -> None:
         if x.shape != (self.n,):
             raise BadInputError(f"point must be a vector of length {self.n}")
 
 
-def _kron_powers(x: np.ndarray, top: int) -> list[np.ndarray]:
-    """powers[k] is the k-fold Kronecker power of x, flat (powers[0] is [1])."""
-    powers = [np.ones(1)]
-    for _ in range(top):
-        powers.append(np.outer(powers[-1], x).ravel())
-    return powers
-
-
-def _last_slot_pairs(t: np.ndarray, x: np.ndarray, p: int, powers) -> np.ndarray:
-    """Sum over the first p-1 slots a of the degree-p tensor t contracted with
-    x on every slot but a and the last: rows index slot a, columns the last
-    slot. The gradient recursion with the last slot kept as a batch axis."""
-    n = x.size
-    w = np.zeros((n, n))
-    for k in range(p - 1, 1, -1):
-        lead = n ** (k - 1)
-        w += (powers[k - 1] @ t.reshape(lead, n * n)).reshape(n, n)
-        t = x @ t.reshape(lead, n, n)
-    return w + t.reshape(n, n)
+def _symmetrized(t: np.ndarray) -> np.ndarray:
+    """Average of t over all permutations of its slots, by the coset
+    recursion: add the transposes that swap slot 0 with each later slot,
+    then do the same within each row, and so on: p(p-1)/2 transposed adds.
+    Past slot 0 this runs in place on chunks of rows of about 2**14 entries
+    (one row at least), so one new tensor and one chunk's copy are alive
+    beside t."""
+    out = t.copy()
+    for k in range(1, t.ndim):
+        out += t.swapaxes(0, k)
+    rows = max(1, 2**14 // out[0].size)
+    for start in range(0, len(out), rows) if t.ndim > 2 else ():
+        stack = out[start : start + rows]
+        while stack.ndim > 3:
+            src = stack.copy()
+            for k, j in itertools.product(range(2, stack.ndim), range(stack.shape[1])):
+                # numpy buffers up to 8192 entries of a strided add; a slice needs fewer
+                stack[:, j] += src.swapaxes(1, k)[:, j]
+            del src
+            stack = stack.reshape(-1, *stack.shape[2:])
+        stack += stack.swapaxes(1, 2).copy()
+    out *= 1.0 / math.factorial(t.ndim)
+    return out
 
 
 def _capacity_check(degrees, n: int) -> None:
@@ -223,7 +229,8 @@ def _capacity_check(degrees, n: int) -> None:
 
 def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSample:
     """Draw one field realization: independent standard normal coefficients
-    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree, unsymmetrized."""
+    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree, which FieldSample
+    then symmetrizes over slot permutations."""
     degrees = m.degrees
     if not degrees and m.const_term == 0.0:
         raise BadInputError("mixture has no active degrees")
@@ -432,7 +439,7 @@ def find_critical_points(
                 x *= radius / np.linalg.norm(x)
         converged = False
         for _ in range(max_iter):
-            grad = field.gradient(x)
+            grad, hess = field._derivatives(x)
             xg = float(x @ grad)
             pg = grad - (xg / (n * q)) * x
             residual = float(np.linalg.norm(pg)) / math.sqrt(n)
@@ -440,7 +447,7 @@ def find_critical_points(
                 converged = True
                 break
             ux = x / radius
-            shifted = field.hessian(x) - (xg / (n * q)) * eye
+            shifted = hess - (xg / (n * q)) * eye
             # project the Newton matrix onto the tangent space and pin the
             # radial mode to keep the solve nonsingular
             shifted -= np.outer(ux, ux @ shifted)
@@ -462,7 +469,7 @@ def find_critical_points(
         record = CriticalPointRecord(
             location=x.copy(),
             energy_density=field.energy(x) / n,
-            radial_derivative=float(x @ field.gradient(x)) / (n * q),
+            radial_derivative=xg / (n * q),
             tangential_residual=residual,
         )
         accepted.append(record)

@@ -139,6 +139,16 @@ def test_theta_rejects_pure():
         theta(pure(3), 1.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "e, r",
+    [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.5, math.inf)],
+    ids=["E=inf", "E=-inf", "E=nan", "R=inf"],
+)
+def test_theta_rejects_a_non_finite_energy_or_radial_derivative(e, r):
+    with pytest.raises(BadInputError):
+        theta(Mixture({2: 0.5, 3: 0.5}), e, r)
+
+
 def test_theta_pure_input_gates():
     with pytest.raises(BadInputError):
         theta_pure(Mixture({3: 1.0, 4: 0.2}), 1.0)

@@ -6,7 +6,10 @@ covariance and the conditioning kernels within 3x CLT bands at fixed seeds;
 the quadratic model's critical points are checked against its eigensystem.
 """
 
+import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -299,6 +302,95 @@ class TestFieldSample:
         assert abs((f.energy(x) - shift_x) - float(x @ (f.tensors[2] @ x))) < 1e-9
 
 
+def raw_draw(m, n, seed, field_index=0):
+    """The unsymmetrized coefficients sample_field draws, regenerated from
+    the field's stream in the same order and with the same scaling."""
+    rng = mclab._stream(seed, field_index, 0)
+    raw = {}
+    if m.const_term > 0.0:
+        raw[0] = math.sqrt(m.const_term * n) * rng.standard_normal()
+    for p in m.degrees:
+        scale = math.sqrt(m.coeffs[p]) * n ** (-(p - 1) / 2.0)
+        raw[p] = scale * rng.standard_normal((n,) * p)
+    return raw
+
+
+MIXED_WITH_CONST = ({1: 0.3, 2: 0.5, 3: 0.7, 4: 0.4}, 0.2)
+PURE_AND_MIXED = [({1: 1.0}, 0.0), ({2: 1.0}, 0.0), ({3: 1.0}, 0.0), ({4: 1.0}, 0.0), MIXED_WITH_CONST]
+PURE_AND_MIXED_IDS = ["p1", "p2", "p3", "p4", "mixed+const"]
+
+
+class TestSymmetricTensors:
+    @pytest.mark.parametrize(
+        "coeffs, const, n",
+        [(c, k, 7) for c, k in PURE_AND_MIXED] + [({3: 1.0}, 0.0, 48), ({4: 1.0}, 0.0, 24)],
+        ids=[f"{i}-n7" for i in PURE_AND_MIXED_IDS] + ["p3-n48", "p4-n24"],
+    )
+    def test_tensors_are_symmetric_under_every_slot_permutation(self, coeffs, const, n):
+        f = sample_field(Mixture(coeffs, const_term=const), n, seed=4)
+        for p in coeffs:
+            s = f.tensors[p]
+            assert s.shape == (n,) * p
+            scale = float(np.max(np.abs(s)))
+            for perm in itertools.permutations(range(p)):
+                assert float(np.max(np.abs(s - s.transpose(perm)))) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("coeffs, const", PURE_AND_MIXED, ids=PURE_AND_MIXED_IDS)
+    def test_kernels_match_the_reference_on_the_raw_draw(self, coeffs, const):
+        # the finder's one-contraction gradient and Hessian included, on and
+        # inside the sphere
+        m, n = Mixture(coeffs, const_term=const), 9
+        f = sample_field(m, n, seed=21, field_index=2)
+        raw = SimpleNamespace(n=n, tensors=raw_draw(m, n, 21, 2))
+        rng = np.random.default_rng(5)
+        for radius in (math.sqrt(n), math.sqrt(n), 0.7 * math.sqrt(n)):
+            x = sphere_point(rng, n, radius)
+            terms = reference_terms(raw, x)
+            got = f.energy_terms(x)
+            assert sorted(got) == sorted(terms)
+            for p, (e, _, _) in terms.items():
+                assert relative_gap(got[p], e) <= 1e-12
+            assert relative_gap(f.energy(x), sum(e for e, _, _ in terms.values())) <= 1e-12
+            grad = sum(g for _, g, _ in terms.values())
+            hess = sum((h for _, _, h in terms.values()), np.zeros((n, n)))
+            finder_grad, finder_hess = f._derivatives(x)
+            for got_grad in (f.gradient(x), finder_grad):
+                assert relative_gap(got_grad, grad) <= 1e-12
+            for got_hess in (f.hessian(x), finder_hess):
+                if np.any(hess):
+                    assert relative_gap(got_hess, hess) <= 1e-12
+                else:
+                    assert not np.any(got_hess)
+
+    def test_a_field_built_from_raw_tensors_is_symmetrized_and_leaves_them_unchanged(self):
+        m = Mixture(*MIXED_WITH_CONST)
+        raw = raw_draw(m, 6, seed=3, field_index=1)
+        objects = dict(raw)
+        before = {p: np.copy(t) for p, t in raw.items()}
+        direct = mclab.FieldSample(n=6, mixture=m, seed=3, field_index=1, tensors=raw)
+        sampled = sample_field(m, 6, seed=3, field_index=1)
+        assert direct.tensors is not raw
+        assert direct.degrees == sampled.degrees == (0, 1, 2, 3, 4)
+        for p in sampled.degrees:
+            assert np.array_equal(direct.tensors[p], sampled.tensors[p])
+        assert raw.keys() == objects.keys()
+        for p, t in raw.items():
+            assert t is objects[p]
+            assert np.array_equal(t, before[p])
+        assert not np.array_equal(direct.tensors[3], raw[3])
+
+    def test_symmetrizing_keeps_at_most_one_extra_tensor_alive(self):
+        # at the (4, 64) cap one tensor is 134 MB: the draw and its symmetric
+        # copy may coexist, a third copy may not
+        tracemalloc.start()
+        try:
+            f = sample_field(Mixture({4: 1.0}), 24, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * f.tensors[4].nbytes
+
+
 # ---------------------------------------------------------------------------
 # Gibbs chains
 # ---------------------------------------------------------------------------
@@ -459,6 +551,34 @@ class TestCriticalPoints:
         f = sample_field(Mixture(MIX_23), 16, seed=4)
         with pytest.raises(BadInputError):
             find_critical_points(f, **kw)
+
+
+class TestFinderReuse:
+    def test_radial_derivative_is_the_converged_iterations(self):
+        n, q = 16, 0.81
+        f = sample_field(Mixture(MIX_23), n, seed=2)
+        recs = find_critical_points(f, q=q, restarts=6)
+        assert recs
+        for rec in recs:
+            x = rec.location
+            want = float(x @ f.gradient(x)) / (n * q)
+            assert abs(rec.radial_derivative - want) <= 1e-12 * abs(want)
+
+    def test_an_accepted_restart_without_warm_up_takes_no_extra_gradient(self, monkeypatch):
+        # the first restart starts cold (no uphill or downhill warm-up), so
+        # with the radial derivative reused it never calls the gradient kernel
+        f = sample_field(Mixture({2: 1.0}), 8, seed=1)
+        calls = []
+        real = mclab.FieldSample.gradient
+
+        def counting(self, x):
+            calls.append(1)
+            return real(self, x)
+
+        monkeypatch.setattr(mclab.FieldSample, "gradient", counting)
+        recs = find_critical_points(f, restarts=1)
+        assert len(recs) == 1
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
