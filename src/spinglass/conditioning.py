@@ -7,7 +7,10 @@ derivatives. This module assembles those joint covariance matrices, does
 textbook Gaussian conditioning on them, and packages the two structured
 consequences used elsewhere: the law of the field on a band slice given
 pinned values and gradients along an anchor chain, and the pinned system
-behind the conditioned Franz-Parisi potential.
+behind the conditioned Franz-Parisi potential. That system comes from the
+same joint covariances, at canonical points in three dimensions; it keeps
+its rows in order and drops each whose variance left after projecting out
+the rows kept before it is below 1e-12 of its own variance.
 """
 
 import math
@@ -19,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BadInputError, SingularBlockError, SingularMatrixError, _check_count
 from .landscape import _free_energy_slope, ground_state_point
-from .mixtures import Mixture, sigma_inverse
+from .mixtures import Mixture, section_half_width, sigma_inverse
 from .rsb import SolverConfig
 
 _OVERLAP_TOL = 1e-8
@@ -99,6 +102,8 @@ class ConditioningEvent:
                 f"need {self.geometry.depth} per-level targets, got "
                 f"{len(e_vec)} energies and {len(r_vec)} slopes"
             )
+        if not all(map(math.isfinite, e_vec + r_vec)):
+            raise BadInputError(f"pinned targets must be finite: {e_vec}, {r_vec}")
 
 
 # ============================================== derivative covariance algebra
@@ -145,8 +150,8 @@ def _parse_functional(which, points: np.ndarray, n: int):
         return x, ()
     dirs = tuple(np.asarray(u, dtype=float) for u in which[2:])
     for u in dirs:
-        if u.shape != (n,):
-            raise BadInputError(f"directions must be vectors of length {n}")
+        if u.shape != (n,) or not np.isfinite(u).all():
+            raise BadInputError(f"directions must be finite vectors of length {n}")
     if kind == "deriv" and len(dirs) == 1:
         return x, dirs
     if kind == "deriv2" and len(dirs) == 2:
@@ -165,6 +170,8 @@ def derivative_covariances(m: Mixture, points, which) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise BadInputError("points must be a 2-d array, one row per point")
+    if not np.isfinite(points).all():
+        raise BadInputError("points must be finite")
     n = points.shape[1]
     norms = np.sum(points * points, axis=1) / n
     if np.any(norms > 1.0 + _OVERLAP_TOL):
@@ -195,10 +202,12 @@ def schur_condition(
     cov = np.asarray(joint_cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise BadInputError("joint covariance must be square")
+    vals = np.asarray(observed_vals, dtype=float)
+    if not (np.isfinite(cov).all() and np.isfinite(vals).all()):
+        raise BadInputError("joint covariance and observed values must be finite")
     if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
         raise BadInputError("joint covariance must be symmetric")
     obs = list(int(i) for i in observed_idx)
-    vals = np.asarray(observed_vals, dtype=float)
     if len(obs) != len(vals):
         raise BadInputError("need one observed value per observed index")
     if len(set(obs)) != len(obs):
@@ -339,59 +348,60 @@ def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecompositio
 # ==================================== overlap-constrained mean and kernel
 
 
-def conditioning_matrix(m: Mixture, q1: float) -> np.ndarray:
-    """Covariance of the pinned vector at the anchor pair: energies at the
-    reference point and anchor, then the radial and in-plane anchor
-    derivatives, each per site or per square-root-site."""
-    if not 0.0 < q1 < 1.0:
-        raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
-    x1, x1p = m.eval(q1), m.eval(q1, 1)
-    root = math.sqrt(1.0 - q1)
-    return np.array(
-        [
-            [m.eval(1.0), x1, x1p, root * x1p],
-            [x1, x1, x1p, 0.0],
-            [x1p, x1p, m.eval(q1, 2) + x1p / q1, 0.0],
-            [root * x1p, 0.0, 0.0, x1p],
-        ]
-    )
+def _fp_pinned_cov(m: Mixture, q1: float, section: tuple[float, float] | None = None):
+    """Covariance per site of the pinned vector: the values at the reference
+    point sigma and the anchor x1, the anchor's derivatives along x1/q1 and
+    along sqrt(n) times the in-plane unit, and with a section (r, rho) last
+    the value at a point with overlaps r to sigma and rho to x1. Only inner
+    products enter, so the canonical points in n = 3 give the law at any n."""
+    n = 3
+    x1, sigma = BandGeometry((q1, 1.0), n).anchors
+    points = [sigma, x1]
+    radial, in_plane = x1 / q1, math.sqrt(n) * np.eye(n)[1]
+    which = [("value", 0), ("value", 1), ("deriv", 1, radial), ("deriv", 1, in_plane)]
+    if section is not None:
+        r, rho = section
+        a, b = math.sqrt(n / q1) * rho, math.sqrt(n / (1.0 - q1)) * (r - rho)
+        points.append(np.array([a, b, math.sqrt(max(0.0, n - a * a - b * b))]))
+        which.append(("value", 2))
+    return derivative_covariances(m, np.array(points), which) / n
 
 
-def section_vector(m: Mixture, q1: float, r: float, rho: float) -> np.ndarray:
-    """Covariance of the field at a section point with the pinned vector."""
-    rhop = m.eval(rho, 1)
-    return np.array(
-        [
-            m.eval(r),
-            m.eval(rho),
-            rhop * rho / q1,
-            rhop * (r - rho) / math.sqrt(1.0 - q1),
-        ]
-    )
-
-
-def _kept_rows(m: Mixture) -> list[int]:
-    """Rows of the pinned vector that enter the solve. For a single-degree
-    mixture the anchor's radial derivative is a deterministic function of
-    its energy, so that row would make the system singular and is dropped."""
-    return [0, 1, 3] if m.is_pure else [0, 1, 2, 3]
+def _independent_rows(cov: np.ndarray) -> list[int]:
+    """Rows kept in order, skipping each whose variance after projecting out
+    the rows kept before it is below 1e-12 of its own variance."""
+    kept: list[int] = []
+    for i in range(len(cov)):
+        # scipy's Cholesky, not numpy.linalg, whose first call adds 0.3 MB of RSS
+        factor = cho_factor(cov[np.ix_(kept, kept)])
+        explained = cov[i, kept] @ cho_solve(factor, cov[kept, i])
+        if cov[i, i] - explained > 1e-12 * cov[i, i]:
+            kept.append(i)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
 class FPConditioning:
     """The solved pinned system of the constrained-overlap potential: the
     covariance C of the pinned rows at anchor overlap q1 and the
-    coefficients u with C u = the reference values."""
+    coefficients u with C u = the reference values. C comes from
+    derivative_covariances, like every other law here; rows are the pinned
+    vector's rows it keeps under the module's rank rule (a single-degree
+    mixture drops the radial derivative, a multiple of the anchor energy)."""
 
     m: Mixture
     q1: float
     C: np.ndarray
     u: np.ndarray
+    rows: tuple[int, ...]
 
     def mean_coeff(self, r: float, rho: float) -> float:
         """Conditional mean per site of the field at a section point with
         overlaps r to the reference point and rho to the anchor."""
-        return float(section_vector(self.m, self.q1, r, rho)[_kept_rows(self.m)] @ self.u)
+        q1 = self.q1
+        if not (abs(r) <= 1.0 and abs(rho - r * q1) <= section_half_width(q1, r) + 1e-12):
+            raise BadInputError(f"no section point has overlaps r={r}, rho={rho} at q1={q1}")
+        return float(_fp_pinned_cov(self.m, q1, (r, rho))[-1, list(self.rows)] @ self.u)
 
 
 def fp_conditioning(
@@ -403,8 +413,11 @@ def fp_conditioning(
     """Solve the pinned linear system at reference values: free-energy
     slope, ground state and its slope at the anchor, zero in-plane
     gradient."""
-    rows = _kept_rows(m)
-    c = conditioning_matrix(m, q1)[np.ix_(rows, rows)]
+    if not 0.0 < beta < math.inf:
+        raise BadInputError(f"inverse temperature must be in (0, inf), got {beta}")
+    full = _fp_pinned_cov(m, q1)
+    rows = _independent_rows(full)
+    c = full[np.ix_(rows, rows)]
     # the composite's cap, SolverConfig()'s, not the lower zero-temperature default
     e1, r1, _ = ground_state_point(m, q1, config=config or SolverConfig())
     rhs = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])[rows]
@@ -415,4 +428,4 @@ def fp_conditioning(
     u = cho_solve(factor, rhs)
     if np.max(np.abs(c @ u - rhs)) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularMatrixError("pinned system solve failed the residual check")
-    return FPConditioning(m=m, q1=float(q1), C=c, u=u)
+    return FPConditioning(m=m, q1=float(q1), C=c, u=u, rows=tuple(rows))

@@ -31,6 +31,8 @@ def test_every_exported_name_resolves(module):
         "cs_value_with_grad",
         "zt_value_with_grad",
         "theta_surface_csv",
+        "conditioning_matrix",
+        "section_vector",
     ],
 )
 def test_removed_wrappers_are_not_exported(name):

@@ -15,17 +15,17 @@ from spinglass.conditioning import (
     ConditioningEvent,
     band_kernel,
     chain_constraint_set,
-    conditioning_matrix,
     derivative_covariances,
     fp_conditioning,
     hessian_decomposition,
     schur_condition,
-    section_vector,
+    _fp_pinned_cov,
+    _independent_rows,
     _pair_cov,
 )
 from spinglass.errors import BadInputError, SingularBlockError
 from spinglass.landscape import ground_state_point
-from spinglass.mixtures import Mixture, pure
+from spinglass.mixtures import Mixture, pure, section_half_width
 from spinglass.mixtures import tau as section_tau
 
 MIX = Mixture({2: 0.4, 3: 1.0})
@@ -73,6 +73,16 @@ def test_event_validation_and_window():
         ConditioningEvent((0.1,), (0.2, 0.3), geo)
     ev = ConditioningEvent((0.1, 0.2), (0.3, 0.4), geo)
     assert ev.e_vec == (0.1, 0.2) and ev.r_vec == (0.3, 0.4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["e_vec", "r_vec"])
+def test_event_rejects_non_finite_targets(slot, bad):
+    geo = BandGeometry((0.3, 0.6), 8)
+    targets = {"e_vec": (0.1, 0.2), "r_vec": (0.3, 0.4)}
+    targets[slot] = (bad, 0.2)
+    with pytest.raises(BadInputError):
+        ConditioningEvent(geometry=geo, **targets)
 
 
 # --------------------------------------- derivative covariance closed forms
@@ -265,6 +275,18 @@ def test_points_outside_ball_rejected():
         derivative_covariances(MIX, np.zeros((1, 4)), [("deriv", 0, np.ones(3))])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["point", "direction"])
+def test_derivative_covariances_rejects_non_finite_inputs(slot, bad):
+    points, u = np.zeros((1, 4)), np.eye(4)[0]
+    if slot == "point":
+        points[0, 1] = bad
+    else:
+        u[1] = bad
+    with pytest.raises(BadInputError):
+        derivative_covariances(MIX, points, [("value", 0), ("deriv", 0, u)])
+
+
 # ------------------------------------------------- Schur conditioning basics
 
 
@@ -319,6 +341,21 @@ def test_schur_input_validation():
         schur_condition(np.eye(3), [0, 0], [1.0, 1.0])
     with pytest.raises(BadInputError):
         schur_condition(np.eye(3), [0, 1], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["diagonal", "off_diagonal", "observed"])
+def test_schur_rejects_non_finite_inputs(slot, bad):
+    cov, vals = np.eye(3), np.array([1.0, 2.0])
+    if slot == "diagonal":
+        cov[0, 0] = bad
+    elif slot == "off_diagonal":
+        cov[0, 2] = cov[2, 0] = bad
+    else:
+        vals[1] = bad
+    for pinv in (False, True):
+        with pytest.raises(BadInputError):
+            schur_condition(cov, [0, 1], vals, pseudo_inverse=pinv)
 
 
 @settings(max_examples=25, deadline=None)
@@ -470,15 +507,46 @@ def test_hessian_decomposition_parameters():
 # --------------------------------------- constrained-overlap conditioning
 
 
+def _conditioning_matrix(m: Mixture, q1: float) -> np.ndarray:
+    """Covariance of the pinned vector at the anchor pair: energies at the
+    reference point and anchor, then the radial and in-plane anchor
+    derivatives, each per site or per square-root-site."""
+    if not 0.0 < q1 < 1.0:
+        raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
+    x1, x1p = m.eval(q1), m.eval(q1, 1)
+    root = math.sqrt(1.0 - q1)
+    return np.array(
+        [
+            [m.eval(1.0), x1, x1p, root * x1p],
+            [x1, x1, x1p, 0.0],
+            [x1p, x1p, m.eval(q1, 2) + x1p / q1, 0.0],
+            [root * x1p, 0.0, 0.0, x1p],
+        ]
+    )
+
+
+def _section_vector(m: Mixture, q1: float, r: float, rho: float) -> np.ndarray:
+    """Covariance of the field at a section point with the pinned vector."""
+    rhop = m.eval(rho, 1)
+    return np.array(
+        [
+            m.eval(r),
+            m.eval(rho),
+            rhop * rho / q1,
+            rhop * (r - rho) / math.sqrt(1.0 - q1),
+        ]
+    )
+
+
 def test_conditioning_matrix_entries():
     q1 = 0.6
-    c = conditioning_matrix(MIX, q1)
+    c = _conditioning_matrix(MIX, q1)
     assert abs(c[0, 3] - math.sqrt(1 - q1) * MIX.eval(q1, 1)) < 1e-15
     assert abs(c[0, 0] - MIX(1.0)) < 1e-15
     assert abs(c[2, 2] - (MIX.eval(q1, 2) + MIX.eval(q1, 1) / q1)) < 1e-15
     assert np.max(np.abs(c - c.T)) == 0.0
     with pytest.raises(BadInputError):
-        conditioning_matrix(MIX, 1.0)
+        _conditioning_matrix(MIX, 1.0)
 
 
 def test_conditioning_matrix_from_derivative_covariances():
@@ -496,11 +564,11 @@ def test_conditioning_matrix_from_derivative_covariances():
         [("value", 0), ("value", 1), ("deriv", 1, eye[0]), ("deriv", 1, eye[1])],
     )
     d = np.diag([1 / n, 1 / n, 1 / math.sqrt(n * q1), 1 / math.sqrt(n)])
-    assert np.max(np.abs(d @ raw @ d - conditioning_matrix(MIX, q1) / n)) < 1e-14
+    assert np.max(np.abs(d @ raw @ d - _conditioning_matrix(MIX, q1) / n)) < 1e-14
 
 
 def test_section_vector_zero_at_origin():
-    v = section_vector(MIX, 0.6, 0.0, 0.0)
+    v = _section_vector(MIX, 0.6, 0.0, 0.0)
     assert np.max(np.abs(v)) == 0.0
 
 
@@ -509,8 +577,8 @@ def test_fp_conditioning_schur_oracle():
     # the pinned 4-vector plus the full tangential gradient reproduces the
     # closed-form conditional mean and covariance
     n, q1, r, rho = 40, 0.6, 0.3, 0.25
-    c = conditioning_matrix(MIX, q1)
-    v = section_vector(MIX, q1, r, rho)
+    c = _conditioning_matrix(MIX, q1)
+    v = _section_vector(MIX, q1, r, rho)
     tau = section_tau(q1, r, rho)
     x1 = np.zeros(n)
     x1[0] = math.sqrt(n * q1)
@@ -546,8 +614,8 @@ def test_fp_conditioning_two_point_kernel():
     # two section points with the same pinned overlaps: conditional
     # covariance is the rescaled band mixture plus the two constant terms
     n, q1, r, rho = 40, 0.6, 0.3, 0.25
-    c = conditioning_matrix(MIX, q1)
-    v = section_vector(MIX, q1, r, rho)
+    c = _conditioning_matrix(MIX, q1)
+    v = _section_vector(MIX, q1, r, rho)
     tau = section_tau(q1, r, rho)
     x1 = np.zeros(n)
     x1[0] = math.sqrt(n * q1)
@@ -585,12 +653,13 @@ def test_fp_conditioning_fields_and_determinism():
     fpc = fp_conditioning(MIX, 3.0, 0.6)
     e1, r1, _ = ground_state_point(MIX, 0.6)
     f_prime = e1 + 3.0 * (MIX(1.0) - MIX(0.6) - MIX.eval(0.6, 1) * 0.4)
-    c = conditioning_matrix(MIX, 0.6)
+    c = _conditioning_matrix(MIX, 0.6)
     u = np.linalg.solve(c, np.array([f_prime, e1, r1, 0.0]))
     assert np.max(np.abs(fpc.u - u)) < 1e-12
-    assert np.max(np.abs(fpc.C - c)) == 0.0
+    assert np.max(np.abs(fpc.C - c)) <= 1e-13 * np.max(np.abs(c))
     coeff = fpc.mean_coeff(0.3, 0.25)
-    assert coeff == float(section_vector(MIX, 0.6, 0.3, 0.25) @ fpc.u)
+    closed = float(_section_vector(MIX, 0.6, 0.3, 0.25) @ fpc.u)
+    assert abs(coeff - closed) <= 1e-13 * abs(closed)
     assert abs(coeff - 0.109594249434) < 1e-9
 
 
@@ -600,8 +669,8 @@ def test_fp_conditional_kernel_is_psd():
     ts = np.linspace(-1, 1, 25)
     for rho in (r * q1 - 0.9 * slack, r * q1, r * q1 + 0.9 * slack):
         tau = section_tau(q1, r, rho)
-        c = conditioning_matrix(MIX, q1)
-        v = section_vector(MIX, q1, r, rho)
+        c = _conditioning_matrix(MIX, q1)
+        v = _section_vector(MIX, q1, r, rho)
         const = float(v @ np.linalg.solve(c, v))
         tt = np.outer(ts, ts)
         kern = (
@@ -617,13 +686,107 @@ def test_fp_conditioning_pure_paths():
     # row makes the pinned covariance singular
     fpp = fp_conditioning(pure(3), 2.0, 0.6)
     assert fpp.C.shape == (3, 3) and fpp.u.shape == (3,)
-    full = conditioning_matrix(pure(3), 0.6)
-    assert np.max(np.abs(fpp.C - full[np.ix_([0, 1, 3], [0, 1, 3])])) == 0.0
-    v = section_vector(pure(3), 0.6, 0.3, 0.25)[[0, 1, 3]]
-    assert fpp.mean_coeff(0.3, 0.25) == float(v @ fpp.u)
+    full = _conditioning_matrix(pure(3), 0.6)
+    kept = full[np.ix_([0, 1, 3], [0, 1, 3])]
+    assert np.max(np.abs(fpp.C - kept)) <= 1e-13 * np.max(np.abs(kept))
+    v = _section_vector(pure(3), 0.6, 0.3, 0.25)[[0, 1, 3]]
+    closed = float(v @ fpp.u)
+    assert abs(fpp.mean_coeff(0.3, 0.25) - closed) <= 1e-13 * abs(closed)
 
 
 def test_fp_conditioning_window_and_input_gates():
     for q1 in (0.0, 1.0):
         with pytest.raises(BadInputError):
             fp_conditioning(MIX, 2.0, q1)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_fp_conditioning_rejects_beta_outside_the_half_line(beta):
+    with pytest.raises(BadInputError):
+        fp_conditioning(MIX, beta, 0.6)
+
+
+# the closed forms above are the oracle for the pinned system built from
+# derivative_covariances; the mixtures cover pure, linear and high degrees
+_ORACLE_MIXES = [
+    pure(3),
+    pure(2),
+    pure(4),
+    Mixture({3: 1.0, 4: 0.3}),
+    Mixture({2: 0.4, 3: 1.0}),
+    Mixture({2: 0.5, 3: 0.5}),
+    Mixture({1: 0.2, 3: 1.0}),
+    Mixture({3: 0.5, 30: 0.5}),
+]
+_ORACLE_Q1 = (0.05, 0.2, 0.5, 0.62, 0.9, 0.99)
+
+
+def _section_grid(q1):
+    # both endpoints of each admissible interval, its centre and two
+    # interior points, over overlaps r of either sign and r = +-1
+    for r in (-1.0, -0.7, 0.0, 0.3, 0.95, 1.0):
+        half = section_half_width(q1, r)
+        for s in (-1.0, -0.4, 0.0, 0.55, 1.0):
+            yield r, r * q1 + s * half
+
+
+@pytest.mark.parametrize("m", _ORACLE_MIXES, ids=repr)
+def test_pinned_builder_matches_the_closed_forms(m):
+    for q1 in _ORACLE_Q1:
+        cov = _fp_pinned_cov(m, q1)
+        want = _conditioning_matrix(m, q1)
+        assert np.max(np.abs(cov - want)) <= 1e-13 * np.max(np.abs(want))
+        for r, rho in _section_grid(q1):
+            full = _fp_pinned_cov(m, q1, (r, rho))
+            assert np.max(np.abs(full[:4, :4] - cov)) == 0.0
+            want = np.append(_section_vector(m, q1, r, rho), m(1.0))
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(full[-1] - want)) <= 1e-13 * scale
+
+
+def test_rank_rule_drops_only_the_radial_row_of_a_pure_mixture():
+    for m in _ORACLE_MIXES:
+        for q1 in _ORACLE_Q1:
+            kept = _independent_rows(_fp_pinned_cov(m, q1))
+            if m.is_pure:
+                assert kept == [0, 1, 3], (m, q1)
+            elif m != Mixture({3: 0.5, 30: 0.5}):
+                assert kept == [0, 1, 2, 3], (m, q1)
+    # the degree-30 part adds nothing a double can see below q1 ~ 0.3
+    wide = Mixture({3: 0.5, 30: 0.5})
+    sizes = [len(_independent_rows(_fp_pinned_cov(wide, q1))) for q1 in _ORACLE_Q1]
+    assert sizes == [3, 3, 4, 4, 4, 4]
+    assert fp_conditioning(pure(4), 2.0, 0.5).rows == (0, 1, 3)
+    assert fp_conditioning(MIX, 2.0, 0.5).rows == (0, 1, 2, 3)
+
+
+def test_fp_conditioning_of_a_numerically_rank_deficient_mixture():
+    # the radial row of {3:.5,30:.5} at q1=0.2 is a multiple of its energy
+    # row to about 1e-19, so the full 4x4 system does not factor; the rank
+    # rule keeps three rows and agrees with pseudo-inverse conditioning on
+    # all four at the centre of each section interval. Off the centre the
+    # two part by up to 3e-9: the certified slope r1 leaves the rank-one
+    # relation by 4e-10, and the pseudo-inverse spreads that over two rows
+    m, beta, q1 = Mixture({3: 0.5, 30: 0.5}), 3.0, 0.2
+    fpc = fp_conditioning(m, beta, q1)
+    assert fpc.rows == (0, 1, 3)
+    e1, r1, _ = ground_state_point(m, q1)
+    f_prime = e1 + beta * (m(1.0) - m(q1) - m.eval(q1, 1) * (1.0 - q1))
+    for r in (-0.3, 0.0, 0.3):
+        cov = _fp_pinned_cov(m, q1, (r, r * q1))
+        mean, _ = schur_condition(cov, range(4), [f_prime, e1, r1, 0.0], pseudo_inverse=True)
+        assert abs(mean[0] - fpc.mean_coeff(r, r * q1)) <= 1e-11
+
+
+def test_mean_coeff_is_defined_on_the_admissible_interval_only():
+    q1, r = 0.5, 0.3
+    fpc = fp_conditioning(Mixture({2: 0.5, 3: 0.5}), 2.0, q1)
+    half = section_half_width(q1, r)
+    for rho in (r * q1 - half, r * q1 + half, r * q1 + half + 5e-13):
+        assert math.isfinite(fpc.mean_coeff(r, rho))
+    for rho in (r * q1 - half - 1e-9, r * q1 + half + 1e-9, 5.0, math.nan):
+        with pytest.raises(BadInputError):
+            fpc.mean_coeff(r, rho)
+    for r_bad in (1.5, math.nan):
+        with pytest.raises(BadInputError):
+            fpc.mean_coeff(r_bad, 0.0)
