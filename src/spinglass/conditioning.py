@@ -15,6 +15,7 @@ the rows kept before it is below 1e-12 of its own variance.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -348,23 +349,30 @@ def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecompositio
 # ==================================== overlap-constrained mean and kernel
 
 
-def _fp_pinned_cov(m: Mixture, q1: float, section: tuple[float, float] | None = None):
-    """Covariance per site of the pinned vector: the values at the reference
-    point sigma and the anchor x1, the anchor's derivatives along x1/q1 and
-    along sqrt(n) times the in-plane unit, and with a section (r, rho) last
-    the value at a point with overlaps r to sigma and rho to x1. Only inner
+def _fp_frame(q1: float):
+    """The pinned vector's points and functionals: the values at the
+    reference point sigma and the anchor x1, and the anchor's derivatives
+    along x1/q1 and along sqrt(n) times the in-plane unit. Only inner
     products enter, so the canonical points in n = 3 give the law at any n."""
-    n = 3
-    x1, sigma = BandGeometry((q1, 1.0), n).anchors
-    points = [sigma, x1]
-    radial, in_plane = x1 / q1, math.sqrt(n) * np.eye(n)[1]
-    which = [("value", 0), ("value", 1), ("deriv", 1, radial), ("deriv", 1, in_plane)]
+    x1, sigma = BandGeometry((q1, 1.0), 3).anchors
+    radial, in_plane = x1 / q1, math.sqrt(3) * np.eye(3)[1]
+    return [sigma, x1], [("value", 0), ("value", 1), ("deriv", 1, radial), ("deriv", 1, in_plane)]
+
+
+def _section_point(q1: float, r: float, rho: float) -> np.ndarray:
+    """The point of the n = 3 frame with overlaps r to sigma and rho to x1."""
+    a, b = math.sqrt(3 / q1) * rho, math.sqrt(3 / (1.0 - q1)) * (r - rho)
+    return np.array([a, b, math.sqrt(max(0.0, 3 - a * a - b * b))])
+
+
+def _fp_pinned_cov(m: Mixture, q1: float, section: tuple[float, float] | None = None):
+    """Covariance per site of the pinned vector, with a section (r, rho) the
+    value at _section_point(q1, r, rho) last."""
+    points, which = _fp_frame(q1)
     if section is not None:
-        r, rho = section
-        a, b = math.sqrt(n / q1) * rho, math.sqrt(n / (1.0 - q1)) * (r - rho)
-        points.append(np.array([a, b, math.sqrt(max(0.0, n - a * a - b * b))]))
+        points.append(_section_point(q1, *section))
         which.append(("value", 2))
-    return derivative_covariances(m, np.array(points), which) / n
+    return derivative_covariances(m, np.array(points), which) / 3
 
 
 def _independent_rows(cov: np.ndarray) -> list[int]:
@@ -395,13 +403,22 @@ class FPConditioning:
     u: np.ndarray
     rows: tuple[int, ...]
 
+    @cached_property
+    def _kept(self) -> list:
+        """The kept rows' functionals, parsed once from the n = 3 frame."""
+        points, which = _fp_frame(self.q1)
+        return [_parse_functional(which[i], points, 3) for i in self.rows]
+
     def mean_coeff(self, r: float, rho: float) -> float:
         """Conditional mean per site of the field at a section point with
-        overlaps r to the reference point and rho to the anchor."""
+        overlaps r to the reference point and rho to the anchor: the
+        covariances of its value with the kept rows, against u."""
         q1 = self.q1
         if not (abs(r) <= 1.0 and abs(rho - r * q1) <= section_half_width(q1, r) + 1e-12):
             raise BadInputError(f"no section point has overlaps r={r}, rho={rho} at q1={q1}")
-        return float(_fp_pinned_cov(self.m, q1, (r, rho))[-1, list(self.rows)] @ self.u)
+        tau = _section_point(q1, r, rho)
+        row = np.array([_pair_cov(self.m, 3, x, tau, us, ()) for x, us in self._kept])
+        return float((row / 3) @ self.u)
 
 
 def fp_conditioning(

@@ -6,17 +6,25 @@ points by projected Newton iteration, estimates complexity histograms over
 independent field draws, and samples conditional field values exactly from
 the Gaussian law, as an oracle for the analytic conditioning kernels.
 
+The field kernels (energy, gradient, Hessian) read each symmetric tensor in
+a form packed over sorted slot pairs, which a field builds once on its
+first kernel call: about half the coefficients of a dense degree-3 tensor
+and a quarter of a degree-4 one. The dense tensors stay the field's public
+form, the one the draw defines and independent contractions check against.
+
 Everything here is desk scale: dimensions are capped so dense tensors stay
 in memory, and the critical-point finder is a multi-start local method with
 no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 """
 
+import functools
 import itertools
 import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +106,18 @@ class FieldSample:
     field's covariance at overlap t is n * xi(t); the degree-0 entry, when
     present, is the random constant term. Each S_p = tensors[p] is symmetric
     in all slots: construction replaces it by its average over slot
-    permutations, which defines the same polynomial, and the gradient and
-    Hessian kernels rely on that symmetry.
+    permutations, which defines the same polynomial. Degrees run from 0 to
+    4 and tensors[p] has shape (n,) * p.
+
+    The kernels read a form packed over sorted slot pairs a <= b instead,
+    derived once on the first kernel call: the degree-3 tensor as
+    A[c, ab] = S_cab and the degree-4 one as B[ab, cd] = S_abcd. Symmetry
+    makes S_..ab.. and S_..ba.. equal, so only one of the two is read. With
+    the weighted pair vector y[ab] = w_ab x_a x_b (w = 1 on the diagonal, 2
+    off it), the degree-3 value is x.(A y) and the degree-4 value y.(B y);
+    degrees 0-2 are read as they are. The dense tensors stay the public
+    form: they are what the draw defines, and what reference contractions,
+    tests and benchmarks read.
     """
 
     n: int
@@ -107,8 +125,18 @@ class FieldSample:
     seed: int
     field_index: int
     tensors: dict[int, np.ndarray]
+    _forms: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_count("dimension", self.n, 2)
+        for p in self.tensors:
+            _check_count("degree", p, 0)
+        _capacity_check(tuple(self.tensors) or (0,), self.n)
+        for p, t in self.tensors.items():
+            if np.shape(t) != (self.n,) * p:
+                raise BadInputError(
+                    f"degree-{p} tensor must have shape {(self.n,) * p}, got {np.shape(t)}"
+                )
         # one degree at a time into a new dict; the caller's arrays stay as they were
         self.tensors = {
             p: _symmetrized(np.asarray(t, dtype=float)) if p else t for p, t in self.tensors.items()
@@ -118,6 +146,23 @@ class FieldSample:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.tensors))
 
+    def _kernel_forms(self) -> dict:
+        """The pair-packed forms the kernels read, built on first use. Two
+        threads racing on a fresh field may both build them; they build
+        equal forms and either one's is kept."""
+        forms = self._forms
+        if forms is None:
+            n, flat = self.n, _pairs(self.n).flat
+            forms = {}
+            for p, t in self.tensors.items():
+                if p == 3:
+                    t = t.reshape(n, n * n).take(flat, axis=1)
+                elif p == 4:
+                    t = t.reshape(n * n, n * n)[np.ix_(flat, flat)]
+                forms[p] = float(t) if p == 0 else t
+            self._forms = forms
+        return forms
+
     def energy(self, x) -> float:
         """Field value at a point of the ball of squared radius n."""
         return float(sum(self.energy_terms(x).values()))
@@ -126,15 +171,15 @@ class FieldSample:
         """Per-degree decomposition of the field value."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
+        forms = self._kernel_forms()
+        y = _pair_products(x) if max(forms, default=0) > 2 else None
         out = {}
-        for p, tensor in self.tensors.items():
-            if p == 0:
-                out[p] = float(tensor)
-                continue
-            t = tensor
-            for _ in range(p - 1):
-                t = t.reshape(-1, self.n) @ x
-            out[p] = float(t @ x)
+        for p, form in forms.items():
+            if p < 2:
+                out[p] = float(form @ x) if p else form
+            else:
+                left, right = {2: (x, x), 3: (x, y), 4: (y, y)}[p]
+                out[p] = float(left @ (form @ right))
         return out
 
     def energy_many(self, points) -> np.ndarray:
@@ -142,18 +187,15 @@ class FieldSample:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise BadInputError(f"points must be rows of length {self.n}")
-        n, rows = self.n, pts.shape[0]
-        cols = pts[:, :, None]
-        total = np.zeros(rows)
-        for p, tensor in self.tensors.items():
-            if p == 0:
-                total += float(tensor)
-                continue
-            # the last slot for all rows in one product, then the rest row by row
-            t = pts @ tensor.reshape(-1, n).T
-            for k in range(p - 2, -1, -1):
-                t = (t.reshape(rows, n**k, n) @ cols)[:, :, 0]
-            total += t[:, 0]
+        forms = self._kernel_forms()
+        ys = _pair_products(pts) if max(forms, default=0) > 2 else None
+        total = np.zeros(len(pts))
+        for p, form in forms.items():
+            if p < 2:
+                total += pts @ form if p else form
+            else:
+                left, right = {2: (pts, pts), 3: (pts, ys), 4: (ys, ys)}[p]
+                total += np.sum(left * (right @ form.T), axis=1)
         return total
 
     def gradient(self, x) -> np.ndarray:
@@ -162,24 +204,28 @@ class FieldSample:
 
     def hessian(self, x) -> np.ndarray:
         """Ambient Hessian of the field at a point: sum_p p(p-1) * S_p[x^(p-2)]."""
-        hess = self._derivatives(x)[1]
-        return 0.5 * (hess + hess.T)  # exactly symmetric
+        return self._derivatives(x)[1]
 
     def _derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian from one two-slot contraction per degree: with
-        M = S_p[x^(p-2)], the degree-p Hessian is p(p-1) M and its gradient p M x."""
+        M = S_p[x^(p-2)], the degree-p Hessian is p(p-1) M and its gradient
+        p M x. M is S_2 itself, or its packed pairs A^T x (p = 3) or B y
+        (p = 4) expanded to every slot pair, so the Hessian is exactly
+        symmetric."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
         n = self.n
+        forms = self._kernel_forms()
+        expand = _pairs(n).expand
         grad, hess = np.zeros(n), np.zeros((n, n))
-        for p, tensor in self.tensors.items():
+        for p, form in forms.items():
             if p == 1:
-                grad += tensor
+                grad += form
             elif p > 1:
-                pair = tensor
-                for _ in range(p - 2):
-                    pair = pair.reshape(-1, n) @ x
-                pair = pair.reshape(n, n)
+                if p == 2:
+                    pair = form
+                else:
+                    pair = (x @ form if p == 3 else form @ _pair_products(x))[expand]
                 hess += p * (p - 1) * pair
                 grad += p * (pair @ x)
         return grad, hess
@@ -187,6 +233,34 @@ class FieldSample:
     def _check_point(self, x: np.ndarray) -> None:
         if x.shape != (self.n,):
             raise BadInputError(f"point must be a vector of length {self.n}")
+
+
+class _PairIndex(NamedTuple):
+    rows: np.ndarray  # a of each sorted slot pair a <= b, in row-major order
+    cols: np.ndarray  # b of each pair
+    flat: np.ndarray  # a * n + b, the pair's offset in an (n, n) block
+    weight: np.ndarray  # 1 on the diagonal, 2 off it: how many slot pairs a pair stands for
+    expand: np.ndarray  # (n, n) map from every slot pair to its sorted pair's index
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> _PairIndex:
+    """Sorted slot pairs of dimension n; read-only and cached per n (the
+    dimension caps bound the cache at 127 entries)."""
+    rows, cols = np.triu_indices(n)
+    expand = np.empty((n, n), dtype=np.intp)
+    expand[rows, cols] = expand[cols, rows] = np.arange(rows.size)
+    index = _PairIndex(rows, cols, rows * n + cols, np.where(rows == cols, 1.0, 2.0), expand)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def _pair_products(x: np.ndarray) -> np.ndarray:
+    """The weighted pair vector w_ab x_a x_b over sorted slot pairs, along
+    the last axis of x."""
+    pairs = _pairs(x.shape[-1])
+    return pairs.weight * x.take(pairs.rows, axis=-1) * x.take(pairs.cols, axis=-1)
 
 
 def _symmetrized(t: np.ndarray) -> np.ndarray:
@@ -197,8 +271,22 @@ def _symmetrized(t: np.ndarray) -> np.ndarray:
     (one row at least), so one new tensor and one chunk's copy are alive
     beside t."""
     out = t.copy()
-    for k in range(1, t.ndim):
+    for k in range(1, t.ndim - 1):
         out += t.swapaxes(0, k)
+    if t.ndim > 1:
+        # swapping slot 0 with the last one reads t at a stride of n**(p-1)
+        # entries; in 32 x 32 tiles over that slot pair both sides stay in
+        # cache, and every entry still gets the same adds in the same order.
+        # All three operands of a tile are strided, so numpy buffers each:
+        # 1024-entry buffers keep them well inside the one chunk allowed
+        mid, last = range(1, t.ndim - 1), t.ndim - 1
+        dst, src = out.transpose(*mid, 0, last), t.transpose(*mid, last, 0)
+        bufsize = np.setbufsize(1024)
+        try:
+            for i, j in itertools.product(range(0, len(t), 32), repeat=2):
+                dst[..., i : i + 32, j : j + 32] += src[..., i : i + 32, j : j + 32]
+        finally:
+            np.setbufsize(bufsize)
     rows = max(1, 2**14 // out[0].size)
     for start in range(0, len(out), rows) if t.ndim > 2 else ():
         stack = out[start : start + rows]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spinglass.conditioning import (
     BandGeometry,
     ConditioningEvent,
+    FPConditioning,
     band_kernel,
     chain_constraint_set,
     derivative_covariances,
@@ -742,6 +743,22 @@ def test_pinned_builder_matches_the_closed_forms(m):
             want = np.append(_section_vector(m, q1, r, rho), m(1.0))
             scale = np.max(np.abs(want))
             assert np.max(np.abs(full[-1] - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", _ORACLE_MIXES, ids=repr)
+def test_mean_coeff_matches_the_section_row_of_the_full_builder(m):
+    # mean_coeff builds only the section row, from the kept functionals;
+    # the full pinned covariance with the section point last is the oracle
+    rng = np.random.default_rng(3)
+    for q1 in _ORACLE_Q1:
+        cov = _fp_pinned_cov(m, q1)
+        rows = _independent_rows(cov)
+        u = rng.standard_normal(len(rows))
+        fpc = FPConditioning(m=m, q1=q1, C=cov[np.ix_(rows, rows)], u=u, rows=tuple(rows))
+        for r, rho in _section_grid(q1):
+            row = _fp_pinned_cov(m, q1, (r, rho))[-1, rows]
+            want = float(row @ u)
+            assert abs(fpc.mean_coeff(r, rho) - want) <= 1e-13 * float(np.abs(row) @ np.abs(u))
 
 
 def test_rank_rule_drops_only_the_radial_row_of_a_pure_mixture():

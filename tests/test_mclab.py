@@ -8,6 +8,8 @@ the quadratic model's critical points are checked against its eigensystem.
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -187,6 +189,22 @@ class TestFieldSample:
             sample_field(Mixture({3: 1.0}), 1, seed=0)
         # boundary dimensions are allowed
         sample_field(Mixture({4: 1.0}), 64, seed=0)
+
+    def test_a_degree_above_four_is_over_capacity(self):
+        with pytest.raises(CapacityExceededError):
+            mclab.FieldSample(n=3, mixture=Mixture({3: 1.0}), seed=0, field_index=0,
+                              tensors={5: np.ones((3,) * 5)})
+
+    @pytest.mark.parametrize(
+        "tensors",
+        [{3: np.ones((4, 4, 4))}, {2: np.ones((5, 4))}, {1: np.ones(6)}, {0: np.ones(2)},
+         {0: np.ones((1,))}, {-1: np.ones(5)}, {2.0: np.ones((5, 5))}],
+        ids=["p3-wrong-n", "p2-ragged", "p1-wrong-n", "p0-vector", "p0-length-one",
+             "negative-degree", "float-degree"],
+    )
+    def test_a_tensor_the_kernels_cannot_read_is_bad_input(self, tensors):
+        with pytest.raises(BadInputError):
+            mclab.FieldSample(n=5, mixture=Mixture({3: 1.0}), seed=0, field_index=0, tensors=tensors)
 
     def test_euler_identity_per_degree(self):
         m = Mixture({2: 0.7, 3: 1.0, 4: 0.25})
@@ -389,6 +407,119 @@ class TestSymmetricTensors:
         finally:
             tracemalloc.stop()
         assert peak <= 2.05 * f.tensors[4].nbytes
+
+    @pytest.mark.parametrize("p, n", [(4, 24), (3, 48)])
+    def test_tensors_are_bit_identical_to_the_plain_coset_recursion(self, p, n):
+        m = Mixture({p: 1.0})
+        f = sample_field(m, n, seed=7, field_index=1)
+        assert np.array_equal(f.tensors[p], plain_symmetrized(raw_draw(m, n, 7, 1)[p]))
+
+
+def plain_symmetrized(t):
+    """The coset recursion on whole tensors: at each level, add the
+    transposes that swap that slot with every later one, read from the
+    tensor as it stood before the level, then scale by 1/p!."""
+    out = t.copy()
+    for k in range(1, t.ndim):
+        out += t.swapaxes(0, k)
+    for level in range(1, t.ndim - 1):
+        src = out.copy()
+        for k in range(level + 1, t.ndim):
+            out += src.swapaxes(level, k)
+    out *= 1.0 / math.factorial(t.ndim)
+    return out
+
+
+class TestPackedKernels:
+    @pytest.mark.parametrize("n", [2, 7, 24])
+    def test_kernels_match_dense_contractions_and_the_raw_draw(self, n):
+        # the public symmetric tensors and the raw draw define the same
+        # polynomial; the packed kernels must agree with both, on and
+        # inside the sphere
+        m = Mixture(*MIXED_WITH_CONST)
+        f = sample_field(m, n, seed=13, field_index=n)
+        raw = SimpleNamespace(n=n, tensors=raw_draw(m, n, 13, n))
+        rng = np.random.default_rng(n)
+        pts = np.array([sphere_point(rng, n, r * math.sqrt(n)) for r in (1.0, 1.0, 0.6, 0.2)])
+        for x in pts:
+            terms = f.energy_terms(x)
+            hess = f.hessian(x)
+            assert sorted(terms) == [0, 1, 2, 3, 4]
+            assert np.array_equal(hess, hess.T)
+            for ref in (reference_terms(f, x), reference_terms(raw, x)):
+                for p, (e, _, _) in ref.items():
+                    assert relative_gap(terms[p], e) <= 1e-12
+                assert relative_gap(f.energy(x), sum(e for e, _, _ in ref.values())) <= 1e-12
+                assert relative_gap(f.gradient(x), sum(g for _, g, _ in ref.values())) <= 1e-12
+                want = sum((h for _, _, h in ref.values()), np.zeros((n, n)))
+                assert relative_gap(hess, want) <= 1e-12
+            finder_grad, finder_hess = f._derivatives(x)
+            assert np.array_equal(finder_grad, f.gradient(x))
+            assert np.array_equal(finder_hess, hess)
+        for source in (f, raw):
+            want = [sum(e for e, _, _ in reference_terms(source, x).values()) for x in pts]
+            assert relative_gap(f.energy_many(pts), want) <= 1e-12
+            assert relative_gap(f.energy_many(pts[:1]), want[:1]) <= 1e-12
+
+    def test_the_packed_form_is_built_once_on_the_first_kernel_call(self):
+        f = sample_field(Mixture(*MIXED_WITH_CONST), 8, seed=4)
+        assert f._forms is None
+        x = sphere_point(np.random.default_rng(7), 8)
+        first = f.energy(x)
+        forms = f._forms
+        assert forms is not None and sorted(forms) == [0, 1, 2, 3, 4]
+        arrays = {p: forms[p] for p in (1, 2, 3, 4)}
+        assert forms[3].shape == (8, 36) and forms[4].shape == (36, 36)
+        f.energy_terms(x), f.energy_many(x[None]), f.gradient(x), f.hessian(x), f._derivatives(x)
+        assert f._forms is forms and all(forms[p] is a for p, a in arrays.items())
+        assert f.energy(x) == first
+
+    def test_threads_racing_on_a_fresh_field_agree(self):
+        m = Mixture({2: 0.5, 3: 0.7, 4: 0.4})
+        x = sphere_point(np.random.default_rng(8), 12)
+        solo = sample_field(m, 12, seed=9)
+        want = (solo.energy(x), solo.gradient(x), solo.hessian(x))
+        fresh = sample_field(m, 12, seed=9)
+        barrier = threading.Barrier(6, timeout=30)
+        results = [None] * 6
+
+        def work(i):
+            barrier.wait()
+            kernels = (fresh.energy, fresh.gradient, fresh.hessian)
+            results[i] = [kernels[(i + k) % 3](x) for k in range(3)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for i, row in enumerate(results):
+            for k, got in enumerate(row):
+                assert np.array_equal(got, want[(i + k) % 3])
+
+    def test_kernels_do_not_read_the_dense_tensors_after_packing(self):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"kernel read tensors.{name}")
+
+            def __getitem__(self, key):
+                raise AssertionError("kernel indexed tensors")
+
+        f = sample_field(Mixture(*MIXED_WITH_CONST), 7, seed=5)
+        x = sphere_point(np.random.default_rng(9), 7)
+        pts = np.array([x, 0.5 * x])
+        want = (f.energy(x), f.energy_terms(x), f.energy_many(pts), f.gradient(x), f.hessian(x))
+        f.tensors = Unreadable()
+        got = (f.energy(x), f.energy_terms(x), f.energy_many(pts), f.gradient(x), f.hessian(x))
+        assert got[0] == want[0] and got[1] == want[1]
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
