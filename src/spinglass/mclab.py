@@ -6,11 +6,11 @@ points by projected Newton iteration, estimates complexity histograms over
 independent field draws, and samples conditional field values exactly from
 the Gaussian law, as an oracle for the analytic conditioning kernels.
 
-The field kernels (energy, gradient, Hessian) read each symmetric tensor in
-a form packed over sorted slot pairs, which a field builds once on its
-first kernel call: about half the coefficients of a dense degree-3 tensor
-and a quarter of a degree-4 one. The dense tensors stay the field's public
-form, the one the draw defines and independent contractions check against.
+A field keeps its coefficients as drawn and builds, when constructed, the
+one symmetric copy its kernels (energy, gradient, Hessian) read: the average
+over slot permutations, packed over sorted slot pairs (about half the
+coefficients of a dense degree-3 tensor, a quarter of a degree-4 one). Both
+define the same polynomial; independent contractions check the drawn one.
 
 Everything here is desk scale: dimensions are capped so dense tensors stay
 in memory, and the critical-point finder is a multi-start local method with
@@ -18,12 +18,11 @@ no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 """
 
 import functools
-import itertools
 import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,10 +72,11 @@ def _thread_count() -> int:
     return count
 
 
-# Spawn keys: (field, 0) for coefficients, (field, _FINDER_LANE) for finder
-# restarts, (0, _FINDER_LANE + 1) for the bootstrap, and (field, chain, lane)
-# for chains and the sampler. SeedSequence reads a key's parts as 32-bit words
-# in order, so distinct last parts keep these apart for every seed and index.
+# Spawn keys: (field, 0) for the drawn coefficients, (field, _FINDER_LANE) for
+# finder restarts, (0, _FINDER_LANE + 1) for the bootstrap, and (field, chain,
+# lane) for chains and the sampler. _stream keeps each key part below 2**32,
+# so SeedSequence reads it as one 32-bit word, and distinct last parts keep
+# these keys apart for every seed and index.
 _FINDER_LANE = 1 << 16
 _CHAIN_LANE = 1 << 17
 _SAMPLER_LANE = _CHAIN_LANE + 1
@@ -87,10 +87,13 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
     Streams of distinct keys are independent, and a stream does not depend
     on how many others run or in what order. Raises BadInputError for a
-    seed or key part that is not a non-negative integer.
+    seed or key part that is not a non-negative integer, or a key part of
+    2**32 or more (SeedSequence would split it into words that alias others).
     """
     for part in (seed, *key):
         _check_count("seed, field index and chain index", part, 0)
+    if max(key, default=0) >= 2**32:
+        raise BadInputError(f"field and chain indices must be below 2**32, got key {key}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
@@ -102,22 +105,19 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 class FieldSample:
     """One realization of the random field as dense coefficient tensors.
 
-    tensors[p] holds the order-p coefficients already scaled so that the
-    field's covariance at overlap t is n * xi(t); the degree-0 entry, when
-    present, is the random constant term. Each S_p = tensors[p] is symmetric
-    in all slots: construction replaces it by its average over slot
-    permutations, which defines the same polynomial. Degrees run from 0 to
-    4 and tensors[p] has shape (n,) * p.
+    tensors[p] holds the order-p coefficients as drawn, in any slot order,
+    already scaled so that the field's covariance at overlap t is n * xi(t);
+    the degree-0 entry, when present, is the random constant term. Degrees
+    run from 0 to 4, tensors[p] has shape (n,) * p and holds finite real
+    numbers. tensors is a new dict of the caller's objects, left unchanged.
 
-    The kernels read a form packed over sorted slot pairs a <= b instead,
-    derived once on the first kernel call: the degree-3 tensor as
-    A[c, ab] = S_cab and the degree-4 one as B[ab, cd] = S_abcd. Symmetry
-    makes S_..ab.. and S_..ba.. equal, so only one of the two is read. With
-    the weighted pair vector y[ab] = w_ab x_a x_b (w = 1 on the diagonal, 2
-    off it), the degree-3 value is x.(A y) and the degree-4 value y.(B y);
-    degrees 0-2 are read as they are. The dense tensors stay the public
-    form: they are what the draw defines, and what reference contractions,
-    tests and benchmarks read.
+    Construction builds the one symmetric copy the kernels read: S_p, the
+    average of tensors[p] over slot permutations, packed over sorted slot
+    pairs a <= b as A[c, ab] = S_cab (degree 3) and B[ab, cd] = S_abcd
+    (degree 4). Symmetry makes S_..ab.. and S_..ba.. equal, so only one of
+    the two is kept. With the weighted pair vector y[ab] = w_ab x_a x_b
+    (w = 1 on the diagonal, 2 off it), the degree-3 value is x.(A y) and the
+    degree-4 value y.(B y); S_0, S_1 and S_2 are kept as they are.
     """
 
     n: int
@@ -125,7 +125,6 @@ class FieldSample:
     seed: int
     field_index: int
     tensors: dict[int, np.ndarray]
-    _forms: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_count("dimension", self.n, 2)
@@ -137,31 +136,15 @@ class FieldSample:
                 raise BadInputError(
                     f"degree-{p} tensor must have shape {(self.n,) * p}, got {np.shape(t)}"
                 )
-        # one degree at a time into a new dict; the caller's arrays stay as they were
-        self.tensors = {
-            p: _symmetrized(np.asarray(t, dtype=float)) if p else t for p, t in self.tensors.items()
-        }
+            values = np.asarray(t)
+            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                raise BadInputError(f"degree-{p} coefficients must be finite real numbers")
+        self.tensors = dict(self.tensors)
+        self._forms = {p: _packed(np.asarray(t, dtype=float)) for p, t in self.tensors.items()}
 
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.tensors))
-
-    def _kernel_forms(self) -> dict:
-        """The pair-packed forms the kernels read, built on first use. Two
-        threads racing on a fresh field may both build them; they build
-        equal forms and either one's is kept."""
-        forms = self._forms
-        if forms is None:
-            n, flat = self.n, _pairs(self.n).flat
-            forms = {}
-            for p, t in self.tensors.items():
-                if p == 3:
-                    t = t.reshape(n, n * n).take(flat, axis=1)
-                elif p == 4:
-                    t = t.reshape(n * n, n * n)[np.ix_(flat, flat)]
-                forms[p] = float(t) if p == 0 else t
-            self._forms = forms
-        return forms
 
     def energy(self, x) -> float:
         """Field value at a point of the ball of squared radius n."""
@@ -171,7 +154,7 @@ class FieldSample:
         """Per-degree decomposition of the field value."""
         x = np.asarray(x, dtype=float)
         self._check_point(x)
-        forms = self._kernel_forms()
+        forms = self._forms
         y = _pair_products(x) if max(forms, default=0) > 2 else None
         out = {}
         for p, form in forms.items():
@@ -187,7 +170,7 @@ class FieldSample:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise BadInputError(f"points must be rows of length {self.n}")
-        forms = self._kernel_forms()
+        forms = self._forms
         ys = _pair_products(pts) if max(forms, default=0) > 2 else None
         total = np.zeros(len(pts))
         for p, form in forms.items():
@@ -215,10 +198,9 @@ class FieldSample:
         x = np.asarray(x, dtype=float)
         self._check_point(x)
         n = self.n
-        forms = self._kernel_forms()
         expand = _pairs(n).expand
         grad, hess = np.zeros(n), np.zeros((n, n))
-        for p, form in forms.items():
+        for p, form in self._forms.items():
             if p == 1:
                 grad += form
             elif p > 1:
@@ -263,42 +245,42 @@ def _pair_products(x: np.ndarray) -> np.ndarray:
     return pairs.weight * x.take(pairs.rows, axis=-1) * x.take(pairs.cols, axis=-1)
 
 
-def _symmetrized(t: np.ndarray) -> np.ndarray:
-    """Average of t over all permutations of its slots, by the coset
-    recursion: add the transposes that swap slot 0 with each later slot,
-    then do the same within each row, and so on: p(p-1)/2 transposed adds.
-    Past slot 0 this runs in place on chunks of rows of about 2**14 entries
-    (one row at least), so one new tensor and one chunk's copy are alive
-    beside t."""
-    out = t.copy()
-    for k in range(1, t.ndim - 1):
-        out += t.swapaxes(0, k)
-    if t.ndim > 1:
-        # swapping slot 0 with the last one reads t at a stride of n**(p-1)
-        # entries; in 32 x 32 tiles over that slot pair both sides stay in
-        # cache, and every entry still gets the same adds in the same order.
-        # All three operands of a tile are strided, so numpy buffers each:
-        # 1024-entry buffers keep them well inside the one chunk allowed
-        mid, last = range(1, t.ndim - 1), t.ndim - 1
-        dst, src = out.transpose(*mid, 0, last), t.transpose(*mid, last, 0)
-        bufsize = np.setbufsize(1024)
-        try:
-            for i, j in itertools.product(range(0, len(t), 32), repeat=2):
-                dst[..., i : i + 32, j : j + 32] += src[..., i : i + 32, j : j + 32]
-        finally:
-            np.setbufsize(bufsize)
-    rows = max(1, 2**14 // out[0].size)
-    for start in range(0, len(out), rows) if t.ndim > 2 else ():
-        stack = out[start : start + rows]
-        while stack.ndim > 3:
-            src = stack.copy()
-            for k, j in itertools.product(range(2, stack.ndim), range(stack.shape[1])):
-                # numpy buffers up to 8192 entries of a strided add; a slice needs fewer
-                stack[:, j] += src.swapaxes(1, k)[:, j]
-            del src
-            stack = stack.reshape(-1, *stack.shape[2:])
-        stack += stack.swapaxes(1, 2).copy()
-    out *= 1.0 / math.factorial(t.ndim)
+def _packed(t: np.ndarray) -> np.ndarray | float:
+    """The form the kernels read of coefficients t in any slot order: their
+    average over slot permutations, packed as in FieldSample for p >= 3. An
+    entry sums both orders of each slot pair (and for B of the two pairs),
+    then adds the entries that regroup its slots: (a, {c,b}) and (b, {c,a})
+    for A[c, ab]; ({a,c}, {b,d}) and ({a,d}, {b,c}) for B[ab, cd]. Beside t
+    and the result, one packed-size array and a few row blocks are alive."""
+    p = t.ndim
+    if p < 3:
+        return float(t) if p == 0 else (t + t.T) * 0.5 if p == 2 else t.copy()
+    n = len(t)
+    pairs = _pairs(n)
+    size, e = len(pairs.flat), pairs.expand
+    swapped = pairs.cols * n + pairs.rows  # b * n + a: the pair's other order
+    m = t.reshape(-1, n * n)
+    base = np.empty((size if p == 4 else n, size))
+    step = max(1, 2**14 // (n * n))
+    blocks = [slice(start, start + step) for start in range(0, len(base), step)]
+    for blk in blocks:
+        u = m[blk] if p == 3 else m.take(pairs.flat[blk], axis=0) + m.take(swapped[blk], axis=0)
+        np.add(u.take(pairs.flat, axis=1), u.take(swapped, axis=1), out=base[blk])
+    if p == 4:
+        base += base.T
+    out = base.copy()
+    for blk in blocks:
+        # the regrouped entries' flat offsets in base: row_of[x] is the row
+        # holding slot x (x itself in A, {a, x} in B) and col_of[y] the column
+        # holding slot y ({c, y} in A, {b, y} in B)
+        row_of = np.arange(n)[None] if p == 3 else e.take(pairs.rows[blk], axis=0)
+        col_of = e[blk] if p == 3 else e.take(pairs.cols[blk], axis=0)
+        dst = out[blk]
+        for x, y in ((pairs.rows, pairs.cols), (pairs.cols, pairs.rows)):
+            at = col_of.take(y, axis=1)
+            at += row_of.take(x, axis=1) * size
+            dst += base.take(at)
+        dst *= 1.0 / math.factorial(p)
     return out
 
 
@@ -317,8 +299,8 @@ def _capacity_check(degrees, n: int) -> None:
 
 def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSample:
     """Draw one field realization: independent standard normal coefficients
-    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree, which FieldSample
-    then symmetrizes over slot permutations."""
+    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree, kept as drawn in
+    FieldSample.tensors; FieldSample builds its packed symmetric form."""
     degrees = m.degrees
     if not degrees and m.const_term == 0.0:
         raise BadInputError("mixture has no active degrees")

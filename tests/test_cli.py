@@ -221,6 +221,16 @@ def test_mc_gibbs_overlap_is_between_two_replicas(pure3, tmp_path):
     assert artifact["overlap_mean"] == overlap_statistics(run, partner).mean
 
 
+def test_mc_gibbs_rejects_a_field_index_of_2_to_the_32(pure3, tmp_path):
+    # SeedSequence would split it into 32-bit words that alias a smaller key
+    result, _ = _run(
+        ["mc", "gibbs", "--mixture", pure3, "--N", "4", "--beta", "1", "--steps", "20",
+         "--field-index", "4294967296"],
+        tmp_path,
+    )
+    assert result.exit_code == cli._EXIT_BAD_INPUT, result.output
+
+
 def _mixture(tmp_path, coeffs):
     path = tmp_path / "mixture.json"
     path.write_text(json.dumps({"coeffs": coeffs}))

@@ -101,6 +101,16 @@ class TestStreams:
         with pytest.raises(BadInputError):
             mclab._stream(*key)
 
+    def test_key_parts_of_2_to_the_32_or_more_are_bad_input(self):
+        # SeedSequence splits such a part into 32-bit words: these two keys
+        # would draw the same numbers. The seed stays unbounded
+        for key in [(2**32 + 5, 7, mclab._CHAIN_LANE), (5, 1 + 7 * 2**32, mclab._CHAIN_LANE)]:
+            with pytest.raises(BadInputError):
+                mclab._stream(3, *key)
+        with pytest.raises(BadInputError):
+            sample_field(Mixture({3: 1.0}), 4, seed=1, field_index=2**32 + 5)
+        mclab._stream(2**64, 2**32 - 1, 0)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -198,9 +208,15 @@ class TestFieldSample:
     @pytest.mark.parametrize(
         "tensors",
         [{3: np.ones((4, 4, 4))}, {2: np.ones((5, 4))}, {1: np.ones(6)}, {0: np.ones(2)},
-         {0: np.ones((1,))}, {-1: np.ones(5)}, {2.0: np.ones((5, 5))}],
+         {0: np.ones((1,))}, {-1: np.ones(5)}, {2.0: np.ones((5, 5))},
+         # coefficients that are not finite real numbers: these used to build,
+         # and energy returned nan or inf, or read "1.5" and True as numbers
+         {3: np.full((5,) * 3, np.nan)}, {2: np.full((5, 5), np.inf)}, {1: np.full(5, -np.inf)},
+         {0: float("nan")}, {0: "1.5"}, {0: True}, {1: np.ones(5, dtype=bool)},
+         {2: np.ones((5, 5), dtype=complex)}],
         ids=["p3-wrong-n", "p2-ragged", "p1-wrong-n", "p0-vector", "p0-length-one",
-             "negative-degree", "float-degree"],
+             "negative-degree", "float-degree", "p3-nan", "p2-inf", "p1-minus-inf", "p0-nan",
+             "p0-string", "p0-bool", "p1-bool", "p2-complex"],
     )
     def test_a_tensor_the_kernels_cannot_read_is_bad_input(self, tensors):
         with pytest.raises(BadInputError):
@@ -341,17 +357,31 @@ PURE_AND_MIXED_IDS = ["p1", "p2", "p3", "p4", "mixed+const"]
 class TestSymmetricTensors:
     @pytest.mark.parametrize(
         "coeffs, const, n",
-        [(c, k, 7) for c, k in PURE_AND_MIXED] + [({3: 1.0}, 0.0, 48), ({4: 1.0}, 0.0, 24)],
-        ids=[f"{i}-n7" for i in PURE_AND_MIXED_IDS] + ["p3-n48", "p4-n24"],
+        [(c, k, n) for n in (7, 2) for c, k in PURE_AND_MIXED]
+        + [({3: 1.0}, 0.0, 48), ({4: 1.0}, 0.0, 24)],
+        ids=[f"{i}-n{n}" for n in (7, 2) for i in PURE_AND_MIXED_IDS] + ["p3-n48", "p4-n24"],
     )
     def test_tensors_are_symmetric_under_every_slot_permutation(self, coeffs, const, n):
-        f = sample_field(Mixture(coeffs, const_term=const), n, seed=4)
-        for p in coeffs:
-            s = f.tensors[p]
-            assert s.shape == (n,) * p
-            scale = float(np.max(np.abs(s)))
+        # the packed form is the draw averaged over slot permutations, and
+        # unpacks to a symmetric tensor; (3, 48) and (4, 24) end on a short
+        # block of rows (blocks of 7 and 28 rows)
+        m = Mixture(coeffs, const_term=const)
+        f = sample_field(m, n, seed=4)
+        raw = raw_draw(m, n, 4)
+        expand, flat = mclab._pairs(n).expand, mclab._pairs(n).flat
+        assert f._forms.keys() == f.tensors.keys() == raw.keys()
+        for p, form in f._forms.items():
+            assert np.array_equal(f.tensors[p], raw[p])
+            want = plain_symmetrized(np.asarray(raw[p]))
+            dense = np.asarray(form)
+            if p == 3:
+                want, dense = want.reshape(n, n * n).take(flat, axis=1), form[:, expand]
+            elif p == 4:
+                want, dense = want.reshape(n * n, n * n)[np.ix_(flat, flat)], form[expand][:, :, expand]
+            assert relative_gap(form, want) <= 1e-15
+            scale = float(np.max(np.abs(dense)))
             for perm in itertools.permutations(range(p)):
-                assert float(np.max(np.abs(s - s.transpose(perm)))) <= 1e-15 * scale
+                assert float(np.max(np.abs(dense - dense.transpose(perm)))) <= 1e-15 * scale
 
     @pytest.mark.parametrize("coeffs, const", PURE_AND_MIXED, ids=PURE_AND_MIXED_IDS)
     def test_kernels_match_the_reference_on_the_raw_draw(self, coeffs, const):
@@ -395,7 +425,15 @@ class TestSymmetricTensors:
         for p, t in raw.items():
             assert t is objects[p]
             assert np.array_equal(t, before[p])
-        assert not np.array_equal(direct.tensors[3], raw[3])
+        assert all(np.array_equal(direct.tensors[p], raw[p]) for p in raw)
+        x = sphere_point(np.random.default_rng(6), 6)
+        kernels = (direct.energy_terms(x), direct.gradient(x), direct.hessian(x))
+        for t in raw.values():
+            if isinstance(t, np.ndarray):
+                t *= -3.0
+        after = (direct.energy_terms(x), direct.gradient(x), direct.hessian(x))
+        assert after[0] == kernels[0]
+        assert all(np.array_equal(a, b) for a, b in zip(after[1:], kernels[1:]))
 
     def test_symmetrizing_keeps_at_most_one_extra_tensor_alive(self):
         # at the (4, 64) cap one tensor is 134 MB: the draw and its symmetric
@@ -407,12 +445,6 @@ class TestSymmetricTensors:
         finally:
             tracemalloc.stop()
         assert peak <= 2.05 * f.tensors[4].nbytes
-
-    @pytest.mark.parametrize("p, n", [(4, 24), (3, 48)])
-    def test_tensors_are_bit_identical_to_the_plain_coset_recursion(self, p, n):
-        m = Mixture({p: 1.0})
-        f = sample_field(m, n, seed=7, field_index=1)
-        assert np.array_equal(f.tensors[p], plain_symmetrized(raw_draw(m, n, 7, 1)[p]))
 
 
 def plain_symmetrized(t):
@@ -462,14 +494,14 @@ class TestPackedKernels:
             assert relative_gap(f.energy_many(pts[:1]), want[:1]) <= 1e-12
 
     def test_the_packed_form_is_built_once_on_the_first_kernel_call(self):
+        # built at construction, so no kernel call builds or replaces it
         f = sample_field(Mixture(*MIXED_WITH_CONST), 8, seed=4)
-        assert f._forms is None
-        x = sphere_point(np.random.default_rng(7), 8)
-        first = f.energy(x)
         forms = f._forms
-        assert forms is not None and sorted(forms) == [0, 1, 2, 3, 4]
+        assert sorted(forms) == [0, 1, 2, 3, 4]
         arrays = {p: forms[p] for p in (1, 2, 3, 4)}
         assert forms[3].shape == (8, 36) and forms[4].shape == (36, 36)
+        x = sphere_point(np.random.default_rng(7), 8)
+        first = f.energy(x)
         f.energy_terms(x), f.energy_many(x[None]), f.gradient(x), f.hessian(x), f._derivatives(x)
         assert f._forms is forms and all(forms[p] is a for p, a in arrays.items())
         assert f.energy(x) == first
