@@ -27,7 +27,7 @@ from .errors import (
     _check_count,
 )
 from .mixtures import Mixture, section_half_width, tau
-from .rsb import SolverConfig, beta_c, cs_minimize
+from .rsb import OrderParameter, SolverConfig, beta_c, cs_minimize
 
 __all__ = [
     "FPQuery",
@@ -165,14 +165,17 @@ def _low_context(
 
 
 def _low_terms(
-    fpc: FPConditioning, beta_prime: float, r: float, rho: float, cfg: SolverConfig
-) -> FPTerms:
+    fpc: FPConditioning, beta_prime: float, r: float, rho: float, cfg: SolverConfig,
+    start: OrderParameter | None = None,
+) -> tuple[FPTerms, OrderParameter]:
+    """The terms at one section position and the section's certified order
+    parameter, its solve continued from start."""
     mean = beta_prime * fpc.mean_coeff(r, rho)
     section = fpc.m.fp_mixtures(r, fpc.q1, rho)
-    res = cs_minimize(section, beta_prime, config=cfg, allow_field=True)
+    res = cs_minimize(section, beta_prime, config=cfg, allow_field=True, start=start)
     t = tau(fpc.q1, r, rho)
     volume = 0.5 * math.log((1.0 - t) / (1.0 - r * r))
-    return FPTerms(mean=mean, free_energy=res.value, volume=volume)
+    return FPTerms(mean=mean, free_energy=res.value, volume=volume), res.x_star
 
 
 def fp_low_objective(
@@ -194,7 +197,7 @@ def fp_low_objective(
             f"section overlap {rho} is outside the open admissible interval "
             f"({lo}, {hi})"
         )
-    return _low_terms(fpc, beta_prime, r, rho, cfg)
+    return _low_terms(fpc, beta_prime, r, rho, cfg)[0]
 
 
 def fp_low(
@@ -213,6 +216,11 @@ def fp_low(
     the maximizer is interior: a coarse scan (single-start solves, ranking
     only) brackets it and golden-section refinement polishes it with the
     full configuration.
+
+    The section solves of the scan and the refinement form one chain: each
+    continues from the x_star of the last one that certified (see
+    cs_minimize's start). The answer's terms are the refinement's at
+    rho_star; only a rho_star clamped into the interval is solved again.
     """
     _validate_inputs(beta, beta_prime, r)
     _check_count("scan_points", scan_points, 3)
@@ -225,11 +233,18 @@ def fp_low(
     # bracket the maximizer to a grid cell, and a point whose quick solve
     # fails outright is simply never the bracket center
     scan_cfg = replace(cfg, starts=1, cert_tol=1e-3, atom_tol=1e-5)
+    start = None  # x_star of the last section solve that certified
+
+    def solved(rho: float, section_cfg: SolverConfig) -> FPTerms:
+        nonlocal start  # a solve that raises leaves it as it was
+        terms, start = _low_terms(fpc, beta_prime, r, rho, section_cfg, start)
+        return terms
+
     rhos = [lo + width * (i + 1) / (scan_points + 1) for i in range(scan_points)]
     scan_vals = []
     for rho in rhos:
         try:
-            scan_vals.append(_low_terms(fpc, beta_prime, r, rho, scan_cfg).total)
+            scan_vals.append(solved(rho, scan_cfg).total)
         except SolverFailedError:
             scan_vals.append(-math.inf)
     if all(v == -math.inf for v in scan_vals):
@@ -241,8 +256,12 @@ def fp_low(
     left = rhos[best - 1] if best > 0 else lo + width * 1e-9
     right = rhos[best + 1] if best < scan_points - 1 else hi - width * 1e-9
 
+    refined = {}
+
     def negated(rho: float) -> float:
-        return -_low_terms(fpc, beta_prime, r, float(rho), cfg).total
+        rho = float(rho)
+        refined[rho] = solved(rho, cfg)
+        return -refined[rho].total
 
     try:
         opt = minimize_scalar(
@@ -258,7 +277,9 @@ def fp_low(
             negated, bounds=(left, right), method="bounded", options={"xatol": xtol}
         )
     rho_star = float(min(max(opt.x, lo + width * 1e-12), hi - width * 1e-12))
-    terms = _low_terms(fpc, beta_prime, r, rho_star, cfg)
+    if rho_star not in refined:  # the clamp moved it
+        negated(rho_star)
+    terms = refined[rho_star]
     return FPResult(value=terms.total, rho_star=rho_star, terms=terms)
 
 

@@ -238,6 +238,20 @@ def _pairs(n: int) -> _PairIndex:
     return index
 
 
+@functools.lru_cache(maxsize=4)
+def _regrouped(n: int) -> np.ndarray:
+    """Flat offsets, in a degree-3 packed array of dimension n, of the two
+    entries that regroup the slots of A[c, ab]: (a, {c,b}) and (b, {c,a}),
+    stacked as (2, n, n(n+1)/2). Read-only and cached for the last four n
+    (8.4 MB at the degree-3 cap of 128)."""
+    pairs = _pairs(n)
+    size, e = len(pairs.flat), pairs.expand
+    offsets = np.stack([e[:, pairs.cols] + pairs.rows * size, e[:, pairs.rows] + pairs.cols * size])
+    offsets = offsets.astype(np.int32)
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _pair_products(x: np.ndarray) -> np.ndarray:
     """The weighted pair vector w_ab x_a x_b over sorted slot pairs, along
     the last axis of x."""
@@ -251,7 +265,9 @@ def _packed(t: np.ndarray) -> np.ndarray | float:
     entry sums both orders of each slot pair (and for B of the two pairs),
     then adds the entries that regroup its slots: (a, {c,b}) and (b, {c,a})
     for A[c, ab]; ({a,c}, {b,d}) and ({a,d}, {b,c}) for B[ab, cd]. Beside t
-    and the result, one packed-size array and a few row blocks are alive."""
+    and the result, one packed-size array and a few row blocks are alive,
+    and for degree 3 the cached offsets of _regrouped (the size of one
+    packed array)."""
     p = t.ndim
     if p < 3:
         return float(t) if p == 0 else (t + t.T) * 0.5 if p == 2 else t.copy()
@@ -270,15 +286,16 @@ def _packed(t: np.ndarray) -> np.ndarray | float:
         base += base.T
     out = base.copy()
     for blk in blocks:
-        # the regrouped entries' flat offsets in base: row_of[x] is the row
-        # holding slot x (x itself in A, {a, x} in B) and col_of[y] the column
-        # holding slot y ({c, y} in A, {b, y} in B)
-        row_of = np.arange(n)[None] if p == 3 else e.take(pairs.rows[blk], axis=0)
-        col_of = e[blk] if p == 3 else e.take(pairs.cols[blk], axis=0)
+        if p == 3:
+            regrouped = _regrouped(n)[:, blk]
+        else:
+            # the regrouped entries' flat offsets in B: row_of[x] is the row
+            # holding slots {a, x} and col_of[y] the column holding {b, y}
+            row_of, col_of = e.take(pairs.rows[blk], axis=0), e.take(pairs.cols[blk], axis=0)
+            regrouped = (col_of.take(y, axis=1) + row_of.take(x, axis=1) * size
+                         for x, y in ((pairs.rows, pairs.cols), (pairs.cols, pairs.rows)))
         dst = out[blk]
-        for x, y in ((pairs.rows, pairs.cols), (pairs.cols, pairs.rows)):
-            at = col_of.take(y, axis=1)
-            at += row_of.take(x, axis=1) * size
+        for at in regrouped:
             dst += base.take(at)
         dst *= 1.0 / math.factorial(p)
     return out

@@ -42,8 +42,10 @@ SolverFailedError carrying the best candidate's residuals.
 
 Solves are memoised per process: cs_minimize, zt_minimize and beta_c return
 one shared immutable result for equal inputs (a bounded LRU memo), so the
-composites that re-solve the same Parisi problem pay for it once. Errors
-are not memoised; a failing solve raises afresh on every call.
+composites that re-solve the same Parisi problem pay for it once. A
+cs_minimize start (a neighbouring answer to continue from) is one of the
+inputs: a call with a start is its own memo entry. Errors are not
+memoised; a failing solve raises afresh on every call.
 """
 from __future__ import annotations
 
@@ -696,6 +698,23 @@ def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
     return value, np.array(grad)
 
 
+def _encode(qs, levels, tail, beta: float | None, level_floor: float, step_floor: float = 1e-10):
+    """Raw coordinates of (qs, levels, tail) with at least one breakpoint:
+    _decode's inverse up to floors that keep every log finite. The
+    breakpoint gaps are floored at step_floor. At finite temperature the
+    free levels are clipped into [level_floor, 1 - level_floor], made
+    nondecreasing, and their increments floored at step_floor; at zero
+    temperature the level increments and c are floored at level_floor."""
+    gq = np.clip(np.diff(np.concatenate([[0.0], np.asarray(qs) / Q_CAP, [1.0]])), step_floor, None)
+    if beta is not None:
+        x = np.maximum.accumulate(np.clip(levels[:-1], level_floor, 1.0 - level_floor))
+        raw_lev = np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), step_floor, None))
+    else:
+        incr = np.clip(np.diff(np.concatenate([[0.0], levels])), level_floor, None)
+        raw_lev = np.concatenate([np.log(incr), [math.log(max(tail, level_floor))]])
+    return np.concatenate([np.log(gq), raw_lev])
+
+
 def _split_widest_gap(qs, levels, tail, beta: float | None) -> np.ndarray:
     """Raw warm start one level up: halve the widest gap between breakpoints
     and give the new left segment a lowered copy of the split segment's level."""
@@ -709,16 +728,8 @@ def _split_widest_gap(qs, levels, tail, beta: float | None) -> np.ndarray:
     else:
         new_level = max(levels[j] - 0.05, 0.5 * levels[j])
     q_new = np.insert(qs, j, (edges[j] + edges[j + 1]) / 2.0)
-    gq = np.clip(np.diff(np.concatenate([[0.0], q_new / Q_CAP, [1.0]])), 1e-10, None)
     lev = np.insert(levels, j, new_level)
-    # invert _decode's level part
-    if pinned:
-        x = np.maximum.accumulate(np.clip(lev[:-1], 1e-6, 1.0 - 1e-6))
-        raw_lev = np.log(np.clip(np.diff(np.concatenate([[0.0], x, [1.0]])), 1e-10, None))
-    else:
-        incr = np.clip(np.diff(np.concatenate([[0.0], lev])), 1e-8, None)
-        raw_lev = np.concatenate([np.log(incr), [math.log(max(tail, 1e-8))]])
-    return np.concatenate([np.log(gq), raw_lev])
+    return _encode(q_new, lev, tail, beta, 1e-6 if pinned else 1e-8)
 
 
 def _level_starts(beta: float | None, k: int, cfg: SolverConfig, warm):
@@ -940,7 +951,10 @@ _CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool):
+def _solve(
+    m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool,
+    start: OrderParameter | None = None,
+):
     """Raise the atom count k = 0, 1, ... and return the first level whose
     certificate passes. Both functionals are strictly convex and the
     certificate checks the obstacle condition that characterises their
@@ -952,12 +966,23 @@ def _solve(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool)
     only when that candidate fails. Settling merges atoms lighter than
     max(10 cfg.atom_tol, 1e-6).
 
+    A start with 1 .. cfg.k_max breakpoints is tried first: one descent at
+    its own level from its raw coordinates (floored at 1e-12, far below the
+    1e-6 snap of a vanishing bottom level), settled and returned if it
+    certifies. Otherwise the ladder runs as without it.
+
     A float beta yields a CsResult certified by talagrand_certificate, None
     (zero temperature) a ZtResult certified by zero_temp_certificate. Inputs
     arrive validated and normalised (beta a float, cfg a SolverConfig), so
     equal inputs share one memo entry; an error is not memoised.
     """
     history = []
+    if start is not None and 0 < start.k <= cfg.k_max:
+        best = _descend(m, beta, start.k, [_encode(*start.segments, beta, 1e-12, 1e-12)])
+        entry = _settle(m, beta, cfg, allow_field, best[1:])[1]
+        if entry[2].passes:
+            return entry
+        history.append(entry)
     warm = None
     for k in range(cfg.k_max + 1):
         cheap, rest = _level_starts(beta, k, cfg, warm)
@@ -988,6 +1013,8 @@ def cs_minimize(
     beta: float,
     config: SolverConfig | None = None,
     allow_field: bool = False,
+    *,
+    start: OrderParameter | None = None,
 ) -> CsResult:
     """Minimize the finite-temperature functional over atomic order parameters.
 
@@ -997,13 +1024,23 @@ def cs_minimize(
     config.k_max (3 without a config). Raises SolverFailedError when no k
     up to the cap certifies.
 
+    start, a nearby answer such as a neighbouring problem's x_star, is
+    continued first: one descent at its atom count (when that is 1 ..
+    k_max), returned if its settled result certifies. When it does not, the
+    atom ladder above runs unchanged; the replica-symmetric start goes
+    straight to it. The answer can then differ from the cold one within
+    the certificate's tolerance.
+
     Equal inputs return one shared immutable result per process (no config
     and SolverConfig() are equal inputs, as are an int beta and its float);
-    an error is not cached and is raised again on every call.
+    start is one of the inputs, so a call with a start is its own memo
+    entry. An error is not cached and is raised again on every call.
     """
     _check_beta(beta)
     _check_field(m, allow_field)
-    return _solve(m, float(beta), config or SolverConfig(), allow_field)
+    if start is not None and not isinstance(start, OrderParameter):
+        raise BadInputError(f"start must be an OrderParameter or None, got {type(start).__name__}")
+    return _solve(m, float(beta), config or SolverConfig(), allow_field, start)
 
 
 def zt_minimize(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from spinglass import franz_parisi
+from spinglass import franz_parisi, rsb
 from spinglass.errors import (
     BadInputError,
     KMismatchError,
@@ -30,7 +30,7 @@ from spinglass.franz_parisi import (
     tau,
 )
 from spinglass.mixtures import Mixture
-from spinglass.rsb import cs_minimize
+from spinglass.rsb import SolverConfig, cs_minimize
 
 MIX_A = {2: 0.4, 3: 1.0}
 BC_A = 0.9261989268085016  # symmetric phase boundary of MIX_A
@@ -296,3 +296,57 @@ class TestDispatch:
         assert query.regime == "low"
         assert res.rho_star is not None
         assert abs(res.value) < 3e-4
+
+
+# ---------------------------------------------------------------------------
+# continuation of the section solves
+# ---------------------------------------------------------------------------
+
+# the benchmark's low-regime case: 1.3 times the boundary of SWEEP_MIX
+SWEEP_MIX = {3: 1.0, 4: 0.3}
+SWEEP_BETA = 1.432
+
+
+def _sweep_fp_low():
+    return fp_low(Mixture(SWEEP_MIX), SWEEP_BETA, SWEEP_BETA, 0.3, SolverConfig(starts=1),
+                  scan_points=3, xtol=1e-2)
+
+
+class TestContinuation:
+    def test_no_warm_section_value_exceeds_the_cold_ladder(self, monkeypatch):
+        solves = []
+        real = franz_parisi._low_terms
+
+        def recording(fpc, beta_prime, r, rho, cfg, start=None):
+            terms, x_star = real(fpc, beta_prime, r, rho, cfg, start)
+            solves.append((fpc, beta_prime, r, rho, cfg, start, terms))
+            return terms, x_star
+
+        monkeypatch.setattr(franz_parisi, "_low_terms", recording)
+        res = _sweep_fp_low()
+        warm = [s for s in solves if s[5] is not None]
+        # only the first scan point starts cold
+        assert solves[0][5] is None and len(warm) == len(solves) - 1
+        for fpc, beta_prime, r, rho, cfg, start, terms in warm:
+            # the memo-free cold ladder at the same section
+            cold = rsb._solve.__wrapped__(fpc.m.fp_mixtures(r, fpc.q1, rho), beta_prime, cfg, True)
+            assert terms.free_energy <= cold.value + 1e-12, rho
+        # the answer's terms come from the refinement, not from a new solve
+        rhos = [s[3] for s in solves]
+        assert rhos.count(res.rho_star) == 1
+        assert solves[rhos.index(res.rho_star)][6] == res.terms
+
+    def test_objective_evaluations_stay_within_budget(self, monkeypatch):
+        rsb._solve.cache_clear()
+        rsb._beta_c.cache_clear()
+        calls = [0]
+        real = rsb._raw_objective
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rsb, "_raw_objective", counting)
+        _sweep_fp_low()
+        # the cold ladder at every section made 14 173
+        assert calls[0] <= 4000

@@ -383,6 +383,17 @@ class TestSymmetricTensors:
             for perm in itertools.permutations(range(p)):
                 assert float(np.max(np.abs(dense - dense.transpose(perm)))) <= 1e-15 * scale
 
+    def test_degree_3_regrouped_offsets_are_cached_read_only_per_n(self):
+        offsets = mclab._regrouped(7)
+        assert offsets is mclab._regrouped(7) and not offsets.flags.writeable
+        pairs = mclab._pairs(7)
+        size = len(pairs.flat)
+        # A[c, ab] regroups to (a, {c,b}) and (b, {c,a}), as (row, column) of A
+        for c in range(7):
+            for ab, (a, b) in enumerate(zip(pairs.rows, pairs.cols)):
+                assert divmod(int(offsets[0, c, ab]), size) == (a, pairs.expand[c, b])
+                assert divmod(int(offsets[1, c, ab]), size) == (b, pairs.expand[c, a])
+
     @pytest.mark.parametrize("coeffs, const", PURE_AND_MIXED, ids=PURE_AND_MIXED_IDS)
     def test_kernels_match_the_reference_on_the_raw_draw(self, coeffs, const):
         # the finder's one-contraction gradient and Hessian included, on and

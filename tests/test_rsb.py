@@ -808,6 +808,90 @@ def test_threads_racing_for_one_memo_entry_get_equal_answers():
         assert (res.value, res.x_star) == (again.value, again.x_star)
 
 
+# ---------------------------------------------------------------- warm start
+
+
+def _record_descents(monkeypatch):
+    """Record every L-BFGS descent from here on as (k, raw start bytes)."""
+    descents = []
+    real_lbfgs = rsb._lbfgs
+
+    def recording(x0, m, k, beta):
+        descents.append((k, np.asarray(x0, dtype=float).tobytes()))
+        return real_lbfgs(x0, m, k, beta)
+
+    monkeypatch.setattr(rsb, "_lbfgs", recording)
+    return descents
+
+
+@pytest.mark.parametrize(
+    "mix, beta, allow_field",
+    [({3: 1.0}, T3_BETA, False), ({2: 0.5, 4: 0.5}, 2.0, False), (TWO_RSB_MIX, TWO_RSB_BETA, False),
+     ({1: 0.5, 2: 1.0}, 0.5, True)],
+)
+def test_a_start_at_its_own_answer_takes_one_descent(monkeypatch, mix, beta, allow_field):
+    m = Mixture(mix)
+    cold = cs_minimize(m, beta, allow_field=allow_field)
+    descents = _record_descents(monkeypatch)
+    warm = cs_minimize(m, beta, allow_field=allow_field, start=cold.x_star)
+    assert [k for k, _ in descents] == [cold.x_star.k]
+    assert warm.certificate.passes
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+    assert warm.x_star.qs == pytest.approx(cold.x_star.qs, abs=1e-6)
+    assert warm.x_star.levels == pytest.approx(cold.x_star.levels, abs=1e-6)
+
+
+def test_a_start_that_does_not_certify_falls_back_to_the_ladder(monkeypatch):
+    # one atom cannot certify the two-atom answer of {2:.5,4:.5} at beta=2
+    m = Mixture({2: 0.5, 4: 0.5})
+    descents = _record_descents(monkeypatch)
+    clear_solver_caches()
+    cold = cs_minimize(m, 2.0)
+    ladder = list(descents)
+    descents.clear()
+    warm = cs_minimize(m, 2.0, start=OrderParameter((0.5,), (0.5,)))
+    assert descents[0][0] == 1 and descents[1:] == ladder
+    assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize(
+    "start, config",
+    [(OrderParameter.rs(), SolverConfig()), (OrderParameter((0.3, 0.8), (0.2, 0.6)), SolverConfig(k_max=1))],
+)
+def test_a_start_without_a_level_to_continue_goes_straight_to_the_ladder(monkeypatch, start, config):
+    # the replica-symmetric start has no breakpoint to descend over, and a
+    # start above the atom cap would answer above it
+    descents = _record_descents(monkeypatch)
+    clear_solver_caches()
+    cold = cs_minimize(pure(3), T3_BETA, config=config)
+    ladder = list(descents)
+    descents.clear()
+    warm = cs_minimize(pure(3), T3_BETA, config=config, start=start)
+    assert descents == ladder
+    assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("start", [ZeroTempOrder.constant(0.2, 0.5), (0.5,), {"qs": (0.5,)}, 0.5])
+def test_a_start_that_is_not_an_order_parameter_is_bad_input(monkeypatch, start):
+    descents = _record_descents(monkeypatch)
+    with pytest.raises(BadInputError):
+        cs_minimize(pure(3), T3_BETA, start=start)
+    assert descents == []
+
+
+def test_a_call_with_a_start_is_a_new_memo_entry():
+    m = pure(3)
+    cold = cs_minimize(m, T3_BETA)
+    misses = rsb._solve.cache_info().misses
+    warm = cs_minimize(m, T3_BETA, start=cold.x_star)
+    assert warm is not cold
+    assert rsb._solve.cache_info().misses == misses + 1
+    # an equal start is an equal input
+    again = cs_minimize(m, T3_BETA, start=OrderParameter(cold.x_star.qs, cold.x_star.levels))
+    assert again is warm
+    assert rsb._solve.cache_info().misses == misses + 1
+
+
 def _spy_levels(monkeypatch):
     """Clear the memo and record every solve from here on, per atom level k
     in run order: each L-BFGS start as ("start", x0) and each certificate as
