@@ -26,6 +26,7 @@ from .errors import (
     SolverFailedError,
     _check_count,
 )
+from .landscape import _free_energy_slope
 from .mixtures import Mixture, section_half_width, tau
 from .rsb import OrderParameter, SolverConfig, beta_c, cs_minimize
 
@@ -124,7 +125,9 @@ def fp_high(
     check_regime: bool = True,
 ) -> FPResult:
     """Rate in the symmetric regime: pinned-mean tilt plus the free energy
-    of the section restriction of the field.
+    of the section restriction of the field. The tilt conditions on a
+    sample's energy F'(beta): beta' xi(r)/xi(1) F'(beta), which is
+    beta beta' xi(r) when xi(0) = xi'(0) = 0.
 
     The section restriction keeps a degree-1 component (the section sees a
     nonzero mean gradient of the outer field), so the free energy runs in
@@ -139,7 +142,7 @@ def fp_high(
         )
     section = m.band_section(r * r)
     res = cs_minimize(section, beta_prime, config=config, allow_field=section.has_linear)
-    mean = beta * beta_prime * m(r) / m(1.0)
+    mean = beta_prime * m(r) / m(1.0) * _free_energy_slope(m, beta, 0.0, 0.0)
     terms = FPTerms(mean=mean, free_energy=res.value, volume=0.0)
     return FPResult(value=terms.total, rho_star=None, terms=terms)
 

@@ -182,6 +182,24 @@ class Mixture:
         self._tables[order] = table
         return table
 
+    def _eval_floats(self, ts, *orders: int) -> list[list[float]]:
+        """For each derivative order given, its values at every float of ts
+        (Python or numpy float64), as one list: the scalar Horner scheme,
+        one call for many points. eval's scalar path is its one-point case."""
+        outs = []
+        for order in orders:
+            table = self._tables.get(order)
+            if table is None:
+                table = self._horner_table(order)
+            out = []
+            for t in ts:
+                value = 0.0
+                for coef in table:
+                    value = value * t + coef
+                out.append(value)
+            outs.append(out)
+        return outs
+
     def eval(self, t, order: int = 0):
         """Evaluate the order-th derivative of xi at t (Horner scheme).
 
@@ -189,15 +207,11 @@ class Mixture:
         (returns a float) or numpy arrays. Orders beyond the polynomial
         degree return 0.
         """
+        if type(t) is float or np.ndim(t) == 0:
+            return self._eval_floats((float(t),), order)[0][0]
         table = self._tables.get(order)
         if table is None:
             table = self._horner_table(order)
-        if type(t) is float or np.ndim(t) == 0:
-            t = float(t)
-            out = 0.0
-            for coef in table:
-                out = out * t + coef
-            return out
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
         for coef in table:

@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -298,24 +300,6 @@ class ZtResult(NamedTuple):
 # ============================================================ value closed forms
 
 
-def _seg_inverse_integral(a: float, ep: float, d: float):
-    """Int over one segment of 1/L(t) for linear L with right value ep > 0,
-    slope -a <= 0 and width d >= 0, plus partials in (a, ep, d).
-
-    The value is log1p(a d / ep) / a, continued smoothly through a = 0.
-    """
-    el = ep + a * d
-    u = a * d / ep
-    if u < 1e-5:
-        # series of log1p(u)/u and its a-derivative; exact forms cancel badly here
-        val = (d / ep) * (1.0 - u / 2.0 + u * u / 3.0 - u**3 / 4.0 + u**4 / 5.0)
-        dval_da = (d * d / (ep * ep)) * (-0.5 + 2.0 * u / 3.0 - 0.75 * u * u + 0.8 * u**3)
-    else:
-        val = math.log1p(u) / a
-        dval_da = (d / el - val) / a
-    return val, dval_da, -d / (el * ep), 1.0 / el
-
-
 def _tail_breaks(qext: Sequence[float], levels: Sequence[float], tail: float) -> list[float]:
     """P_j = tail + Int_{q_j}^1 of the step function equal to levels[j] on
     [qext[j], qext[j+1]), for j = 0..len(levels); scalar arithmetic."""
@@ -331,59 +315,71 @@ def _step_value_grad(
     m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
 ):
     """Closed-form value of either functional with its gradient in
-    (q_1..q_k, levels, tail).
+    (q_1..q_k, levels, tail), as (value, grad_q, grad_lev, grad_tail) with
+    the two gradients as lists of floats.
 
     levels holds one value per segment of [0, 1] cut at qs. With beta None
     this is the zero-temperature functional with c = tail, differentiated in
     all k + 1 levels. With beta set, levels[-1] is the pinned top level 1 and
     tail is 0; the top segment's divergent inverse integral is replaced by
     log(1 - q_hat), and only the k free levels are differentiated.
+
+    One scalar pass over Python floats, xi and xi' read at all k + 2 points
+    by one Mixture._eval_floats call. Its operations and their order are a
+    contract: the results are bit for bit those of the tests' frozen oracle
+    (one Mixture.eval per point, numpy gradient arrays), so no rewrite moves
+    an L-BFGS iterate. The level term stays the builtin sum, which Python
+    >= 3.12 compensates.
     """
     k = len(qs)
     qext = (0.0, *qs, 1.0)
-    xi = [m.eval(t) for t in qext]
-    xip = [m.eval(t, 1) for t in qext]
-
-    a_term = sum(levels[l] * (xi[l + 1] - xi[l]) for l in range(k + 1))
-    ga_q = [(levels[i - 1] - levels[i]) * xip[i] for i in range(1, k + 1)]
-    ga_lev = [xi[l + 1] - xi[l] for l in range(k + 1)]
-
+    xi, xip = m._eval_floats(qext, 0, 1)
+    ga_lev = list(map(sub, xi[1:], xi))
+    a_term = sum(map(mul, levels, ga_lev))
+    drops = list(map(sub, levels, levels[1:]))
     p_break = _tail_breaks(qext, levels, tail)
 
-    # segment j reads P_{j+1}, which contains lev_l d_l for every l > j. adj,
-    # the sum of d t_term / d P_{j+1} over j < l, thus gives lev_l adj * d_l
-    # and q_{l+1}, which widens d_l and narrows d_{l+1}, (lev_l - lev_{l+1}) * adj
-    t_term = 0.0
+    # segment l contributes Int 1/L over its width d, for L linear with right
+    # value ep = P_{l+1} > 0 and slope -a = -levels[l] <= 0: log1p(a d / ep) / a,
+    # continued smoothly through a = 0, with its partials in a, ep and d.
+    # It reads P_{l+1}, which contains lev_j d_j for every j > l. adj, the sum
+    # of d t_term / d P_{l+1} over the segments below, thus gives lev_j adj * d_j
+    # and q_{j+1}, which widens d_j and narrows d_{j+1}, (lev_j - lev_{j+1}) * adj
+    t_term = adj = 0.0
     gt_q = [0.0] * k
-    gt_lev = [0.0] * (k + 1)
-    adj = 0.0
-    for l in range(k + 1):
-        d = qext[l + 1] - qext[l]
-        gt_lev[l] = adj * d
+    gt_lev = []
+    for l in range(k + 1 if beta is None else k):
+        a, ep, d = levels[l], p_break[l + 1], qext[l + 1] - qext[l]
+        el = ep + a * d
+        u = a * d / ep
+        if u < 1e-5:
+            # series of log1p(u)/u and its a-derivative; exact forms cancel badly here
+            val = (d / ep) * (1.0 - u / 2.0 + u * u / 3.0 - u**3 / 4.0 + u**4 / 5.0)
+            dval_da = (d * d / (ep * ep)) * (-0.5 + 2.0 * u / 3.0 - 0.75 * u * u + 0.8 * u**3)
+        else:
+            val = math.log1p(u) / a
+            dval_da = (d / el - val) / a
+        dval_dep, dval_dd = -d / (el * ep), 1.0 / el
+        t_term += val
+        gt_lev.append(adj * d + dval_da)
         if l < k:
-            gt_q[l] = (levels[l] - levels[l + 1]) * adj
-        if beta is None or l < k:
-            val, dval_da, dval_dep, dval_dd = _seg_inverse_integral(levels[l], p_break[l + 1], d)
-            t_term += val
-            gt_lev[l] += dval_da
-            if l < k:
-                gt_q[l] += dval_dd - levels[l + 1] * dval_dep
-            if l:
-                gt_q[l - 1] -= dval_dd
-            adj += dval_dep
+            gt_q[l] = drops[l] * adj + (dval_dd - levels[l + 1] * dval_dep)
+        if l:
+            gt_q[l - 1] -= dval_dd
+        adj += dval_dep
 
     if beta is None:
-        xi1p = m.eval(1.0, 1)
+        xi1p = xip[-1]
         value = 0.5 * (xi1p * tail + a_term + t_term)
-        grad_q = np.array([0.5 * (ga_q[i] + gt_q[i]) for i in range(k)])
-        grad_lev = np.array([0.5 * (ga_lev[l] + gt_lev[l]) for l in range(k + 1)])
+        grad_q = [0.5 * (dr * xp + gt) for dr, xp, gt in zip(drops, xip[1:], gt_q)]
+        grad_lev = [0.5 * (ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
         return value, grad_q, grad_lev, 0.5 * (xi1p + adj)
     b2 = beta * beta
     value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
-    grad_q = np.array([0.5 * (b2 * ga_q[i] + gt_q[i]) for i in range(k)])
+    grad_q = [0.5 * (b2 * (dr * xp) + gt) for dr, xp, gt in zip(drops, xip[1:], gt_q)]
     if k:
         grad_q[k - 1] -= 0.5 / (1.0 - qext[k])
-    grad_lev = np.array([0.5 * (b2 * ga_lev[l] + gt_lev[l]) for l in range(k)])
+    grad_lev = [0.5 * (b2 * ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
     return value, grad_q, grad_lev, 0.0
 
 
@@ -625,31 +621,27 @@ def zero_temp_certificate(
 # ================================================================ solver engine
 
 
-def _cumsum(xs: list[float]) -> list[float]:
-    """Running sums of xs, added in np.cumsum's order."""
-    out = list(xs)
-    for i in range(1, len(out)):
-        out[i] = out[i - 1] + out[i]
-    return out
-
-
 def _softmax_partials(e: list[float]):
     """Softmax weights p of the exponentials e and their partial sums
     p_0, p_0 + p_1, ... (all but the last)."""
     # numpy sums fewer than 8 terms in order and more pairwise
-    total = _cumsum(e)[-1] if len(e) < 8 else float(np.sum(e))
+    total = reduce(add, e) if len(e) < 8 else float(np.sum(e))
     p = [v / total for v in e]
-    return p, _cumsum(p)[:-1]
+    partial = list(accumulate(p))
+    partial.pop()
+    return p, partial
 
 
-def _softmax_pullback(p: list[float], partial: list[float], g: np.ndarray) -> list[float]:
+def _softmax_pullback(p: list[float], partial: list[float], g: list[float]) -> list[float]:
     """Pull a gradient g in the partial sums back to the softmax's raw
     coordinates: d partial_i / d raw_j = p_j (1{j <= i} - partial_i)."""
     if not partial:
         return [0.0] * len(p)
     # numpy's dot: its BLAS reduction order is not a Python loop's
-    dot = float(g @ np.array(partial))
-    suffix = [*_cumsum(g.tolist()[::-1])[::-1], 0.0]
+    dot = float(np.dot(g, partial))
+    # suffix sums g_j + ... + g_last, added from the last term, then 0
+    suffix = [*accumulate(reversed(g))][::-1]
+    suffix.append(0.0)
     return [pj * (sj - dot) for pj, sj in zip(p, suffix)]
 
 
@@ -664,28 +656,39 @@ def _decode(raw: np.ndarray, k: int, beta: float | None):
     tail is 0. At zero temperature exponentiated increments give the
     nondecreasing levels and the last coordinate is log c, both clipped to
     [-60, 60] in the exponent so that rogue line-search steps cannot
-    overflow. The arithmetic follows numpy's order step for step.
+    overflow. The arithmetic is numpy's, step for step and bit for bit, over
+    Python floats: one np.exp of the argument list, running sums in
+    np.cumsum's order (accumulate and reduce, never the builtin sum, which
+    Python >= 3.12 compensates) and np.sum for 8 or more softmax terms.
     """
     pinned = beta is not None
     r = raw.tolist()
     n_q = k + 1 if k else 0
     rq, rl = r[:n_q], r[n_q:]
-    top_q, top_l = max(rq, default=0.0), max(rl)
+    top_q = max(rq, default=0.0)
     args = [v - top_q for v in rq]
-    args += [v - top_l for v in rl] if pinned else [min(max(v, -60.0), 60.0) for v in rl]
+    if pinned:
+        top_l = max(rl)
+        args += [v - top_l for v in rl]
+    else:
+        # min(max(v, -60), 60), NaN passing through, without two calls per term
+        args += [-60.0 if v < -60.0 else 60.0 if v > 60.0 else v for v in rl]
     e = np.exp(args).tolist()
     q_soft = _softmax_partials(e[:n_q]) if n_q else ([], [])
-    qs = tuple(Q_CAP * v for v in q_soft[1])
+    qs = tuple([Q_CAP * v for v in q_soft[1]])
     if pinned:
         lev_soft = _softmax_partials(e[n_q:])
         return qs, (*lev_soft[1], 1.0), 0.0, q_soft, lev_soft
     incr, c = e[n_q:-1], e[-1]
-    return qs, tuple(_cumsum(incr)), c, q_soft, (incr, c)
+    return qs, tuple(accumulate(incr)), c, q_soft, (incr, c)
 
 
 def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
     """Value and raw-coordinate gradient of the functional at beta (zero
-    temperature when None) with k breakpoints."""
+    temperature when None) with k breakpoints, over Python floats until the
+    returned gradient array. Both are bit for bit those of the tests' array
+    reference, so every descent takes the same iterates; the pullback keeps
+    np.dot, whose BLAS reduction order a Python loop would not reproduce."""
     qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta)
     value, gq, g_lev, g_tail = _step_value_grad(m, beta, qs, levels, tail)
     grad = [Q_CAP * v for v in _softmax_pullback(*q_soft, gq)]
@@ -693,7 +696,7 @@ def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
         grad += _softmax_pullback(*lev_aux, g_lev)
     else:
         incr, c = lev_aux
-        grad += [a * s for a, s in zip(incr, _cumsum(g_lev.tolist()[::-1])[::-1])]
+        grad += map(mul, incr, [*accumulate(reversed(g_lev))][::-1])
         grad.append(g_tail * c)
     return value, np.array(grad)
 
@@ -904,7 +907,7 @@ def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
         if not _feasible(*state, beta):
             return np.full(len(vec), 1e6)
         _, gq, g_lev, g_tail = _step_value_grad(m, beta, *state)
-        return np.concatenate([gq, g_lev[free], [] if pinned else [g_tail]])
+        return np.concatenate([gq, [g_lev[i] for i in free], [] if pinned else [g_tail]])
 
     v0 = np.concatenate([np.asarray(qs), np.asarray(levels)[free], [] if pinned else [tail]])
     if not len(v0):

@@ -160,10 +160,12 @@ class TestHighRegime:
 
     def test_weak_coupling_closed_form(self):
         # at small temperatures the section free energy is its symmetric
-        # quadratic value, so the whole rate has a closed form
+        # quadratic value, so the whole rate has a closed form. The mean is
+        # beta' xi(r)/xi(1) F'(beta), and F'(beta) = beta xi(1) in the
+        # symmetric phase, so it is beta beta' xi(r) (xi(1) = 1.5 here)
         mix = Mixture(MIX_C)
         b, r = 0.1, 0.4
-        closed = b * b * mix(r) / mix(1.0) + b * b * (mix(1.0) - mix(r * r)) / 2.0
+        closed = b * b * mix(r) + b * b * (mix(1.0) - mix(r * r)) / 2.0
         got = fp_high(mix, b, b, r).value
         assert got == pytest.approx(closed, abs=5e-6)
 
@@ -172,7 +174,10 @@ class TestHighRegime:
         plus = fp_high(mix, 0.4, 0.7, 0.35).value
         minus = fp_high(mix, 0.4, 0.7, -0.35).value
         assert plus == pytest.approx(minus, abs=1e-12)
-        assert plus == pytest.approx(0.378635178997, abs=1e-8)
+        # 0.378635178997 was the section free energy plus a mean of
+        # beta beta' xi(r)/xi(1); the mean is beta beta' xi(r), larger by
+        # 0.4 * 0.7 * xi(0.35) * (1 - 1/1.5) = 0.28 * 0.07625625 / 3 = 0.00711725
+        assert plus == pytest.approx(0.378635178997 + 0.00711725, abs=1e-8)
 
     def test_nonzero_overlap_runs_in_field_mode(self):
         # the section at r != 0 carries a degree-1 term, which only a
@@ -191,7 +196,10 @@ class TestHighRegime:
         # the gate can be disabled for side-by-side regime comparisons
         res = fp_high(mix, 2.0 * BC_A, 1.0, 0.3, check_regime=False)
         assert math.isfinite(res.value)
-        assert res.value == pytest.approx(0.768444634, abs=1e-7)
+        # 0.768444634 carried a mean of beta beta' xi(r)/xi(1); the mean is
+        # beta beta' xi(r) (xi(0.3) = 0.063, xi(1) = 1.4), larger by
+        # 2 BC_A * 0.063 * (1 - 1/1.4) = 0.0333431614
+        assert res.value == pytest.approx(0.768444634 + 2.0 * BC_A * 0.063 * (0.4 / 1.4), abs=1e-7)
 
     def test_rejects_bad_inputs(self):
         mix = Mixture(MIX_A)
@@ -296,6 +304,38 @@ class TestDispatch:
         assert query.regime == "low"
         assert res.rho_star is not None
         assert abs(res.value) < 3e-4
+
+
+# ---------------------------------------------------------------------------
+# scale covariance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "regime, coeffs, lam, beta, beta_prime, r",
+    [
+        ("high", {3: 1.0}, 2.0, 0.5, 0.7, 0.3),
+        ("high", MIX_C, 0.5, 0.4, 0.7, -0.35),
+        ("high", MIX_A, 3.0, 0.3, 0.9, 0.5),
+        ("low", {3: 1.0}, 2.0, 1.1, 1.1, 0.3),
+        ("low", MIX_A, 3.0, 1.0, 1.2, 0.4),
+    ],
+)
+def test_potentials_are_scale_covariant(regime, coeffs, lam, beta, beta_prime, r):
+    # H with covariance lam xi at (beta, beta') is sqrt(lam) H' with H' of
+    # covariance xi, so it is the model xi at (sqrt(lam) beta, sqrt(lam) beta')
+    scaled = Mixture({p: lam * g for p, g in coeffs.items()})
+    s = math.sqrt(lam)
+    if regime == "high":
+        a = fp_high(scaled, beta, beta_prime, r)
+        b = fp_high(Mixture(coeffs), s * beta, s * beta_prime, r)
+        assert a.terms.mean == pytest.approx(b.terms.mean, rel=0.0, abs=1e-10)
+    else:
+        # the terms are read at rho_star, where the objective is flat, so
+        # only the maximum itself is compared
+        a = fp_low(scaled, beta, beta_prime, r, scan_points=8)
+        b = fp_low(Mixture(coeffs), s * beta, s * beta_prime, r, scan_points=8)
+    assert a.value == pytest.approx(b.value, rel=0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

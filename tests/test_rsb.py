@@ -1,8 +1,10 @@
 """Variational layer: quadrature oracles, gradients, solver regressions."""
 
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -424,7 +426,128 @@ def test_zt_gradient_matches_finite_differences():
 # --------------------------------------------------- raw-coordinate objective
 # The array implementation the scalar objective replaced, kept as its
 # reference: the scalar one must give the same values and gradients bit for
-# bit, so that every solve takes the same L-BFGS path.
+# bit, so that every solve takes the same L-BFGS path. The closed form it
+# reads is a frozen copy of the kernel with one Mixture.eval per point and
+# numpy gradients (only its helpers are renamed): the engine's scalar kernel
+# must match it bit for bit as well.
+
+
+def _frozen_seg_inverse_integral(a: float, ep: float, d: float):
+    """Int over one segment of 1/L(t) for linear L with right value ep > 0,
+    slope -a <= 0 and width d >= 0, plus partials in (a, ep, d).
+
+    The value is log1p(a d / ep) / a, continued smoothly through a = 0.
+    """
+    el = ep + a * d
+    u = a * d / ep
+    if u < 1e-5:
+        # series of log1p(u)/u and its a-derivative; exact forms cancel badly here
+        val = (d / ep) * (1.0 - u / 2.0 + u * u / 3.0 - u**3 / 4.0 + u**4 / 5.0)
+        dval_da = (d * d / (ep * ep)) * (-0.5 + 2.0 * u / 3.0 - 0.75 * u * u + 0.8 * u**3)
+    else:
+        val = math.log1p(u) / a
+        dval_da = (d / el - val) / a
+    return val, dval_da, -d / (el * ep), 1.0 / el
+
+
+def _frozen_tail_breaks(qext: Sequence[float], levels: Sequence[float], tail: float) -> list[float]:
+    """P_j = tail + Int_{q_j}^1 of the step function equal to levels[j] on
+    [qext[j], qext[j+1]), for j = 0..len(levels); scalar arithmetic."""
+    n = len(levels)
+    p = [0.0] * (n + 1)
+    p[n] = tail
+    for j in range(n - 1, -1, -1):
+        p[j] = p[j + 1] + levels[j] * (qext[j + 1] - qext[j])
+    return p
+
+
+def frozen_step_value_grad(
+    m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
+):
+    """Closed-form value of either functional with its gradient in
+    (q_1..q_k, levels, tail).
+
+    levels holds one value per segment of [0, 1] cut at qs. With beta None
+    this is the zero-temperature functional with c = tail, differentiated in
+    all k + 1 levels. With beta set, levels[-1] is the pinned top level 1 and
+    tail is 0; the top segment's divergent inverse integral is replaced by
+    log(1 - q_hat), and only the k free levels are differentiated.
+    """
+    k = len(qs)
+    qext = (0.0, *qs, 1.0)
+    xi = [m.eval(t) for t in qext]
+    xip = [m.eval(t, 1) for t in qext]
+
+    a_term = sum(levels[l] * (xi[l + 1] - xi[l]) for l in range(k + 1))
+    ga_q = [(levels[i - 1] - levels[i]) * xip[i] for i in range(1, k + 1)]
+    ga_lev = [xi[l + 1] - xi[l] for l in range(k + 1)]
+
+    p_break = _frozen_tail_breaks(qext, levels, tail)
+
+    # segment j reads P_{j+1}, which contains lev_l d_l for every l > j. adj,
+    # the sum of d t_term / d P_{j+1} over j < l, thus gives lev_l adj * d_l
+    # and q_{l+1}, which widens d_l and narrows d_{l+1}, (lev_l - lev_{l+1}) * adj
+    t_term = 0.0
+    gt_q = [0.0] * k
+    gt_lev = [0.0] * (k + 1)
+    adj = 0.0
+    for l in range(k + 1):
+        d = qext[l + 1] - qext[l]
+        gt_lev[l] = adj * d
+        if l < k:
+            gt_q[l] = (levels[l] - levels[l + 1]) * adj
+        if beta is None or l < k:
+            val, dval_da, dval_dep, dval_dd = _frozen_seg_inverse_integral(levels[l], p_break[l + 1], d)
+            t_term += val
+            gt_lev[l] += dval_da
+            if l < k:
+                gt_q[l] += dval_dd - levels[l + 1] * dval_dep
+            if l:
+                gt_q[l - 1] -= dval_dd
+            adj += dval_dep
+
+    if beta is None:
+        xi1p = m.eval(1.0, 1)
+        value = 0.5 * (xi1p * tail + a_term + t_term)
+        grad_q = np.array([0.5 * (ga_q[i] + gt_q[i]) for i in range(k)])
+        grad_lev = np.array([0.5 * (ga_lev[l] + gt_lev[l]) for l in range(k + 1)])
+        return value, grad_q, grad_lev, 0.5 * (xi1p + adj)
+    b2 = beta * beta
+    value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
+    grad_q = np.array([0.5 * (b2 * ga_q[i] + gt_q[i]) for i in range(k)])
+    if k:
+        grad_q[k - 1] -= 0.5 / (1.0 - qext[k])
+    grad_lev = np.array([0.5 * (b2 * ga_lev[l] + gt_lev[l]) for l in range(k)])
+    return value, grad_q, grad_lev, 0.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("beta", [1.7, None], ids=["finite", "zero"])
+def test_step_value_grad_is_bit_identical_to_the_frozen_oracle(beta):
+    # random layouts at k = 0..8, with a degree-1 mixture, zero bottom levels
+    # (the series branch) and numpy-float inputs as the Newton polish passes
+    rng = np.random.default_rng(26)
+    mixtures = [Mixture({1: 0.3, 2: 1.0}), Mixture({2: 0.5, 4: 0.5}), Mixture(TWO_RSB_MIX)]
+    for n in range(1800):
+        k = n % 9
+        m = mixtures[n % 3] if n % 4 else random_mixture(rng)
+        qs = tuple(np.sort(rng.uniform(0.0, Q_CAP, k)).tolist())
+        levels = np.sort(rng.uniform(0.0, 1.0 if beta is not None else 3.0, k + 1))
+        if n % 5 == 0:
+            levels[0] = 0.0
+        if beta is not None:
+            levels[-1] = 1.0
+        levels = tuple(levels.tolist())
+        tail = 0.0 if beta is not None else float(rng.uniform(1e-3, 2.0))
+        if n % 7 == 0:
+            qs, levels = tuple(map(np.float64, qs)), tuple(map(np.float64, levels))
+        got = rsb._step_value_grad(m, beta, qs, levels, tail)
+        want = frozen_step_value_grad(m, beta, qs, levels, tail)
+        assert [_bits(g) for g in got] == [_bits(w) for w in want], (n, k)
+
 
 
 def _cum_softmax(raw):
@@ -463,7 +586,7 @@ def reference_raw_objective(raw, m, k, beta):
     if k:
         p, partial = _cum_softmax(raw[:n_q])
         qs = tuple(Q_CAP * partial)
-    value, gq, g_lev, g_tail = rsb._step_value_grad(m, beta, qs, levels, tail)
+    value, gq, g_lev, g_tail = frozen_step_value_grad(m, beta, qs, levels, tail)
     grad = pull_levels(g_lev, g_tail)
     if k:
         grad = np.concatenate([Q_CAP * _cum_softmax_vjp(p, partial, gq), grad])
@@ -1054,6 +1177,20 @@ def test_lbfgs_driver_matches_scipy_minimize(mix, beta, k_levels, exit_seen):
             assert (value, nit, nfev) == (ref.fun, ref.nit, ref.nfev), (k, s)
             exits.add(ref.message.split(":")[0])
     assert exit_seen in exits and "CONVERGENCE" in exits
+
+
+@pytest.mark.parametrize(
+    "beta, nit, nfev, value",
+    [(2.0, 377, 492, 1.7589055627867116), (None, 297, 387, 1.656998363527511)],
+    ids=["finite", "zero"],
+)
+def test_descent_trajectory_is_pinned(beta, nit, nfev, value):
+    # {2:.5,4:.5} at k = 2 from seeded start 0: iteration and evaluation
+    # counts and the exact final value, recorded from the array-reference
+    # objective, move if any iterate of the descent moves
+    raw0 = rsb._level_starts(beta, 2, SolverConfig(), None)[0][0]
+    _, got, got_nit, got_nfev = rsb._lbfgs(raw0, Mixture({2: 0.5, 4: 0.5}), 2, beta)
+    assert (got_nit, got_nfev, got) == (nit, nfev, value)
 
 
 def test_the_memo_is_bounded():
