@@ -1,9 +1,10 @@
-"""Counter-based random streams.
+"""Counter-based random streams for the solver's multistarts.
 
-Every stochastic routine draws from a Philox generator keyed by
-(seed, stream, substream). Philox is counter based, so streams for
-different keys are independent and a keyed stream can be recreated
-anywhere (e.g. in a worker process) without sharing state.
+The solver draws its random starts from a Philox generator keyed by
+(seed, stream, substream); the Monte Carlo lab keys its own streams
+(mclab._stream). Philox is counter based, so streams for different keys
+are independent and a keyed stream can be recreated anywhere without
+sharing state.
 """
 from __future__ import annotations
 

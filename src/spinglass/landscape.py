@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BadInputError, RegimeMismatchError, SolverFailedError
+from .errors import BadInputError, RegimeMismatchError, SolverFailedError, _check_count
 from .mixtures import Mixture, sigma_inverse
 from .rsb import (
     CsResult,
@@ -197,15 +197,16 @@ def ground_state_curve(
     """Trace the ground-state energy and its radial slope over q_grid by
     independent zero-temperature solves at each radius.
 
-    The grid must be strictly increasing in (0, 1]; it is checked before the
-    first solve. A failed solve re-raises its SolverFailedError with the
-    rows solved before it, as (q, E*, R*) triples in grid order, in its rows
-    attribute.
+    The grid must be strictly increasing in (0, 1] and workers an integer
+    >= 1; both are checked before the first solve. A failed solve re-raises
+    its SolverFailedError with the rows solved before it, as (q, E*, R*)
+    triples in grid order, in its rows attribute.
     """
     qs = tuple(float(q) for q in q_grid)
     if not qs:
         raise BadInputError("empty q grid")
     _check_q_grid(qs)
+    _check_count("workers", workers, 1)
 
     def solve_one(q: float):
         return ground_state_point(m, q, config=config)

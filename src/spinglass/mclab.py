@@ -19,9 +19,7 @@ no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 
 import functools
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -59,17 +57,6 @@ __all__ = [
 
 _MAGIC = b"SGMC"
 _HEADER = struct.Struct("<4sIII")  # magic, version, dimension, row count
-
-
-def _thread_count() -> int:
-    text = os.environ.get("SPINGLASS_THREADS", "1")
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise BadInputError(f"SPINGLASS_THREADS must be an integer >= 1, got {text!r}")
-    return count
 
 
 # Spawn keys: (field, 0) for the drawn coefficients, (field, _FINDER_LANE) for
@@ -640,13 +627,7 @@ def empirical_complexity(
         hist, _, _ = np.histogram2d(es, rs, bins=(e_edges, r_edges))
         return hist
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_field = list(pool.map(one_field, range(n_fields)))
-    else:
-        per_field = [one_field(i) for i in range(n_fields)]
-    stack = np.array(per_field)
+    stack = np.array([one_field(i) for i in range(n_fields)])
     mean_counts = stack.mean(axis=0)
     log_counts = _log_scaled(mean_counts, n)
 

@@ -245,20 +245,22 @@ class Mixture:
         arr = np.asarray(self._c) * (s ** np.arange(len(self._c), dtype=float))
         return self._from_array(arr)
 
-    def _shifted_coeffs(self, q: float) -> np.ndarray:
-        """Coefficient array of t -> xi(t + q), by binomial convolution."""
-        n = len(self._c)
-        out = np.zeros(n)
-        for p, g in enumerate(self._c):
+    def _recentred(self, q: float, s: float, keep_linear: bool) -> "Mixture":
+        """Return xi(q + s*t) - xi(q), less xi'(q) s t unless keep_linear:
+        the one recentring map behind every band covariance. The shift is a
+        binomial convolution; subtracting xi(q) (and xi'(q) s t) zeroes the
+        constant (and linear) slot exactly."""
+        arr = np.zeros(len(self._c))
+        for p, g in enumerate(self._c[1:], 1):
             if g == 0.0:
-                continue
-            if p == 0:
-                out[0] += g
                 continue
             qp = q ** np.arange(p, -1, -1)  # q^(p-j) for j = 0..p
             for j in range(p + 1):
-                out[j] += g * math.comb(p, j) * qp[j]
-        return out
+                arr[j] += g * math.comb(p, j) * qp[j]
+        arr[0] = 0.0
+        if not keep_linear:
+            arr[1] = 0.0
+        return self._from_array(arr * (s ** np.arange(len(arr), dtype=float)))
 
     def shift_restrict(self, q: float) -> tuple["Mixture", "Mixture", "Mixture"]:
         """Covariances of the field recentered at overlap q.
@@ -275,13 +277,8 @@ class Mixture:
         """
         if not 0.0 <= q < 1.0:
             raise MixtureError(f"recentering overlap must be in [0,1), got {q}")
-        shifted = self._shifted_coeffs(q)
-        shifted[0] = 0.0  # subtract xi(q): kills the constant exactly
-        shifted[1] = 0.0  # subtract xi'(q) t: kills the linear part exactly
-        xi_q = self._from_array(shifted)
-        xi_bar_q = xi_q.scale_domain(1.0 - q)
-        xi_hat_q = self.scale_domain(q)
-        return xi_q, xi_bar_q, xi_hat_q
+        xi_q = self._recentred(q, 1.0, keep_linear=False)
+        return xi_q, xi_q.scale_domain(1.0 - q), self.scale_domain(q)
 
     def band_section(self, q: float) -> "Mixture":
         """Covariance of the original field along a sub-sphere of common
@@ -290,10 +287,7 @@ class Mixture:
         """
         if not 0.0 <= q < 1.0:
             raise MixtureError(f"section overlap must be in [0,1), got {q}")
-        shifted = self._shifted_coeffs(q)
-        shifted[0] = 0.0
-        arr = shifted * ((1.0 - q) ** np.arange(len(shifted), dtype=float))
-        return self._from_array(arr)
+        return self._recentred(q, 1.0 - q, keep_linear=True)
 
     def level_mixtures(self, ladder: Sequence[float]) -> list["Mixture"]:
         """Per-level reduced covariances for a support ladder.
@@ -306,10 +300,7 @@ class Mixture:
         for a, b in zip(qs, qs[1:]):
             if not a < b:
                 raise MixtureError(f"ladder must be strictly increasing in (0,1): {ladder}")
-        return [
-            self.shift_restrict(qs[m])[0].scale_domain(qs[m + 1] - qs[m])
-            for m in range(len(qs) - 1)
-        ]
+        return [self._recentred(a, b - a, keep_linear=False) for a, b in zip(qs, qs[1:])]
 
     def fp_mixtures(self, r: float, q1: float, rho: float) -> "Mixture":
         """Covariance of the Franz-Parisi section: the section at tau (the

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from spinglass import franz_parisi, rsb
 from spinglass.errors import (
@@ -336,6 +337,34 @@ def test_potentials_are_scale_covariant(regime, coeffs, lam, beta, beta_prime, r
         a = fp_low(scaled, beta, beta_prime, r, scan_points=8)
         b = fp_low(Mixture(coeffs), s * beta, s * beta_prime, r, scan_points=8)
     assert a.value == pytest.approx(b.value, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "coeffs, beta",
+    [({3: 1.0}, 1.16), ({3: 1.0}, 1.18), ({3: 1.0}, 1.20), ({3: 1.0, 4: 0.3}, 1.0658),
+     ({3: 1.0, 4: 0.3}, 1.0914)],
+)
+def test_fp_minimum_sits_at_the_m1_root(coeffs, beta):
+    # Above the dynamical transition V(r) = -[FP(r) + log(1 - r^2)/2] at
+    # beta' = beta has a secondary minimum at the upper root of the m=1
+    # equation beta^2 xi'(q) (1 - q) = q (Franz-Parisi 1995); the lower root
+    # is the barrier between it and r = 0.
+    m = Mixture(coeffs)
+
+    def m1_gap(q):
+        return beta * beta * m.eval(q, 1) * (1.0 - q) / q - 1.0
+
+    peak = minimize_scalar(lambda q: -m1_gap(q), bounds=(1e-3, 1.0 - 1e-3), method="bounded").x
+    assert m1_gap(peak) > 0.0
+    lower = brentq(m1_gap, 1e-3, peak, xtol=1e-14)
+    upper = brentq(m1_gap, peak, 1.0 - 1e-9, xtol=1e-14)
+
+    def potential(r):
+        return -(fp_high(m, beta, beta, r).value + 0.5 * math.log(1.0 - r * r))
+
+    found = minimize_scalar(potential, bounds=(lower, 0.95), method="bounded",
+                            options={"xatol": 1e-10})
+    assert found.x == pytest.approx(upper, rel=0.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,16 @@ def test_curve_rejects_its_grid_before_any_solve(grid, monkeypatch):
         ground_state_curve(pure(3), grid)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"], ids=repr)
+def test_curve_rejects_a_bad_worker_count_before_any_solve(workers, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid point")
+
+    monkeypatch.setattr(landscape, "zt_minimize", unreachable)
+    with pytest.raises(BadInputError, match="workers"):
+        ground_state_curve(pure(3), (0.5, 1.0), workers=workers)
+
+
 def test_curve_container_validation():
     with pytest.raises(BadInputError):
         GroundStateCurve((0.5, 0.4), (1.0, 1.1), (1.0, 1.0))

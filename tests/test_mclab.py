@@ -791,13 +791,6 @@ class TestComplexity:
         assert not np.isnan(est.ci_low).any()
         assert not np.isnan(est.ci_high).any()
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        est = self.run_small()
-        monkeypatch.setenv("SPINGLASS_THREADS", "3")
-        threaded = self.run_small()
-        assert np.array_equal(est.mean_counts, threaded.mean_counts)
-        assert np.array_equal(est.ci_low, threaded.ci_low)
-
     def test_validation(self):
         with pytest.raises(BadInputError):
             empirical_complexity(

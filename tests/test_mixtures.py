@@ -282,6 +282,66 @@ def test_level_mixtures_rejects_bad_ladder():
         xi.level_mixtures([0.0, 0.5])
 
 
+# The transforms as they were before they shared one recentring map: a frozen
+# copy of the old Mixture._shifted_coeffs, shift_restrict, band_section and
+# level_mixtures (renamed only), the reference for their bit identity.
+def _frozen_shifted_coeffs(xi: Mixture, q: float) -> np.ndarray:
+    n = len(xi._c)
+    out = np.zeros(n)
+    for p, g in enumerate(xi._c):
+        if g == 0.0:
+            continue
+        if p == 0:
+            out[0] += g
+            continue
+        qp = q ** np.arange(p, -1, -1)  # q^(p-j) for j = 0..p
+        for j in range(p + 1):
+            out[j] += g * math.comb(p, j) * qp[j]
+    return out
+
+
+def frozen_shift_restrict(xi: Mixture, q: float):
+    shifted = _frozen_shifted_coeffs(xi, q)
+    shifted[0] = 0.0  # subtract xi(q): kills the constant exactly
+    shifted[1] = 0.0  # subtract xi'(q) t: kills the linear part exactly
+    xi_q = xi._from_array(shifted)
+    xi_bar_q = xi_q.scale_domain(1.0 - q)
+    xi_hat_q = xi.scale_domain(q)
+    return xi_q, xi_bar_q, xi_hat_q
+
+
+def frozen_band_section(xi: Mixture, q: float) -> Mixture:
+    shifted = _frozen_shifted_coeffs(xi, q)
+    shifted[0] = 0.0
+    arr = shifted * ((1.0 - q) ** np.arange(len(shifted), dtype=float))
+    return xi._from_array(arr)
+
+
+def frozen_level_mixtures(xi: Mixture, ladder) -> list[Mixture]:
+    qs = [0.0, *map(float, ladder), 1.0]
+    return [
+        frozen_shift_restrict(xi, qs[m])[0].scale_domain(qs[m + 1] - qs[m])
+        for m in range(len(qs) - 1)
+    ]
+
+
+def test_recentring_transforms_are_bit_identical_to_the_frozen_oracle():
+    rng = np.random.default_rng(27)
+    for trial in range(300):
+        degs = rng.choice(np.arange(1, mixtures.DEGREE_CAP + 1), size=rng.integers(1, 7),
+                          replace=False)
+        const = float(rng.uniform(0.0, 1.0)) if trial % 2 else 0.0
+        xi = Mixture({int(p): float(rng.uniform(0.01, 2.0)) for p in degs}, const_term=const)
+        for q in (0.0, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.9, 0.999))):
+            assert [t._c for t in xi.shift_restrict(q)] == [
+                t._c for t in frozen_shift_restrict(xi, q)
+            ]
+            assert xi.band_section(q)._c == frozen_band_section(xi, q)._c
+        ladder = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(1, 4)))
+        got = [t._c for t in xi.level_mixtures(ladder)]
+        assert got == [t._c for t in frozen_level_mixtures(xi, ladder)]
+
+
 def test_scale_domain_degenerate():
     xi = Mixture({2: 1.0, 3: 1.0})
     z = xi.scale_domain(0.0)
