@@ -6,11 +6,14 @@ points by projected Newton iteration, estimates complexity histograms over
 independent field draws, and samples conditional field values exactly from
 the Gaussian law, as an oracle for the analytic conditioning kernels.
 
-A field keeps its coefficients as drawn and builds, when constructed, the
-one symmetric copy its kernels (energy, gradient, Hessian) read: the average
-over slot permutations, packed over sorted slot pairs (about half the
-coefficients of a dense degree-3 tensor, a quarter of a degree-4 one). Both
-define the same polynomial; independent contractions check the drawn one.
+A field builds, when constructed, the one symmetric copy its kernels
+(energy, gradient, Hessian) read: the average over slot permutations, packed
+over sorted slot pairs (about half the coefficients of a dense degree-3
+tensor, a quarter of a degree-4 one). A sampled field then holds only that
+copy and the key it was drawn from; its coefficients as drawn, which define
+the same polynomial and which independent contractions check, are drawn
+again from the key when first read. A field built from given coefficients
+keeps them.
 
 Everything here is desk scale: dimensions are capped so dense tensors stay
 in memory, and the critical-point finder is a multi-start local method with
@@ -20,7 +23,7 @@ no exhaustiveness guarantee (outputs built on it are labeled exploratory).
 import functools
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +99,11 @@ class FieldSample:
     already scaled so that the field's covariance at overlap t is n * xi(t);
     the degree-0 entry, when present, is the random constant term. Degrees
     run from 0 to 4, tensors[p] has shape (n,) * p and holds finite real
-    numbers. tensors is a new dict of the caller's objects, left unchanged.
+    numbers. A field built from given tensors keeps a new dict of the
+    caller's objects, left unchanged. A field from sample_field holds no
+    tensors: its first read of tensors draws them again from the key
+    (mixture, n, seed, field_index), bit for bit as sample_field drew them,
+    and keeps them, so later reads return the same objects.
 
     Construction builds the one symmetric copy the kernels read: S_p, the
     average of tensors[p] over slot permutations, packed over sorted slot
@@ -111,7 +118,7 @@ class FieldSample:
     mixture: Mixture
     seed: int
     field_index: int
-    tensors: dict[int, np.ndarray]
+    tensors: dict[int, np.ndarray] = dataclass_field(repr=False)  # a read may redraw them
 
     def __post_init__(self) -> None:
         _check_count("dimension", self.n, 2)
@@ -129,9 +136,18 @@ class FieldSample:
         self.tensors = dict(self.tensors)
         self._forms = {p: _packed(np.asarray(t, dtype=float)) for p, t in self.tensors.items()}
 
+    def __getattr__(self, name: str):
+        # only reached when tensors is not set: a sampled field draws them
+        # again from its key on the first read
+        if name != "tensors":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        drawn = _draw(self.mixture, self.n, self.seed, self.field_index)
+        return self.__dict__.setdefault("tensors", drawn)
+
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tensors))
+        """The degrees the field holds, from its packed forms."""
+        return tuple(sorted(self._forms))
 
     def energy(self, x) -> float:
         """Field value at a point of the ball of squared radius n."""
@@ -301,25 +317,36 @@ def _capacity_check(degrees, n: int) -> None:
         )
 
 
+def _draw(m: Mixture, n: int, seed: int, field_index: int) -> dict[int, np.ndarray | float]:
+    """The coefficients of field (seed, field_index) as drawn, in a new dict:
+    independent standard normals scaled by sqrt(coefficient) * n**(-(p-1)/2)
+    per degree; the constant term is a float."""
+    rng = _stream(seed, field_index, 0)
+    tensors: dict[int, np.ndarray | float] = {}
+    if m.const_term > 0.0:
+        tensors[0] = math.sqrt(m.const_term * n) * rng.standard_normal()
+    for p in m.degrees:
+        scale = math.sqrt(m.coeffs[p]) * n ** (-(p - 1) / 2.0)
+        tensors[p] = scale * rng.standard_normal((n,) * p)
+    return tensors
+
+
 def sample_field(m: Mixture, n: int, seed: int, field_index: int = 0) -> FieldSample:
     """Draw one field realization: independent standard normal coefficients
-    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree, kept as drawn in
-    FieldSample.tensors; FieldSample builds its packed symmetric form."""
+    scaled by sqrt(coefficient) * n**(-(p-1)/2) per degree. The field packs
+    them into its symmetric form and lets them go; FieldSample.tensors draws
+    them again from the key (m, n, seed, field_index) when first read."""
     degrees = m.degrees
     if not degrees and m.const_term == 0.0:
         raise BadInputError("mixture has no active degrees")
     _check_count("dimension", n, 2)
     _capacity_check(degrees or (1,), n)
-    rng = _stream(seed, field_index, 0)
-    tensors: dict[int, np.ndarray] = {}
-    if m.const_term > 0.0:
-        tensors[0] = math.sqrt(m.const_term * n) * rng.standard_normal()
-    for p in degrees:
-        scale = math.sqrt(m.coeffs[p]) * n ** (-(p - 1) / 2.0)
-        tensors[p] = scale * rng.standard_normal((n,) * p)
-    return FieldSample(
-        n=n, mixture=m, seed=int(seed), field_index=int(field_index), tensors=tensors
+    field = FieldSample(
+        n=n, mixture=m, seed=int(seed), field_index=int(field_index),
+        tensors=_draw(m, n, seed, field_index),
     )
+    del field.tensors
+    return field
 
 
 # =============================================================== Gibbs MCMC
@@ -740,7 +767,9 @@ def overlap_statistics(run_a: GibbsRun, run_b: GibbsRun) -> OverlapHistogram:
     """Histogram of pairwise normalized overlaps between the samples of two
     chains over the same field, in 41 equal bins on [-1, 1].
     Passing the same run twice uses distinct index pairs within it, so that
-    run needs at least two samples."""
+    run needs at least two samples. Overlaps are clipped into [-1, 1]: a
+    state repeated by a rejected move has overlap 1 up to rounding, which
+    may land just above it."""
     if run_a.n != run_b.n:
         raise BadInputError("runs must share the dimension")
     if run_a.seed != run_b.seed or run_a.field_index != run_b.field_index:
@@ -755,6 +784,7 @@ def overlap_statistics(run_a: GibbsRun, run_b: GibbsRun) -> OverlapHistogram:
         overlaps = prods[idx]
     else:
         overlaps = prods.ravel()
+    np.clip(overlaps, -1.0, 1.0, out=overlaps)
     counts, edges = np.histogram(overlaps, bins=41, range=(-1.0, 1.0))
     return OverlapHistogram(overlaps=overlaps, edges=edges, counts=counts)
 

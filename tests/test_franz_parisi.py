@@ -342,7 +342,7 @@ def test_potentials_are_scale_covariant(regime, coeffs, lam, beta, beta_prime, r
 @pytest.mark.parametrize(
     "coeffs, beta",
     [({3: 1.0}, 1.16), ({3: 1.0}, 1.18), ({3: 1.0}, 1.20), ({3: 1.0, 4: 0.3}, 1.0658),
-     ({3: 1.0, 4: 0.3}, 1.0914)],
+     ({3: 1.0, 4: 0.3}, 1.0914), ({2: 0.2, 3: 0.8}, 1.1145), ({2: 0.2, 3: 0.8}, 1.1224)],
 )
 def test_fp_minimum_sits_at_the_m1_root(coeffs, beta):
     # Above the dynamical transition V(r) = -[FP(r) + log(1 - r^2)/2] at

@@ -446,6 +446,30 @@ class TestSymmetricTensors:
         assert after[0] == kernels[0]
         assert all(np.array_equal(a, b) for a, b in zip(after[1:], kernels[1:]))
 
+    @pytest.mark.parametrize("coeffs, const", [({4: 1.0}, 0.0), ({2: 0.5, 4: 0.5}, 0.3)],
+                             ids=["p4", "p2+p4+const"])
+    def test_a_sampled_field_holds_its_packed_form_and_redraws_tensors_on_read(self, coeffs, const):
+        # at (4, 24) the draw is 3.3 MB and the packed form 0.72 MB: the field
+        # lets the draw go, and a read of tensors draws it again from the key
+        m = Mixture(coeffs, const_term=const)
+        tracemalloc.start()
+        try:
+            f = sample_field(m, 24, seed=1)
+            repr(f)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * sum(np.asarray(form).nbytes for form in f._forms.values())
+        tensors = f.tensors
+        want = sample_field(m, 24, seed=1).tensors
+        assert f.degrees == tuple(sorted(tensors)) == tuple(sorted(want))
+        for p, t in tensors.items():
+            assert type(t) is type(want[p]) and np.array_equal(t, want[p])
+            assert np.asarray(t).dtype == np.asarray(want[p]).dtype
+        if const:
+            assert type(tensors[0]) is float and tensors[0] == raw_draw(m, 24, 1)[0]
+        assert f.tensors is tensors and all(f.tensors[p] is t for p, t in tensors.items())
+
     def test_symmetrizing_keeps_at_most_one_extra_tensor_alive(self):
         # at the (4, 64) cap one tensor is 134 MB: the draw and its symmetric
         # copy may coexist, a third copy may not
@@ -545,6 +569,31 @@ class TestPackedKernels:
         for i, row in enumerate(results):
             for k, got in enumerate(row):
                 assert np.array_equal(got, want[(i + k) % 3])
+
+    def test_threads_racing_on_the_first_read_of_tensors_get_one_draw(self):
+        m = Mixture({2: 0.5, 4: 0.4})
+        fresh = sample_field(m, 12, seed=9)
+        barrier = threading.Barrier(6, timeout=30)
+        results = [None] * 6
+
+        def work(i):
+            barrier.wait()
+            results[i] = fresh.tensors
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(got is fresh.tensors for got in results)
+        want = sample_field(m, 12, seed=9).tensors
+        assert all(np.array_equal(fresh.tensors[p], want[p]) for p in want)
 
     def test_kernels_do_not_read_the_dense_tensors_after_packing(self):
         class Unreadable:
@@ -1012,6 +1061,21 @@ class TestOverlapAndDumps:
             overlap_statistics(run, run)
         pair = gibbs_mcmc(f, 0.0, MCConfig(steps=10, burn_in=0, thin=5))
         assert overlap_statistics(pair, pair).overlaps.size == 1
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
+    def test_a_run_compared_with_itself_keeps_the_pairs_at_overlap_one(self, beta):
+        # a rejected move repeats the state, and x.x/n of a repeated state
+        # can round to just above 1; such pairs belong in the top bin
+        f = sample_field(Mixture({3: 1.0}), 32, seed=1)
+        run = gibbs_mcmc(f, beta, MCConfig(steps=400, burn_in=100, thin=1))
+        hist = overlap_statistics(run, run)
+        pairs = 400 * 399 // 2
+        assert hist.counts.sum() == hist.overlaps.size == pairs
+        assert -1.0 <= hist.overlaps.min() and hist.overlaps.max() <= 1.0
+        assert hist.mass_in(0.9, 1.0) == np.count_nonzero(hist.overlaps >= 0.9) / pairs
+        i, j = np.triu_indices(400, k=1)
+        repeats = np.count_nonzero(np.all(run.samples[i] == run.samples[j], axis=1))
+        assert repeats > 0 and hist.counts[-1] >= repeats
 
     def test_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
