@@ -1,4 +1,4 @@
-"""Shared error taxonomy, and the one integer check that raises it.
+"""Shared error taxonomy, and the integer and real-number checks that raise it.
 
 The CLI maps these to exit codes: bad input -> 1, solver failures -> 2,
 capacity limits -> 3. Singular-matrix errors exit 2, even though they
@@ -62,3 +62,10 @@ def _check_count(name: str, value, minimum: int | None) -> None:
     ):
         bound = "" if minimum is None else f" >= {minimum}"
         raise BadInputError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a value that is a bool or not a real number with
+    BadInputError; the caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadInputError(f"{name} must be a real number, got {value!r}")

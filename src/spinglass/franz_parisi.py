@@ -25,6 +25,7 @@ from .errors import (
     RegimeMismatchError,
     SolverFailedError,
     _check_count,
+    _check_real,
 )
 from .landscape import _free_energy_slope
 from .mixtures import Mixture, section_half_width, tau
@@ -88,6 +89,7 @@ class FPQuery:
     ) -> "FPQuery":
         """Classify the sampling temperature against the symmetric phase
         boundary of the mixture."""
+        _validate_inputs(beta, beta_prime, r)
         regime = "high" if beta <= beta_c(m) else "low"
         return cls(beta=beta, beta_prime=beta_prime, r=r, regime=regime)
 
@@ -108,6 +110,8 @@ class FPResult:
 
 
 def _validate_inputs(beta: float, beta_prime: float, r: float) -> None:
+    for name, value in (("beta", beta), ("beta_prime", beta_prime), ("r", r)):
+        _check_real(name, value)
     if not beta > 0.0:
         raise BadInputError(f"sampling inverse temperature must be positive, got {beta}")
     if not beta_prime > 0.0:

@@ -37,7 +37,7 @@ from .conditioning import (
     hessian_decomposition,
     schur_condition,
 )
-from .errors import BadInputError, CapacityExceededError, _check_count
+from .errors import BadInputError, CapacityExceededError, _check_count, _check_real
 from .mixtures import Mixture
 
 __all__ = [
@@ -435,6 +435,7 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
     during burn-in and is frozen afterwards; every state is renormalized to
     the sphere after each move.
     """
+    _check_real("inverse temperature", beta)
     if not 0.0 <= beta < math.inf:
         raise BadInputError(f"inverse temperature must be nonnegative and finite, got {beta}")
     cfg = config if config is not None else MCConfig()

@@ -182,15 +182,18 @@ class Mixture:
         self._tables[order] = table
         return table
 
+    def _table(self, order: int) -> tuple[float, ...]:
+        """The order-th derivative's Horner coefficients, built on first use."""
+        table = self._tables.get(order)
+        return self._horner_table(order) if table is None else table
+
     def _eval_floats(self, ts, *orders: int) -> list[list[float]]:
         """For each derivative order given, its values at every float of ts
         (Python or numpy float64), as one list: the scalar Horner scheme,
         one call for many points. eval's scalar path is its one-point case."""
         outs = []
         for order in orders:
-            table = self._tables.get(order)
-            if table is None:
-                table = self._horner_table(order)
+            table = self._table(order)
             out = []
             for t in ts:
                 value = 0.0
@@ -209,9 +212,7 @@ class Mixture:
         """
         if type(t) is float or np.ndim(t) == 0:
             return self._eval_floats((float(t),), order)[0][0]
-        table = self._tables.get(order)
-        if table is None:
-            table = self._horner_table(order)
+        table = self._table(order)
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
         for coef in table:

@@ -31,14 +31,23 @@ by Newton root-finding on the gradient, and raises the atom count k until
 the answer certifies. The quasi-Newton pass is L-BFGS-B, driven through
 scipy's compiled step routine setulb directly: it takes the iterates that
 scipy.optimize.minimize would, without minimize's per-evaluation wrapper,
-which cost about as much as the objective itself. Every engine function
-takes the one temperature switch beta, a float at finite temperature and
-None at zero temperature; cs_minimize and zt_minimize are its two settings.
+which cost about as much as the objective itself. Each descent builds one
+objective around one kernel, which binds the mixture's Horner tables and
+xi, xi' at 0 and 1 once. The polish is MINPACK's hybrd, called through
+scipy's compiled _minpack._hybrd the way scipy.optimize.root(method="hybr")
+calls it, so it reaches the same point without root's wrapper and the
+extra evaluation of its shape check. Every engine function takes the one
+temperature switch beta, a float at finite temperature and None at zero
+temperature; cs_minimize and zt_minimize are its two settings.
 
 Optimality is certified by first-order conditions of obstacle type: the
 support of the order parameter must sit inside the argmax of an explicitly
-integrable profile function. A solve returns a certified answer or raises
-SolverFailedError carrying the best candidate's residuals.
+integrable profile function. The profile is read as arrays on a fixed mesh
+and at floats where its maximum is refined and at the support; the step
+table's H answers a float by a scalar path, bit for bit its array value
+(numpy's log and power on floats), so a float read costs no 0-d arrays. A
+solve returns a certified answer or raises SolverFailedError carrying the
+best candidate's residuals.
 
 Solves are memoised per process: cs_minimize, zt_minimize and beta_c return
 one shared immutable result for equal inputs (a bounded LRU memo), so the
@@ -50,6 +59,7 @@ memoised; a failing solve raises afresh on every call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -57,7 +67,7 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar, root
+from scipy.optimize import _minpack, minimize_scalar
 from scipy.optimize._lbfgsb import setulb  # C port, scipy >= 1.15; verified on 1.17.1
 
 from ._rng import STREAM_SOLVER, stream
@@ -67,6 +77,7 @@ from .errors import (
     RegimeMismatchError,
     SolverFailedError,
     _check_count,
+    _check_real,
 )
 from .mixtures import Mixture
 
@@ -268,7 +279,8 @@ class SolverConfig:
     atom_tol only sets the mass below which a candidate's atoms merge:
     max(10 * atom_tol, 1e-6). The certificates read their profile on the
     fixed CERT_MESH = 2000 uniform points plus a refinement at the support;
-    that mesh is not a setting.
+    that mesh is not a setting. seed keys the multistart streams by its 64
+    bits, so it must lie in [0, 2**64).
     """
 
     k_max: int = 3
@@ -280,7 +292,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         _check_count("k_max", self.k_max, 0)
         _check_count("starts", self.starts, 1)
-        _check_count("seed", self.seed, None)
+        _check_count("seed", self.seed, 0)
+        if self.seed >= 2**64:
+            # the multistart streams are keyed by the seed's 64 bits
+            raise BadInputError(f"seed must be below 2**64, got {self.seed}")
         if not (0.0 < self.atom_tol < math.inf and 0.0 < self.cert_tol < math.inf):
             raise BadInputError("atom_tol and cert_tol must be positive and finite")
 
@@ -311,12 +326,10 @@ def _tail_breaks(qext: Sequence[float], levels: Sequence[float], tail: float) ->
     return p
 
 
-def _step_value_grad(
-    m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
-):
-    """Closed-form value of either functional with its gradient in
-    (q_1..q_k, levels, tail), as (value, grad_q, grad_lev, grad_tail) with
-    the two gradients as lists of floats.
+def _kernel(m: Mixture, beta: float | None):
+    """Closed-form value of either functional for the mixture m, as a
+    function (qs, levels, tail) -> (value, grad_q, grad_lev, grad_tail) with
+    the two gradients in (q_1..q_k, levels) as lists of floats.
 
     levels holds one value per segment of [0, 1] cut at qs. With beta None
     this is the zero-temperature functional with c = tail, differentiated in
@@ -324,66 +337,90 @@ def _step_value_grad(
     tail is 0; the top segment's divergent inverse integral is replaced by
     log(1 - q_hat), and only the k free levels are differentiated.
 
-    One scalar pass over Python floats, xi and xi' read at all k + 2 points
-    by one Mixture._eval_floats call. Its operations and their order are a
-    contract: the results are bit for bit those of the tests' frozen oracle
-    (one Mixture.eval per point, numpy gradient arrays), so no rewrite moves
-    an L-BFGS iterate. The level term stays the builtin sum, which Python
-    >= 3.12 compensates.
+    It binds xi's and xi''s Horner tables and their values at 0 and 1 once;
+    a call reads xi and xi' at the k breakpoints by Mixture.eval's Horner
+    scheme, in one scalar pass over Python floats. Its operations and their
+    order are a contract: the results are bit for bit those of the tests'
+    frozen oracle (one Mixture.eval per point, numpy gradient arrays), so no
+    rewrite moves an L-BFGS iterate. The level term stays the builtin sum,
+    which Python >= 3.12 compensates.
     """
-    k = len(qs)
-    qext = (0.0, *qs, 1.0)
-    xi, xip = m._eval_floats(qext, 0, 1)
-    ga_lev = list(map(sub, xi[1:], xi))
-    a_term = sum(map(mul, levels, ga_lev))
-    drops = list(map(sub, levels, levels[1:]))
-    p_break = _tail_breaks(qext, levels, tail)
+    tab, tab_p = m._table(0), m._table(1)
+    (xi0, xi1), (_, xi1p) = m._eval_floats((0.0, 1.0), 0, 1)
+    b2 = None if beta is None else beta * beta
 
-    # segment l contributes Int 1/L over its width d, for L linear with right
-    # value ep = P_{l+1} > 0 and slope -a = -levels[l] <= 0: log1p(a d / ep) / a,
-    # continued smoothly through a = 0, with its partials in a, ep and d.
-    # It reads P_{l+1}, which contains lev_j d_j for every j > l. adj, the sum
-    # of d t_term / d P_{l+1} over the segments below, thus gives lev_j adj * d_j
-    # and q_{j+1}, which widens d_j and narrows d_{j+1}, (lev_j - lev_{j+1}) * adj
-    t_term = adj = 0.0
-    gt_q = [0.0] * k
-    gt_lev = []
-    for l in range(k + 1 if beta is None else k):
-        a, ep, d = levels[l], p_break[l + 1], qext[l + 1] - qext[l]
-        el = ep + a * d
-        u = a * d / ep
-        if u < 1e-5:
-            # series of log1p(u)/u and its a-derivative; exact forms cancel badly here
-            val = (d / ep) * (1.0 - u / 2.0 + u * u / 3.0 - u**3 / 4.0 + u**4 / 5.0)
-            dval_da = (d * d / (ep * ep)) * (-0.5 + 2.0 * u / 3.0 - 0.75 * u * u + 0.8 * u**3)
-        else:
-            val = math.log1p(u) / a
-            dval_da = (d / el - val) / a
-        dval_dep, dval_dd = -d / (el * ep), 1.0 / el
-        t_term += val
-        gt_lev.append(adj * d + dval_da)
-        if l < k:
-            gt_q[l] = drops[l] * adj + (dval_dd - levels[l + 1] * dval_dep)
-        if l:
-            gt_q[l - 1] -= dval_dd
-        adj += dval_dep
+    def step(qs, levels, tail):
+        k = len(qs)
+        qext = (0.0, *qs, 1.0)
+        xi, xip = [xi0], []
+        for t in qs:
+            v = w = 0.0
+            for coef in tab:
+                v = v * t + coef
+            for coef in tab_p:
+                w = w * t + coef
+            xi.append(v)
+            xip.append(w)
+        xi.append(xi1)
+        ga_lev = list(map(sub, xi[1:], xi))
+        a_term = sum(map(mul, levels, ga_lev))
+        drops = list(map(sub, levels, levels[1:]))
+        p_break = _tail_breaks(qext, levels, tail)
 
-    if beta is None:
-        xi1p = xip[-1]
-        value = 0.5 * (xi1p * tail + a_term + t_term)
-        grad_q = [0.5 * (dr * xp + gt) for dr, xp, gt in zip(drops, xip[1:], gt_q)]
-        grad_lev = [0.5 * (ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
-        return value, grad_q, grad_lev, 0.5 * (xi1p + adj)
-    b2 = beta * beta
-    value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
-    grad_q = [0.5 * (b2 * (dr * xp) + gt) for dr, xp, gt in zip(drops, xip[1:], gt_q)]
-    if k:
-        grad_q[k - 1] -= 0.5 / (1.0 - qext[k])
-    grad_lev = [0.5 * (b2 * ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
-    return value, grad_q, grad_lev, 0.0
+        # segment l contributes Int 1/L over its width d, for L linear with right
+        # value ep = P_{l+1} > 0 and slope -a = -levels[l] <= 0: log1p(a d / ep) / a,
+        # continued smoothly through a = 0, with its partials in a, ep and d.
+        # It reads P_{l+1}, which contains lev_j d_j for every j > l. adj, the sum
+        # of d t_term / d P_{l+1} over the segments below, thus gives lev_j adj * d_j
+        # and q_{j+1}, which widens d_j and narrows d_{j+1}, (lev_j - lev_{j+1}) * adj
+        t_term = adj = 0.0
+        gt_q = [0.0] * k
+        gt_lev = []
+        for l in range(k + 1 if b2 is None else k):
+            a, ep, d = levels[l], p_break[l + 1], qext[l + 1] - qext[l]
+            el = ep + a * d
+            u = a * d / ep
+            if u < 1e-5:
+                # series of log1p(u)/u and its a-derivative; exact forms cancel badly here
+                val = (d / ep) * (1.0 - u / 2.0 + u * u / 3.0 - u**3 / 4.0 + u**4 / 5.0)
+                dval_da = (d * d / (ep * ep)) * (-0.5 + 2.0 * u / 3.0 - 0.75 * u * u + 0.8 * u**3)
+            else:
+                val = math.log1p(u) / a
+                dval_da = (d / el - val) / a
+            dval_dep, dval_dd = -d / (el * ep), 1.0 / el
+            t_term += val
+            gt_lev.append(adj * d + dval_da)
+            if l < k:
+                gt_q[l] = drops[l] * adj + (dval_dd - levels[l + 1] * dval_dep)
+            if l:
+                gt_q[l - 1] -= dval_dd
+            adj += dval_dep
+
+        if b2 is None:
+            value = 0.5 * (xi1p * tail + a_term + t_term)
+            grad_q = [0.5 * (dr * xp + gt) for dr, xp, gt in zip(drops, xip, gt_q)]
+            grad_lev = [0.5 * (ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
+            return value, grad_q, grad_lev, 0.5 * (xi1p + adj)
+        value = 0.5 * (b2 * a_term + t_term + (math.log1p(-qext[k]) if k else 0.0))
+        grad_q = [0.5 * (b2 * (dr * xp) + gt) for dr, xp, gt in zip(drops, xip, gt_q)]
+        if k:
+            grad_q[k - 1] -= 0.5 / (1.0 - qext[k])
+        grad_lev = [0.5 * (b2 * ga + gt) for ga, gt in zip(ga_lev, gt_lev)]
+        return value, grad_q, grad_lev, 0.0
+
+    return step
+
+
+def _step_value_grad(
+    m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
+):
+    """One call of the kernel of m at beta: (value, grad_q, grad_lev,
+    grad_tail) of the functional at the layout (qs, levels, tail)."""
+    return _kernel(m, beta)(qs, levels, tail)
 
 
 def _check_beta(beta: float) -> None:
+    _check_real("beta", beta)
     if not 0.0 < beta < math.inf:
         raise BadInputError(f"beta must be positive and finite, got {beta}")
 
@@ -439,17 +476,22 @@ class _StepTable:
     def _gh_break(self):
         qext, levels, p = self.qext.tolist(), self.levels.tolist(), self.p_break.tolist()
         n = len(levels)
-        g = np.zeros(n + 1)
-        h = np.zeros(n + 1)
+        g = [0.0] * (n + 1)
+        h = [0.0] * (n + 1)
         for j in range(n):
             d = qext[j + 1] - qext[j]
             if p[j + 1] <= 0.0:
-                g[j + 1] = np.inf
-                h[j + 1] = np.inf
+                g[j + 1] = h[j + 1] = math.inf
             else:
                 g[j + 1] = g[j] + d / (p[j] * p[j + 1])
-                h[j + 1] = h[j] + g[j] * d + self._inner(levels[j], p[j], d)
-        return g, h
+                h[j + 1] = h[j] + g[j] * d + self._inner_at(levels[j], p[j], d)
+        return np.array(g), np.array(h)
+
+    @cached_property
+    def _float_rows(self):
+        """The table as Python floats, for h's scalar path."""
+        return (self.qext.tolist(), self.levels.tolist(), self.p_break.tolist(),
+                *(b.tolist() for b in self._gh_break))
 
     @staticmethod
     def _inner(lev, p_left, sigma):
@@ -469,6 +511,24 @@ class _StepTable:
                 lev_safe * p_left
             )
         return np.where(small, series, exact)
+
+    @classmethod
+    def _inner_at(cls, lev: float, p_left: float, sigma: float):
+        """_inner at one point over floats, bit for bit its array value: the
+        cube and the log are numpy's (Python's ** and math.log round some
+        inputs differently), the square is lev * lev as numpy's is. Where
+        the exact form leaves its domain (P at or below 0, or NaN) it defers
+        to the array form, which answers inf or NaN without raising."""
+        if p_left > 0.0:
+            u = lev * sigma / p_left
+            if u < 1e-4:
+                return (sigma * sigma / (2.0 * p_left * p_left)) * (
+                    1.0 + 2.0 * u / 3.0 + 0.5 * u * u + 0.4 * np.power(u, 3)
+                )
+            rest = p_left - lev * sigma
+            if rest > 0.0:
+                return (1.0 / (lev * lev)) * np.log(p_left / rest) - sigma / (lev * p_left)
+        return cls._inner(lev, p_left, sigma)[()]
 
     def _locate(self, t):
         idx = np.searchsorted(self.qext, t, side="right") - 1
@@ -494,6 +554,13 @@ class _StepTable:
         return self._gh_break[0][j] + (t - self.qext[j]) / (pt * self.p_break[j])
 
     def h(self, t):
+        """H(t), vectorized. A Python or numpy float t takes a scalar path
+        whose value is bit for bit the array path's at that point."""
+        if isinstance(t, float):
+            qext, levels, p, g_break, h_break = self._float_rows
+            j = min(max(bisect_right(qext, t) - 1, 0), len(levels) - 1)
+            sigma = t - qext[j]
+            return h_break[j] + g_break[j] * sigma + self._inner_at(levels[j], p[j], sigma)
         t = np.asarray(t, dtype=float)
         j = self._locate(t)
         sigma = t - self.qext[j]
@@ -504,14 +571,15 @@ class _StepTable:
 
 
 def _refined_max(fun, grid_ts, grid_vals):
-    """Max over grid plus a bounded local polish around the grid argmax."""
+    """Max over grid plus a bounded local polish around the grid argmax; the
+    polish calls fun at floats."""
     i = int(np.argmax(grid_vals))
     best_t, best_v = float(grid_ts[i]), float(grid_vals[i])
     lo = float(grid_ts[max(i - 1, 0)])
     hi = float(grid_ts[min(i + 1, len(grid_ts) - 1)])
     if hi > lo:
         res = minimize_scalar(
-            lambda t: -float(fun(np.asarray(t))),
+            lambda t: -float(fun(t)),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-13},
@@ -521,17 +589,23 @@ def _refined_max(fun, grid_ts, grid_vals):
     return best_t, best_v
 
 
+# fixed pieces of the certificate mesh (see _certificate_mesh)
+_CERT_OFFSETS = np.geomspace(1e-9, 1e-2, 25)
+
+
+@lru_cache(maxsize=2)
+def _mesh_grid(top: float) -> np.ndarray:
+    """The uniform grid and the log-dense points near 0 of the mesh up to top."""
+    return np.concatenate([np.linspace(0.0, top, CERT_MESH), np.geomspace(1e-12, top, 200)])
+
+
 def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
-    ts = [np.linspace(0.0, top, CERT_MESH)]
-    offs = np.geomspace(1e-9, 1e-2, 25)
-    for q in anchor_pts:
-        ts.append(np.clip(q + offs, 0.0, top))
-        ts.append(np.clip(q - offs, 0.0, top))
-        ts.append(np.asarray([q]))
-    # log-dense points near 0 catch maxima that hug the origin
-    ts.append(np.geomspace(1e-12, top, 200))
-    out = np.unique(np.concatenate(ts))
-    return out
+    """Sorted mesh on [0, top]: CERT_MESH uniform points, every anchor with
+    25 log-spaced offsets on each side, and 200 log-dense points near 0,
+    which catch maxima that hug the origin."""
+    anchors = np.asarray(anchor_pts, dtype=float).reshape(-1, 1)
+    near = np.clip(np.concatenate([anchors + _CERT_OFFSETS, anchors - _CERT_OFFSETS]), 0.0, top)
+    return np.unique(np.concatenate([_mesh_grid(top), near.ravel(), anchors.ravel()]))
 
 
 def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance: float):
@@ -552,7 +626,7 @@ def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance:
         top = 1.0 - 1e-9
     else:
         xi1 = m.eval(1.0)
-        h1 = float(prof.h(np.asarray(1.0)))
+        h1 = float(prof.h(1.0))
 
         def profile(t):
             return -((xi1 - m.eval(t)) - (h1 - prof.h(t)))
@@ -561,7 +635,7 @@ def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance:
     ts = _certificate_mesh(support, top)
     vals = profile(ts)
     _, sup_phi = _refined_max(profile, ts, vals)
-    at_support = [float(profile(np.asarray(q))) for q in support]
+    at_support = [float(profile(q)) for q in support]
     if beta is not None:
         sup_phi = max(sup_phi, 0.0 if not support else -np.inf)
         residuals = tuple(sup_phi - v for v in at_support)
@@ -683,22 +757,34 @@ def _decode(raw: np.ndarray, k: int, beta: float | None):
     return qs, tuple(accumulate(incr)), c, q_soft, (incr, c)
 
 
+def _objective(m: Mixture, k: int, beta: float | None):
+    """The descent objective with k breakpoints: a function raw -> (value,
+    gradient array) of the functional at beta (zero temperature when None),
+    built once per descent around one kernel. It runs over Python floats
+    until the returned gradient array; the pullback keeps np.dot, whose BLAS
+    reduction order a Python loop would not reproduce."""
+    step = _kernel(m, beta)
+
+    def objective(raw):
+        qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta)
+        value, gq, g_lev, g_tail = step(qs, levels, tail)
+        grad = [Q_CAP * v for v in _softmax_pullback(*q_soft, gq)]
+        if beta is not None:
+            grad += _softmax_pullback(*lev_aux, g_lev)
+        else:
+            incr, c = lev_aux
+            grad += map(mul, incr, [*accumulate(reversed(g_lev))][::-1])
+            grad.append(g_tail * c)
+        return value, np.array(grad)
+
+    return objective
+
+
 def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
-    """Value and raw-coordinate gradient of the functional at beta (zero
-    temperature when None) with k breakpoints, over Python floats until the
-    returned gradient array. Both are bit for bit those of the tests' array
-    reference, so every descent takes the same iterates; the pullback keeps
-    np.dot, whose BLAS reduction order a Python loop would not reproduce."""
-    qs, levels, tail, q_soft, lev_aux = _decode(raw, k, beta)
-    value, gq, g_lev, g_tail = _step_value_grad(m, beta, qs, levels, tail)
-    grad = [Q_CAP * v for v in _softmax_pullback(*q_soft, gq)]
-    if beta is not None:
-        grad += _softmax_pullback(*lev_aux, g_lev)
-    else:
-        incr, c = lev_aux
-        grad += map(mul, incr, [*accumulate(reversed(g_lev))][::-1])
-        grad.append(g_tail * c)
-    return value, np.array(grad)
+    """One evaluation of the descent objective: value and raw-coordinate
+    gradient, bit for bit those of the tests' array reference, so every
+    descent takes the same iterates."""
+    return _objective(m, k, beta)(raw)
 
 
 def _encode(qs, levels, tail, beta: float | None, level_floor: float, step_floor: float = 1e-10):
@@ -767,27 +853,30 @@ _FG, _NEW_X, _STOP = 3, 1, 5  # setulb task codes
 
 
 def _lbfgs(raw0: np.ndarray, m: Mixture, k: int, beta: float | None):
-    """L-BFGS-B on _raw_objective from raw0, returning (x, value, iterations,
-    evaluations). It drives scipy's compiled step routine setulb the way
-    scipy.optimize.minimize does, so the iterates are the same; like minimize
-    it answers a request for the last evaluated point from that evaluation,
-    and value is the last one evaluated (after a failed line search, x is the
-    restored iterate). The work arrays are per call, so threads may descend
-    at once."""
+    """L-BFGS-B on the descent's objective (one _objective per call) from
+    raw0, returning (x, value, iterations, evaluations). It drives scipy's
+    compiled step routine setulb the way scipy.optimize.minimize does, so
+    the iterates are the same; like minimize it answers a request for the
+    last evaluated point (the same bytes) from that evaluation, and value is
+    the last one evaluated (after a failed line search, x is the restored
+    iterate). The work arrays are per call, so threads may descend at once."""
     n = raw0.size
     x, f, g = np.array(raw0, dtype=float), 0.0, np.zeros(n)
     free, nbd = np.zeros(n), np.zeros(n, np.int32)
     wa = np.zeros(2 * _MEMORY * n + 5 * n + 11 * _MEMORY**2 + 8 * _MEMORY)
     iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    objective = _objective(m, k, beta)
     last, nit, nfev = None, 0, 0
     while True:
         setulb(_MEMORY, x, free, free, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
                lsave, isave, dsave, _MAX_LS, ln_task)
         if task[0] == _FG:
-            if last is None or not (x == last).all():
-                last = x.copy()
-                value, grad = _raw_objective(last, m, k, beta)
+            # setulb asks again for the last point after a failed line search
+            point = x.tobytes()
+            if point != last:
+                last = point
+                value, grad = objective(x)
                 nfev += 1
             # a failed line search restores g in place; the copy keeps grad intact
             f, g = value, grad.copy()
@@ -884,6 +973,19 @@ def _feasible(qs, levels, tail, beta: float | None) -> bool:
     return tail > 0.0
 
 
+def _hybrd(fun, v0: np.ndarray):
+    """MINPACK's hybrd on fun from v0, as (x, converged). It calls scipy's
+    compiled routine with the arguments scipy.optimize.root(fun, v0,
+    method="hybr", tol=1e-13) passes (xtol 1e-13, at most 200 (n + 1)
+    evaluations, a dense forward-difference Jacobian at machine-epsilon
+    steps, step bound factor 100), so x is the same, without root's wrapper
+    and the extra evaluation of its shape check. hybrd writes its iterates
+    into the start array, so it gets a copy."""
+    x, status = _minpack._hybrd(fun, np.array(v0, dtype=float), (), 0, 1e-13, 200 * (v0.size + 1),
+                                -10, -10, np.finfo(float).eps, 100.0, None)
+    return x, status == 1
+
+
 def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
     """Newton polish of the stationarity system over the free coordinates.
 
@@ -895,6 +997,7 @@ def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
     k = len(qs)
     free = list(range(1 if levels[0] == 0.0 else 0, k if pinned else k + 1))
     start = (qs, levels, tail), value
+    step = _kernel(m, beta)
 
     def assemble(vec):
         lev = list(levels)
@@ -906,19 +1009,19 @@ def _polish(m: Mixture, beta: float | None, qs, levels, tail, value: float):
         state = assemble(vec)
         if not _feasible(*state, beta):
             return np.full(len(vec), 1e6)
-        _, gq, g_lev, g_tail = _step_value_grad(m, beta, *state)
+        _, gq, g_lev, g_tail = step(*state)
         return np.concatenate([gq, [g_lev[i] for i in free], [] if pinned else [g_tail]])
 
     v0 = np.concatenate([np.asarray(qs), np.asarray(levels)[free], [] if pinned else [tail]])
     if not len(v0):
         return start
-    sol = root(fun, v0, method="hybr", tol=1e-13)
-    if not sol.success:
+    x, converged = _hybrd(fun, v0)
+    if not converged:
         return start
-    state = assemble(sol.x)
-    if not _feasible(*state, beta) or np.max(np.abs(sol.x - v0)) > 1e-2:
+    state = assemble(x)
+    if not _feasible(*state, beta) or np.max(np.abs(x - v0)) > 1e-2:
         return start
-    new_value = _step_value_grad(m, beta, *state)[0]
+    new_value = step(*state)[0]
     if new_value > value + 1e-10:
         return start
     return state, new_value

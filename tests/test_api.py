@@ -168,3 +168,25 @@ def test_no_public_callable_takes_k_max():
         and "k_max" in inspect.signature(obj).parameters
     ]
     assert takes == []
+
+
+_PURE3 = spinglass.Mixture({3: 1.0})
+_BETA_ENTRY_POINTS = {
+    "cs_minimize": lambda b: spinglass.cs_minimize(_PURE3, b),
+    "cs_value": lambda b: rsb.cs_value(_PURE3, b, rsb.OrderParameter.rs()),
+    "talagrand_certificate": lambda b: rsb.talagrand_certificate(_PURE3, b, rsb.OrderParameter.rs()),
+    "fp_high": lambda b: spinglass.fp_high(_PURE3, b, 1.0, 0.3),
+    "fp_high beta_prime": lambda b: spinglass.fp_high(_PURE3, 0.5, b, 0.3),
+    "fp_low": lambda b: spinglass.fp_low(_PURE3, b, 1.5, 0.3),
+    "FPQuery.detect": lambda b: spinglass.FPQuery.detect(_PURE3, b, 1.0, 0.3),
+    "gibbs_mcmc": lambda b: spinglass.gibbs_mcmc(mclab.sample_field(_PURE3, 4, seed=0), b),
+}
+
+
+@pytest.mark.parametrize("value", ["2", None, True, 1 + 0j], ids=["str", "None", "True", "complex"])
+@pytest.mark.parametrize("entry", sorted(_BETA_ENTRY_POINTS))
+def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
+    # a bool is not taken as 0 or 1, and a non-real value raises the typed
+    # error instead of a TypeError from a comparison
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        _BETA_ENTRY_POINTS[entry](value)

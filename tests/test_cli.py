@@ -103,6 +103,16 @@ def test_fp_high_rows_receive_the_solver_config(pure3, tmp_path, monkeypatch, so
     assert configs[0].seed == want and configs[0].starts == 2
 
 
+@pytest.mark.parametrize("solver_seed", ["-1", str(2**64)])
+def test_a_solver_seed_outside_64_bits_exits_as_bad_input(pure3, tmp_path, solver_seed):
+    # the artifact would record a seed whose multistarts are another seed's
+    result, artifact = _run(
+        ["parisi", "--mixture", pure3, "--beta", "1.9", "--solver-seed", solver_seed], tmp_path
+    )
+    assert result.exit_code == 1, result.output
+    assert "seed" in result.output and artifact is None
+
+
 def test_fp_k_max_caps_both_regimes(pure3, monkeypatch):
     seen = _spy_fp(monkeypatch)
     result = CliRunner().invoke(

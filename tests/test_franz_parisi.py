@@ -409,13 +409,18 @@ class TestContinuation:
         rsb._solve.cache_clear()
         rsb._beta_c.cache_clear()
         calls = [0]
-        real = rsb._raw_objective
+        real = rsb._objective
 
         def counting(*args):
-            calls[0] += 1
-            return real(*args)
+            objective = real(*args)
 
-        monkeypatch.setattr(rsb, "_raw_objective", counting)
+            def counted(raw):
+                calls[0] += 1
+                return objective(raw)
+
+            return counted
+
+        monkeypatch.setattr(rsb, "_objective", counting)
         _sweep_fp_low()
         # the cold ladder at every section made 14 173
         assert calls[0] <= 4000

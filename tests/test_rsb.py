@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import root as scipy_root
 from scipy.sparse.linalg import eigsh
 
 from spinglass.errors import (
@@ -1193,6 +1194,71 @@ def test_descent_trajectory_is_pinned(beta, nit, nfev, value):
     assert (got_nit, got_nfev, got) == (nit, nfev, value)
 
 
+def test_polish_driver_matches_scipy_root(monkeypatch):
+    # the polish's direct MINPACK driver and scipy's root(method="hybr",
+    # tol=1e-13) reach the same point with the same verdict from every state
+    # the golden solves settle, and from those of a solve that fails
+    calls = []
+    real = rsb._hybrd
+
+    def recording(fun, v0):
+        start = v0.copy()
+        x, converged = real(fun, v0)
+        # the driver must leave its start as it was
+        assert v0.tobytes() == start.tobytes()
+        calls.append((fun, start, x.copy(), converged))
+        return x, converged
+
+    monkeypatch.setattr(rsb, "_hybrd", recording)
+    clear_solver_caches()
+    cs_minimize(Mixture({3: 1.0}), T3_BETA)
+    cs_minimize(Mixture(TWO_RSB_MIX), TWO_RSB_BETA, SolverConfig(k_max=3))
+    for mix in ({2: 1.0}, {3: 1.0}, {2: 0.5, 3: 0.5}, TWO_RSB_MIX):
+        zt_minimize(Mixture(mix))
+    ground_state_point(Mixture({2: 0.5, 3: 0.5}), 0.4)
+    with pytest.raises(SolverFailedError):
+        ground_state_point(Mixture({2: 0.8, 4: 0.2}), 1.0)
+    verdicts = set()
+    for n, (fun, v0, x, converged) in enumerate(calls):
+        ref = scipy_root(fun, v0, method="hybr", tol=1e-13)
+        assert x.tobytes() == ref.x.tobytes(), n
+        assert converged == ref.success, n
+        verdicts.add(converged)
+    assert len(calls) > 20 and verdicts == {True, False}
+
+
+def test_step_table_h_at_a_float_is_bit_identical_to_its_array_path():
+    # random tables at both temperatures (top level 1 and tail 0, or free
+    # levels and a positive tail), read at random points, below 0, at every
+    # breakpoint and just past it (the u < 1e-4 series branch), and at or
+    # above 1, as Python floats and as numpy floats
+    rng = np.random.default_rng(31)
+    branches = {True: 0, False: 0}
+    for n in range(600):
+        k, finite = n % 5, n % 2 == 0
+        qs = np.sort(rng.uniform(0.0, 1.0, k))
+        levels = np.sort(rng.uniform(0.0, 1.0 if finite else 3.0, k + 1))
+        if n % 3 == 0:
+            levels[0] = 0.0
+        if finite:
+            levels[-1] = 1.0
+        tail = 0.0 if finite else float(rng.uniform(1e-3, 2.0))
+        table = rsb._StepTable(tuple(qs.tolist()), tuple(levels.tolist()), tail)
+        ts = np.concatenate([
+            rng.uniform(-0.2, 1.2, 12), [-1e-3, 0.0, 1e-7, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5],
+            qs, qs + 1e-7, qs + 1e-3,
+        ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = table.h(ts)
+        j = table._locate(ts)
+        u = table.levels[j] * (ts - table.qext[j]) / table.p_break[j]
+        for i, t in enumerate(ts.tolist()):
+            got = (table.h(t), table.h(np.float64(t)))
+            assert [_bits(g) for g in got] == [_bits(want[i])] * 2, (n, t)
+            branches[bool(u[i] < 1e-4)] += 1
+    assert min(branches.values()) > 1000
+
+
 def test_the_memo_is_bounded():
     for cached in (rsb._solve, rsb._beta_c):
         assert isinstance(cached.cache_info().maxsize, int)
@@ -1210,6 +1276,21 @@ def test_the_memo_is_bounded():
 def test_solver_config_rejects_values_the_engine_cannot_run(kw):
     with pytest.raises(BadInputError):
         SolverConfig(**kw)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+def test_solver_seeds_outside_64_bits_are_bad_input(seed):
+    # the multistart streams read the seed's low 64 bits, so these would
+    # alias -1 -> 2**64 - 1 and 2**64 + 42 -> 42
+    with pytest.raises(BadInputError, match="seed"):
+        SolverConfig(seed=seed)
+
+
+def test_the_64_bit_seed_range_keys_distinct_starts():
+    low, high = SolverConfig(seed=0), SolverConfig(seed=2**64 - 1)
+    for beta in (2.0, None):
+        starts = [rsb._level_starts(beta, 1, cfg, None) for cfg in (low, high)]
+        assert not np.array_equal(starts[0][0][0], starts[1][0][0])
 
 
 def test_field_component_requires_opt_in():
