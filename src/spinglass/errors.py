@@ -54,14 +54,11 @@ class CapacityExceededError(RuntimeError):
     """Requested dense-tensor size exceeds the configured memory caps."""
 
 
-def _check_count(name: str, value, minimum: int | None) -> None:
-    """Reject a value that is a bool, not an integer, or below minimum (None
-    sets no bound) with BadInputError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
-        minimum is not None and value < minimum
-    ):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise BadInputError(f"{name} must be an integer{bound}, got {value!r}")
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a value that is a bool, not an integer, or below minimum with
+    BadInputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise BadInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_real(name: str, value) -> None:

@@ -589,23 +589,23 @@ def _refined_max(fun, grid_ts, grid_vals):
     return best_t, best_v
 
 
-# fixed pieces of the certificate mesh (see _certificate_mesh)
-_CERT_OFFSETS = np.geomspace(1e-9, 1e-2, 25)
-
-
 @lru_cache(maxsize=2)
-def _mesh_grid(top: float) -> np.ndarray:
-    """The uniform grid and the log-dense points near 0 of the mesh up to top."""
-    return np.concatenate([np.linspace(0.0, top, CERT_MESH), np.geomspace(1e-12, top, 200)])
+def _mesh_pieces(top: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed pieces of the certificate mesh up to top, built on first
+    use (top is 1 or 1 - 1e-9): the uniform grid with the log-dense points
+    near 0, and the log-spaced offsets put on each side of an anchor."""
+    grid = np.concatenate([np.linspace(0.0, top, CERT_MESH), np.geomspace(1e-12, top, 200)])
+    return grid, np.geomspace(1e-9, 1e-2, 25)
 
 
 def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
     """Sorted mesh on [0, top]: CERT_MESH uniform points, every anchor with
     25 log-spaced offsets on each side, and 200 log-dense points near 0,
     which catch maxima that hug the origin."""
+    grid, offsets = _mesh_pieces(top)
     anchors = np.asarray(anchor_pts, dtype=float).reshape(-1, 1)
-    near = np.clip(np.concatenate([anchors + _CERT_OFFSETS, anchors - _CERT_OFFSETS]), 0.0, top)
-    return np.unique(np.concatenate([_mesh_grid(top), near.ravel(), anchors.ravel()]))
+    near = np.clip(np.concatenate([anchors + offsets, anchors - offsets]), 0.0, top)
+    return np.unique(np.concatenate([grid, near.ravel(), anchors.ravel()]))
 
 
 def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance: float):

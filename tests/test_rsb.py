@@ -1231,7 +1231,8 @@ def test_step_table_h_at_a_float_is_bit_identical_to_its_array_path():
     # random tables at both temperatures (top level 1 and tail 0, or free
     # levels and a positive tail), read at random points, below 0, at every
     # breakpoint and just past it (the u < 1e-4 series branch), and at or
-    # above 1, as Python floats and as numpy floats
+    # above 1, as Python floats and as numpy floats; far below 0 the series
+    # branch has |u| > 1, where the rounding of its cube shows
     rng = np.random.default_rng(31)
     branches = {True: 0, False: 0}
     for n in range(600):
@@ -1245,7 +1246,7 @@ def test_step_table_h_at_a_float_is_bit_identical_to_its_array_path():
         tail = 0.0 if finite else float(rng.uniform(1e-3, 2.0))
         table = rsb._StepTable(tuple(qs.tolist()), tuple(levels.tolist()), tail)
         ts = np.concatenate([
-            rng.uniform(-0.2, 1.2, 12), [-1e-3, 0.0, 1e-7, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5],
+            rng.uniform(-0.2, 1.2, 12), [-40.0, -2.0, -1e-3, 0.0, 1e-7, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5],
             qs, qs + 1e-7, qs + 1e-3,
         ])
         with np.errstate(divide="ignore", invalid="ignore"):
