@@ -231,6 +231,7 @@ def fp_low(
     """
     _validate_inputs(beta, beta_prime, r)
     _check_count("scan_points", scan_points, 3)
+    _check_real("xtol", xtol)
     if not 0.0 < xtol < math.inf:
         raise BadInputError(f"xtol must be positive and finite, got {xtol!r}")
     fpc, cfg = _low_context(m, beta, config)
@@ -266,8 +267,11 @@ def fp_low(
     refined = {}
 
     def negated(rho: float) -> float:
+        # the golden search reads its bracket's middle point twice: the
+        # second read returns the first solve's terms
         rho = float(rho)
-        refined[rho] = solved(rho, cfg)
+        if rho not in refined:
+            refined[rho] = solved(rho, cfg)
         return -refined[rho].total
 
     try:
@@ -284,8 +288,7 @@ def fp_low(
             negated, bounds=(left, right), method="bounded", options={"xatol": xtol}
         )
     rho_star = float(min(max(opt.x, lo + width * 1e-12), hi - width * 1e-12))
-    if rho_star not in refined:  # the clamp moved it
-        negated(rho_star)
+    negated(rho_star)  # solves only a rho_star the clamp moved
     terms = refined[rho_star]
     return FPResult(value=terms.total, rho_star=rho_star, terms=terms)
 

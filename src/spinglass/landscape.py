@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BadInputError, RegimeMismatchError, SolverFailedError, _check_count
+from .errors import BadInputError, RegimeMismatchError, SolverFailedError, _check_count, _check_real
 from .mixtures import Mixture, sigma_inverse
 from .rsb import (
     CsResult,
@@ -181,6 +181,7 @@ def ground_state_point(
 ):
     """Ground-state energy and radial slope at squared radius q, plus the
     zero-temperature solution that produced them."""
+    _check_real("radius parameter", q)
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
     mhat = m.scale_domain(q)
@@ -202,7 +203,10 @@ def ground_state_curve(
     its SolverFailedError with the rows solved before it, as (q, E*, R*)
     triples in grid order, in its rows attribute.
     """
-    qs = tuple(float(q) for q in q_grid)
+    qs = tuple(q_grid)
+    for q in qs:
+        _check_real("q grid entry", q)
+    qs = tuple(map(float, qs))
     if not qs:
         raise BadInputError("empty q grid")
     _check_q_grid(qs)
@@ -360,6 +364,7 @@ def chain_bound(
     as eps -> 0 up to solver error. Levels with a single-degree mixture use
     the restricted rate and ignore the radial window.
     """
+    _check_real("window half-width", eps)
     if not 0.0 < eps < math.inf:
         raise BadInputError(f"window half-width must be positive and finite, got {eps}")
     cfg = config or SolverConfig()
@@ -419,6 +424,8 @@ def fprime_identity(
     """Compare d/d(beta) of the minimized functional, by central finite
     difference, with the sum of the ground state at the top overlap atom
     and beta times the recentered covariance at full overlap."""
+    for name, value in (("beta", beta), ("step", step)):
+        _check_real(name, value)
     if not 0.0 < step < beta:  # cs_minimize rejects a non-finite beta
         raise BadInputError("need 0 < step < beta for the central difference")
     cfg = config or SolverConfig()

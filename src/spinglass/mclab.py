@@ -241,20 +241,6 @@ def _pairs(n: int) -> _PairIndex:
     return index
 
 
-@functools.lru_cache(maxsize=4)
-def _regrouped(n: int) -> np.ndarray:
-    """Flat offsets, in a degree-3 packed array of dimension n, of the two
-    entries that regroup the slots of A[c, ab]: (a, {c,b}) and (b, {c,a}),
-    stacked as (2, n, n(n+1)/2). Read-only and cached for the last four n
-    (8.4 MB at the degree-3 cap of 128)."""
-    pairs = _pairs(n)
-    size, e = len(pairs.flat), pairs.expand
-    offsets = np.stack([e[:, pairs.cols] + pairs.rows * size, e[:, pairs.rows] + pairs.cols * size])
-    offsets = offsets.astype(np.int32)
-    offsets.setflags(write=False)
-    return offsets
-
-
 def _pair_products(x: np.ndarray) -> np.ndarray:
     """The weighted pair vector w_ab x_a x_b over sorted slot pairs, along
     the last axis of x."""
@@ -268,9 +254,7 @@ def _packed(t: np.ndarray) -> np.ndarray | float:
     entry sums both orders of each slot pair (and for B of the two pairs),
     then adds the entries that regroup its slots: (a, {c,b}) and (b, {c,a})
     for A[c, ab]; ({a,c}, {b,d}) and ({a,d}, {b,c}) for B[ab, cd]. Beside t
-    and the result, one packed-size array and a few row blocks are alive,
-    and for degree 3 the cached offsets of _regrouped (the size of one
-    packed array)."""
+    and the result, one packed-size array and a few row blocks are alive."""
     p = t.ndim
     if p < 3:
         return float(t) if p == 0 else (t + t.T) * 0.5 if p == 2 else t.copy()
@@ -289,17 +273,16 @@ def _packed(t: np.ndarray) -> np.ndarray | float:
         base += base.T
     out = base.copy()
     for blk in blocks:
+        # the regrouped entries' flat offsets in base: row_of[x] is the row
+        # holding slot x (A) or slots {a, x} (B), and col_of[y] the column
+        # holding slots {c, y} (A) or {b, y} (B)
         if p == 3:
-            regrouped = _regrouped(n)[:, blk]
+            row_of, col_of = np.arange(n)[None], e[blk]
         else:
-            # the regrouped entries' flat offsets in B: row_of[x] is the row
-            # holding slots {a, x} and col_of[y] the column holding {b, y}
             row_of, col_of = e.take(pairs.rows[blk], axis=0), e.take(pairs.cols[blk], axis=0)
-            regrouped = (col_of.take(y, axis=1) + row_of.take(x, axis=1) * size
-                         for x, y in ((pairs.rows, pairs.cols), (pairs.cols, pairs.rows)))
         dst = out[blk]
-        for at in regrouped:
-            dst += base.take(at)
+        for x, y in ((pairs.rows, pairs.cols), (pairs.cols, pairs.rows)):
+            dst += base.take(col_of.take(y, axis=1) + row_of.take(x, axis=1) * size)
         dst *= 1.0 / math.factorial(p)
     return out
 
@@ -380,6 +363,7 @@ class MCConfig:
         _check_count("chain_index", self.chain_index, 0)
         if self.thin > self.steps:
             raise BadInputError(f"thin must not exceed steps, got thin={self.thin}, steps={self.steps}")
+        _check_real("step size", self.step_size)
         if not 0.0 < self.step_size < math.inf:
             raise BadInputError("step size must be positive and finite")
 
@@ -515,6 +499,7 @@ def find_critical_points(
     warm-up phases are what reach the extreme-energy levels. The search is
     local and not exhaustive: an empty or partial list is a valid outcome.
     """
+    _check_real("radius parameter", q)
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
     _check_count("restarts", restarts, 1)
@@ -640,6 +625,7 @@ def empirical_complexity(
     if not all(np.isfinite(x).all() and (np.diff(x) > 0).all() for x in (e_edges, r_edges)):
         raise BadInputError("bin edges must be finite and increasing")
     _check_count("n_fields", n_fields, 1)
+    _check_real("radius parameter", q)
     if not 0.0 < q <= 1.0:
         raise BadInputError(f"radius parameter must be in (0,1], got {q}")
     _check_count("restarts", restarts, 1)

@@ -1176,6 +1176,19 @@ def zt_minimize(
 # ================================================================ criticality
 
 
+@lru_cache(maxsize=1)
+def _rs_mesh() -> np.ndarray:
+    """The fixed mesh of _rs_profile_sup, built on first use: 1500 log-spaced
+    points up to 1/2 and 1500 uniform ones above; read-only."""
+    ts = np.unique(
+        np.concatenate(
+            [np.geomspace(1e-12, 0.5, 1500), np.linspace(0.5, 1.0 - 1e-12, 1500)]
+        )
+    )
+    ts.setflags(write=False)
+    return ts
+
+
 def _rs_profile_sup(m: Mixture, beta: float) -> float:
     """sup over [0,1) of beta^2 xi(s) + s + log(1 - s) for a const-free xi."""
 
@@ -1183,13 +1196,8 @@ def _rs_profile_sup(m: Mixture, beta: float) -> float:
         s = np.asarray(s, dtype=float)
         return beta * beta * m.eval(s) + s + np.log1p(-s)
 
-    ts = np.unique(
-        np.concatenate(
-            [np.geomspace(1e-12, 0.5, 1500), np.linspace(0.5, 1.0 - 1e-12, 1500)]
-        )
-    )
-    vals = f(ts)
-    return _refined_max(f, ts, vals)[1]
+    ts = _rs_mesh()
+    return _refined_max(f, ts, f(ts))[1]
 
 
 def beta_c(m: Mixture) -> float:

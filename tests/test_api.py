@@ -190,3 +190,28 @@ def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
     # error instead of a TypeError from a comparison
     with pytest.raises(spinglass.BadInputError, match="real number"):
         _BETA_ENTRY_POINTS[entry](value)
+
+
+_PURE2 = spinglass.Mixture({2: 1.0})
+_FIELD = mclab.sample_field(_PURE3, 4, seed=0)
+_REAL_PARAMETER_ENTRY_POINTS = {
+    "MCConfig step_size": lambda v: spinglass.MCConfig(step_size=v),
+    "find_critical_points q": lambda v: spinglass.find_critical_points(_FIELD, q=v),
+    "empirical_complexity q": lambda v: spinglass.empirical_complexity(_PURE3, 4, v, [0, 1], [0, 1], 1),
+    "ground_state_point q": lambda v: spinglass.ground_state_point(_PURE3, v),
+    "ground_state_curve q_grid": lambda v: spinglass.ground_state_curve(_PURE3, [0.25, v]),
+    "chain_bound eps": lambda v: spinglass.chain_bound(_PURE3, 2.0, eps=v),
+    "fprime_identity beta": lambda v: spinglass.fprime_identity(_PURE2, v),
+    "fprime_identity step": lambda v: spinglass.fprime_identity(_PURE2, 2.0, step=v),
+    "fp_low xtol": lambda v: spinglass.fp_low(_PURE3, 2.0, 1.5, 0.3, xtol=v),
+}
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", None, True, 1 + 0j],
+                         ids=["str", "str-float", "None", "True", "complex"])
+@pytest.mark.parametrize("entry", sorted(_REAL_PARAMETER_ENTRY_POINTS))
+def test_a_non_real_parameter_is_bad_input(entry, value):
+    # the real parameters besides the inverse temperatures, each checked
+    # before the first solve
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        _REAL_PARAMETER_ENTRY_POINTS[entry](value)

@@ -405,6 +405,23 @@ class TestContinuation:
         assert rhos.count(res.rho_star) == 1
         assert solves[rhos.index(res.rho_star)][6] == res.terms
 
+    def test_each_refined_section_is_solved_once(self, monkeypatch):
+        # the golden search reads its bracket's middle point twice; the
+        # second read reuses the first solve
+        solves = []
+        real = franz_parisi._low_terms
+
+        def recording(fpc, beta_prime, r, rho, cfg, start=None):
+            solves.append((rho, cfg))
+            return real(fpc, beta_prime, r, rho, cfg, start)
+
+        monkeypatch.setattr(franz_parisi, "_low_terms", recording)
+        res = _sweep_fp_low()
+        scan_cfg = solves[0][1]
+        refined = [rho for rho, cfg in solves if cfg != scan_cfg]
+        assert len(refined) > 3 and len(set(refined)) == len(refined)
+        assert res.rho_star in refined
+
     def test_objective_evaluations_stay_within_budget(self, monkeypatch):
         rsb._solve.cache_clear()
         rsb._beta_c.cache_clear()

@@ -383,16 +383,12 @@ class TestSymmetricTensors:
             for perm in itertools.permutations(range(p)):
                 assert float(np.max(np.abs(dense - dense.transpose(perm)))) <= 1e-15 * scale
 
-    def test_degree_3_regrouped_offsets_are_cached_read_only_per_n(self):
-        offsets = mclab._regrouped(7)
-        assert offsets is mclab._regrouped(7) and not offsets.flags.writeable
-        pairs = mclab._pairs(7)
-        size = len(pairs.flat)
-        # A[c, ab] regroups to (a, {c,b}) and (b, {c,a}), as (row, column) of A
-        for c in range(7):
-            for ab, (a, b) in enumerate(zip(pairs.rows, pairs.cols)):
-                assert divmod(int(offsets[0, c, ab]), size) == (a, pairs.expand[c, b])
-                assert divmod(int(offsets[1, c, ab]), size) == (b, pairs.expand[c, a])
+    @pytest.mark.parametrize("n", [2, 7, 48, 64])
+    def test_degree_3_packing_matches_the_whole_array_offsets(self, n):
+        # per-block offsets give the form that offsets built for every row at
+        # once give, bit for bit; (3, 48) ends on a short block of rows
+        t = np.random.default_rng(n).standard_normal((n, n, n))
+        assert np.array_equal(mclab._packed(t), whole_array_packed_3(t))
 
     @pytest.mark.parametrize("coeffs, const", PURE_AND_MIXED, ids=PURE_AND_MIXED_IDS)
     def test_kernels_match_the_reference_on_the_raw_draw(self, coeffs, const):
@@ -446,12 +442,14 @@ class TestSymmetricTensors:
         assert after[0] == kernels[0]
         assert all(np.array_equal(a, b) for a, b in zip(after[1:], kernels[1:]))
 
-    @pytest.mark.parametrize("coeffs, const", [({4: 1.0}, 0.0), ({2: 0.5, 4: 0.5}, 0.3)],
-                             ids=["p4", "p2+p4+const"])
+    @pytest.mark.parametrize("coeffs, const", [({4: 1.0}, 0.0), ({2: 0.5, 4: 0.5}, 0.3), ({3: 1.0}, 0.0)],
+                             ids=["p4", "p2+p4+const", "p3"])
     def test_a_sampled_field_holds_its_packed_form_and_redraws_tensors_on_read(self, coeffs, const):
         # at (4, 24) the draw is 3.3 MB and the packed form 0.72 MB: the field
-        # lets the draw go, and a read of tensors draws it again from the key
+        # lets the draw go, and a read of tensors draws it again from the key;
+        # it keeps no scratch either (the pair index is shared per n)
         m = Mixture(coeffs, const_term=const)
+        mclab._pairs(24)
         tracemalloc.start()
         try:
             f = sample_field(m, 24, seed=1)
@@ -480,6 +478,35 @@ class TestSymmetricTensors:
         finally:
             tracemalloc.stop()
         assert peak <= 2.05 * f.tensors[4].nbytes
+
+    def test_packing_a_degree_3_field_keeps_little_beside_the_draw(self):
+        # at (3, 64) the draw is 2.1 MB: the draw, its pair-summed copy, the
+        # form and a few row blocks of offsets are alive, nothing per row
+        tracemalloc.start()
+        try:
+            f = sample_field(Mixture({3: 1.0}), 64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * f.tensors[3].nbytes
+
+
+def whole_array_packed_3(t):
+    """Degree-3 packing with the regroup offsets of every row built at once:
+    A[c, ab] gathers (a, {c,b}) and (b, {c,a}) of the pair-summed array, at
+    flat offsets (row * size + column), cast to int32."""
+    n = len(t)
+    pairs = mclab._pairs(n)
+    size, e = len(pairs.flat), pairs.expand
+    offsets = np.stack([e[:, pairs.cols] + pairs.rows * size, e[:, pairs.rows] + pairs.cols * size])
+    offsets = offsets.astype(np.int32)
+    m = t.reshape(n, n * n)
+    base = m.take(pairs.flat, axis=1) + m.take(pairs.cols * n + pairs.rows, axis=1)
+    out = base.copy()
+    for at in offsets:
+        out += base.take(at)
+    out *= 1.0 / 6.0
+    return out
 
 
 def plain_symmetrized(t):
