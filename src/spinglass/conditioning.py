@@ -21,7 +21,14 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import BadInputError, SingularBlockError, SingularMatrixError, _check_count
+from .errors import (
+    BadInputError,
+    SingularBlockError,
+    SingularMatrixError,
+    _check_count,
+    _check_grid,
+    _check_real,
+)
 from .landscape import _free_energy_slope, ground_state_point
 from .mixtures import Mixture, section_half_width, sigma_inverse
 from .rsb import SolverConfig
@@ -47,15 +54,10 @@ class BandGeometry:
     anchors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ladder = tuple(float(q) for q in self.ladder)
+        ladder = _check_grid("ladder point", self.ladder, "(0, 1]")
         object.__setattr__(self, "ladder", ladder)
         if not ladder:
             raise BadInputError("band geometry needs at least one ladder point")
-        prev = 0.0
-        for q in ladder:
-            if not prev < q <= 1.0:
-                raise BadInputError(f"ladder must be strictly increasing in (0,1]: {ladder}")
-            prev = q
         _check_count("n", self.n, len(ladder))
         object.__setattr__(self, "anchors", self._canonical_anchors())
         gram = self.anchors @ self.anchors.T / self.n
@@ -94,8 +96,8 @@ class ConditioningEvent:
     geometry: BandGeometry
 
     def __post_init__(self) -> None:
-        e_vec = tuple(float(v) for v in self.e_vec)
-        r_vec = tuple(float(v) for v in self.r_vec)
+        e_vec = tuple(_check_real("pinned energy", v, "(-inf, inf)") for v in self.e_vec)
+        r_vec = tuple(_check_real("pinned slope", v, "(-inf, inf)") for v in self.r_vec)
         object.__setattr__(self, "e_vec", e_vec)
         object.__setattr__(self, "r_vec", r_vec)
         if len(e_vec) != self.geometry.depth or len(r_vec) != self.geometry.depth:
@@ -103,8 +105,6 @@ class ConditioningEvent:
                 f"need {self.geometry.depth} per-level targets, got "
                 f"{len(e_vec)} energies and {len(r_vec)} slopes"
             )
-        if not all(map(math.isfinite, e_vec + r_vec)):
-            raise BadInputError(f"pinned targets must be finite: {e_vec}, {r_vec}")
 
 
 # ============================================== derivative covariance algebra
@@ -297,8 +297,8 @@ def band_kernel(
             raise BadInputError("band points must have the exact chain overlaps")
         t = float(y1 @ y2) / geometry.n
     else:
-        t = float(y1_overlap)
-        if abs(t - float(y2_overlap)) > 1e-12:
+        t = _check_real("band overlap", y1_overlap, "(-inf, inf)")
+        if abs(t - _check_real("band overlap", y2_overlap, "(-inf, inf)")) > 1e-12:
             raise BadInputError(
                 "scalar mode takes the mutual overlap twice; got two different values"
             )
@@ -414,7 +414,9 @@ class FPConditioning:
         overlaps r to the reference point and rho to the anchor: the
         covariances of its value with the kept rows, against u."""
         q1 = self.q1
-        if not (abs(r) <= 1.0 and abs(rho - r * q1) <= section_half_width(q1, r) + 1e-12):
+        r = _check_real("sample overlap", r, "[-1, 1]")
+        rho = _check_real("section overlap", rho, "[-1, 1]")
+        if not abs(rho - r * q1) <= section_half_width(q1, r) + 1e-12:
             raise BadInputError(f"no section point has overlaps r={r}, rho={rho} at q1={q1}")
         tau = _section_point(q1, r, rho)
         row = np.array([_pair_cov(self.m, 3, x, tau, us, ()) for x, us in self._kept])
@@ -430,8 +432,8 @@ def fp_conditioning(
     """Solve the pinned linear system at reference values: free-energy
     slope, ground state and its slope at the anchor, zero in-plane
     gradient."""
-    if not 0.0 < beta < math.inf:
-        raise BadInputError(f"inverse temperature must be in (0, inf), got {beta}")
+    _check_real("inverse temperature", beta, "(0, inf)")
+    _check_real("anchor overlap", q1, "(0, 1)")
     full = _fp_pinned_cov(m, q1)
     rows = _independent_rows(full)
     c = full[np.ix_(rows, rows)]

@@ -3,10 +3,18 @@
 The CLI maps these to exit codes: bad input -> 1, solver failures -> 2,
 capacity limits -> 3. Singular-matrix errors exit 2, even though they
 subclass BadInputError.
+
+Every public entry point validates a real parameter by one rule,
+_check_real: a real number that is not a bool, not NaN, and inside the
+parameter's interval, written like "(0, 1]" or "[0, inf)"; grids, ladders
+and breakpoints take its sequence form _check_grid, which also requires
+strict increase. A relation between parameters (such as step < beta) is
+checked where it arises.
 """
 from __future__ import annotations
 
 import numbers
+from functools import lru_cache
 
 
 class BadInputError(ValueError):
@@ -61,8 +69,31 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise BadInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    """Reject a value that is a bool or not a real number with
-    BadInputError; the caller checks its range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise BadInputError(f"{name} must be a real number, got {value!r}")
+@lru_cache(maxsize=None)
+def _interval(spec: str) -> tuple[float, float, bool, bool]:
+    """Bounds and closedness of an interval written like "(0, 1]". Callers
+    pass string literals, so the cache holds a handful of entries."""
+    lo, hi = spec[1:-1].split(",")
+    return float(lo), float(hi), spec[0] == "[", spec[-1] == "]"
+
+
+def _check_real(name: str, value, interval: str, error: type = BadInputError) -> float:
+    """Return value as a float. Raise error (BadInputError unless given)
+    for a bool, a value that is not a real number, NaN, or a value outside
+    interval, written like "(0, 1]" or "[0, inf)"."""
+    # float first: most values are floats, and the ABC check costs ten times more
+    if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):
+        x = float(value)
+        lo, hi, lo_closed, hi_closed = _interval(interval)
+        if (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi):
+            return x
+    raise error(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+def _check_grid(name: str, values, interval: str, error: type = BadInputError) -> tuple[float, ...]:
+    """Return values as a tuple of floats, each checked by _check_real and
+    the tuple strictly increasing."""
+    out = tuple(_check_real(name, v, interval, error) for v in values)
+    if any(not a < b for a, b in zip(out, out[1:])):
+        raise error(f"{name} must be strictly increasing, got {out}")
+    return out

@@ -47,10 +47,8 @@ __all__ = [
 def j_interval(q1: float, r: float) -> tuple[float, float]:
     """Admissible anchor overlaps of the section: the centered interval
     where the section is nonempty (relative radius at most 1)."""
-    if not 0.0 < q1 < 1.0:
-        raise BadInputError(f"anchor overlap must be in (0,1), got {q1}")
-    if not -1.0 <= r <= 1.0:
-        raise BadInputError(f"sample overlap must be in [-1,1], got {r}")
+    q1 = _check_real("anchor overlap", q1, "(0, 1)")
+    r = _check_real("sample overlap", r, "[-1, 1]")
     half = section_half_width(q1, r)
     return r * q1 - half, r * q1 + half
 
@@ -110,14 +108,9 @@ class FPResult:
 
 
 def _validate_inputs(beta: float, beta_prime: float, r: float) -> None:
-    for name, value in (("beta", beta), ("beta_prime", beta_prime), ("r", r)):
-        _check_real(name, value)
-    if not beta > 0.0:
-        raise BadInputError(f"sampling inverse temperature must be positive, got {beta}")
-    if not beta_prime > 0.0:
-        raise BadInputError(f"probe inverse temperature must be positive, got {beta_prime}")
-    if not abs(r) < 1.0:
-        raise BadInputError(f"overlap must satisfy |r|<1, got {r}")
+    _check_real("sampling inverse temperature", beta, "(0, inf)")
+    _check_real("probe inverse temperature", beta_prime, "(0, inf)")
+    _check_real("overlap", r, "(-1, 1)")
 
 
 def fp_high(
@@ -197,6 +190,7 @@ def fp_low_objective(
     without the maximization. Useful for profiling the objective along the
     admissible interval; endpoints are excluded (the volume term diverges)."""
     _validate_inputs(beta, beta_prime, r)
+    _check_real("section overlap", rho, "(-1, 1)")
     fpc, cfg = _low_context(m, beta, config)
     lo, hi = j_interval(fpc.q1, r)
     if not lo < rho < hi:
@@ -231,9 +225,7 @@ def fp_low(
     """
     _validate_inputs(beta, beta_prime, r)
     _check_count("scan_points", scan_points, 3)
-    _check_real("xtol", xtol)
-    if not 0.0 < xtol < math.inf:
-        raise BadInputError(f"xtol must be positive and finite, got {xtol!r}")
+    _check_real("xtol", xtol, "(0, inf)")
     fpc, cfg = _low_context(m, beta, config)
     lo, hi = j_interval(fpc.q1, r)
     width = hi - lo

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BadInputError, RegimeMismatchError, SolverFailedError, _check_count, _check_real
+from .errors import (
+    BadInputError,
+    RegimeMismatchError,
+    SolverFailedError,
+    _check_count,
+    _check_grid,
+    _check_real,
+)
 from .mixtures import Mixture, sigma_inverse
 from .rsb import (
     CsResult,
@@ -74,16 +81,16 @@ def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
     """Exponential growth rate of the expected number of critical points
     with energy per coordinate E and radial derivative R.
     """
-    if not (math.isfinite(E) and math.isfinite(R)):
-        raise BadInputError(f"energy and radial derivative must be finite, got E={E}, R={R}")
+    E = _check_real("energy", E, "(-inf, inf)")
+    R = _check_real("radial derivative", R, "(-inf, inf)")
     sig_inv = sigma_inverse(m.sigma_xi())
     xi2 = m.eval(1.0, 2)
     xi1 = m.eval(1.0, 1)
     const = 0.5 + 0.5 * math.log(xi2 / xi1)
-    val = _theta_raw(sig_inv, const, xi2, float(E), float(R))
+    val = _theta_raw(sig_inv, const, xi2, E, R)
     u = R / math.sqrt(xi2)
     branch = "inner" if abs(u) <= 2.0 else "outer"
-    return ComplexityEval(float(E), float(R), float(val), branch)
+    return ComplexityEval(E, R, float(val), branch)
 
 
 def theta_pure(m: Mixture, E: float) -> float:
@@ -96,8 +103,7 @@ def theta_pure(m: Mixture, E: float) -> float:
     two-argument rate with that reduction, and coincides with the
     small-ridge limit of the full form.
     """
-    if not math.isfinite(E):
-        raise BadInputError(f"energy must be finite, got {E}")
+    _check_real("energy", E, "(-inf, inf)")
     if not m.is_pure:
         raise BadInputError("restricted rate needs a single-degree mixture")
     p = m.max_degree
@@ -114,14 +120,6 @@ def theta_pure(m: Mixture, E: float) -> float:
 # ========================================================= ground-state curves
 
 
-def _check_q_grid(qs: tuple[float, ...]) -> None:
-    prev = 0.0
-    for q in qs:
-        if not prev < q <= 1.0:
-            raise BadInputError(f"q grid must be strictly increasing in (0,1]: {qs}")
-        prev = q
-
-
 @dataclass(frozen=True)
 class GroundStateCurve:
     """Ground-state energy and (twice) its radius derivative on a grid of
@@ -132,19 +130,15 @@ class GroundStateCurve:
     r_star: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        qs = tuple(float(q) for q in self.q_grid)
-        es = tuple(float(e) for e in self.e_star)
-        rs = tuple(float(r) for r in self.r_star)
+        qs = _check_grid("q grid entry", self.q_grid, "(0, 1]")
+        # the ground-state energy is positive at positive radius
+        es = tuple(_check_real("ground-state energy", e, "(0, inf)") for e in self.e_star)
+        rs = tuple(_check_real("radial slope", r, "(-inf, inf)") for r in self.r_star)
         object.__setattr__(self, "q_grid", qs)
         object.__setattr__(self, "e_star", es)
         object.__setattr__(self, "r_star", rs)
         if not (len(qs) == len(es) == len(rs)) or not qs:
             raise BadInputError("grid and value columns must have equal nonzero length")
-        _check_q_grid(qs)
-        if any(not math.isfinite(v) for v in es + rs):
-            raise BadInputError("curve values must be finite")
-        if any(e <= 0.0 for e in es):
-            raise BadInputError("ground-state energy must be positive at positive radius")
         for lo, hi in zip(es, es[1:]):
             if hi < lo - 1e-8:
                 raise BadInputError("ground-state energy cannot decrease with radius")
@@ -181,9 +175,7 @@ def ground_state_point(
 ):
     """Ground-state energy and radial slope at squared radius q, plus the
     zero-temperature solution that produced them."""
-    _check_real("radius parameter", q)
-    if not 0.0 < q <= 1.0:
-        raise BadInputError(f"radius parameter must be in (0,1], got {q}")
+    _check_real("radius parameter", q, "(0, 1]")
     mhat = m.scale_domain(q)
     res = zt_minimize(mhat, config=config)
     return res.gs_energy, _radial_slope(mhat, res.order, q), res
@@ -203,13 +195,9 @@ def ground_state_curve(
     its SolverFailedError with the rows solved before it, as (q, E*, R*)
     triples in grid order, in its rows attribute.
     """
-    qs = tuple(q_grid)
-    for q in qs:
-        _check_real("q grid entry", q)
-    qs = tuple(map(float, qs))
+    qs = _check_grid("q grid entry", q_grid, "(0, 1]")
     if not qs:
         raise BadInputError("empty q grid")
-    _check_q_grid(qs)
     _check_count("workers", workers, 1)
 
     def solve_one(q: float):
@@ -364,9 +352,7 @@ def chain_bound(
     as eps -> 0 up to solver error. Levels with a single-degree mixture use
     the restricted rate and ignore the radial window.
     """
-    _check_real("window half-width", eps)
-    if not 0.0 < eps < math.inf:
-        raise BadInputError(f"window half-width must be positive and finite, got {eps}")
+    _check_real("window half-width", eps, "(0, inf)")
     cfg = config or SolverConfig()
     base = cs_minimize(m, beta, config=cfg)
     ladder = tuple(float(q) for q in base.x_star.support() if q > 0.0)
@@ -424,9 +410,9 @@ def fprime_identity(
     """Compare d/d(beta) of the minimized functional, by central finite
     difference, with the sum of the ground state at the top overlap atom
     and beta times the recentered covariance at full overlap."""
-    for name, value in (("beta", beta), ("step", step)):
-        _check_real(name, value)
-    if not 0.0 < step < beta:  # cs_minimize rejects a non-finite beta
+    _check_real("beta", beta, "(0, inf)")
+    _check_real("step", step, "(0, inf)")
+    if not step < beta:
         raise BadInputError("need 0 < step < beta for the central difference")
     cfg = config or SolverConfig()
     base = cs_minimize(m, beta, config=cfg)

@@ -363,9 +363,7 @@ class MCConfig:
         _check_count("chain_index", self.chain_index, 0)
         if self.thin > self.steps:
             raise BadInputError(f"thin must not exceed steps, got thin={self.thin}, steps={self.steps}")
-        _check_real("step size", self.step_size)
-        if not 0.0 < self.step_size < math.inf:
-            raise BadInputError("step size must be positive and finite")
+        _check_real("step size", self.step_size, "(0, inf)")
 
 
 @dataclass(eq=False)
@@ -419,9 +417,7 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
     during burn-in and is frozen afterwards; every state is renormalized to
     the sphere after each move.
     """
-    _check_real("inverse temperature", beta)
-    if not 0.0 <= beta < math.inf:
-        raise BadInputError(f"inverse temperature must be nonnegative and finite, got {beta}")
+    _check_real("inverse temperature", beta, "[0, inf)")
     cfg = config if config is not None else MCConfig()
     n = field.n
     radius = math.sqrt(n)
@@ -499,9 +495,7 @@ def find_critical_points(
     warm-up phases are what reach the extreme-energy levels. The search is
     local and not exhaustive: an empty or partial list is a valid outcome.
     """
-    _check_real("radius parameter", q)
-    if not 0.0 < q <= 1.0:
-        raise BadInputError(f"radius parameter must be in (0,1], got {q}")
+    _check_real("radius parameter", q, "(0, 1]")
     _check_count("restarts", restarts, 1)
     _check_count("max_iter", max_iter, 1)
     n = field.n
@@ -625,9 +619,7 @@ def empirical_complexity(
     if not all(np.isfinite(x).all() and (np.diff(x) > 0).all() for x in (e_edges, r_edges)):
         raise BadInputError("bin edges must be finite and increasing")
     _check_count("n_fields", n_fields, 1)
-    _check_real("radius parameter", q)
-    if not 0.0 < q <= 1.0:
-        raise BadInputError(f"radius parameter must be in (0,1], got {q}")
+    _check_real("radius parameter", q, "(0, 1]")
     _check_count("restarts", restarts, 1)
     _check_count("bootstrap", bootstrap, 0)
 

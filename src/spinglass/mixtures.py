@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import MixtureError, SingularMatrixError
+from .errors import MixtureError, SingularMatrixError, _check_grid, _check_real
 
 # maximum representable degree (coefficient arrays are dense)
 DEGREE_CAP = 32
 
 # tolerance for clipping float noise in derived coefficient arrays
 _COEFF_NEG_TOL = 1e-12
+_COEFF_RANGE = f"[{-_COEFF_NEG_TOL}, inf)"
 
 
 def _normalize_coeffs(coeffs: Mapping[int, float] | None, const_term: float) -> tuple[float, ...]:
@@ -33,22 +35,13 @@ def _normalize_coeffs(coeffs: Mapping[int, float] | None, const_term: float) -> 
     if not isinstance(coeffs, (Mapping, type(None))):
         raise MixtureError(f"coefficients must map degree to gamma_p^2, got {type(coeffs).__name__}")
     arr = np.zeros(DEGREE_CAP + 1)
-    arr[0] = const_term
+    arr[0] = _check_real("constant term", const_term, _COEFF_RANGE, MixtureError)
     for p, g in (coeffs or {}).items():
-        p = int(p)
-        if p < 1:
-            raise MixtureError(f"coefficient degree must be >= 1, got {p}")
-        if p > DEGREE_CAP:
-            raise MixtureError(f"degree {p} exceeds cap {DEGREE_CAP}")
-        arr[p] = float(g)
-    if not np.isfinite(arr).all():
-        bad = int(np.argmin(np.isfinite(arr)))
-        raise MixtureError(f"non-finite coefficient {arr[bad]} at degree {bad}")
-    if arr.min() < -_COEFF_NEG_TOL:
-        bad = int(np.argmin(arr))
-        raise MixtureError(f"negative coefficient {arr[bad]} at degree {bad}")
-    arr = np.clip(arr, 0.0, None)
-    return tuple(arr.tolist())
+        # a float degree is not truncated, nor a bool taken as degree 1
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 1 <= p <= DEGREE_CAP:
+            raise MixtureError(f"degree must be an integer in [1, {DEGREE_CAP}], got {p!r}")
+        arr[p] = _check_real(f"degree-{p} coefficient", g, _COEFF_RANGE, MixtureError)
+    return tuple(np.clip(arr, 0.0, None).tolist())
 
 
 def sigma_inverse(sigma: np.ndarray) -> np.ndarray:
@@ -71,8 +64,9 @@ def tau(q1: float, r: float, rho: float) -> float:
     """Squared relative radius of the Franz-Parisi section with mutual
     overlap r to the reference point and rho to the anchor at overlap q1:
     the fraction of the sphere's scale consumed by the pinned coordinates."""
-    if not 0.0 < q1 < 1.0:
-        raise MixtureError(f"anchor overlap must be in (0,1), got {q1}")
+    q1 = _check_real("anchor overlap", q1, "(0, 1)", MixtureError)
+    r = _check_real("sample overlap", r, "[-1, 1]", MixtureError)
+    rho = _check_real("section overlap", rho, "[-1, 1]", MixtureError)
     return rho * rho / q1 + (r - rho) ** 2 / (1.0 - q1)
 
 
@@ -103,9 +97,7 @@ class Mixture:
         coeffs: Mapping[int, float] | None = None,
         const_term: float = 0.0,
     ) -> None:
-        if const_term < -_COEFF_NEG_TOL:
-            raise MixtureError(f"negative constant term {const_term}")
-        object.__setattr__(self, "_c", _normalize_coeffs(coeffs, max(const_term, 0.0)))
+        object.__setattr__(self, "_c", _normalize_coeffs(coeffs, const_term))
         object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -241,8 +233,7 @@ class Mixture:
 
         This is the covariance after shrinking the sphere radius by sqrt(s).
         """
-        if s < 0:
-            raise MixtureError("domain scale must be >= 0")
+        _check_real("domain scale", s, "[0, inf)", MixtureError)
         arr = np.asarray(self._c) * (s ** np.arange(len(self._c), dtype=float))
         return self._from_array(arr)
 
@@ -276,8 +267,7 @@ class Mixture:
         xi_bar_q rescales it to the unit-overlap coordinate of the
         orthogonal sphere; xi_hat_q is plain radius scaling.
         """
-        if not 0.0 <= q < 1.0:
-            raise MixtureError(f"recentering overlap must be in [0,1), got {q}")
+        _check_real("recentering overlap", q, "[0, 1)", MixtureError)
         xi_q = self._recentred(q, 1.0, keep_linear=False)
         return xi_q, xi_q.scale_domain(1.0 - q), self.scale_domain(q)
 
@@ -286,8 +276,7 @@ class Mixture:
         overlap q, as a function of the orthogonal-part overlap:
         xi(q + (1-q) t) - xi(q). Keeps its linear term (an effective field).
         """
-        if not 0.0 <= q < 1.0:
-            raise MixtureError(f"section overlap must be in [0,1), got {q}")
+        _check_real("section overlap", q, "[0, 1)", MixtureError)
         return self._recentred(q, 1.0 - q, keep_linear=True)
 
     def level_mixtures(self, ladder: Sequence[float]) -> list["Mixture"]:
@@ -297,10 +286,7 @@ class Mixture:
         lists q_1..q_k) returns, for each level m = 0..k, the mixture
         xi_q_m((q_{m+1}-q_m) t).
         """
-        qs = [0.0, *map(float, ladder), 1.0]
-        for a, b in zip(qs, qs[1:]):
-            if not a < b:
-                raise MixtureError(f"ladder must be strictly increasing in (0,1): {ladder}")
+        qs = [0.0, *_check_grid("ladder point", ladder, "(0, 1)", MixtureError), 1.0]
         return [self._recentred(a, b - a, keep_linear=False) for a, b in zip(qs, qs[1:])]
 
     def fp_mixtures(self, r: float, q1: float, rho: float) -> "Mixture":
@@ -309,15 +295,12 @@ class Mixture:
         conditioning-induced linear slope xi'(rho)^2/xi'(q1) * (1-tau) * t,
         folded into the degree-1 slot.
         """
-        if not abs(r) < 1.0:
-            raise MixtureError(f"sample overlap must satisfy |r|<1, got {r}")
-        if not 0.0 < q1 < 1.0:
-            raise MixtureError(f"cluster overlap must be in (0,1), got {q1}")
+        _check_real("sample overlap", r, "(-1, 1)", MixtureError)
+        t = tau(q1, r, rho)
         if abs(rho - r * q1) > section_half_width(q1, r) + 1e-12:
             raise MixtureError(
                 f"rho={rho} outside the admissible interval around r*q1={r * q1}"
             )
-        t = tau(q1, r, rho)
         arr = np.asarray(self.band_section(t)._c, dtype=float).copy()
         arr[1] -= (1.0 - t) * self.eval(rho, 1) ** 2 / self.eval(q1, 1)
         if arr[1] < -_COEFF_NEG_TOL:

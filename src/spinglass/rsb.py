@@ -77,6 +77,7 @@ from .errors import (
     RegimeMismatchError,
     SolverFailedError,
     _check_count,
+    _check_grid,
     _check_real,
 )
 from .mixtures import Mixture
@@ -89,22 +90,15 @@ CERT_MESH = 2000  # uniform points of the certificate mesh, before its refinemen
 # ================================================================= step layout
 
 
-def _check_layout(qs: Sequence[float], levels: Sequence[float]) -> None:
-    """Reject a step function that is not one finite level per segment of
-    [0, 1] cut at breakpoints strictly increasing in (0, 1), nondecreasing
-    from >= 0. The comparisons are negated so that NaN fails."""
-    if len(levels) != len(qs) + 1:
-        raise BadInputError(f"need one level per segment, got {len(levels)} for {len(qs)} cuts")
-    prev = 0.0
-    for q in qs:
-        if not prev < q < 1.0:
-            raise BadInputError(f"breakpoints must be strictly increasing in (0,1): {qs}")
-        prev = q
-    prev = 0.0
-    for v in levels:
-        if not prev <= v < math.inf:
-            raise BadInputError(f"levels must be finite and nondecreasing from >= 0: {levels}")
-        prev = v
+def _check_layout(qs, levels, interval: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Breakpoints and levels of a step function as float tuples: the
+    breakpoints strictly increasing in (0, 1), the levels nondecreasing in
+    interval. The caller checks that there is one level per segment."""
+    qs = _check_grid("breakpoint", qs, "(0, 1)")
+    levels = tuple(_check_real("level", v, interval) for v in levels)
+    if any(not a <= b for a, b in zip(levels, levels[1:])):
+        raise BadInputError(f"levels must be nondecreasing: {levels}")
+    return qs, levels
 
 
 def _jumps(qs: Sequence[float], levels: Sequence[float]) -> tuple[tuple[float, float], ...]:
@@ -132,11 +126,12 @@ class OrderParameter:
     levels: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qs", tuple(float(q) for q in self.qs))
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        _check_layout(*self.segments[:2])
-        if self.levels and not self.levels[-1] < 1.0:
-            raise BadInputError("top level must stay below 1 (the top atom needs mass)")
+        # levels stay below the pinned top level 1, so the top atom has mass
+        qs, levels = _check_layout(self.qs, self.levels, "[0, 1)")
+        if len(levels) != len(qs):
+            raise BadInputError(f"need one level per breakpoint, got {len(levels)} for {len(qs)}")
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def rs(cls) -> "OrderParameter":
@@ -189,14 +184,13 @@ class ZeroTempOrder:
     c: float
 
     def __post_init__(self) -> None:
-        steps = tuple((float(q), float(a)) for q, a in self.steps)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "c", float(self.c))
-        if not 0.0 < self.c < math.inf:
-            raise BadInputError(f"c must be positive and finite, got {self.c}")
-        if not steps or steps[0][0] != 0.0:
+        object.__setattr__(self, "c", _check_real("c", self.c, "(0, inf)"))
+        if not self.steps:
             raise BadInputError("steps must start at breakpoint 0")
-        _check_layout(*self.segments[:2])
+        q0 = _check_real("first breakpoint", self.steps[0][0], "[0, 0]")
+        qs = [q for q, _ in self.steps[1:]]
+        qs, values = _check_layout(qs, [a for _, a in self.steps], "[0, inf)")
+        object.__setattr__(self, "steps", tuple(zip((q0, *qs), values)))
 
     @classmethod
     def constant(cls, a: float, c: float) -> "ZeroTempOrder":
@@ -296,8 +290,8 @@ class SolverConfig:
         if self.seed >= 2**64:
             # the multistart streams are keyed by the seed's 64 bits
             raise BadInputError(f"seed must be below 2**64, got {self.seed}")
-        if not (0.0 < self.atom_tol < math.inf and 0.0 < self.cert_tol < math.inf):
-            raise BadInputError("atom_tol and cert_tol must be positive and finite")
+        _check_real("atom_tol", self.atom_tol, "(0, inf)")
+        _check_real("cert_tol", self.cert_tol, "(0, inf)")
 
 
 class CsResult(NamedTuple):
@@ -411,20 +405,6 @@ def _kernel(m: Mixture, beta: float | None):
     return step
 
 
-def _step_value_grad(
-    m: Mixture, beta: float | None, qs: Sequence[float], levels: Sequence[float], tail: float
-):
-    """One call of the kernel of m at beta: (value, grad_q, grad_lev,
-    grad_tail) of the functional at the layout (qs, levels, tail)."""
-    return _kernel(m, beta)(qs, levels, tail)
-
-
-def _check_beta(beta: float) -> None:
-    _check_real("beta", beta)
-    if not 0.0 < beta < math.inf:
-        raise BadInputError(f"beta must be positive and finite, got {beta}")
-
-
 def _check_field(m: Mixture, allow_field: bool) -> None:
     if m.has_linear and not allow_field:
         raise RegimeMismatchError(
@@ -435,19 +415,20 @@ def _check_field(m: Mixture, allow_field: bool) -> None:
 
 def cs_value(m: Mixture, beta: float, x: OrderParameter, allow_field: bool = False) -> float:
     """Finite-temperature functional value at a step order parameter."""
-    _check_beta(beta)
+    beta = _check_real("beta", beta, "(0, inf)")
     _check_field(m, allow_field)
-    return _step_value_grad(m, beta, *x.segments)[0]
+    return _kernel(m, beta)(*x.segments)[0]
 
 
 def zt_value(m: Mixture, order: ZeroTempOrder, allow_field: bool = False) -> float:
     """Zero-temperature functional value at a step order parameter."""
     _check_field(m, allow_field)
-    return _step_value_grad(m, None, *order.segments)[0]
+    return _kernel(m, None)(*order.segments)[0]
 
 
 def rs_value(m: Mixture, beta: float) -> float:
     """Value at the replica-symmetric point: beta^2 (xi(1) - xi(0)) / 2."""
+    beta = _check_real("beta", beta, "[0, inf)")
     return 0.5 * beta * beta * (m.eval(1.0) - m.eval(0.0))
 
 
@@ -613,8 +594,7 @@ def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance:
     temperature when beta is None. The profile is phi = beta^2 (xi - xi(0))
     - H, or -psi = -((xi(1) - xi) - (H(1) - H)), with H from the step table;
     a support point's residual is sup - phi there, or |psi|."""
-    if not 0.0 < tolerance < math.inf:
-        raise BadInputError(f"tolerance must be positive and finite, got {tolerance}")
+    tolerance = _check_real("tolerance", tolerance, "(0, inf)")
     prof = _StepTable(qs, levels, tail)
     support = _support(qs, levels)
     if beta is not None:
@@ -670,7 +650,7 @@ def talagrand_certificate(
     and reports sup - phi(q) at every atom of the overlap measure. The order
     parameter is optimal iff all residuals vanish (support inside argmax).
     """
-    _check_beta(beta)
+    beta = _check_real("beta", beta, "(0, inf)")
     _check_field(m, allow_field)
     return _certify(m, beta, *x.segments, tolerance)
 
@@ -778,13 +758,6 @@ def _objective(m: Mixture, k: int, beta: float | None):
         return value, np.array(grad)
 
     return objective
-
-
-def _raw_objective(raw: np.ndarray, m: Mixture, k: int, beta: float | None):
-    """One evaluation of the descent objective: value and raw-coordinate
-    gradient, bit for bit those of the tests' array reference, so every
-    descent takes the same iterates."""
-    return _objective(m, k, beta)(raw)
 
 
 def _encode(qs, levels, tail, beta: float | None, level_floor: float, step_floor: float = 1e-10):
@@ -1036,7 +1009,7 @@ def _settle(m: Mixture, beta: float | None, cfg: SolverConfig, allow_field: bool
     for _ in range(3):
         qs, levels, tail = state
         qs, levels = _canonical(qs, levels, beta, mass_tol=mass_tol)
-        value = _step_value_grad(m, beta, qs, levels, tail)[0]
+        value = _kernel(m, beta)(qs, levels, tail)[0]
         polished, value = _polish(m, beta, qs, levels, tail, value)
         stable = polished == state
         state = polished
@@ -1142,11 +1115,11 @@ def cs_minimize(
     start is one of the inputs, so a call with a start is its own memo
     entry. An error is not cached and is raised again on every call.
     """
-    _check_beta(beta)
+    beta = _check_real("beta", beta, "(0, inf)")
     _check_field(m, allow_field)
     if start is not None and not isinstance(start, OrderParameter):
         raise BadInputError(f"start must be an OrderParameter or None, got {type(start).__name__}")
-    return _solve(m, float(beta), config or SolverConfig(), allow_field, start)
+    return _solve(m, beta, config or SolverConfig(), allow_field, start)
 
 
 def zt_minimize(
@@ -1307,6 +1280,7 @@ def pushforward_check(
     alpha(t) = beta x(q t) with c = (beta / q) Int_q^1 x.
     Both reduced problems are solved from scratch and compared.
     """
+    q = _check_real("q", q, "[0, 1]")
     cfg = config or SolverConfig()
     base = cs_minimize(m, beta, config=cfg)
     supp = base.x_star.support()

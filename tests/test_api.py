@@ -2,8 +2,11 @@
 and no module imports a name it never uses."""
 import ast
 import dataclasses
+import functools
 import inspect
+import math
 import pathlib
+import typing
 
 import pytest
 
@@ -180,6 +183,18 @@ _BETA_ENTRY_POINTS = {
     "fp_low": lambda b: spinglass.fp_low(_PURE3, b, 1.5, 0.3),
     "FPQuery.detect": lambda b: spinglass.FPQuery.detect(_PURE3, b, 1.0, 0.3),
     "gibbs_mcmc": lambda b: spinglass.gibbs_mcmc(mclab.sample_field(_PURE3, 4, seed=0), b),
+    "rs_value": lambda b: spinglass.rs_value(_PURE3, b),
+    "pushforward_check": lambda b: spinglass.pushforward_check(_PURE3, b, 0.0),
+    "identity_esrs": lambda b: spinglass.identity_esrs(_PURE3, b),
+    "chain_bound": lambda b: spinglass.chain_bound(_PURE3, b),
+    "fp_low beta_prime": lambda b: spinglass.fp_low(_PURE3, 2.0, b, 0.3),
+    "fp_low_objective": lambda b: spinglass.fp_low_objective(_PURE3, b, 1.5, 0.3, 0.1),
+    "fp_low_objective beta_prime": lambda b: spinglass.fp_low_objective(_PURE3, 2.0, b, 0.3, 0.1),
+    "fp_potential": lambda b: spinglass.fp_potential(_PURE3, b, 1.0, 0.3),
+    "fp_potential beta_prime": lambda b: spinglass.fp_potential(_PURE3, 2.0, b, 0.3),
+    "FPQuery": lambda b: spinglass.FPQuery(b, 1.0, 0.3, "high"),
+    "FPQuery beta_prime": lambda b: spinglass.FPQuery(1.0, b, 0.3, "high"),
+    "fp_conditioning": lambda b: spinglass.fp_conditioning(_PURE3, b, 0.5),
 }
 
 
@@ -194,6 +209,14 @@ def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
 
 _PURE2 = spinglass.Mixture({2: 1.0})
 _FIELD = mclab.sample_field(_PURE3, 4, seed=0)
+_GEOMETRY = spinglass.BandGeometry((0.5,), 3)
+
+
+@functools.cache
+def _pinned_system():
+    return spinglass.fp_conditioning(_PURE3, 2.0, 0.5)
+
+
 _REAL_PARAMETER_ENTRY_POINTS = {
     "MCConfig step_size": lambda v: spinglass.MCConfig(step_size=v),
     "find_critical_points q": lambda v: spinglass.find_critical_points(_FIELD, q=v),
@@ -204,6 +227,45 @@ _REAL_PARAMETER_ENTRY_POINTS = {
     "fprime_identity beta": lambda v: spinglass.fprime_identity(_PURE2, v),
     "fprime_identity step": lambda v: spinglass.fprime_identity(_PURE2, 2.0, step=v),
     "fp_low xtol": lambda v: spinglass.fp_low(_PURE3, 2.0, 1.5, 0.3, xtol=v),
+    "SolverConfig atom_tol": lambda v: spinglass.SolverConfig(atom_tol=v),
+    "SolverConfig cert_tol": lambda v: spinglass.SolverConfig(cert_tol=v),
+    "talagrand_certificate tolerance": lambda v: rsb.talagrand_certificate(
+        _PURE3, 2.0, rsb.OrderParameter.rs(), tolerance=v
+    ),
+    "zero_temp_certificate tolerance": lambda v: rsb.zero_temp_certificate(
+        _PURE3, rsb.ZeroTempOrder.constant(1.0, 1.0), tolerance=v
+    ),
+    "OrderParameter qs": lambda v: spinglass.OrderParameter((v,), (0.5,)),
+    "OrderParameter levels": lambda v: spinglass.OrderParameter((0.5,), (v,)),
+    "ZeroTempOrder steps": lambda v: spinglass.ZeroTempOrder(((0.0, 0.5), (v, 1.0)), 1.0),
+    "ZeroTempOrder c": lambda v: spinglass.ZeroTempOrder(((0.0, 0.5),), v),
+    "pushforward_check q": lambda v: spinglass.pushforward_check(_PURE3, 2.0, v),
+    "theta E": lambda v: spinglass.theta(_PURE3, v, 1.0),
+    "theta R": lambda v: spinglass.theta(_PURE3, 0.5, v),
+    "theta_pure E": lambda v: spinglass.theta_pure(_PURE3, v),
+    "GroundStateCurve q_grid": lambda v: spinglass.GroundStateCurve((0.25, v), (1.0, 2.0), (1.0, 1.0)),
+    "GroundStateCurve e_star": lambda v: spinglass.GroundStateCurve((0.25, 0.5), (1.0, v), (1.0, 1.0)),
+    "GroundStateCurve r_star": lambda v: spinglass.GroundStateCurve((0.25, 0.5), (1.0, 2.0), (1.0, v)),
+    "j_interval q1": lambda v: spinglass.j_interval(v, 0.3),
+    "j_interval r": lambda v: spinglass.j_interval(0.5, v),
+    "fp_high r": lambda v: spinglass.fp_high(_PURE3, 0.5, 1.0, v),
+    "fp_low r": lambda v: spinglass.fp_low(_PURE3, 2.0, 1.5, v),
+    "fp_low_objective r": lambda v: spinglass.fp_low_objective(_PURE3, 2.0, 1.5, v, 0.1),
+    "fp_low_objective rho": lambda v: spinglass.fp_low_objective(_PURE3, 2.0, 1.5, 0.3, v),
+    "fp_potential r": lambda v: spinglass.fp_potential(_PURE3, 2.0, 1.5, v),
+    "FPQuery r": lambda v: spinglass.FPQuery(1.0, 1.0, v, "high"),
+    "fp_conditioning q1": lambda v: spinglass.fp_conditioning(_PURE3, 2.0, v),
+    "FPConditioning.mean_coeff r": lambda v: _pinned_system().mean_coeff(v, 0.1),
+    "FPConditioning.mean_coeff rho": lambda v: _pinned_system().mean_coeff(0.3, v),
+    "BandGeometry ladder": lambda v: spinglass.BandGeometry((v,), 3),
+    "ConditioningEvent e_vec": lambda v: spinglass.ConditioningEvent((v,), (0.1,), _GEOMETRY),
+    "ConditioningEvent r_vec": lambda v: spinglass.ConditioningEvent((0.1,), (v,), _GEOMETRY),
+    "band_kernel overlap": lambda v: spinglass.band_kernel(_PURE3, _GEOMETRY, v, v),
+    "Mixture const_term": lambda v: spinglass.Mixture({2: 1.0}, const_term=v),
+    "pure weight": lambda v: spinglass.pure(3, v),
+    "tau q1": lambda v: spinglass.tau(v, 0.3, 0.1),
+    "tau r": lambda v: spinglass.tau(0.5, v, 0.1),
+    "tau rho": lambda v: spinglass.tau(0.5, 0.3, v),
 }
 
 
@@ -215,3 +277,71 @@ def test_a_non_real_parameter_is_bad_input(entry, value):
     # before the first solve
     with pytest.raises(spinglass.BadInputError, match="real number"):
         _REAL_PARAMETER_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spinglass.rs_value(_PURE3, -1.0),
+        lambda: spinglass.rs_value(_PURE3, math.nan),
+        lambda: spinglass.rs_value(_PURE3, math.inf),
+        lambda: spinglass.FPQuery(math.inf, 1.0, 0.3, "low"),
+        lambda: spinglass.tau(0.5, 1.5, 0.3),
+    ],
+    ids=["rs_value -1", "rs_value nan", "rs_value inf", "FPQuery inf", "tau r 1.5"],
+)
+def test_an_out_of_range_real_parameter_is_bad_input(call):
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        call()
+
+
+# (exported name, parameter or field) pairs annotated as real that the tables
+# above do not cover: each is a result the library builds, never an input
+_REAL_EXEMPT = {
+    # find_critical_points' records
+    ("CriticalPointRecord", "energy_density"),
+    ("CriticalPointRecord", "radial_derivative"),
+    ("CriticalPointRecord", "tangential_residual"),
+    # fp_high's and fp_low's answer; its value is checked finite where built
+    ("FPResult", "value"),
+    ("FPResult", "rho_star"),
+    # fp_conditioning's answer; q1 is checked as fp_conditioning's argument
+    ("FPConditioning", "q1"),
+    # gibbs_mcmc's run; beta is checked as gibbs_mcmc's argument
+    ("GibbsRun", "beta"),
+    ("GibbsRun", "acceptance_rate"),
+    ("GibbsRun", "energy_autocorr"),
+    ("GibbsRun", "step_size_final"),
+    # hessian_decomposition's answer
+    ("HessianDecomposition", "grad_var"),
+    ("HessianDecomposition", "goe_scale"),
+}
+
+
+def _real_annotated(obj) -> set[str]:
+    """Parameters (fields, for a dataclass) of obj annotated float,
+    float | None or tuple[float, ...]."""
+    real = {float, float | None, tuple[float, ...]}
+    if dataclasses.is_dataclass(obj):
+        hints = typing.get_type_hints(obj)
+        return {f.name for f in dataclasses.fields(obj) if f.init and hints[f.name] in real}
+    hints = typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj)
+    return {name for name, hint in hints.items() if name != "return" and hint in real}
+
+
+def test_every_real_parameter_of_the_public_surface_is_checked():
+    # a new real parameter joins a table above, so bool and string inputs
+    # stay rejected; a table key is "name" (beta) or "name parameter"
+    covered = set()
+    for table, default in ((_BETA_ENTRY_POINTS, "beta"), (_REAL_PARAMETER_ENTRY_POINTS, None)):
+        for key in table:
+            name, _, param = key.partition(" ")
+            covered.add((name, param or default))
+    annotated = {
+        (name, param)
+        for name in spinglass.__all__
+        if callable(obj := getattr(spinglass, name))
+        for param in _real_annotated(obj)
+    }
+    assert annotated - covered - _REAL_EXEMPT == set()
+    assert _REAL_EXEMPT <= annotated

@@ -176,6 +176,35 @@ def test_rejects_over_cap():
         Mixture({33: 1.0})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Mixture({2.7: 0.5}),
+        lambda: Mixture({2.0: 0.5}),
+        lambda: Mixture({True: 0.5}),
+        lambda: Mixture({"2": 0.5}),
+        lambda: Mixture({2: True}),
+        lambda: Mixture({2: "0.5"}),
+        lambda: Mixture({2: 0.5}, const_term=True),
+        lambda: Mixture({2: 0.5}, const_term="0.1"),
+        lambda: mixtures.tau(0.5, True, 0.3),
+        lambda: mixtures.tau("0.5", 0.3, 0.1),
+        lambda: Mixture({2: 1.0}).scale_domain("0.5"),
+    ],
+    ids=["degree 2.7", "degree 2.0", "degree True", "degree str", "coeff True", "coeff str",
+         "const True", "const str", "tau r True", "tau q1 str", "scale_domain str"],
+)
+def test_a_non_integer_degree_or_non_real_value_is_rejected(build):
+    # a float degree is not truncated to another model, and a bool or a
+    # string is not read as a number
+    with pytest.raises(MixtureError):
+        build()
+
+
+def test_numpy_integer_degrees_and_real_coefficients_are_accepted():
+    assert Mixture({np.int64(2): np.float64(0.5), 4: 1}, const_term=0) == Mixture({2: 0.5, 4: 1.0})
+
+
 def test_sequence_constructor():
     # a mapping degree -> coefficient is the only form; a sequence is rejected
     for coeffs in ([0.0, 1.0, 2.0], (1.0,), np.array([0.5, 0.5]), "2:1", 1.0):

@@ -360,7 +360,7 @@ def replaced(seq, i, v):
 
 
 def fd_check_cs(m, beta, x, step=1e-5, rtol=1e-5):
-    value, grad_q, grad_x, _ = rsb._step_value_grad(m, beta, *x.segments)
+    value, grad_q, grad_x, _ = rsb._kernel(m, beta)(*x.segments)
     # central differences coordinate by coordinate
     for i in range(x.k):
         fd = fd_derivative(
@@ -375,7 +375,7 @@ def fd_check_cs(m, beta, x, step=1e-5, rtol=1e-5):
 
 
 def fd_check_zt(m, order, step=1e-5, rtol=1e-5):
-    _, grad_q, grad_a, grad_c = rsb._step_value_grad(m, None, *order.segments)
+    _, grad_q, grad_a, grad_c = rsb._kernel(m, None)(*order.segments)
     breaks, vals, c = order.breakpoints, order.values, order.c
 
     def val(bk, vl, cc):
@@ -545,7 +545,7 @@ def test_step_value_grad_is_bit_identical_to_the_frozen_oracle(beta):
         tail = 0.0 if beta is not None else float(rng.uniform(1e-3, 2.0))
         if n % 7 == 0:
             qs, levels = tuple(map(np.float64, qs)), tuple(map(np.float64, levels))
-        got = rsb._step_value_grad(m, beta, qs, levels, tail)
+        got = rsb._kernel(m, beta)(qs, levels, tail)
         want = frozen_step_value_grad(m, beta, qs, levels, tail)
         assert [_bits(g) for g in got] == [_bits(w) for w in want], (n, k)
 
@@ -607,7 +607,7 @@ def test_raw_objective_is_bit_identical_to_the_array_reference(beta):
         raw = rng.normal(0.0, scale, size)
         clipped += bool(np.any(np.abs(raw) > 60.0))
         m = mixtures[n % len(mixtures)]
-        value, grad = rsb._raw_objective(raw, m, k, beta)
+        value, grad = rsb._objective(m, k, beta)(raw)
         ref_value, ref_grad = reference_raw_objective(raw, m, k, beta)
         assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
         assert grad.dtype == ref_grad.dtype and np.array_equal(grad, ref_grad, equal_nan=True)
@@ -1171,7 +1171,7 @@ def test_lbfgs_driver_matches_scipy_minimize(mix, beta, k_levels, exit_seen):
         cheap, rest = rsb._level_starts(beta, k, cfg, None)
         for s, x0 in enumerate(cheap + rest):
             ref = scipy_minimize(
-                rsb._raw_objective, x0, args=(m, k, beta), jac=True, method="L-BFGS-B", options=options
+                rsb._objective(m, k, beta), x0, jac=True, method="L-BFGS-B", options=options
             )
             x, value, nit, nfev = rsb._lbfgs(x0, m, k, beta)
             assert x.tobytes() == ref.x.tobytes(), (k, s)
