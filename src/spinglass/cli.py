@@ -375,7 +375,7 @@ def _body_landscape(cfg: RunConfig):
             "energy_radial_identities": _jsonable(esrs),
             "free_energy_derivative": _jsonable(fpr),
             "chain_bound": bound,
-            "worst_energy_dev": max(abs(row.e_dev) for row in esrs.rows),
+            "worst_energy_dev": esrs.max_e_dev,
             "worst_radial_dev_next": max(abs(row.r_dev_next) for row in esrs.rows),
         }
         click.echo(

@@ -25,6 +25,7 @@ from .errors import (
     BadInputError,
     SingularBlockError,
     SingularMatrixError,
+    _check_array,
     _check_count,
     _check_grid,
     _check_real,
@@ -60,10 +61,6 @@ class BandGeometry:
             raise BadInputError("band geometry needs at least one ladder point")
         _check_count("n", self.n, len(ladder))
         object.__setattr__(self, "anchors", self._canonical_anchors())
-        gram = self.anchors @ self.anchors.T / self.n
-        want = np.minimum.outer(np.array(ladder), np.array(ladder))
-        if np.max(np.abs(gram - want)) > _OVERLAP_TOL:
-            raise BadInputError("anchor inner products do not reproduce the ladder")
 
     def _canonical_anchors(self) -> np.ndarray:
         qs = (0.0, *self.ladder)
@@ -80,11 +77,10 @@ class BandGeometry:
     def q_top(self) -> float:
         return self.ladder[-1]
 
-    def on_slice(self, y: np.ndarray, tol: float = _OVERLAP_TOL) -> bool:
-        """True when y has the exact chain overlaps (up to tol)."""
-        y = np.asarray(y, dtype=float)
-        overlaps = self.anchors @ y / self.n
-        return bool(np.max(np.abs(overlaps - np.array(self.ladder))) <= tol)
+    def on_slice(self, y: np.ndarray) -> bool:
+        """True when y has the exact chain overlaps (up to 1e-8)."""
+        overlaps = self.anchors @ _check_array("band point", y, (self.n,)) / self.n
+        return bool(np.max(np.abs(overlaps - np.array(self.ladder))) <= _OVERLAP_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +92,9 @@ class ConditioningEvent:
     geometry: BandGeometry
 
     def __post_init__(self) -> None:
-        e_vec = tuple(_check_real("pinned energy", v, "(-inf, inf)") for v in self.e_vec)
-        r_vec = tuple(_check_real("pinned slope", v, "(-inf, inf)") for v in self.r_vec)
-        object.__setattr__(self, "e_vec", e_vec)
-        object.__setattr__(self, "r_vec", r_vec)
-        if len(e_vec) != self.geometry.depth or len(r_vec) != self.geometry.depth:
-            raise BadInputError(
-                f"need {self.geometry.depth} per-level targets, got "
-                f"{len(e_vec)} energies and {len(r_vec)} slopes"
-            )
+        for name in ("e_vec", "r_vec"):  # one pinned value per ladder level
+            values = _check_array(f"pinned {name}", getattr(self, name), (self.geometry.depth,))
+            object.__setattr__(self, name, tuple(values.tolist()))
 
 
 # ============================================== derivative covariance algebra
@@ -140,19 +130,15 @@ def _pair_cov(m: Mixture, n: int, x, y, us, vs) -> float:
 
 
 def _parse_functional(which, points: np.ndarray, n: int):
-    kind = which[0]
-    idx = int(which[1])
-    if not 0 <= idx < len(points):
+    kind, idx = which[0], _check_count("point index", which[1], 0)
+    if idx >= len(points):
         raise BadInputError(f"point index {idx} out of range")
     x = points[idx]
     if kind == "value":
         if len(which) != 2:
             raise BadInputError("value functional takes only a point index")
         return x, ()
-    dirs = tuple(np.asarray(u, dtype=float) for u in which[2:])
-    for u in dirs:
-        if u.shape != (n,) or not np.isfinite(u).all():
-            raise BadInputError(f"directions must be finite vectors of length {n}")
+    dirs = tuple(_check_array("direction", u, (n,)) for u in which[2:])
     if kind == "deriv" and len(dirs) == 1:
         return x, dirs
     if kind == "deriv2" and len(dirs) == 2:
@@ -168,11 +154,7 @@ def derivative_covariances(m: Mixture, points, which) -> np.ndarray:
     ("deriv", i, u) or ("deriv2", i, u, w) with explicit direction vectors.
     Covariances are for the raw (extensive) field.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise BadInputError("points must be a 2-d array, one row per point")
-    if not np.isfinite(points).all():
-        raise BadInputError("points must be finite")
+    points = _check_array("points", points, (None, None))
     n = points.shape[1]
     norms = np.sum(points * points, axis=1) / n
     if np.any(norms > 1.0 + _OVERLAP_TOL):
@@ -200,20 +182,18 @@ def schur_condition(
     its coordinates. Returns the conditional mean and covariance of the
     remaining coordinates, in their original order.
     """
-    cov = np.asarray(joint_cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+    cov = _check_array("joint covariance", joint_cov, (None, None))
+    if cov.shape[0] != cov.shape[1]:
         raise BadInputError("joint covariance must be square")
-    vals = np.asarray(observed_vals, dtype=float)
-    if not (np.isfinite(cov).all() and np.isfinite(vals).all()):
-        raise BadInputError("joint covariance and observed values must be finite")
+    vals = _check_array("observed values", observed_vals, (None,))
     if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
         raise BadInputError("joint covariance must be symmetric")
-    obs = list(int(i) for i in observed_idx)
+    obs = [_check_count("observed index", i, 0) for i in observed_idx]
     if len(obs) != len(vals):
         raise BadInputError("need one observed value per observed index")
     if len(set(obs)) != len(obs):
         raise BadInputError("observed indices must be distinct")
-    if any(not 0 <= i < cov.shape[0] for i in obs):
+    if any(i >= cov.shape[0] for i in obs):
         raise BadInputError("observed index out of range")
     free = [i for i in range(cov.shape[0]) if i not in set(obs)]
     c_oo = cov[np.ix_(obs, obs)]
@@ -289,10 +269,7 @@ def band_kernel(
         )
     q_top = geometry.q_top
     if np.ndim(y1_overlap) == 1 or np.ndim(y2_overlap) == 1:
-        y1 = np.asarray(y1_overlap, dtype=float)
-        y2 = np.asarray(y2_overlap, dtype=float)
-        if y1.shape != (geometry.n,) or y2.shape != (geometry.n,):
-            raise BadInputError(f"band points must be vectors of length {geometry.n}")
+        y1, y2 = (_check_array("band point", y, (geometry.n,)) for y in (y1_overlap, y2_overlap))
         if not (geometry.on_slice(y1) and geometry.on_slice(y2)):
             raise BadInputError("band points must have the exact chain overlaps")
         t = float(y1 @ y2) / geometry.n

@@ -8,13 +8,18 @@ Every public entry point validates a real parameter by one rule,
 _check_real: a real number that is not a bool, not NaN, and inside the
 parameter's interval, written like "(0, 1]" or "[0, inf)"; grids, ladders
 and breakpoints take its sequence form _check_grid, which also requires
-strict increase. A relation between parameters (such as step < beta) is
-checked where it arises.
+strict increase. Array inputs take its array form _check_array: finite
+real entries, none a bool, in the expected shape. Exempt are the kernels
+that solves, certificates and chains call at every step: Mixture.eval and
+FieldSample.energy, energy_terms, gradient and hessian. A relation between
+parameters (such as step < beta) is checked where it arises.
 """
 from __future__ import annotations
 
 import numbers
 from functools import lru_cache
+
+import numpy as np
 
 
 class BadInputError(ValueError):
@@ -62,11 +67,12 @@ class CapacityExceededError(RuntimeError):
     """Requested dense-tensor size exceeds the configured memory caps."""
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a value that is a bool, not an integer, or below minimum with
-    BadInputError."""
+def _check_count(name: str, value, minimum: int):
+    """Return value. Raise BadInputError for a bool, a value that is not an
+    integer, or a value below minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise BadInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -83,10 +89,13 @@ def _check_real(name: str, value, interval: str, error: type = BadInputError) ->
     interval, written like "(0, 1]" or "[0, inf)"."""
     # float first: most values are floats, and the ABC check costs ten times more
     if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):
-        x = float(value)
-        lo, hi, lo_closed, hi_closed = _interval(interval)
-        if (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi):
-            return x
+        try:
+            x = float(value)
+            lo, hi, lo_closed, hi_closed = _interval(interval)
+            if (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi):
+                return x
+        except OverflowError:  # an integer past the float range is in no interval
+            pass
     raise error(f"{name} must be a real number in {interval}, got {value!r}")
 
 
@@ -97,3 +106,24 @@ def _check_grid(name: str, values, interval: str, error: type = BadInputError) -
     if any(not a < b for a, b in zip(out, out[1:])):
         raise error(f"{name} must be strictly increasing, got {out}")
     return out
+
+
+def _check_array(name: str, values, shape: tuple | None = None) -> np.ndarray:
+    """Return values as a float array, the input itself when it is one. Raise
+    BadInputError unless every entry is a finite real number, not a bool, and
+    the array has shape when given (None matches any length)."""
+    arr = values if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" else None
+    if arr is None:
+        try:  # entry by entry: numpy reads a bool as 0 or 1 and a numeric string as its value
+            entries = np.array(values, dtype=object)
+            if all(not isinstance(v, bool) and isinstance(v, numbers.Real) for v in entries.flat):
+                arr = entries.astype(float)
+        except (ValueError, OverflowError):  # a ragged nesting, or an integer past the float range
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        raise BadInputError(f"{name} must be finite real numbers")
+    if shape is not None and (
+        arr.ndim != len(shape) or any(d not in (None, s) for d, s in zip(shape, arr.shape))
+    ):
+        raise BadInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    return np.asarray(arr, dtype=float)

@@ -21,6 +21,7 @@ from .errors import (
     BadInputError,
     RegimeMismatchError,
     SolverFailedError,
+    _check_array,
     _check_count,
     _check_grid,
     _check_real,
@@ -43,8 +44,11 @@ def omega(t):
     Inside the support this is t^2/4 - 1/2; outside, a correction kicks in
     and the function grows like log|t|. Accepts scalars or arrays.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    a = np.abs(t_arr)
+    return _omega(_check_array("omega argument", t))
+
+
+def _omega(t):  # omega without the input check, for the rate formulas' own floats
+    a = np.abs(np.atleast_1d(t))
     out = 0.25 * a * a - 0.5
     mask = a > 2.0
     if mask.any():
@@ -74,7 +78,7 @@ class ComplexityEval:
 
 def _theta_raw(sig_inv: np.ndarray, const: float, xi2: float, e, r):
     quad = sig_inv[0, 0] * e * e + 2.0 * sig_inv[0, 1] * e * r + sig_inv[1, 1] * r * r
-    return const - 0.5 * quad + omega(r / math.sqrt(xi2))
+    return const - 0.5 * quad + _omega(r / math.sqrt(xi2))
 
 
 def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
@@ -113,7 +117,7 @@ def theta_pure(m: Mixture, E: float) -> float:
     xi2 = m.eval(1.0, 2)
     return float(
         0.5 + 0.5 * math.log(p - 1.0) - E * E / (2.0 * c)
-        + omega(p * E / math.sqrt(xi2))
+        + _omega(p * E / math.sqrt(xi2))
     )
 
 

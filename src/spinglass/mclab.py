@@ -37,7 +37,7 @@ from .conditioning import (
     hessian_decomposition,
     schur_condition,
 )
-from .errors import BadInputError, CapacityExceededError, _check_count, _check_real
+from .errors import BadInputError, CapacityExceededError, _check_array, _check_count, _check_real
 from .mixtures import Mixture
 
 __all__ = [
@@ -125,16 +125,9 @@ class FieldSample:
         for p in self.tensors:
             _check_count("degree", p, 0)
         _capacity_check(tuple(self.tensors) or (0,), self.n)
-        for p, t in self.tensors.items():
-            if np.shape(t) != (self.n,) * p:
-                raise BadInputError(
-                    f"degree-{p} tensor must have shape {(self.n,) * p}, got {np.shape(t)}"
-                )
-            values = np.asarray(t)
-            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-                raise BadInputError(f"degree-{p} coefficients must be finite real numbers")
+        values = [_check_array(f"degree-{p} tensor", t, (self.n,) * p) for p, t in self.tensors.items()]
         self.tensors = dict(self.tensors)
-        self._forms = {p: _packed(np.asarray(t, dtype=float)) for p, t in self.tensors.items()}
+        self._forms = {p: _packed(t) for p, t in zip(self.tensors, values)}
 
     def __getattr__(self, name: str):
         # only reached when tensors is not set: a sampled field draws them
@@ -170,9 +163,7 @@ class FieldSample:
 
     def energy_many(self, points) -> np.ndarray:
         """Field values at each row of a (count, n) point array."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise BadInputError(f"points must be rows of length {self.n}")
+        pts = _check_array("points", points, (None, self.n))
         forms = self._forms
         ys = _pair_products(pts) if max(forms, default=0) > 2 else None
         total = np.zeros(len(pts))
@@ -426,8 +417,7 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
     x *= radius / np.linalg.norm(x)
     energy = field.energy(x)
     step = cfg.step_size
-    accepted_main = proposed_main = 0
-    accepted_window = 0
+    accepted_main = accepted_window = 0
     samples, energies = [], []
     total = cfg.burn_in + cfg.steps
     for t in range(total):
@@ -439,8 +429,6 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
             accepted_window += 1
             if t >= cfg.burn_in:
                 accepted_main += 1
-        if t >= cfg.burn_in:
-            proposed_main += 1
         x *= radius / np.linalg.norm(x)
         if t < cfg.burn_in and (t + 1) % ADAPT_EVERY == 0:
             rate = accepted_window / ADAPT_EVERY
@@ -458,7 +446,7 @@ def gibbs_mcmc(field: FieldSample, beta: float, config: MCConfig | None = None) 
         field_index=field.field_index,
         samples=np.array(samples),
         energies=energies,
-        acceptance_rate=accepted_main / max(1, proposed_main),
+        acceptance_rate=accepted_main / cfg.steps,
         energy_autocorr=_lag1_autocorr(energies),
         step_size_final=step,
     )
@@ -612,12 +600,11 @@ def empirical_complexity(
     over independent field draws, with the log-count curve and bootstrap
     confidence intervals; bootstrap=0 leaves the intervals at (-inf, inf).
     Exploratory: inherits the finder's blind spots."""
-    e_edges = np.asarray(e_edges, dtype=float)
-    r_edges = np.asarray(r_edges, dtype=float)
-    if e_edges.ndim != 1 or e_edges.size < 2 or r_edges.ndim != 1 or r_edges.size < 2:
-        raise BadInputError("bin edges must be 1-d arrays with at least two entries")
-    if not all(np.isfinite(x).all() and (np.diff(x) > 0).all() for x in (e_edges, r_edges)):
-        raise BadInputError("bin edges must be finite and increasing")
+    e_edges, r_edges = (
+        _check_array("bin edges (finite and increasing)", x, (None,)) for x in (e_edges, r_edges)
+    )
+    if not all(x.size > 1 and (np.diff(x) > 0).all() for x in (e_edges, r_edges)):
+        raise BadInputError("bin edges must be finite and increasing, at least two of them")
     _check_count("n_fields", n_fields, 1)
     _check_real("radius parameter", q, "(0, 1]")
     _check_count("restarts", restarts, 1)
@@ -774,7 +761,7 @@ def overlap_statistics(run_a: GibbsRun, run_b: GibbsRun) -> OverlapHistogram:
 def dump_samples(path, samples: np.ndarray) -> None:
     """Write sample rows as little-endian float64 after a 16-byte header
     (magic, version, dimension, row count)."""
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype="<f8")))
+    arr = np.ascontiguousarray(np.atleast_2d(_check_array("samples", samples)), dtype="<f8")
     if arr.ndim != 2:
         raise BadInputError("samples must be a 2-d array")
     with open(path, "wb") as handle:

@@ -150,9 +150,9 @@ class Mixture:
 
     # ------------------------------------------------------------ evaluation
 
-    def _horner_table(self, order: int) -> tuple[float, ...]:
-        """Build and cache the order-th derivative's coefficients, highest
-        degree first.
+    def _table(self, order: int) -> tuple[float, ...]:
+        """The order-th derivative's coefficients, highest degree first,
+        built and cached on first use.
 
         Trimmed to max_degree: the dropped coefficients are zeros, and a
         Horner step over a zero coefficient maps 0 to 0 for finite t. Orders
@@ -160,6 +160,9 @@ class Mixture:
         and orders past DEGREE_CAP are empty. Threads that miss together
         build the same table, so a plain dict keyed by order is safe.
         """
+        table = self._tables.get(order)
+        if table is not None:
+            return table
         if order < 0:
             raise MixtureError(f"derivative order must be >= 0, got {order}")
         c = np.asarray(self._c)
@@ -173,11 +176,6 @@ class Mixture:
         table = tuple(c[: max(self.max_degree - order + 1, 1)][::-1].tolist())
         self._tables[order] = table
         return table
-
-    def _table(self, order: int) -> tuple[float, ...]:
-        """The order-th derivative's Horner coefficients, built on first use."""
-        table = self._tables.get(order)
-        return self._horner_table(order) if table is None else table
 
     def _eval_floats(self, ts, *orders: int) -> list[list[float]]:
         """For each derivative order given, its values at every float of ts
@@ -343,17 +341,10 @@ class Mixture:
         raw = obj["coeffs"]
         if not isinstance(raw, dict):
             raise MixtureError("'coeffs' must map degree strings to numbers")
-        const = obj.get("const", 0.0)
-        # a JSON bool would read as 1.0 or 0.0, and a string as its float value
-        for g in (*raw.values(), const):
-            if isinstance(g, bool) or not isinstance(g, (int, float)):
-                raise MixtureError(f"coefficients and const must be JSON numbers, got {g!r}")
         try:
-            coeffs = {int(p): float(g) for p, g in raw.items()}
-            const_term = float(const)
-        except (ValueError, OverflowError) as e:
-            raise MixtureError(f"bad coefficient entry: {e}") from e
-        return cls(coeffs, const_term=const_term)
+            return cls({int(p): g for p, g in raw.items()}, const_term=obj.get("const", 0.0))
+        except ValueError as e:  # a MixtureError from the constructor included
+            raise MixtureError(f"mixture JSON needs integer degrees and JSON numbers: {e}") from e
 
 
 def pure(p: int, weight: float = 1.0) -> Mixture:

@@ -76,6 +76,7 @@ from .errors import (
     NotBracketedError,
     RegimeMismatchError,
     SolverFailedError,
+    _check_array,
     _check_count,
     _check_grid,
     _check_real,
@@ -115,8 +116,23 @@ def _support(qs: Sequence[float], levels: Sequence[float]) -> tuple[float, ...]:
 # ====================================================================== types
 
 
+class _StepOrder:
+    """What both order types read of their step function, through segments."""
+
+    def support(self) -> tuple[float, ...]:
+        """Jump points of the step function (its atoms) above SUPPORT_MASS_TOL."""
+        return _support(*self.segments[:2])
+
+    def _level(self, t):
+        return _StepTable(*self.segments).level(_check_array("t", t))
+
+    def tail_integral(self, t):
+        """Int_t^1 of the step function (D(t) of x, B(t) of alpha); piecewise linear, vectorized."""
+        return _StepTable(*self.segments[:2], 0.0).p(_check_array("t", t))
+
+
 @dataclass(frozen=True)
-class OrderParameter:
+class OrderParameter(_StepOrder):
     """Step overlap CDF: x = levels[i] on [q_i, q_{i+1}) with q_0 = 0, and
     x = 1 on [qs[-1], 1]. Empty tuples encode the replica-symmetric point
     (x identically 1, all overlap mass at 0).
@@ -153,26 +169,18 @@ class OrderParameter:
         """(position, mass) pairs of the overlap measure, including 0."""
         return _jumps(*self.segments[:2])
 
-    def support(self) -> tuple[float, ...]:
-        """Positions of the atoms whose mass exceeds SUPPORT_MASS_TOL."""
-        return _support(*self.segments[:2])
-
     def cdf(self, t):
         """Evaluate x(t), right-continuous; vectorized."""
-        return _StepTable(*self.segments).level(t)
+        return self._level(t)
 
     @property
     def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
         """Engine layout: interior breakpoints, per-segment levels (top 1), tail 0."""
         return self.qs, (*self.levels, 1.0), 0.0
 
-    def tail_integral(self, t):
-        """D(t) = Int_t^1 x(s) ds; piecewise linear, vectorized."""
-        return _StepTable(*self.segments[:2], 0.0).p(t)
-
 
 @dataclass(frozen=True)
-class ZeroTempOrder:
+class ZeroTempOrder(_StepOrder):
     """Step function alpha = values[l] on [q_l, q_{l+1}) plus the scalar c.
 
     steps lists (q_l, a_l) pairs; the first breakpoint must be 0. alpha is
@@ -208,22 +216,14 @@ class ZeroTempOrder:
     def values(self) -> tuple[float, ...]:
         return tuple(a for _, a in self.steps)
 
-    def support(self) -> tuple[float, ...]:
-        """Jump points of alpha (atoms of its measure) above SUPPORT_MASS_TOL."""
-        return _support(*self.segments[:2])
-
     def alpha(self, t):
         """Evaluate alpha(t), right-continuous; vectorized."""
-        return _StepTable(*self.segments).level(t)
+        return self._level(t)
 
     @property
     def segments(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
         """Engine layout: interior breakpoints, per-segment levels, tail c."""
         return self.breakpoints[1:], self.values, self.c
-
-    def tail_integral(self, t):
-        """B(t) = Int_t^1 alpha(s) ds; piecewise linear, vectorized."""
-        return _StepTable(*self.segments[:2], 0.0).p(t)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import os
 import pathlib
 import typing
 
@@ -90,6 +91,44 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+# the per-evaluation kernels, called at every step of a solve, certificate or
+# chain, read their argument without the array check
+_UNCHECKED_KERNELS = {"mixtures.Mixture.eval", "mclab.FieldSample.energy_terms"}
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, node) of every public module-level function and
+    every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_no_public_function_coerces_its_own_array_argument():
+    # np.asarray(<parameter>, dtype=...) reads True as 1.0 and "1" as 1.0; a
+    # public array input goes through errors._check_array instead
+    found = set()
+    for path in _MODULES:
+        for name, func in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            params = {a.arg for a in (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)}
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array")
+                    and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in params
+                    and any(k.arg == "dtype" for k in node.keywords)
+                ):
+                    found.add(f"{path.stem}.{name}")
+    assert found == _UNCHECKED_KERNELS
+
+
 def test_tau_has_one_definition():
     assert spinglass.franz_parisi.tau is spinglass.mixtures.tau
     assert spinglass.tau is spinglass.mixtures.tau
@@ -116,6 +155,7 @@ def test_tau_has_one_definition():
         pytest.param(spinglass.OrderParameter.support, "mass_tol", id="OrderParameter.support-mass_tol"),
         pytest.param(spinglass.ZeroTempOrder.support, "mass_tol", id="ZeroTempOrder.support-mass_tol"),
         (spinglass.overlap_statistics, "bins"),
+        pytest.param(spinglass.BandGeometry.on_slice, "tol", id="BandGeometry.on_slice-tol"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -198,7 +238,8 @@ _BETA_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", ["2", None, True, 1 + 0j], ids=["str", "None", "True", "complex"])
+@pytest.mark.parametrize("value", ["2", None, True, 1 + 0j, 10**400],
+                         ids=["str", "None", "True", "complex", "huge-int"])
 @pytest.mark.parametrize("entry", sorted(_BETA_ENTRY_POINTS))
 def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
     # a bool is not taken as 0 or 1, and a non-real value raises the typed
@@ -210,6 +251,8 @@ def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
 _PURE2 = spinglass.Mixture({2: 1.0})
 _FIELD = mclab.sample_field(_PURE3, 4, seed=0)
 _GEOMETRY = spinglass.BandGeometry((0.5,), 3)
+_ORDER = spinglass.OrderParameter((0.5,), (0.3,))
+_ZT_ORDER = spinglass.ZeroTempOrder(((0.0, 0.5), (0.5, 1.0)), 1.0)
 
 
 @functools.cache
@@ -266,11 +309,17 @@ _REAL_PARAMETER_ENTRY_POINTS = {
     "tau q1": lambda v: spinglass.tau(v, 0.3, 0.1),
     "tau r": lambda v: spinglass.tau(0.5, v, 0.1),
     "tau rho": lambda v: spinglass.tau(0.5, 0.3, v),
+    # the array inputs below also take a scalar
+    "omega t": lambda v: spinglass.omega(v),
+    "OrderParameter.cdf t": lambda v: _ORDER.cdf(v),
+    "OrderParameter.tail_integral t": lambda v: _ORDER.tail_integral(v),
+    "ZeroTempOrder.alpha t": lambda v: _ZT_ORDER.alpha(v),
+    "ZeroTempOrder.tail_integral t": lambda v: _ZT_ORDER.tail_integral(v),
 }
 
 
-@pytest.mark.parametrize("value", ["1", "0.5", None, True, 1 + 0j],
-                         ids=["str", "str-float", "None", "True", "complex"])
+@pytest.mark.parametrize("value", ["1", "0.5", None, True, 1 + 0j, 10**400],
+                         ids=["str", "str-float", "None", "True", "complex", "huge-int"])
 @pytest.mark.parametrize("entry", sorted(_REAL_PARAMETER_ENTRY_POINTS))
 def test_a_non_real_parameter_is_bad_input(entry, value):
     # the real parameters besides the inverse temperatures, each checked
@@ -345,3 +394,69 @@ def test_every_real_parameter_of_the_public_surface_is_checked():
     }
     assert annotated - covered - _REAL_EXEMPT == set()
     assert _REAL_EXEMPT <= annotated
+
+
+def _fit(values, size: int) -> list:
+    """values padded with zeros (or cut) to size entries."""
+    return (list(values) + [0.0] * size)[:size]
+
+
+# every public array input; each entry puts the given entries first in an
+# input of the right shape, so only their values can be at fault
+_ARRAY_ENTRY_POINTS = {
+    "FieldSample tensors": lambda v: mclab.FieldSample(2, _PURE2, 0, 0, {2: [_fit(v, 2), [0.0, 1.0]]}),
+    "FieldSample.energy_many points": lambda v: _FIELD.energy_many([_fit(v, 4)]),
+    "derivative_covariances points": lambda v: spinglass.derivative_covariances(
+        _PURE2, [_fit(v, 2)], [("value", 0)]
+    ),
+    "derivative_covariances direction": lambda v: spinglass.derivative_covariances(
+        _PURE2, [[0.5, 0.5]], [("deriv", 0, _fit(v, 2))]
+    ),
+    "schur_condition joint_cov": lambda v: spinglass.schur_condition(
+        [_fit(v, 2), [0.0, 1.0]], [1], [0.5]
+    ),
+    "schur_condition observed_vals": lambda v: spinglass.schur_condition(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0, 1], _fit(v, 2)
+    ),
+    "exact_conditional_sampler constraint_values": lambda v: spinglass.exact_conditional_sampler(
+        _PURE2, [[1.0, 0.0]], [("value", 0)], _fit(v, 1), [("deriv", 0, [0.0, 1.0])], 1
+    ),
+    "band_kernel point": lambda v: spinglass.band_kernel(_PURE3, _GEOMETRY, _fit(v, 3), [1.0, 1.0, 0.0]),
+    "BandGeometry.on_slice point": lambda v: _GEOMETRY.on_slice(_fit(v, 3)),
+    "empirical_complexity e_edges": lambda v: spinglass.empirical_complexity(_PURE3, 4, 1.0, _fit(v, 2), [0, 1], 1),
+    "empirical_complexity r_edges": lambda v: spinglass.empirical_complexity(_PURE3, 4, 1.0, [0, 1], _fit(v, 2), 1),
+    "dump_samples samples": lambda v: spinglass.dump_samples(os.devnull, [_fit(v, 2)]),
+    "omega t": lambda v: spinglass.omega(v),
+    "OrderParameter.cdf t": lambda v: _ORDER.cdf(v),
+    "OrderParameter.tail_integral t": lambda v: _ORDER.tail_integral(v),
+    "ZeroTempOrder.alpha t": lambda v: _ZT_ORDER.alpha(v),
+    "ZeroTempOrder.tail_integral t": lambda v: _ZT_ORDER.tail_integral(v),
+}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["1.0"], [True], [True, 0.5], [None], [math.nan], [10**400]],
+    ids=["str", "True", "True-float", "None", "nan", "huge-int"],
+)
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_a_non_real_array_entry_is_bad_input(entry, values):
+    # numpy would read a bool as 0 or 1 and a numeric string as its value
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        _ARRAY_ENTRY_POINTS[entry](values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spinglass.schur_condition([[1.0, 0.0], [0.0, 1.0]], [True], [1.0]),
+        lambda: spinglass.schur_condition([[1.0, 0.0], [0.0, 1.0]], ["0"], [1.0]),
+        lambda: spinglass.schur_condition([[1.0, 0.0], [0.0, 1.0]], [0.0], [1.0]),
+        lambda: spinglass.derivative_covariances(_PURE2, [[0.5, 0.5]], [("value", True)]),
+        lambda: spinglass.derivative_covariances(_PURE2, [[0.5, 0.5]], [("value", 0.0)]),
+    ],
+    ids=["schur True", "schur str", "schur float", "functional True", "functional float"],
+)
+def test_a_non_integer_index_is_bad_input(call):
+    with pytest.raises(spinglass.BadInputError, match="integer"):
+        call()
