@@ -7,10 +7,14 @@ derivatives. This module assembles those joint covariance matrices, does
 textbook Gaussian conditioning on them, and packages the two structured
 consequences used elsewhere: the law of the field on a band slice given
 pinned values and gradients along an anchor chain, and the pinned system
-behind the conditioned Franz-Parisi potential. That system comes from the
-same joint covariances, at canonical points in three dimensions; it keeps
-its rows in order and drops each whose variance left after projecting out
-the rows kept before it is below 1e-12 of its own variance.
+behind the conditioned Franz-Parisi potential, from the same joint
+covariances at canonical points in three dimensions.
+
+Every pinned block goes through one rank rule: rows are kept in order,
+skipping each whose variance left after projecting out the rows kept before
+it is below 1e-12 of its own. A skipped row d whose value is more than
+sqrt(1e-12 C_dd) off its conditional mean given the kept rows makes the
+event impossible, and the conditioning raises SingularBlockError.
 """
 
 import math
@@ -19,7 +23,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     BadInputError,
@@ -172,15 +176,10 @@ def derivative_covariances(m: Mixture, points, which) -> np.ndarray:
 # ==================================================== Gaussian conditioning
 
 
-def schur_condition(
-    joint_cov,
-    observed_idx,
-    observed_vals,
-    pseudo_inverse: bool = False,
-):
+def schur_condition(joint_cov, observed_idx, observed_vals):
     """Condition a centered Gaussian vector on exact values of a subset of
-    its coordinates. Returns the conditional mean and covariance of the
-    remaining coordinates, in their original order.
+    its coordinates, under the module's rank rule. Returns the conditional
+    mean and covariance of the remaining coordinates, in their original order.
     """
     cov = _check_array("joint covariance", joint_cov, (None, None))
     if cov.shape[0] != cov.shape[1]:
@@ -196,23 +195,44 @@ def schur_condition(
     if any(i >= cov.shape[0] for i in obs):
         raise BadInputError("observed index out of range")
     free = [i for i in range(cov.shape[0]) if i not in set(obs)]
-    c_oo = cov[np.ix_(obs, obs)]
-    c_fo = cov[np.ix_(free, obs)]
-    c_ff = cov[np.ix_(free, free)]
-    if pseudo_inverse:
-        gain = c_fo @ np.linalg.pinv(c_oo, rcond=1e-12, hermitian=True)
-    else:
-        try:
-            factor = cho_factor(c_oo)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlockError(
-                "observed covariance block is singular; pass pseudo_inverse=True "
-                "to condition on its attainable span"
-            ) from exc
-        gain = cho_solve(factor, c_fo.T).T
-    cond_mean = gain @ vals
-    cond_cov = c_ff - gain @ cov[np.ix_(obs, free)]
+    rows, factor, _ = _pinned_solve(cov[np.ix_(obs, obs)], vals)
+    kept = [obs[i] for i in rows]
+    gain = cho_solve(factor, cov[np.ix_(free, kept)].T).T
+    cond_mean = gain @ vals[rows]
+    cond_cov = cov[np.ix_(free, free)] - gain @ cov[np.ix_(kept, free)]
     return cond_mean, cond_cov
+
+
+def _independent_rows(cov: np.ndarray) -> list[int]:
+    """The module's rank rule in one Cholesky pass: a row's residual variance
+    is its variance less the squared norm of its triangular solve against the
+    kept rows' factor."""
+    low = np.zeros(cov.shape)  # row k: the factor row of the k-th kept row
+    kept: list[int] = []
+    for i in range(len(cov)):
+        k = len(kept)
+        w = solve_triangular(low[:k, :k], cov[kept, i], lower=True, check_finite=False)
+        resid = cov[i, i] - w @ w
+        if resid > 1e-12 * cov[i, i]:
+            low[k, :k], low[k, k] = w, math.sqrt(resid)
+            kept.append(i)
+    return kept
+
+
+def _pinned_solve(cov: np.ndarray, vals: np.ndarray):
+    """The rank rule's rows of a pinned block, the Cholesky factor of their
+    covariance and its solve against their values. Raises SingularBlockError
+    when a skipped row d's value is more than sqrt(1e-12 C_dd) off its
+    conditional mean given the kept rows."""
+    rows = _independent_rows(cov)
+    skipped = sorted(set(range(len(cov))) - set(rows))
+    # scipy's Cholesky, not numpy.linalg, whose first call adds 0.3 MB of RSS
+    factor = cho_factor(cov[np.ix_(rows, rows)])
+    u = cho_solve(factor, vals[rows])
+    gap = cov[np.ix_(skipped, rows)] @ u - vals[skipped]
+    if np.any(gap * gap > 1e-12 * cov[skipped, skipped]):
+        raise SingularBlockError("a dependent pinned value is off its conditional mean")
+    return rows, factor, u
 
 
 # ======================================================== band conditioning
@@ -352,19 +372,6 @@ def _fp_pinned_cov(m: Mixture, q1: float, section: tuple[float, float] | None = 
     return derivative_covariances(m, np.array(points), which) / 3
 
 
-def _independent_rows(cov: np.ndarray) -> list[int]:
-    """Rows kept in order, skipping each whose variance after projecting out
-    the rows kept before it is below 1e-12 of its own variance."""
-    kept: list[int] = []
-    for i in range(len(cov)):
-        # scipy's Cholesky, not numpy.linalg, whose first call adds 0.3 MB of RSS
-        factor = cho_factor(cov[np.ix_(kept, kept)])
-        explained = cov[i, kept] @ cho_solve(factor, cov[kept, i])
-        if cov[i, i] - explained > 1e-12 * cov[i, i]:
-            kept.append(i)
-    return kept
-
-
 @dataclass(frozen=True, eq=False)
 class FPConditioning:
     """The solved pinned system of the constrained-overlap potential: the
@@ -412,16 +419,11 @@ def fp_conditioning(
     _check_real("inverse temperature", beta, "(0, inf)")
     _check_real("anchor overlap", q1, "(0, 1)")
     full = _fp_pinned_cov(m, q1)
-    rows = _independent_rows(full)
-    c = full[np.ix_(rows, rows)]
     # the composite's cap, SolverConfig()'s, not the lower zero-temperature default
     e1, r1, _ = ground_state_point(m, q1, config=config or SolverConfig())
-    rhs = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])[rows]
-    try:
-        factor = cho_factor(c)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("pinned covariance is not positive definite") from exc
-    u = cho_solve(factor, rhs)
+    pinned = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])
+    rows, _, u = _pinned_solve(full, pinned)
+    c, rhs = full[np.ix_(rows, rows)], pinned[rows]
     if np.max(np.abs(c @ u - rhs)) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularMatrixError("pinned system solve failed the residual check")
     return FPConditioning(m=m, q1=float(q1), C=c, u=u, rows=tuple(rows))

@@ -9,10 +9,10 @@ _check_real: a real number that is not a bool, not NaN, and inside the
 parameter's interval, written like "(0, 1]" or "[0, inf)"; grids, ladders
 and breakpoints take its sequence form _check_grid, which also requires
 strict increase. Array inputs take its array form _check_array: finite
-real entries, none a bool, in the expected shape. Exempt are the kernels
-that solves, certificates and chains call at every step: Mixture.eval and
-FieldSample.energy, energy_terms, gradient and hessian. A relation between
-parameters (such as step < beta) is checked where it arises.
+real entries, none a bool, in the expected shape; the FieldSample kernels
+take a float64 point of the right shape as it is and check anything else.
+Exempt is Mixture.eval, which solves and certificates call at every step. A
+relation between parameters (such as step < beta) is checked where it arises.
 """
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ class SingularMatrixError(BadInputError):
 
 
 class SingularBlockError(SingularMatrixError):
-    """Observed block in Gaussian conditioning is singular and pseudo-inverse
-    mode was not enabled."""
+    """A Gaussian conditioning event is impossible: a pinned row that the
+    conditioning module's rank rule finds dependent on the rows kept before
+    it has a value off its conditional mean given them."""
 
 
 class RegimeMismatchError(BadInputError):

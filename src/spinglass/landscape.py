@@ -15,7 +15,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     BadInputError,
@@ -81,16 +80,20 @@ def _theta_raw(sig_inv: np.ndarray, const: float, xi2: float, e, r):
     return const - 0.5 * quad + _omega(r / math.sqrt(xi2))
 
 
+def _rate_terms(m: Mixture) -> tuple[np.ndarray, float, float]:
+    """The inverse covariance, constant and xi''(1) that _theta_raw takes."""
+    sig_inv = sigma_inverse(m.sigma_xi())
+    xi2 = m.eval(1.0, 2)
+    return sig_inv, 0.5 + 0.5 * math.log(xi2 / m.eval(1.0, 1)), xi2
+
+
 def theta(m: Mixture, E: float, R: float) -> ComplexityEval:
     """Exponential growth rate of the expected number of critical points
     with energy per coordinate E and radial derivative R.
     """
     E = _check_real("energy", E, "(-inf, inf)")
     R = _check_real("radial derivative", R, "(-inf, inf)")
-    sig_inv = sigma_inverse(m.sigma_xi())
-    xi2 = m.eval(1.0, 2)
-    xi1 = m.eval(1.0, 1)
-    const = 0.5 + 0.5 * math.log(xi2 / xi1)
+    sig_inv, const, xi2 = _rate_terms(m)
     val = _theta_raw(sig_inv, const, xi2, E, R)
     u = R / math.sqrt(xi2)
     branch = "inner" if abs(u) <= 2.0 else "outer"
@@ -110,15 +113,16 @@ def theta_pure(m: Mixture, E: float) -> float:
     _check_real("energy", E, "(-inf, inf)")
     if not m.is_pure:
         raise BadInputError("restricted rate needs a single-degree mixture")
-    p = m.max_degree
-    if p < 3:
-        raise BadInputError(f"restricted rate needs degree >= 3, got {p}")
-    c = m.eval(1.0)
-    xi2 = m.eval(1.0, 2)
-    return float(
-        0.5 + 0.5 * math.log(p - 1.0) - E * E / (2.0 * c)
-        + _omega(p * E / math.sqrt(xi2))
-    )
+    if m.max_degree < 3:
+        raise BadInputError(f"restricted rate needs degree >= 3, got {m.max_degree}")
+    return float(_pure_rate(m)(E))
+
+
+def _pure_rate(m: Mixture):
+    """theta_pure's rate of the single-degree mixture m, on floats or arrays."""
+    p, c, xi2 = m.max_degree, m.eval(1.0), m.eval(1.0, 2)
+    head = 0.5 + 0.5 * math.log(p - 1.0)
+    return lambda e: head - e * e / (2.0 * c) + _omega(p * e / math.sqrt(xi2))
 
 
 # ========================================================= ground-state curves
@@ -309,34 +313,20 @@ def identity_esrs(
 # ============================================================== chain bound
 
 
-def _sup_theta_rect(mx: Mixture, e_lo, e_hi, r_lo, r_hi) -> float:
-    sig_inv = sigma_inverse(mx.sigma_xi())
-    xi2 = mx.eval(1.0, 2)
-    const = 0.5 + 0.5 * math.log(xi2 / mx.eval(1.0, 1))
-    es = np.linspace(e_lo, e_hi, 101)
-    rs = np.linspace(r_lo, r_hi, 101)
-    ee, rr = np.meshgrid(es, rs, indexing="ij")
-    vals = _theta_raw(sig_inv, const, xi2, ee, rr)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-
-    def neg(z):
-        e = min(max(z[0], e_lo), e_hi)
-        r = min(max(z[1], r_lo), r_hi)
-        return -_theta_raw(sig_inv, const, xi2, e, r)
-
-    polish = minimize(
-        neg,
-        x0=[ee[i, j], rr[i, j]],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    return max(float(vals[i, j]), -float(polish.fun))
+def _profile_rate(m: Mixture, e_lo: float, e_hi: float):
+    """The rate at R, maximised over E in [e_lo, e_hi]: for fixed R it is a
+    concave quadratic in E, peaked at -(S^-1)_01 R / (S^-1)_00, which is
+    clipped to the window. Takes floats or arrays."""
+    sig_inv, const, xi2 = _rate_terms(m)
+    slope = -sig_inv[0, 1] / sig_inv[0, 0]
+    return lambda r: _theta_raw(sig_inv, const, xi2, np.clip(slope * r, e_lo, e_hi), r)
 
 
-def _sup_theta_pure_interval(mx: Mixture, e_lo, e_hi) -> float:
-    es = np.linspace(e_lo, e_hi, 513)
-    vals = np.array([theta_pure(mx, e) for e in es])
-    return _refined_max(lambda e: theta_pure(mx, e), es, vals)[1]
+def _window_max(rate, lo: float, hi: float) -> float:
+    """Max of a one-argument rate over [lo, hi]: a 513-point grid in one
+    array call, then _refined_max's bounded polish around the grid max."""
+    ts = np.linspace(lo, hi, 513)
+    return _refined_max(rate, ts, rate(ts))[1]
 
 
 def chain_bound(
@@ -369,17 +359,12 @@ def chain_bound(
     for lev, xi_lev in enumerate(levels):
         gap = qs[lev + 1] - qs[lev]
         e_c = estar[lev + 1] - estar[lev]
+        e_lo, e_hi = e_c - 2 * eps, e_c + 2 * eps
         if xi_lev.is_pure:
-            total += _sup_theta_pure_interval(xi_lev, e_c - 2 * eps, e_c + 2 * eps)
+            total += _window_max(_pure_rate(xi_lev), e_lo, e_hi)
         else:
             r_c = ground_state_point(xi_lev, 1.0, config=cfg)[1]
-            total += _sup_theta_rect(
-                xi_lev,
-                e_c - 2 * eps,
-                e_c + 2 * eps,
-                r_c - gap * eps,
-                r_c + gap * eps,
-            )
+            total += _window_max(_profile_rate(xi_lev, e_lo, e_hi), r_c - gap * eps, r_c + gap * eps)
     return total
 
 

@@ -148,8 +148,7 @@ class FieldSample:
 
     def energy_terms(self, x) -> dict[int, float]:
         """Per-degree decomposition of the field value."""
-        x = np.asarray(x, dtype=float)
-        self._check_point(x)
+        x = self._point(x)
         forms = self._forms
         y = _pair_products(x) if max(forms, default=0) > 2 else None
         out = {}
@@ -189,8 +188,7 @@ class FieldSample:
         p M x. M is S_2 itself, or its packed pairs A^T x (p = 3) or B y
         (p = 4) expanded to every slot pair, so the Hessian is exactly
         symmetric."""
-        x = np.asarray(x, dtype=float)
-        self._check_point(x)
+        x = self._point(x)
         n = self.n
         expand = _pairs(n).expand
         grad, hess = np.zeros(n), np.zeros((n, n))
@@ -206,9 +204,12 @@ class FieldSample:
                 grad += p * (pair @ x)
         return grad, hess
 
-    def _check_point(self, x: np.ndarray) -> None:
-        if x.shape != (self.n,):
-            raise BadInputError(f"point must be a vector of length {self.n}")
+    def _point(self, x) -> np.ndarray:
+        """The point the kernels read: a float64 array of shape (n,) as it is
+        (chains and the finder pass these), anything else through _check_array."""
+        if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (self.n,):
+            return x
+        return _check_array("point", x, (self.n,))
 
 
 class _PairIndex(NamedTuple):
@@ -660,7 +661,6 @@ def exact_conditional_sampler(
     targets,
     n_draws: int,
     seed: int = 0,
-    pseudo_inverse: bool = False,
 ) -> np.ndarray:
     """Draw exact Gaussian samples of target functionals of the field given
     pinned values of constraint functionals.
@@ -669,9 +669,9 @@ def exact_conditional_sampler(
     are functional descriptors over it (("value", i), ("deriv", i, u) or
     ("deriv2", i, u, w)). Returns an (n_draws, len(targets)) array sampled
     from the conditional law via the conditional mean plus a square root of
-    the conditional covariance. Raises the singular-block error of the
-    conditioner when the constraint covariance is degenerate (pass
-    pseudo_inverse=True to condition on its attainable span).
+    the conditional covariance. Constraints go through the conditioner's rank
+    rule: a dependent one with a consistent value is skipped, and one with an
+    inconsistent value raises SingularBlockError.
     """
     _check_count("n_draws", n_draws, 1)
     constraints = list(constraints)
@@ -679,12 +679,7 @@ def exact_conditional_sampler(
     if not targets:
         raise BadInputError("need at least one target functional")
     joint = derivative_covariances(m, points, constraints + targets)
-    mean, cov = schur_condition(
-        joint,
-        range(len(constraints)),
-        constraint_values,
-        pseudo_inverse=pseudo_inverse,
-    )
+    mean, cov = schur_condition(joint, range(len(constraints)), constraint_values)
     root = _psd_root(cov)
     rng = _stream(seed, 0, 0, _SAMPLER_LANE)
     z = rng.standard_normal((n_draws, len(targets)))

@@ -91,9 +91,9 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-# the per-evaluation kernels, called at every step of a solve, certificate or
-# chain, read their argument without the array check
-_UNCHECKED_KERNELS = {"mixtures.Mixture.eval", "mclab.FieldSample.energy_terms"}
+# Mixture.eval, called at every step of a solve or certificate, reads its
+# argument without the array check
+_UNCHECKED_KERNELS = {"mixtures.Mixture.eval"}
 
 
 def _public_functions(tree: ast.Module):
@@ -156,6 +156,8 @@ def test_tau_has_one_definition():
         pytest.param(spinglass.ZeroTempOrder.support, "mass_tol", id="ZeroTempOrder.support-mass_tol"),
         (spinglass.overlap_statistics, "bins"),
         pytest.param(spinglass.BandGeometry.on_slice, "tol", id="BandGeometry.on_slice-tol"),
+        (spinglass.schur_condition, "pseudo_inverse"),
+        (spinglass.exact_conditional_sampler, "pseudo_inverse"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -406,6 +408,10 @@ def _fit(values, size: int) -> list:
 _ARRAY_ENTRY_POINTS = {
     "FieldSample tensors": lambda v: mclab.FieldSample(2, _PURE2, 0, 0, {2: [_fit(v, 2), [0.0, 1.0]]}),
     "FieldSample.energy_many points": lambda v: _FIELD.energy_many([_fit(v, 4)]),
+    "FieldSample.energy x": lambda v: _FIELD.energy(_fit(v, 4)),
+    "FieldSample.energy_terms x": lambda v: _FIELD.energy_terms(_fit(v, 4)),
+    "FieldSample.gradient x": lambda v: _FIELD.gradient(_fit(v, 4)),
+    "FieldSample.hessian x": lambda v: _FIELD.hessian(_fit(v, 4)),
     "derivative_covariances points": lambda v: spinglass.derivative_covariances(
         _PURE2, [_fit(v, 2)], [("value", 0)]
     ),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from spinglass.conditioning import (
     BandGeometry,
@@ -325,11 +326,29 @@ def test_schur_iterated_equals_block():
     assert np.max(np.abs(cur_cov - cov_blk)) < 1e-10
 
 
-def test_schur_singular_block_and_pseudo_inverse():
+def test_schur_singular_block_conditions_only_a_consistent_value():
+    # a zero-variance coordinate can only be pinned at its mean
     with pytest.raises(SingularBlockError):
         schur_condition(np.zeros((2, 2)), [0], [1.0])
-    mean, cov = schur_condition(np.zeros((2, 2)), [0], [1.0], pseudo_inverse=True)
-    assert mean[0] == 0.0 and cov[0, 0] == 0.0
+    mean, cov = schur_condition(np.zeros((2, 2)), [0], [0.0])
+    assert np.array_equal(mean, [0.0]) and np.array_equal(cov, [[0.0]])
+
+
+def test_schur_consistent_duplicate_row_changes_nothing():
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(5, 5))
+    cov = b @ b.T + 0.2 * np.eye(5)
+    vals = rng.normal(size=2)
+    # coordinate 5 repeats coordinate 1, so pinning it to the same value adds nothing
+    doubled = np.zeros((6, 6))
+    doubled[:5, :5] = cov
+    doubled[5, :5] = doubled[:5, 5] = cov[1]
+    doubled[5, 5] = cov[1, 1]
+    want = schur_condition(cov, [0, 1], vals)
+    got = schur_condition(doubled, [0, 1, 5], [*vals, vals[1]])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(SingularBlockError):
+        schur_condition(doubled, [0, 1, 5], [*vals, vals[1] + 1.0])
 
 
 def test_schur_input_validation():
@@ -354,9 +373,8 @@ def test_schur_rejects_non_finite_inputs(slot, bad):
         cov[0, 2] = cov[2, 0] = bad
     else:
         vals[1] = bad
-    for pinv in (False, True):
-        with pytest.raises(BadInputError):
-            schur_condition(cov, [0, 1], vals, pseudo_inverse=pinv)
+    with pytest.raises(BadInputError):
+        schur_condition(cov, [0, 1], vals)
 
 
 @settings(max_examples=25, deadline=None)
@@ -761,6 +779,43 @@ def test_mean_coeff_matches_the_section_row_of_the_full_builder(m):
             assert abs(fpc.mean_coeff(r, rho) - want) <= 1e-13 * float(np.abs(row) @ np.abs(u))
 
 
+def _per_row_rule(cov: np.ndarray) -> list[int]:
+    """The rank rule as first written, with a fresh Cholesky factor per row:
+    the reference for the one-pass _independent_rows."""
+    kept: list[int] = []
+    for i in range(len(cov)):
+        factor = cho_factor(cov[np.ix_(kept, kept)])
+        explained = cov[i, kept] @ cho_solve(factor, cov[kept, i])
+        if cov[i, i] - explained > 1e-12 * cov[i, i]:
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_one_pass_rank_rule_keeps_the_per_row_rule_rows(seed):
+    # a rank-deficient PSD matrix: orthogonal rows of unequal lengths, then
+    # duplicated rows, zero-variance rows and +-1 combinations of the
+    # orthogonal rows, in a shuffled order. Unit coefficients keep every
+    # independent subset well conditioned: near the 1e-12 cut, two roundings
+    # of one residual can fall on either side
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 6))
+    basis = np.linalg.qr(rng.normal(size=(rank, rank)))[0]
+    factor = list(basis * rng.uniform(0.5, 2.0, size=(rank, 1)))
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.integers(3)
+        if kind == 0:
+            factor.append(factor[rng.integers(len(factor))].copy())
+        elif kind == 1:
+            factor.append(np.zeros(rank))
+        else:
+            factor.append(rng.integers(-1, 2, size=rank) @ np.array(factor[:rank]))
+    factor = np.array(factor)[rng.permutation(len(factor))]
+    cov = factor @ factor.T
+    assert _independent_rows(cov) == _per_row_rule(cov)
+
+
 def test_rank_rule_drops_only_the_radial_row_of_a_pure_mixture():
     for m in _ORACLE_MIXES:
         for q1 in _ORACLE_Q1:
@@ -791,7 +846,8 @@ def test_fp_conditioning_of_a_numerically_rank_deficient_mixture():
     f_prime = e1 + beta * (m(1.0) - m(q1) - m.eval(q1, 1) * (1.0 - q1))
     for r in (-0.3, 0.0, 0.3):
         cov = _fp_pinned_cov(m, q1, (r, r * q1))
-        mean, _ = schur_condition(cov, range(4), [f_prime, e1, r1, 0.0], pseudo_inverse=True)
+        gain = cov[4:, :4] @ np.linalg.pinv(cov[:4, :4], rcond=1e-12, hermitian=True)
+        mean = gain @ [f_prime, e1, r1, 0.0]
         assert abs(mean[0] - fpc.mean_coeff(r, r * q1)) <= 1e-11
 
 

@@ -354,6 +354,25 @@ def test_chain_pure_matches_restricted_sup():
     assert value == pytest.approx(oracle, abs=1e-10)
 
 
+def test_pure_rate_on_an_array_equals_theta_pure_per_point():
+    # chain_bound's grid is one array call; theta_pure's float loop is the reference
+    for m in (pure(3), pure(4)):
+        es = np.linspace(-2.5, 2.5, 257)
+        assert np.array_equal(landscape._pure_rate(m)(es), [theta_pure(m, e) for e in es])
+
+
+def test_window_max_of_the_profile_matches_a_dense_rectangle_grid():
+    # chain_bound's maximiser for a level with two degrees against the rate
+    # on a dense (E, R) grid of a window around the ground state
+    m = Mixture(T34_MIX)
+    e_c, r_c, _ = ground_state_point(m, 1.0)
+    e_lo, e_hi, r_lo, r_hi = e_c - 0.02, e_c + 0.02, r_c - 0.3, r_c + 0.3
+    value = landscape._window_max(landscape._profile_rate(m, e_lo, e_hi), r_lo, r_hi)
+    ee, rr = np.meshgrid(np.linspace(e_lo, e_hi, 801), np.linspace(r_lo, r_hi, 801))
+    dense = float(np.max(landscape._theta_raw(*landscape._rate_terms(m), ee, rr)))
+    assert dense - 1e-12 <= value <= dense + 1e-5
+
+
 def test_chain_monotone_in_eps_and_small_at_default():
     m = Mixture(T34_MIX)
     beta = 1.5 * T34_BETA_C
