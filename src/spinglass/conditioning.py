@@ -23,8 +23,8 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from ._compiled import cho_factor, cho_solve, solve_lower
 from .errors import (
     BadInputError,
     SingularBlockError,
@@ -180,6 +180,9 @@ def schur_condition(joint_cov, observed_idx, observed_vals):
     """Condition a centered Gaussian vector on exact values of a subset of
     its coordinates, under the module's rank rule. Returns the conditional
     mean and covariance of the remaining coordinates, in their original order.
+    The joint covariance must be symmetric and positive semidefinite: its
+    smallest eigenvalue may fall below 0 by at most 1e-12 of its largest
+    diagonal entry.
     """
     cov = _check_array("joint covariance", joint_cov, (None, None))
     if cov.shape[0] != cov.shape[1]:
@@ -187,6 +190,8 @@ def schur_condition(joint_cov, observed_idx, observed_vals):
     vals = _check_array("observed values", observed_vals, (None,))
     if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
         raise BadInputError("joint covariance must be symmetric")
+    if len(cov) and np.linalg.eigvalsh(cov)[0] < -1e-12 * np.max(np.diag(cov)):
+        raise BadInputError("joint covariance must be positive semidefinite")
     obs = [_check_count("observed index", i, 0) for i in observed_idx]
     if len(obs) != len(vals):
         raise BadInputError("need one observed value per observed index")
@@ -211,7 +216,7 @@ def _independent_rows(cov: np.ndarray) -> list[int]:
     kept: list[int] = []
     for i in range(len(cov)):
         k = len(kept)
-        w = solve_triangular(low[:k, :k], cov[kept, i], lower=True, check_finite=False)
+        w = solve_lower(low[:k, :k], cov[kept, i])
         resid = cov[i, i] - w @ w
         if resid > 1e-12 * cov[i, i]:
             low[k, :k], low[k, k] = w, math.sqrt(resid)

@@ -11,7 +11,8 @@ and breakpoints take its sequence form _check_grid, which also requires
 strict increase. Array inputs take its array form _check_array: finite
 real entries, none a bool, in the expected shape; the FieldSample kernels
 take a float64 point of the right shape as it is and check anything else.
-Exempt is Mixture.eval, which solves and certificates call at every step. A
+Mixture.eval, which solves and certificates call at every step, takes a
+Python float unchecked and anything else through one dtype-kind test. A
 relation between parameters (such as step < beta) is checked where it arises.
 """
 from __future__ import annotations

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from scipy.optimize import minimize_scalar
-
+from ._compiled import bounded, golden
 from .conditioning import FPConditioning, fp_conditioning
 from .errors import (
     BadInputError,
@@ -267,19 +266,12 @@ def fp_low(
         return -refined[rho].total
 
     try:
-        opt = minimize_scalar(
-            negated,
-            bracket=(left, rhos[best], right),
-            method="golden",
-            options={"xtol": xtol},
-        )
+        x = golden(negated, (left, rhos[best], right), xtol)[0]
     except ValueError:
         # ranking configs can disagree with the refined objective at the
         # bracket edge; the bounded solver needs no bracket ordering
-        opt = minimize_scalar(
-            negated, bounds=(left, right), method="bounded", options={"xatol": xtol}
-        )
-    rho_star = float(min(max(opt.x, lo + width * 1e-12), hi - width * 1e-12))
+        x = bounded(negated, left, right, xtol)[0]
+    rho_star = float(min(max(x, lo + width * 1e-12), hi - width * 1e-12))
     negated(rho_star)  # solves only a rho_star the clamp moved
     terms = refined[rho_star]
     return FPResult(value=terms.total, rho_star=rho_star, terms=terms)

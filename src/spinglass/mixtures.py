@@ -196,11 +196,17 @@ class Mixture:
     def eval(self, t, order: int = 0):
         """Evaluate the order-th derivative of xi at t (Horner scheme).
 
-        The constant term contributes only at order 0. Accepts scalars
-        (returns a float) or numpy arrays. Orders beyond the polynomial
-        degree return 0.
+        The constant term contributes only at order 0. Accepts real scalars
+        (returns a float) or arrays of integers or floats; a bool, string,
+        complex or object input raises MixtureError. A list is read as
+        numpy reads it, so [True, 0.5] folds to [1.0, 0.5]. Orders beyond
+        the polynomial degree return 0.
         """
-        if type(t) is float or np.ndim(t) == 0:
+        if type(t) is float:
+            return self._eval_floats((float(t),), order)[0][0]
+        if np.asarray(t).dtype.kind not in "iuf":
+            raise MixtureError(f"xi is evaluated at real numbers, got {t!r}")
+        if np.ndim(t) == 0:
             return self._eval_floats((float(t),), order)[0][0]
         table = self._table(order)
         t_arr = np.asarray(t, dtype=float)

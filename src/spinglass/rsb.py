@@ -29,16 +29,19 @@ One solver runs a seeded multistart quasi-Newton pass in unconstrained raw
 coordinates, canonicalizes the resulting atoms, polishes interior solutions
 by Newton root-finding on the gradient, and raises the atom count k until
 the answer certifies. The quasi-Newton pass is L-BFGS-B, driven through
-scipy's compiled step routine setulb directly: it takes the iterates that
+its compiled step routine setulb directly: it takes the iterates that
 scipy.optimize.minimize would, without minimize's per-evaluation wrapper,
 which cost about as much as the objective itself. Each descent builds one
 objective around one kernel, which binds the mixture's Horner tables and
-xi, xi' at 0 and 1 once. The polish is MINPACK's hybrd, called through
-scipy's compiled _minpack._hybrd the way scipy.optimize.root(method="hybr")
-calls it, so it reaches the same point without root's wrapper and the
-extra evaluation of its shape check. Every engine function takes the one
-temperature switch beta, a float at finite temperature and None at zero
-temperature; cs_minimize and zt_minimize are its two settings.
+xi, xi' at 0 and 1 once. The polish is MINPACK's compiled hybrd, called the
+way scipy.optimize.root(method="hybr") calls it, so it reaches the same
+point without root's wrapper and the extra evaluation of its shape check.
+Both routines, and the bounded scalar search that refines a certificate's
+maximum, come from _compiled, which loads scipy's extension modules from
+their files, so the module never imports scipy.optimize. Every engine
+function takes the one temperature switch beta, a float at finite
+temperature and None at zero temperature; cs_minimize and zt_minimize are
+its two settings.
 
 Optimality is certified by first-order conditions of obstacle type: the
 support of the order parameter must sit inside the argmax of an explicitly
@@ -67,9 +70,8 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import _minpack, minimize_scalar
-from scipy.optimize._lbfgsb import setulb  # C port, scipy >= 1.15; verified on 1.17.1
 
+from ._compiled import bounded, hybrd, setulb
 from ._rng import STREAM_SOLVER, stream
 from .errors import (
     BadInputError,
@@ -559,14 +561,9 @@ def _refined_max(fun, grid_ts, grid_vals):
     lo = float(grid_ts[max(i - 1, 0)])
     hi = float(grid_ts[min(i + 1, len(grid_ts) - 1)])
     if hi > lo:
-        res = minimize_scalar(
-            lambda t: -float(fun(t)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if -res.fun > best_v:
-            best_t, best_v = float(res.x), float(-res.fun)
+        x, value = bounded(lambda t: -float(fun(t)), lo, hi, 1e-13)
+        if -value > best_v:
+            best_t, best_v = x, -value
     return best_t, best_v
 
 
@@ -579,6 +576,13 @@ def _mesh_pieces(top: float) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.geomspace(1e-9, 1e-2, 25)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array without NaNs: sorted, each value once.
+    np.unique itself imports numpy.ma on its first call."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
     """Sorted mesh on [0, top]: CERT_MESH uniform points, every anchor with
     25 log-spaced offsets on each side, and 200 log-dense points near 0,
@@ -586,7 +590,7 @@ def _certificate_mesh(anchor_pts: Sequence[float], top: float) -> np.ndarray:
     grid, offsets = _mesh_pieces(top)
     anchors = np.asarray(anchor_pts, dtype=float).reshape(-1, 1)
     near = np.clip(np.concatenate([anchors + offsets, anchors - offsets]), 0.0, top)
-    return np.unique(np.concatenate([grid, near.ravel(), anchors.ravel()]))
+    return _sorted_unique(np.concatenate([grid, near.ravel(), anchors.ravel()]))
 
 
 def _certify(m: Mixture, beta: float | None, qs, levels, tail: float, tolerance: float):
@@ -954,8 +958,8 @@ def _hybrd(fun, v0: np.ndarray):
     steps, step bound factor 100), so x is the same, without root's wrapper
     and the extra evaluation of its shape check. hybrd writes its iterates
     into the start array, so it gets a copy."""
-    x, status = _minpack._hybrd(fun, np.array(v0, dtype=float), (), 0, 1e-13, 200 * (v0.size + 1),
-                                -10, -10, np.finfo(float).eps, 100.0, None)
+    x, status = hybrd(fun, np.array(v0, dtype=float), (), 0, 1e-13, 200 * (v0.size + 1),
+                      -10, -10, np.finfo(float).eps, 100.0, None)
     return x, status == 1
 
 
@@ -1153,10 +1157,8 @@ def zt_minimize(
 def _rs_mesh() -> np.ndarray:
     """The fixed mesh of _rs_profile_sup, built on first use: 1500 log-spaced
     points up to 1/2 and 1500 uniform ones above; read-only."""
-    ts = np.unique(
-        np.concatenate(
-            [np.geomspace(1e-12, 0.5, 1500), np.linspace(0.5, 1.0 - 1e-12, 1500)]
-        )
+    ts = _sorted_unique(
+        np.concatenate([np.geomspace(1e-12, 0.5, 1500), np.linspace(0.5, 1.0 - 1e-12, 1500)])
     )
     ts.setflags(write=False)
     return ts
@@ -1216,7 +1218,7 @@ def _beta_c(m: Mixture) -> float:
 def _step_l1(breaks_a, vals_a, breaks_b, vals_b) -> float:
     """Exact L1 distance on [0,1] of two step functions given as
     (interior breakpoints, per-segment values with len = breaks + 1)."""
-    cuts = np.unique(np.concatenate([[0.0, 1.0], breaks_a, breaks_b]))
+    cuts = _sorted_unique(np.concatenate([[0.0, 1.0], breaks_a, breaks_b]))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     va = _StepTable(breaks_a, vals_a, 0.0).level(mids)
     vb = _StepTable(breaks_b, vals_b, 0.0).level(mids)

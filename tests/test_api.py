@@ -9,6 +9,7 @@ import os
 import pathlib
 import typing
 
+import numpy as np
 import pytest
 
 import spinglass
@@ -466,3 +467,31 @@ def test_a_non_real_array_entry_is_bad_input(entry, values):
 def test_a_non_integer_index_is_bad_input(call):
     with pytest.raises(spinglass.BadInputError, match="integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["0.5", True, np.bool_(False), 0.5 + 0j, np.array(["0.5"]), np.array([True, False]),
+     np.array([0.5], dtype=object), [0.5 + 0j], None],
+    ids=["str", "True", "np-bool", "complex", "str-array", "bool-array", "object-array",
+         "complex-list", "None"],
+)
+def test_mixture_eval_rejects_non_real_input(t):
+    # the solvers' float fast path is unchecked; every other input gets one dtype test
+    m = spinglass.Mixture({2: 0.5, 3: 0.5})
+    with pytest.raises(spinglass.MixtureError):
+        m.eval(t)
+    with pytest.raises(spinglass.MixtureError):
+        m(t, 1)
+
+
+def test_mixture_eval_reads_every_real_input_alike():
+    m = spinglass.Mixture({2: 0.5, 3: 0.5})
+    want = m.eval(0.5)
+    assert want == 0.1875
+    for t in (np.float64(0.5), np.array(0.5), np.float32(0.5)):
+        assert m.eval(t) == want
+    assert m.eval(1) == m.eval(np.int64(1)) == m.eval(1.0)
+    assert np.array_equal(m.eval([0.5, 1]), [want, m.eval(1.0)])
+    # a list's entries fold inside numpy first, as the docstring says
+    assert np.array_equal(m.eval([True, 0.5]), [m.eval(1.0), want])

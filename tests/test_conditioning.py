@@ -363,6 +363,30 @@ def test_schur_input_validation():
         schur_condition(np.eye(3), [0, 1], [1.0])
 
 
+def test_schur_rejects_an_indefinite_covariance():
+    # symmetric, but with eigenvalue 1 - 2 < 0 in the observed block: no
+    # Gaussian vector has this covariance, so no conditional law exists
+    cov = [[1.0, 2.0, 0.5], [2.0, 1.0, 0.3], [0.5, 0.3, 1.0]]
+    with pytest.raises(BadInputError, match="positive semidefinite"):
+        schur_condition(cov, [0, 1], [1.0, 2.0])
+    # the block seen from the free coordinate alone is indefinite too
+    with pytest.raises(BadInputError, match="positive semidefinite"):
+        schur_condition(cov, [2], [1.0])
+
+
+def test_schur_conditions_a_rank_deficient_psd_covariance():
+    # x2 = x0 + x1 exactly: rank 2 of 3, smallest eigenvalue a rounding error
+    b = np.array([[1.0, 0.0], [0.3, 0.8], [1.3, 0.8]])
+    cov = b @ b.T
+    assert np.linalg.eigvalsh(cov)[0] < 1e-14
+    mean, cond = schur_condition(cov, [0, 1, 2], [0.4, -0.2, 0.2])
+    assert mean.shape == (0,) and cond.shape == (0, 0)
+    mean, cond = schur_condition(cov, [0, 1], [0.4, -0.2])
+    assert abs(mean[0] - 0.2) < 1e-14 and abs(cond[0, 0]) < 1e-14
+    with pytest.raises(SingularBlockError):
+        schur_condition(cov, [0, 1, 2], [0.4, -0.2, 0.5])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("slot", ["diagonal", "off_diagonal", "observed"])
 def test_schur_rejects_non_finite_inputs(slot, bad):
