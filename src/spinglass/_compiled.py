@@ -11,6 +11,21 @@ module loads the three extension modules straight from their files and
 leaves them out of sys.modules, so a later import of scipy.optimize or
 scipy.linalg loads its own copies as usual.
 
+Each extension module loads on the first access to its routine, not at
+import: the module attributes setulb, hybrd and _flapack resolve through
+the module's __getattr__, which loads the file once per process and
+stores the result in the module dict, where later reads find it. A Monte
+Carlo pass, which calls none of them, maps none of them; the first solve
+pays for _lbfgsb and _minpack (about 2 ms, most of it the BLAS library
+_lbfgsb links), the first conditioning for _flapack (about 1.4 ms). The
+first load runs under a lock, so threads that solve at once
+(ground_state_curve's pool) load each module once and never leave one
+registered in sys.modules; a failed load raises its ImportError and is
+tried again on the next access. scipy._lib._ccallback stays an eager
+import: _hybrd imports it on its first call, and that import (top-level
+scipy, subprocess, sysconfig; about 10 ms) would otherwise land inside
+the first polish.
+
 golden and bounded are step-for-step ports of scipy's
 _minimize_scalar_golden (with a three-point bracket) and
 _minimize_scalar_bounded: the same points are evaluated in the same order,
@@ -27,6 +42,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 # _hybrd imports this on its first call; importing it here keeps that out of the first solve
@@ -59,9 +75,35 @@ def _load(package: str, name: str):
     return module
 
 
-setulb = _load("optimize", "_lbfgsb").setulb  # C port, scipy >= 1.15
-hybrd = _load("optimize", "_minpack")._hybrd
-_flapack = _load("linalg", "_flapack")
+# attribute -> (package, extension module, routine in it; None for the module)
+_LAZY = {
+    "setulb": ("optimize", "_lbfgsb", "setulb"),  # C port, scipy >= 1.15
+    "hybrd": ("optimize", "_minpack", "_hybrd"),
+    "_flapack": ("linalg", "_flapack", None),
+}
+_LOAD_LOCK = threading.Lock()
+
+
+def _routine(name: str):
+    """The _LAZY attribute name, loaded on the first call under _LOAD_LOCK
+    and kept in the module dict; a failed load stores nothing."""
+    found = globals().get(name)
+    if found is None:
+        with _LOAD_LOCK:  # checked again: another thread may have loaded it meanwhile
+            found = globals().get(name)
+            if found is None:
+                package, module, routine = _LAZY[name]
+                found = _load(package, module)
+                if routine is not None:
+                    found = getattr(found, routine)
+                globals()[name] = found
+    return found
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _routine(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ============================================================ scalar searches
@@ -193,7 +235,7 @@ def cho_factor(a: np.ndarray):
     a = np.asarray_chkfinite(a)
     if a.size == 0:
         return np.empty_like(a, dtype=float), False
-    c, info = _flapack.dpotrf(a, lower=0, clean=0)
+    c, info = _routine("_flapack").dpotrf(a, lower=0, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c, False
@@ -206,7 +248,7 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
     b = np.asarray_chkfinite(b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)
-    return _flapack.dpotrs(c, b, lower=lower)[0]
+    return _routine("_flapack").dpotrs(c, b, lower=lower)[0]
 
 
 def solve_lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,10 +257,11 @@ def solve_lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as the transposed upper system, as scipy does."""
     if b.size == 0:
         return np.empty_like(b, dtype=float)
+    dtrtrs = _routine("_flapack").dtrtrs
     if a.flags.f_contiguous:
-        x, info = _flapack.dtrtrs(a, b, lower=1)
+        x, info = dtrtrs(a, b, lower=1)
     else:
-        x, info = _flapack.dtrtrs(a.T, b, lower=0, trans=1)
+        x, info = dtrtrs(a.T, b, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x

@@ -116,9 +116,10 @@ def _check_array(name: str, values, shape: tuple | None = None) -> np.ndarray:
     the array has shape when given (None matches any length)."""
     arr = values if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" else None
     if arr is None:
-        try:  # entry by entry: numpy reads a bool as 0 or 1 and a numeric string as its value
+        try:  # by entry type: numpy reads a bool as 0 or 1 and a numeric string as its value
             entries = np.array(values, dtype=object)
-            if all(not isinstance(v, bool) and isinstance(v, numbers.Real) for v in entries.flat):
+            # one ABC test per distinct type, not per entry
+            if all(t is not bool and issubclass(t, numbers.Real) for t in set(map(type, entries.flat))):
                 arr = entries.astype(float)
         except (ValueError, OverflowError):  # a ragged nesting, or an integer past the float range
             pass

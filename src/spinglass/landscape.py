@@ -10,7 +10,6 @@ identities that tie the two together along an overlap ladder.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -211,8 +210,13 @@ def ground_state_curve(
     def solve_one(q: float):
         return ground_state_point(m, q, config=config)
 
-    rows = []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    rows, pool = [], None
+    if workers > 1:
+        # only a threaded curve imports the pool (and with it logging)
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
         try:
             for q, (e, r, _) in zip(qs, (pool.map if pool else map)(solve_one, qs)):
                 rows.append((q, e, r))

@@ -38,7 +38,8 @@ way scipy.optimize.root(method="hybr") calls it, so it reaches the same
 point without root's wrapper and the extra evaluation of its shape check.
 Both routines, and the bounded scalar search that refines a certificate's
 maximum, come from _compiled, which loads scipy's extension modules from
-their files, so the module never imports scipy.optimize. Every engine
+their files on the first call that needs them: the module never imports
+scipy.optimize, and importing it loads no compiled routine. Every engine
 function takes the one temperature switch beta, a float at finite
 temperature and None at zero temperature; cs_minimize and zt_minimize are
 its two settings.
@@ -71,7 +72,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._compiled import bounded, hybrd, setulb
+from . import _compiled
+from ._compiled import bounded
 from ._rng import STREAM_SOLVER, stream
 from .errors import (
     BadInputError,
@@ -844,6 +846,7 @@ def _lbfgs(raw0: np.ndarray, m: Mixture, k: int, beta: float | None):
     iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     objective = _objective(m, k, beta)
+    setulb = _compiled.setulb  # loaded by the first descent in the process
     last, nit, nfev = None, 0, 0
     while True:
         setulb(_MEMORY, x, free, free, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
@@ -958,8 +961,8 @@ def _hybrd(fun, v0: np.ndarray):
     steps, step bound factor 100), so x is the same, without root's wrapper
     and the extra evaluation of its shape check. hybrd writes its iterates
     into the start array, so it gets a copy."""
-    x, status = hybrd(fun, np.array(v0, dtype=float), (), 0, 1e-13, 200 * (v0.size + 1),
-                      -10, -10, np.finfo(float).eps, 100.0, None)
+    x, status = _compiled.hybrd(fun, np.array(v0, dtype=float), (), 0, 1e-13, 200 * (v0.size + 1),
+                                -10, -10, np.finfo(float).eps, 100.0, None)
     return x, status == 1
 
 

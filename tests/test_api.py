@@ -495,3 +495,17 @@ def test_mixture_eval_reads_every_real_input_alike():
     assert np.array_equal(m.eval([0.5, 1]), [want, m.eval(1.0)])
     # a list's entries fold inside numpy first, as the docstring says
     assert np.array_equal(m.eval([True, 0.5]), [m.eval(1.0), want])
+
+
+def test_a_list_of_numpy_real_scalars_is_read_as_floats():
+    arr = spinglass.errors._check_array("x", [[np.float64(0.25), np.int64(2)], [0.5, 3]])
+    assert arr.dtype == float and arr.tolist() == [[0.25, 2.0], [0.5, 3.0]]
+    assert np.array_equal(spinglass.omega([np.float64(0.5), np.int64(3)]), spinglass.omega([0.5, 3.0]))
+
+
+def test_a_long_list_ending_in_a_numpy_bool_is_bad_input():
+    values = [0.5] * 9_999 + [np.bool_(True)]
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        spinglass.errors._check_array("x", values)
+    with pytest.raises(spinglass.BadInputError, match="real number"):
+        spinglass.omega(values)

@@ -256,3 +256,111 @@ def test_calls_after_import_load_no_module():
         print(sorted(set(sys.modules) - before))
     """)
     assert out == "[]"
+
+
+# ================================================================ first load
+
+# a fresh process that counts _compiled's loads by module name
+_COUNTED = """
+    import collections, sys
+    import spinglass as sg, spinglass.rsb
+    from spinglass import _compiled
+    loads, load = collections.Counter(), _compiled._load
+
+    def counted(package, name):
+        loads[name] += 1
+        return load(package, name)
+
+    _compiled._load = counted
+"""
+
+
+def _counted(code: str) -> str:
+    return _run_fresh(textwrap.dedent(_COUNTED) + textwrap.dedent(code))
+
+
+def test_a_monte_carlo_pass_loads_no_compiled_module_and_no_thread_pool():
+    out = _counted("""
+        field = sg.sample_field(sg.pure(3), 8, 1, 0)
+        cfg = sg.MCConfig(steps=20, burn_in=5, thin=5)
+        sg.overlap_statistics(sg.gibbs_mcmc(field, 1.0, cfg),
+                              sg.gibbs_mcmc(field, 1.0, sg.MCConfig(steps=20, burn_in=5, thin=5, chain_index=1)))
+        sg.find_critical_points(field, restarts=2, max_iter=5)
+        print(dict(loads), "concurrent.futures" in sys.modules,
+              sorted(set(_compiled._LAZY) & set(vars(_compiled))))
+    """)
+    assert out == "{} False []"
+
+
+def test_a_solve_loads_the_optimize_modules_only():
+    out = _counted("""
+        sg.cs_minimize(sg.Mixture({2: 0.5, 4: 0.5}), 2.0)
+        print(sorted(loads.items()))
+    """)
+    assert out == "[('_lbfgsb', 1), ('_minpack', 1)]"
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["sg.schur_condition([[1.0, 0.5], [0.5, 1.0]], [0], [1.0])", "sg.fp_conditioning(sg.pure(3), 2.0, 0.5)"],
+    ids=["schur_condition", "fp_conditioning"],
+)
+def test_the_first_conditioning_loads_lapack_once(call):
+    out = _counted(f"""
+        sg.cs_minimize(sg.Mixture({{2: 0.5, 4: 0.5}}), 2.0)
+        before = loads["_flapack"]
+        {call}
+        {call}
+        print(before, sorted(loads.items()))
+    """)
+    assert out == "0 [('_flapack', 1), ('_lbfgsb', 1), ('_minpack', 1)]"
+
+
+def test_a_serial_curve_imports_no_thread_pool():
+    out = _counted("""
+        sg.ground_state_curve(sg.Mixture({2: 0.5, 3: 0.5}), (0.4, 1.0), workers=1)
+        print("concurrent.futures" in sys.modules)
+    """)
+    assert out == "False"
+
+
+def test_threads_that_solve_first_load_each_module_once():
+    # four threads reach the first descent and the first polish together; a
+    # slow load widens the window in which an unlocked check would race
+    out = _counted("""
+        import time
+
+        def slow(package, name):
+            time.sleep(0.05)
+            return counted(package, name)
+
+        _compiled._load = slow
+        sg.ground_state_curve(sg.Mixture({2: 0.5, 3: 0.5}), (0.4, 0.6, 0.8, 1.0), workers=4)
+        print(sorted(loads.items()), sorted({"_lbfgsb", "_minpack", "_flapack"} & set(sys.modules)))
+    """)
+    assert out == "[('_lbfgsb', 1), ('_minpack', 1)] []"
+
+
+def test_a_failed_load_raises_and_is_tried_again(monkeypatch):
+    original = _compiled._flapack  # loaded now if it was not yet
+    monkeypatch.delattr(_compiled, "_flapack")
+    raised = []
+
+    def missing(package, name):
+        raised.append(ImportError(f"no compiled module {name}", name=name))
+        raise raised[-1]
+
+    monkeypatch.setattr(_compiled, "_load", missing)
+    for attempt in (1, 2):
+        with pytest.raises(ImportError) as excinfo:
+            _compiled.cho_factor(np.eye(2))
+        # the loader's own error, and each call tries the load again
+        assert len(raised) == attempt and excinfo.value is raised[-1]
+        assert "_flapack" not in vars(_compiled)
+    monkeypatch.undo()
+    assert _compiled._flapack is original
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_routine"):
+        getattr(_compiled, "no_such_routine")
