@@ -4,11 +4,12 @@ The field's covariance between any two points is a function of their inner
 product alone, so covariances of values and directional derivatives at a
 finite point set reduce to closed forms in the mixture and its first few
 derivatives. This module assembles those joint covariance matrices, does
-textbook Gaussian conditioning on them, and packages the two structured
-consequences used elsewhere: the law of the field on a band slice given
-pinned values and gradients along an anchor chain, and the pinned system
-behind the conditioned Franz-Parisi potential, from the same joint
-covariances at canonical points in three dimensions.
+textbook Gaussian conditioning on them, and builds the paper's one event
+(chain_constraint_set): energies and gradients at anchors x_i with overlaps
+q_i, and the energy at a point sigma with overlap q_i to each x_i. It gives
+the law of the field on a band slice, and the pinned system of the
+conditioned Franz-Parisi potential is its depth-1 instance in n = 3 (only
+inner products enter, so that frame gives the law at any n).
 
 Every pinned block goes through one rank rule: rows are kept in order,
 skipping each whose variance left after projecting out the rows kept before
@@ -59,11 +60,11 @@ class BandGeometry:
     anchors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ladder = _check_grid("ladder point", self.ladder, "(0, 1]")
+        ladder = _check_grid("ladder point", self.ladder, "(0, 1)")
         object.__setattr__(self, "ladder", ladder)
         if not ladder:
             raise BadInputError("band geometry needs at least one ladder point")
-        _check_count("n", self.n, len(ladder))
+        _check_count("n", self.n, len(ladder) + 1)  # a band slice past the chain
         object.__setattr__(self, "anchors", self._canonical_anchors())
 
     def _canonical_anchors(self) -> np.ndarray:
@@ -243,32 +244,28 @@ def _pinned_solve(cov: np.ndarray, vals: np.ndarray):
 # ======================================================== band conditioning
 
 
-def chain_constraint_set(geometry: BandGeometry, event: ConditioningEvent):
-    """Constraint functionals, display labels and pinned raw values along
-    the anchor chain: per level one value (the extensive energy) and one
-    increment-direction derivative (the unnormalized slope), then the
-    tangential gradient (pinned to zero), in the canonical frame where the
-    chain spans the leading coordinate axes. Extra eval points appended
-    after the anchors keep indices starting at the chain depth."""
-    n = geometry.n
-    eye = np.eye(n)
-    anchors = geometry.anchors
-    qs = (0.0, *geometry.ladder)
-    funcs, labels, vals = [], [], []
+def chain_constraint_set(event: ConditioningEvent, energy: float | None = None):
+    """The event's points, functionals and pinned values per site (times n
+    for the raw field) in the canonical frame, where the chain spans the
+    leading axes. The points are the anchors and, given an energy, sigma =
+    x_k + sqrt(n (1 - q_k)) e_(k+1), with overlap q_i to x_i and norm sqrt(n).
+    The rows are sigma's value (pinned to energy), then per level the value
+    (to e_i), the derivative along (x_i - x_(i-1)) / (q_i - q_(i-1)) (to r_i)
+    and the gradient along sqrt(n) e_j for each axis j past x_i's (to 0)."""
+    n, k, anchors = event.geometry.n, event.geometry.depth, event.geometry.anchors
+    qs, eye = (0.0, *event.geometry.ladder), np.eye(n)
+    points, funcs, vals = anchors.copy(), [], []
+    if energy is not None:
+        points = np.vstack([anchors, anchors[-1] + math.sqrt(n * (1.0 - qs[k])) * eye[k]])
+        funcs.append(("value", k))
+        vals.append(_check_real("energy", energy, "(-inf, inf)"))
     prev = np.zeros(n)
-    for i in range(geometry.depth):
-        funcs.append(("value", i))
-        labels.append(f"H@x{i + 1}")
-        vals.append(n * event.e_vec[i])
-        funcs.append(("deriv", i, anchors[i] - prev))
-        labels.append(f"dR@x{i + 1}")
-        vals.append(n * (qs[i + 1] - qs[i]) * event.r_vec[i])
-        for j in range(i + 1, n):
-            funcs.append(("deriv", i, eye[j]))
-            labels.append(f"gperp{j + 1}@x{i + 1}")
-        vals.extend([0.0] * (n - i - 1))
+    for i in range(k):
+        funcs += [("value", i), ("deriv", i, (anchors[i] - prev) / (qs[i + 1] - qs[i]))]
+        funcs += [("deriv", i, math.sqrt(n) * eye[j]) for j in range(i + 1, n)]
+        vals += [event.e_vec[i], event.r_vec[i]] + [0.0] * (n - i - 1)
         prev = anchors[i]
-    return funcs, labels, np.array(vals)
+    return points, funcs, np.array(vals)
 
 
 def band_kernel(
@@ -351,14 +348,9 @@ def hessian_decomposition(m: Mixture, depth: int, n: int) -> HessianDecompositio
 # ==================================== overlap-constrained mean and kernel
 
 
-def _fp_frame(q1: float):
-    """The pinned vector's points and functionals: the values at the
-    reference point sigma and the anchor x1, and the anchor's derivatives
-    along x1/q1 and along sqrt(n) times the in-plane unit. Only inner
-    products enter, so the canonical points in n = 3 give the law at any n."""
-    x1, sigma = BandGeometry((q1, 1.0), 3).anchors
-    radial, in_plane = x1 / q1, math.sqrt(3) * np.eye(3)[1]
-    return [sigma, x1], [("value", 0), ("value", 1), ("deriv", 1, radial), ("deriv", 1, in_plane)]
+def _fp_event(q1: float, e1: float = 0.0, r1: float = 0.0, energy: float = 0.0):
+    """chain_constraint_set on the Franz-Parisi event in n = 3."""
+    return chain_constraint_set(ConditioningEvent((e1,), (r1,), BandGeometry((q1,), 3)), energy)
 
 
 def _section_point(q1: float, r: float, rho: float) -> np.ndarray:
@@ -370,21 +362,23 @@ def _section_point(q1: float, r: float, rho: float) -> np.ndarray:
 def _fp_pinned_cov(m: Mixture, q1: float, section: tuple[float, float] | None = None):
     """Covariance per site of the pinned vector, with a section (r, rho) the
     value at _section_point(q1, r, rho) last."""
-    points, which = _fp_frame(q1)
+    points, which, _ = _fp_event(q1)
     if section is not None:
-        points.append(_section_point(q1, *section))
+        points = np.vstack([points, _section_point(q1, *section)])
         which.append(("value", 2))
-    return derivative_covariances(m, np.array(points), which) / 3
+    return derivative_covariances(m, points, which) / 3
 
 
 @dataclass(frozen=True, eq=False)
 class FPConditioning:
     """The solved pinned system of the constrained-overlap potential: the
     covariance C of the pinned rows at anchor overlap q1 and the
-    coefficients u with C u = the reference values. C comes from
-    derivative_covariances, like every other law here; rows are the pinned
-    vector's rows it keeps under the module's rank rule (a single-degree
-    mixture drops the radial derivative, a multiple of the anchor energy)."""
+    coefficients u with C u = the reference values. rows are those of
+    chain_constraint_set's depth-1 event with sigma in n = 3 kept under the
+    rank rule (a single-degree mixture drops the radial derivative, a
+    multiple of the anchor energy). Row 4, the gradient along the third
+    axis, is exactly uncorrelated with the others, as sigma and the anchor
+    span the first two; pinned to 0, it has u entry exactly 0."""
 
     m: Mixture
     q1: float
@@ -395,7 +389,7 @@ class FPConditioning:
     @cached_property
     def _kept(self) -> list:
         """The kept rows' functionals, parsed once from the n = 3 frame."""
-        points, which = _fp_frame(self.q1)
+        points, which, _ = _fp_event(self.q1)
         return [_parse_functional(which[i], points, 3) for i in self.rows]
 
     def mean_coeff(self, r: float, rho: float) -> float:
@@ -419,14 +413,14 @@ def fp_conditioning(
     config: SolverConfig | None = None,
 ) -> FPConditioning:
     """Solve the pinned linear system at reference values: free-energy
-    slope, ground state and its slope at the anchor, zero in-plane
-    gradient."""
+    slope at sigma, ground state and its slope at the anchor, zero
+    tangential gradient."""
     _check_real("inverse temperature", beta, "(0, inf)")
     _check_real("anchor overlap", q1, "(0, 1)")
     full = _fp_pinned_cov(m, q1)
     # the composite's cap, SolverConfig()'s, not the lower zero-temperature default
     e1, r1, _ = ground_state_point(m, q1, config=config or SolverConfig())
-    pinned = np.array([_free_energy_slope(m, beta, q1, e1), e1, r1, 0.0])
+    *_, pinned = _fp_event(q1, e1, r1, _free_energy_slope(m, beta, q1, e1))
     rows, _, u = _pinned_solve(full, pinned)
     c, rhs = full[np.ix_(rows, rows)], pinned[rows]
     if np.max(np.abs(c @ u - rhs)) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):

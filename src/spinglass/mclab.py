@@ -835,9 +835,9 @@ def validate_kernels(seed: int) -> list[dict]:
     u1 -= qa @ (qa.T @ u1)
     u1 /= np.linalg.norm(u1)
     y1 = geo.anchors[-1] + math.sqrt(30 * (1 - geo.q_top)) * u1
-    funcs, _, vals_c = chain_constraint_set(geo, ev)
+    points, funcs, vals_c = chain_constraint_set(ev)
     draws = exact_conditional_sampler(
-        m2, np.vstack([geo.anchors, y1]), funcs, vals_c, [("value", 2)], 30_000, seed=seed
+        m2, np.vstack([points, y1]), funcs, 30 * vals_c, [("value", 2)], 30_000, seed=seed
     )
     mean_ref, var_ref = band_kernel(m2, geo, y1, y1, ev)
     z_mean = abs(draws[:, 0].mean() / 30 - mean_ref) / (

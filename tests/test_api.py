@@ -159,6 +159,7 @@ def test_tau_has_one_definition():
         pytest.param(spinglass.BandGeometry.on_slice, "tol", id="BandGeometry.on_slice-tol"),
         (spinglass.schur_condition, "pseudo_inverse"),
         (spinglass.exact_conditional_sampler, "pseudo_inverse"),
+        (spinglass.chain_constraint_set, "geometry"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -254,6 +255,7 @@ def test_a_non_real_inverse_temperature_is_bad_input(entry, value):
 _PURE2 = spinglass.Mixture({2: 1.0})
 _FIELD = mclab.sample_field(_PURE3, 4, seed=0)
 _GEOMETRY = spinglass.BandGeometry((0.5,), 3)
+_EVENT = spinglass.ConditioningEvent((0.1,), (0.2,), _GEOMETRY)
 _ORDER = spinglass.OrderParameter((0.5,), (0.3,))
 _ZT_ORDER = spinglass.ZeroTempOrder(((0.0, 0.5), (0.5, 1.0)), 1.0)
 
@@ -306,6 +308,7 @@ _REAL_PARAMETER_ENTRY_POINTS = {
     "BandGeometry ladder": lambda v: spinglass.BandGeometry((v,), 3),
     "ConditioningEvent e_vec": lambda v: spinglass.ConditioningEvent((v,), (0.1,), _GEOMETRY),
     "ConditioningEvent r_vec": lambda v: spinglass.ConditioningEvent((0.1,), (v,), _GEOMETRY),
+    "chain_constraint_set energy": lambda v: spinglass.chain_constraint_set(_EVENT, v),
     "band_kernel overlap": lambda v: spinglass.band_kernel(_PURE3, _GEOMETRY, v, v),
     "Mixture const_term": lambda v: spinglass.Mixture({2: 1.0}, const_term=v),
     "pure weight": lambda v: spinglass.pure(3, v),
@@ -321,12 +324,19 @@ _REAL_PARAMETER_ENTRY_POINTS = {
 }
 
 
+# optional real parameters, for which None is the default and is taken
+_NONE_MEANS_NOT_GIVEN = {"chain_constraint_set energy"}
+
+
 @pytest.mark.parametrize("value", ["1", "0.5", None, True, 1 + 0j, 10**400],
                          ids=["str", "str-float", "None", "True", "complex", "huge-int"])
 @pytest.mark.parametrize("entry", sorted(_REAL_PARAMETER_ENTRY_POINTS))
 def test_a_non_real_parameter_is_bad_input(entry, value):
     # the real parameters besides the inverse temperatures, each checked
     # before the first solve
+    if value is None and entry in _NONE_MEANS_NOT_GIVEN:
+        _REAL_PARAMETER_ENTRY_POINTS[entry](value)
+        return
     with pytest.raises(spinglass.BadInputError, match="real number"):
         _REAL_PARAMETER_ENTRY_POINTS[entry](value)
 

@@ -60,6 +60,15 @@ def test_geometry_validation():
         BandGeometry((0.5,), 2.5)
 
 
+@pytest.mark.parametrize("ladder, n", [((0.5,), 1), ((0.3, 0.6), 2), ((1.0,), 4)])
+def test_every_geometry_has_a_band_slice(ladder, n):
+    # an empty slice (n = depth) or a chain ending on the sphere (q_k = 1)
+    # once built, and band_kernel then returned (0.0, 0.0) or raised about a
+    # recentering overlap the caller never passed
+    with pytest.raises(BadInputError):
+        BandGeometry(ladder, n)
+
+
 def test_on_slice():
     geo = BandGeometry((0.3, 0.6), 8)
     y = geo.anchors[-1].copy()
@@ -417,23 +426,81 @@ def test_schur_conditioning_never_inflates_variances(seed):
 # --------------------------------------------------------- chain functionals
 
 
-def test_chain_functional_labels():
+def test_chain_functionals_in_the_canonical_frame():
     geo = BandGeometry((0.3, 0.6), 4)
-    _, labels, _ = chain_constraint_set(geo, ConditioningEvent((0.5, 0.8), (1.1, 1.3), geo))
-    assert labels == [
-        "H@x1", "dR@x1", "gperp2@x1", "gperp3@x1", "gperp4@x1",
-        "H@x2", "dR@x2", "gperp3@x2", "gperp4@x2",
+    points, funcs, _ = chain_constraint_set(ConditioningEvent((0.5, 0.8), (1.1, 1.3), geo), 0.9)
+    assert np.array_equal(points[:2], geo.anchors)
+    assert [f[:2] for f in funcs] == [
+        ("value", 2),
+        ("value", 0), ("deriv", 0), ("deriv", 0), ("deriv", 0), ("deriv", 0),
+        ("value", 1), ("deriv", 1), ("deriv", 1), ("deriv", 1),
     ]
+    # increment derivatives along (x_i - x_(i-1)) / (q_i - q_(i-1)), then
+    # tangential gradients along sqrt(n) times each axis past the anchor's
+    assert np.allclose(funcs[2][2], geo.anchors[0] / 0.3, rtol=0.0, atol=1e-14)
+    assert np.allclose(funcs[7][2], (geo.anchors[1] - geo.anchors[0]) / 0.3, rtol=0.0, atol=1e-14)
+    eye = 2.0 * np.eye(4)
+    assert all(np.array_equal(f[2], eye[j]) for f, j in zip(funcs[3:6], (1, 2, 3)))
+    assert all(np.array_equal(f[2], eye[j]) for f, j in zip(funcs[8:], (2, 3)))
+    # without an energy there is no sigma, its point or its row
+    bare_points, bare_funcs, _ = chain_constraint_set(ConditioningEvent((0.5, 0.8), (1.1, 1.3), geo))
+    assert np.array_equal(bare_points, geo.anchors)
+    assert [f[:2] for f in bare_funcs] == [f[:2] for f in funcs[1:]]
 
 
 def test_chain_constraint_values_scaling():
+    # the values are per site: multiply by n for the raw field
     geo = BandGeometry((0.3, 0.6), 4)
     ev = ConditioningEvent((0.5, 0.8), (1.1, 1.3), geo)
-    _, _, vals = chain_constraint_set(geo, ev)
-    assert vals[0] == 4 * 0.5 and vals[5] == 4 * 0.8
-    assert abs(vals[1] - 4 * 0.3 * 1.1) < 1e-14
-    assert abs(vals[6] - 4 * 0.3 * 1.3) < 1e-14
-    assert np.all(vals[2:5] == 0.0) and np.all(vals[7:] == 0.0)
+    _, _, vals = chain_constraint_set(ev)
+    assert vals.tolist() == [0.5, 1.1, 0.0, 0.0, 0.0, 0.8, 1.3, 0.0, 0.0]
+    _, _, vals = chain_constraint_set(ev, 0.9)
+    assert vals.tolist() == [0.9, 0.5, 1.1, 0.0, 0.0, 0.0, 0.8, 1.3, 0.0, 0.0]
+    for bad in (math.nan, math.inf, "0.9"):
+        with pytest.raises(BadInputError):
+            chain_constraint_set(ev, bad)
+
+
+@pytest.mark.parametrize("ladder", [(0.4,), (0.2, 0.55), (0.15, 0.5, 0.8)], ids=len)
+def test_sigma_has_the_chain_overlaps_and_squared_norm_n(ladder):
+    for n in (len(ladder) + 1, len(ladder) + 2, 11):
+        geo = BandGeometry(ladder, n)
+        points, _, _ = chain_constraint_set(ConditioningEvent((0.0,) * geo.depth, (0.0,) * geo.depth, geo), 0.0)
+        sigma = points[-1]
+        assert np.allclose(geo.anchors @ sigma / n, ladder, rtol=0.0, atol=1e-15)
+        assert abs(sigma @ sigma - n) <= 1e-14 * n
+
+
+def _frame_law(m: Mixture, ladder, overlaps, n: int, seed: int):
+    """Conditional mean and variance per site of the value at a point with
+    the given coordinates per sqrt(n) on the chain's and sigma's k + 1 axes
+    and the rest of its squared norm n spread at random over the others."""
+    k = len(ladder)
+    geo = BandGeometry(ladder, n)
+    ev = ConditioningEvent(tuple(np.linspace(0.2, -0.3, k)), tuple(np.linspace(0.9, 0.4, k)), geo)
+    points, funcs, vals = chain_constraint_set(ev, 0.7)
+    lead = math.sqrt(n) * np.asarray(overlaps)
+    tail = np.random.default_rng(seed).standard_normal(n - k - 1)
+    tail *= math.sqrt(n - lead @ lead) / np.linalg.norm(tail)
+    target = np.concatenate([lead, tail])
+    joint = derivative_covariances(m, np.vstack([points, target]), funcs + [("value", k + 1)])
+    mean, cov = schur_condition(joint, range(len(funcs)), n * vals)
+    return target, points, mean[0] / n, cov[0, 0] / n
+
+
+@pytest.mark.parametrize("ladder", [(0.4,), (0.2, 0.55), (0.15, 0.5, 0.8)], ids=len)
+def test_the_conditional_law_does_not_depend_on_the_frame_dimension(ladder):
+    # only inner products enter, so the law per site of a value at fixed
+    # overlaps to the anchors and sigma is the same in n = k + 2 as in n = k + 6
+    k = len(ladder)
+    overlaps = np.linspace(0.5, -0.2, k + 1) / math.sqrt(k + 1)
+    small = _frame_law(MIX3, ladder, overlaps, k + 2, 0)
+    large = _frame_law(MIX3, ladder, overlaps, k + 6, 1)
+    for target, points, _, _ in (small, large):
+        assert np.allclose(points @ target / len(target), small[1] @ small[0] / (k + 2), rtol=0.0, atol=1e-15)
+    assert abs(small[2] - large[2]) <= 1e-12
+    assert abs(small[3] - large[3]) <= 1e-12
+    assert small[3] > 1e-3  # the target is not pinned by the event
 
 
 # ------------------------------------------------------- band law oracle
@@ -512,12 +579,12 @@ def test_band_kernel_equals_full_schur_conditioning():
             y = geo.anchors[-1].copy()
             y[depth:] += tail * math.sqrt(1.0)
             ys.append(y)
-        funcs, _, vals = chain_constraint_set(geo, ev)
+        points, funcs, vals = chain_constraint_set(ev)
         base = len(funcs)
-        pts = np.vstack([geo.anchors, ys[0], ys[1]])
+        pts = np.vstack([points, ys[0], ys[1]])
         which = funcs + [("value", depth), ("value", depth + 1)]
         joint = derivative_covariances(m, pts, which)
-        mean, cov = schur_condition(joint, range(base), vals)
+        mean, cov = schur_condition(joint, range(base), n * vals)
         bk_mean, bk_cov = band_kernel(m, geo, ys[0], ys[1], event=ev)
         _, bk_var = band_kernel(m, geo, ys[0], ys[0], event=ev)
         scale = max(1.0, abs(bk_cov))
@@ -692,16 +759,26 @@ def test_fp_conditioning_two_point_kernel():
     assert abs(cov[0, 1] / n - kern) < 1e-10
 
 
+def _assert_the_added_row_is_inert(fpc: FPConditioning):
+    # the tangential gradient along the third axis: sigma and the anchor lie
+    # in the plane of the first two, so nothing else in the system sees it
+    assert fpc.rows[-1] == 4
+    assert np.all(fpc.C[-1, :-1] == 0.0) and np.all(fpc.C[:-1, -1] == 0.0)
+    assert fpc.u[-1] == 0.0
+
+
 def test_fp_conditioning_fields_and_determinism():
     fpc = fp_conditioning(MIX, 3.0, 0.6)
     e1, r1, _ = ground_state_point(MIX, 0.6)
     f_prime = e1 + 3.0 * (MIX(1.0) - MIX(0.6) - MIX.eval(0.6, 1) * 0.4)
     c = _conditioning_matrix(MIX, 0.6)
     u = np.linalg.solve(c, np.array([f_prime, e1, r1, 0.0]))
-    assert np.max(np.abs(fpc.u - u)) < 1e-12
-    assert np.max(np.abs(fpc.C - c)) <= 1e-13 * np.max(np.abs(c))
+    assert fpc.rows == (0, 1, 2, 3, 4)
+    assert np.max(np.abs(fpc.u[:4] - u)) < 1e-12
+    assert np.max(np.abs(fpc.C[:4, :4] - c)) <= 1e-13 * np.max(np.abs(c))
+    _assert_the_added_row_is_inert(fpc)
     coeff = fpc.mean_coeff(0.3, 0.25)
-    closed = float(_section_vector(MIX, 0.6, 0.3, 0.25) @ fpc.u)
+    closed = float(_section_vector(MIX, 0.6, 0.3, 0.25) @ fpc.u[:4])
     assert abs(coeff - closed) <= 1e-13 * abs(closed)
     assert abs(coeff - 0.109594249434) < 1e-9
 
@@ -728,12 +805,14 @@ def test_fp_conditioning_pure_paths():
     # a single-degree mixture drops the anchor's radial derivative, whose
     # row makes the pinned covariance singular
     fpp = fp_conditioning(pure(3), 2.0, 0.6)
-    assert fpp.C.shape == (3, 3) and fpp.u.shape == (3,)
+    assert fpp.rows == (0, 1, 3, 4)
+    assert fpp.C.shape == (4, 4) and fpp.u.shape == (4,)
     full = _conditioning_matrix(pure(3), 0.6)
     kept = full[np.ix_([0, 1, 3], [0, 1, 3])]
-    assert np.max(np.abs(fpp.C - kept)) <= 1e-13 * np.max(np.abs(kept))
+    assert np.max(np.abs(fpp.C[:3, :3] - kept)) <= 1e-13 * np.max(np.abs(kept))
+    _assert_the_added_row_is_inert(fpp)
     v = _section_vector(pure(3), 0.6, 0.3, 0.25)[[0, 1, 3]]
-    closed = float(v @ fpp.u)
+    closed = float(v @ fpp.u[:3])
     assert abs(fpp.mean_coeff(0.3, 0.25) - closed) <= 1e-13 * abs(closed)
 
 
@@ -778,13 +857,20 @@ def test_pinned_builder_matches_the_closed_forms(m):
     for q1 in _ORACLE_Q1:
         cov = _fp_pinned_cov(m, q1)
         want = _conditioning_matrix(m, q1)
-        assert np.max(np.abs(cov - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(cov[:4, :4] - want)) <= 1e-13 * np.max(np.abs(want))
+        # the added row: the tangential gradient along the third axis
+        assert np.all(cov[4, :4] == 0.0) and np.all(cov[:4, 4] == 0.0)
+        assert abs(cov[4, 4] - want[3, 3]) <= 1e-13 * np.max(np.abs(want))  # as in-plane
         for r, rho in _section_grid(q1):
             full = _fp_pinned_cov(m, q1, (r, rho))
-            assert np.max(np.abs(full[:4, :4] - cov)) == 0.0
+            assert np.max(np.abs(full[:5, :5] - cov)) == 0.0
             want = np.append(_section_vector(m, q1, r, rho), m(1.0))
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(full[-1] - want)) <= 1e-13 * scale
+            assert np.max(np.abs(full[-1, [0, 1, 2, 3, 5]] - want)) <= 1e-13 * scale
+            # the section point's third coordinate is sqrt(3 (1 - tau)), the
+            # root of a difference that rounds near 0 at the interval ends
+            third_sq = m.eval(rho, 1) ** 2 * (1.0 - section_tau(q1, r, rho))
+            assert abs(full[-1, 4] ** 2 - third_sq) <= 1e-13 * max(scale, cov[4, 4]) ** 2
 
 
 @pytest.mark.parametrize("m", _ORACLE_MIXES, ids=repr)
@@ -845,15 +931,17 @@ def test_rank_rule_drops_only_the_radial_row_of_a_pure_mixture():
         for q1 in _ORACLE_Q1:
             kept = _independent_rows(_fp_pinned_cov(m, q1))
             if m.is_pure:
-                assert kept == [0, 1, 3], (m, q1)
+                assert kept == [0, 1, 3, 4], (m, q1)
             elif m != Mixture({3: 0.5, 30: 0.5}):
-                assert kept == [0, 1, 2, 3], (m, q1)
+                assert kept == [0, 1, 2, 3, 4], (m, q1)
     # the degree-30 part adds nothing a double can see below q1 ~ 0.3
     wide = Mixture({3: 0.5, 30: 0.5})
     sizes = [len(_independent_rows(_fp_pinned_cov(wide, q1))) for q1 in _ORACLE_Q1]
-    assert sizes == [3, 3, 4, 4, 4, 4]
-    assert fp_conditioning(pure(4), 2.0, 0.5).rows == (0, 1, 3)
-    assert fp_conditioning(MIX, 2.0, 0.5).rows == (0, 1, 2, 3)
+    assert sizes == [4, 4, 5, 5, 5, 5]
+    for fpc in (fp_conditioning(pure(4), 2.0, 0.5), fp_conditioning(MIX, 2.0, 0.5)):
+        _assert_the_added_row_is_inert(fpc)
+    assert fp_conditioning(pure(4), 2.0, 0.5).rows == (0, 1, 3, 4)
+    assert fp_conditioning(MIX, 2.0, 0.5).rows == (0, 1, 2, 3, 4)
 
 
 def test_fp_conditioning_of_a_numerically_rank_deficient_mixture():
@@ -865,12 +953,13 @@ def test_fp_conditioning_of_a_numerically_rank_deficient_mixture():
     # relation by 4e-10, and the pseudo-inverse spreads that over two rows
     m, beta, q1 = Mixture({3: 0.5, 30: 0.5}), 3.0, 0.2
     fpc = fp_conditioning(m, beta, q1)
-    assert fpc.rows == (0, 1, 3)
+    assert fpc.rows == (0, 1, 3, 4)
+    _assert_the_added_row_is_inert(fpc)
     e1, r1, _ = ground_state_point(m, q1)
     f_prime = e1 + beta * (m(1.0) - m(q1) - m.eval(q1, 1) * (1.0 - q1))
     for r in (-0.3, 0.0, 0.3):
         cov = _fp_pinned_cov(m, q1, (r, r * q1))
-        gain = cov[4:, :4] @ np.linalg.pinv(cov[:4, :4], rcond=1e-12, hermitian=True)
+        gain = cov[5:, :4] @ np.linalg.pinv(cov[:4, :4], rcond=1e-12, hermitian=True)
         mean = gain @ [f_prime, e1, r1, 0.0]
         assert abs(mean[0] - fpc.mean_coeff(r, r * q1)) <= 1e-11
 

@@ -965,12 +965,11 @@ def band_fixture():
 class TestExactSampler:
     def test_band_moments_match_kernel(self):
         m, geo, ev, y1, y2 = band_fixture()
-        funcs, labels, vals = chain_constraint_set(geo, ev)
-        assert labels[0] == "H@x1" and labels[1] == "dR@x1"
-        points = np.vstack([geo.anchors, y1, y2])
+        points, funcs, vals = chain_constraint_set(ev)
+        points = np.vstack([points, y1, y2])
         n_draws = 100_000
         draws = exact_conditional_sampler(
-            m, points, funcs, vals, [("value", 2), ("value", 3)], n_draws, seed=4
+            m, points, funcs, geo.n * vals, [("value", 2), ("value", 3)], n_draws, seed=4
         )
         mean_ref, var_ref = band_kernel(m, geo, y1, y1, ev)
         _, cov_ref = band_kernel(m, geo, y1, y2, ev)
@@ -1021,8 +1020,8 @@ class TestExactSampler:
 
     def test_deterministic_per_seed(self):
         m, geo, ev, y1, _ = band_fixture()
-        funcs, _, vals = chain_constraint_set(geo, ev)
-        points = np.vstack([geo.anchors, y1])
+        points, funcs, vals = chain_constraint_set(ev)
+        points, vals = np.vstack([points, y1]), geo.n * vals
         a = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=5)
         b = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=5)
         c = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=6)
@@ -1031,16 +1030,16 @@ class TestExactSampler:
 
     def test_normals_are_not_the_field_coefficients(self):
         m, geo, ev, y1, _ = band_fixture()
-        funcs, _, vals = chain_constraint_set(geo, ev)
-        points = np.vstack([geo.anchors, y1])
+        points, funcs, vals = chain_constraint_set(ev)
+        points, vals = np.vstack([points, y1]), geo.n * vals
         draws = exact_conditional_sampler(m, points, funcs, vals, [("value", 2)], 64, seed=5)
         coeffs = sample_field(Mixture({3: 1.0}), 4, seed=5).tensors[3].ravel()
         assert abs(float(np.corrcoef(draws[:, 0], coeffs)[0, 1])) < 0.5
 
     def test_degenerate_constraints_propagate_singular_block(self):
         m, geo, ev, y1, _ = band_fixture()
-        funcs, _, vals = chain_constraint_set(geo, ev)
-        points = np.vstack([geo.anchors, y1])
+        points, funcs, vals = chain_constraint_set(ev)
+        points, vals = np.vstack([points, y1]), geo.n * vals
         doubled = funcs + [funcs[0]]
         # a repeated constraint at the same value adds nothing; at another value
         # the event is impossible
@@ -1056,8 +1055,8 @@ class TestExactSampler:
 
     def test_requires_targets(self):
         m, geo, ev, y1, _ = band_fixture()
-        funcs, _, vals = chain_constraint_set(geo, ev)
-        points = np.vstack([geo.anchors, y1])
+        points, funcs, vals = chain_constraint_set(ev)
+        points, vals = np.vstack([points, y1]), geo.n * vals
         with pytest.raises(BadInputError):
             exact_conditional_sampler(m, points, funcs, vals, [], 16)
         with pytest.raises(BadInputError):
